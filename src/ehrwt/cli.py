@@ -180,39 +180,30 @@ def write_polytope(P: LatticePolytope) -> str:
     return "\n".join(lines) + "\n"
 
 
-def _load_polytope(job: JobSpec) -> LatticePolytope:
-    if job.vertices is not None:
-        rows = []
-        for chunk in job.vertices.split(";"):
-            chunk = chunk.strip()
-            if not chunk:
-                continue
-            try:
-                rows.append(tuple(int(tok) for tok in chunk.split()))
-            except ValueError:
-                raise ValueError(
-                    f"inline vertex row {chunk!r} must contain whitespace-separated integers"
-                ) from None
-        if not rows:
-            raise ValueError("no vertex rows given")
-        return LatticePolytope(rows)
-    with open(job.file, "r", encoding="utf-8") as fh:
-        return read_polytope(fh.read())
-
-
-def _parse_wrows(text: str) -> hilbert.LinearWeightTuple:
+def _parse_rows(text: str, what: str) -> list[tuple[int, ...]]:
+    """Integer rows separated by ';', e.g. '0 0; 1 0'; empty chunks are skipped."""
     rows = []
     for chunk in text.split(";"):
         chunk = chunk.strip()
         if not chunk:
             continue
         try:
-            rows.append([int(tok) for tok in chunk.split()])
+            rows.append(tuple(int(tok) for tok in chunk.split()))
         except ValueError:
             raise ValueError(
-                f"weight-tuple row {chunk!r} must contain whitespace-separated integers"
+                f"{what} row {chunk!r} must contain whitespace-separated integers"
             ) from None
-    return hilbert.LinearWeightTuple(rows)
+    return rows
+
+
+def _load_polytope(job: JobSpec) -> LatticePolytope:
+    if job.vertices is not None:
+        rows = _parse_rows(job.vertices, "inline vertex")
+        if not rows:
+            raise ValueError("no vertex rows given")
+        return LatticePolytope(rows)
+    with open(job.file, "r", encoding="utf-8") as fh:
+        return read_polytope(fh.read())
 
 
 # ---------------------------------------------------------------- handlers
@@ -310,14 +301,14 @@ def _cmd_check(job: JobSpec) -> dict:
 
 def _cmd_hilbert(job: JobSpec) -> dict:
     P = _load_polytope(job)
-    W = _parse_wrows(job.wrows)
+    W = hilbert.LinearWeightTuple(_parse_rows(job.wrows, "weight-tuple"))
     table_max = job.max_n if job.max_n is not None else 8
     if table_max < 0:
         raise ValueError("--max-n must be nonnegative")
     values = [[n, hilbert.hilbert_value(P, W, n)] for n in range(table_max + 1)]
     cap = max(hilbert.DEFAULT_MAX_ONSET, table_max)
     fit, onset = hilbert.hilbert_polynomial(P, W, max_onset=cap)
-    series = hilbert.hilbert_series(P, W, max_onset=cap)
+    series = hilbert._series_of_fit(P, W, fit, onset)
     return {"values": values, "polynomial": fit, "onset": onset, "series": series}
 
 

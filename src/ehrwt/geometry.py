@@ -1,9 +1,12 @@
 """Exact polyhedral geometry over the integer lattice.
 
 Polytopes are given by integer vertex lists. The H-representation is
-recovered by eliminating barycentric coordinates (Gauss substitution
-where an equation is available, Fourier-Motzkin otherwise) and pruned
-to essential rows with an exact rational LP. Dilations are enumerated
+recovered by eliminating barycentric coordinates on integer rows (Gauss
+substitution where an equation is available, Fourier-Motzkin otherwise).
+After every round only the rows whose tight points span a facet of the
+current projection survive, so the last round leaves exactly one row
+per facet. An integer invariant check on the final rows raises
+ConsistencyError if that ever fails. Dilations are enumerated
 coordinate by coordinate with exact interval propagation. Membership
 is settled by a barycentric feasibility LP that never looks at the
 facet pipeline, so the two routes can serve as mutual oracles.
@@ -17,8 +20,9 @@ from fractions import Fraction
 from functools import lru_cache
 from typing import Iterable, Sequence
 
-from ._simplex import simplex_feasible, simplex_maximize
+from ._simplex import simplex_feasible
 from .errors import ConsistencyError, EnumerationLimitError
+from .polynomials import _exact
 
 __all__ = [
     "LatticePolytope",
@@ -34,12 +38,6 @@ __all__ = [
 ]
 
 DEFAULT_ENUMERATION_CAP = 10**8
-
-
-def _fraction(value, what: str) -> Fraction:
-    if isinstance(value, float):
-        raise TypeError(f"floating point {what} {value!r} is not allowed")
-    return Fraction(value)
 
 
 class LatticePolytope:
@@ -185,36 +183,27 @@ def _integerize(values):
 
 
 def _primitive_ineq(row, rhs):
-    """Integer primitive form of a.x <= b; None when the row is trivial."""
-    ints = _integerize([Fraction(v) for v in row] + [Fraction(rhs)])
-    coeffs, b = ints[:-1], ints[-1]
-    g = 0
-    for v in coeffs:
-        g = math.gcd(g, v)
+    """Primitive form of the integer row a.x <= b; None when the row is trivial."""
+    g = math.gcd(*row)
     if g == 0:
-        if b < 0:
+        if rhs < 0:
             raise ConsistencyError("derived an infeasible constraint; this is a bug")
         return None
-    g = math.gcd(g, b)
-    return tuple(v // g for v in coeffs), b // g
+    g = math.gcd(g, rhs)
+    return tuple(v // g for v in row), rhs // g
 
 
 def _primitive_eq(row, rhs):
-    """Integer primitive sign-normalized form of a.x = b; None when trivial."""
-    ints = _integerize([Fraction(v) for v in row] + [Fraction(rhs)])
-    coeffs, b = ints[:-1], ints[-1]
-    lead = next((v for v in coeffs if v != 0), 0)
+    """Primitive sign-normalized form of the integer row a.x = b; None when trivial."""
+    lead = next((v for v in row if v != 0), 0)
     if lead == 0:
-        if b != 0:
+        if rhs != 0:
             raise ConsistencyError("derived an inconsistent equation; this is a bug")
         return None
-    g = 0
-    for v in coeffs:
-        g = math.gcd(g, v)
-    g = math.gcd(g, b)
+    g = math.gcd(*row, rhs)
     if lead < 0:
         g = -g
-    return tuple(v // g for v in coeffs), b // g
+    return tuple(v // g for v in row), rhs // g
 
 
 def _affine_hull(vertices):
@@ -230,30 +219,50 @@ def _affine_hull(vertices):
         for r, p in enumerate(pivots):
             normal[p] = -rref[r][free]
         rhs = sum(c * b for c, b in zip(normal, base))
-        prim = _primitive_eq(normal, rhs)
+        ints = _integerize(normal + [rhs])
+        prim = _primitive_eq(ints[:-1], ints[-1])
         if prim is not None:
             eqs.append(prim)
     return tuple(sorted(eqs))
 
 
 def _substitute(con, eq, var):
+    """Eliminate var from con with eq, scaling con by a positive factor only."""
     row, rhs = con
     k = row[var]
     if k == 0:
         return con
     erow, erhs = eq
-    f = k / erow[var]
-    return ([a - f * b for a, b in zip(row, erow)], rhs - f * erhs)
+    e = erow[var]
+    if e < 0:
+        e, k = -e, -k
+    return [e * a - k * b for a, b in zip(row, erow)], e * rhs - k * erhs
 
 
 def _affine_rank(points) -> int:
-    """Affine dimension of a point list; -1 when the list is empty."""
+    """Affine dimension of an integer point list; -1 when the list is empty.
+
+    Fraction-free (Bareiss) elimination: every entry stays an integer
+    minor of the difference matrix, so each division is exact.
+    """
     if not points:
         return -1
     base = points[0]
-    diffs = [[Fraction(a) - Fraction(b) for a, b in zip(p, base)] for p in points[1:]]
-    _, pivots = _rref(diffs)
-    return len(pivots)
+    rows = [[a - b for a, b in zip(p, base)] for p in points[1:]]
+    rank, prev = 0, 1
+    for col in range(len(base)):
+        pivot = next((i for i in range(rank, len(rows)) if rows[i][col] != 0), None)
+        if pivot is None:
+            continue
+        rows[rank], rows[pivot] = rows[pivot], rows[rank]
+        top = rows[rank]
+        p = top[col]
+        for i in range(rank + 1, len(rows)):
+            f = rows[i][col]
+            rows[i] = [(p * a - f * b) // prev for a, b in zip(rows[i], top)]
+        prev = p
+        rank += 1
+    return rank
 
 
 def _keep_facet_rows(ineqs, points, active):
@@ -266,7 +275,7 @@ def _keep_facet_rows(ineqs, points, active):
     equalities (tight everywhere) are carried by the equation block and
     dropped here too. This is what keeps intermediate row counts small.
     """
-    proj = [[Fraction(p[c]) for c in active] for p in points]
+    proj = [[p[c] for c in active] for p in points]
     dim_q = _affine_rank(proj)
     if dim_q <= 0:
         return []
@@ -283,7 +292,7 @@ def _keep_facet_rows(ineqs, points, active):
 
 
 def _tidy(cons):
-    """Normalize rows, drop tautologies, keep the tightest rhs per normal."""
+    """Primitive rows without tautologies, the tightest rhs per normal, sorted."""
     best = {}
     for row, rhs in cons:
         prim = _primitive_ineq(row, rhs)
@@ -292,9 +301,32 @@ def _tidy(cons):
         key, val = prim
         if key not in best or val < best[key]:
             best[key] = val
-    return [
-        ([Fraction(c) for c in key], Fraction(val)) for key, val in sorted(best.items())
-    ]
+    return sorted(best.items())
+
+
+def _check_facets(P, rows):
+    """Raise ConsistencyError unless the rows are the distinct facets of P.
+
+    Every vertex must satisfy every row, the vertices tight at a row
+    must span dim(P) - 1 dimensions, and no normal may occur twice.
+    """
+    normals = set()
+    for row, rhs in rows:
+        tight = []
+        for v in P.vertices:
+            value = sum(c * x for c, x in zip(row, v))
+            if value > rhs:
+                raise ConsistencyError(f"facet row {row} <= {rhs} is violated by vertex {v}")
+            if value == rhs:
+                tight.append(v)
+        if _affine_rank(tight) != P.dim - 1:
+            raise ConsistencyError(
+                f"row {row} <= {rhs} is not a facet: its tight vertices {tight} "
+                f"do not span dimension {P.dim - 1}"
+            )
+        if row in normals:
+            raise ConsistencyError(f"facet normal {row} occurs in more than one row")
+        normals.add(row)
 
 
 def _facet_inequalities(P):
@@ -307,15 +339,15 @@ def _facet_inequalities(P):
     width = m + s
     eqs = []
     for j in range(s):
-        row = [Fraction(verts[i][j]) for i in range(m)] + [Fraction(0)] * s
-        row[m + j] = Fraction(-1)
-        eqs.append((row, Fraction(0)))
-    eqs.append(([Fraction(1)] * m + [Fraction(0)] * s, Fraction(1)))
+        row = [verts[i][j] for i in range(m)] + [0] * s
+        row[m + j] = -1
+        eqs.append((row, 0))
+    eqs.append(([1] * m + [0] * s, 1))
     ineqs = []
     for i in range(m):
-        row = [Fraction(0)] * width
-        row[i] = Fraction(-1)
-        ineqs.append((row, Fraction(0)))
+        row = [0] * width
+        row[i] = -1
+        ineqs.append((row, 0))
     # images of the barycentric vertices; projections of their hull are
     # exactly what each elimination state describes
     images = []
@@ -334,8 +366,8 @@ def _facet_inequalities(P):
                 break
         if pick is not None:
             var, eq = pick
-            eqs = [_substitute(c, eq, var) for c in eqs if c is not eq]
-            eqs = [e for e in eqs if any(v != 0 for v in e[0])]
+            eqs = [_primitive_eq(*_substitute(c, eq, var)) for c in eqs if c is not eq]
+            eqs = [e for e in eqs if e is not None]
             ineqs = _tidy(_substitute(c, eq, var) for c in ineqs)
         else:
             # no equation mentions a remaining variable: Fourier-Motzkin round
@@ -367,56 +399,19 @@ def _facet_inequalities(P):
         projected.append((row[m:], rhs))
 
     # canonical representative modulo the hull equations
-    hull = P.affine_hull
-    hull_rows = [[Fraction(c) for c in a] + [Fraction(b)] for a, b in hull]
-    rref, pivots = _rref(hull_rows)
-    best = {}
+    rref, pivots = _rref([[Fraction(c) for c in a] + [Fraction(b)] for a, b in P.affine_hull])
+    reduced = []
     for row, rhs in projected:
         u = [Fraction(c) for c in row] + [Fraction(rhs)]
         for rr, p in zip(rref, pivots):
             f = u[p]
             if f != 0:
                 u = [a - f * b for a, b in zip(u, rr)]
-        prim = _primitive_ineq(u[:-1], u[-1])
-        if prim is None:
-            continue
-        key, val = prim
-        if key not in best or val < best[key]:
-            best[key] = val
-    rows = sorted(best.items())
-
-    # exact-LP pruning down to essential rows
-    kept = list(rows)
-    for target in rows:
-        if target not in kept or len(kept) == 1:
-            continue
-        others = [r for r in kept if r != target]
-        if _lp_implied(target, hull, others, s):
-            kept.remove(target)
-    return tuple(kept)
-
-
-def _lp_implied(target, equations, inequalities, s):
-    """True when max of target's normal over the other rows stays <= its rhs."""
-    ta, tb = target
-    k = len(inequalities)
-    rows = []
-    rhs = []
-    for a, b in equations:
-        rows.append([Fraction(c) for c in a] + [Fraction(-c) for c in a] + [Fraction(0)] * k)
-        rhs.append(Fraction(b))
-    for idx, (a, b) in enumerate(inequalities):
-        line = [Fraction(c) for c in a] + [Fraction(-c) for c in a] + [Fraction(0)] * k
-        line[2 * s + idx] = Fraction(1)
-        rows.append(line)
-        rhs.append(Fraction(b))
-    objective = [Fraction(c) for c in ta] + [Fraction(-c) for c in ta] + [Fraction(0)] * k
-    status, value, _ = simplex_maximize(rows, rhs, objective)
-    if status == "unbounded":
-        return False
-    if status == "infeasible":
-        raise ConsistencyError("H-representation became infeasible while pruning")
-    return value <= tb
+        u = _integerize(u)
+        reduced.append((u[:-1], u[-1]))
+    rows = _tidy(reduced)
+    _check_facets(P, rows)
+    return tuple(rows)
 
 
 def _enumeration_cap() -> int:
@@ -433,7 +428,9 @@ def _enumeration_cap() -> int:
 
 
 @lru_cache(maxsize=64)
-def _points(P: LatticePolytope, n: int, strict: bool):
+def _points(P: LatticePolytope, n: int, strict: bool, cap: int):
+    # the cap is part of the cache key, so a lowered cap is not bypassed
+    # by a result cached under a higher one
     s = P.ambient_dim
     verts = P.vertices
     rows = []
@@ -452,7 +449,6 @@ def _points(P: LatticePolytope, n: int, strict: bool):
         for j in range(s - 1, -1, -1):
             t[j] = t[j + 1] + min(a[j] * lo[j], a[j] * hi[j])
         tails.append(t)
-    cap = _enumeration_cap()
     visited = 0
     out = []
     point = [0] * s
@@ -515,7 +511,7 @@ def lattice_points(P: LatticePolytope, n: int) -> list[tuple[int, ...]]:
         raise ValueError("dilation factor must be a nonnegative integer")
     if n == 0:
         return [(0,) * P.ambient_dim]
-    return list(_points(P, n, False))
+    return list(_points(P, n, False, _enumeration_cap()))
 
 
 def interior_lattice_points(P: LatticePolytope, n: int) -> list[tuple[int, ...]]:
@@ -526,7 +522,7 @@ def interior_lattice_points(P: LatticePolytope, n: int) -> list[tuple[int, ...]]
     """
     if not isinstance(n, int) or n < 1:
         raise ValueError("dilation factor must be a positive integer")
-    return list(_points(P, n, True))
+    return list(_points(P, n, True, _enumeration_cap()))
 
 
 def contains(P: LatticePolytope, point: Sequence, n=1) -> bool:
@@ -536,10 +532,10 @@ def contains(P: LatticePolytope, point: Sequence, n=1) -> bool:
     lam >= 0}, solved by the exact simplex. Independent of the facet
     pipeline by design.
     """
-    scale = _fraction(n, "dilation factor")
+    scale = _exact(n, "dilation factor")
     if scale <= 0:
         raise ValueError("dilation factor must be positive")
-    coords = [_fraction(c, "coordinate") for c in point]
+    coords = [_exact(c, "coordinate") for c in point]
     if len(coords) != P.ambient_dim:
         raise ValueError(f"point has length {len(coords)}, expected {P.ambient_dim}")
     m = len(P.vertices)
@@ -555,12 +551,7 @@ def edge_polytope(G: Graph) -> LatticePolytope:
     Every vertex must meet an edge, otherwise the polytope would live in
     a smaller coordinate space than advertised.
     """
-    touched = {v for e in G.edges for v in e}
-    isolated = sorted(set(range(1, G.vertex_count + 1)) - touched)
-    if isolated:
-        raise ValueError(
-            f"graph has isolated vertices {isolated}; every vertex must meet an edge"
-        )
+    _require_edge_cover(G)
     rows = []
     for i, j in G.edges:
         row = [0] * G.vertex_count
@@ -568,6 +559,15 @@ def edge_polytope(G: Graph) -> LatticePolytope:
         row[j - 1] = 1
         rows.append(row)
     return LatticePolytope(rows)
+
+
+def _require_edge_cover(G: Graph) -> None:
+    touched = {v for e in G.edges for v in e}
+    isolated = sorted(set(range(1, G.vertex_count + 1)) - touched)
+    if isolated:
+        raise ValueError(
+            f"graph has isolated vertices {isolated}; every vertex must meet an edge"
+        )
 
 
 def bipartite_components(G: Graph) -> int:

@@ -162,6 +162,13 @@ def hilbert_series(
     an internal inconsistency.
     """
     fit, onset = hilbert_polynomial(P, W, max_onset=max_onset, margin=margin)
+    return _series_of_fit(P, W, fit, onset)
+
+
+def _series_of_fit(
+    P: LatticePolytope, W: LinearWeightTuple, fit: UniPoly, onset: int
+) -> RationalGF:
+    """hilbert_series from a fit and onset that hilbert_polynomial returned."""
     series = gf_of_polynomial(fit)
     if onset > 0:
         corrections = [hilbert_value(P, W, n) - fit(n) for n in range(onset)]

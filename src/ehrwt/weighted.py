@@ -26,12 +26,20 @@ from .errors import ConsistencyError
 from .geometry import (
     Graph,
     LatticePolytope,
+    _require_edge_cover,
     bipartite_components,
     interior_lattice_points,
     lattice_points,
     require_nonnegative_vertices,
 )
-from .polynomials import RationalGF, UniPoly, WeightPoly, gf_of_polynomial, lagrange_interpolate
+from .polynomials import (
+    RationalGF,
+    UniPoly,
+    WeightPoly,
+    _exact,
+    gf_of_polynomial,
+    lagrange_interpolate,
+)
 
 __all__ = [
     "weighted_sum",
@@ -145,9 +153,7 @@ def linear_lift(P: LatticePolytope, w: WeightPoly) -> LatticePolytope:
 def affine_lift_polytope(P: LatticePolytope, coeffs: Sequence) -> LatticePolytope:
     """Companion lift for an affine weight's linear part (rows of C in N)."""
     require_nonnegative_vertices(P, "affine_lift_polytope")
-    if any(isinstance(c, float) for c in coeffs):
-        raise TypeError("floating point coefficients are not allowed")
-    row = [Fraction(c) for c in coeffs]
+    row = [_exact(c) for c in coeffs]
     if len(row) != P.ambient_dim:
         raise ValueError("coefficient row length must match the ambient dimension")
     if all(c == 0 for c in row):
@@ -165,9 +171,7 @@ def weighted_by_affine_lift(P: LatticePolytope, coeffs: Sequence, offset) -> Uni
     entirely without interpolation against w itself, so it can serve as
     an independent check of the interpolation route.
     """
-    if isinstance(offset, float):
-        raise TypeError(f"floating point offset {offset!r} is not allowed")
-    b = Fraction(offset)
+    b = _exact(offset, "offset")
     lifted = affine_lift_polytope(P, coeffs)
     return ehrhart_polynomial(lifted) + (b - 1) * ehrhart_polynomial(P)
 
@@ -182,12 +186,7 @@ def predicted_degree(G: Graph, w: WeightPoly) -> int:
         raise ValueError("weight variable count must match the graph's vertex count")
     if not w.is_monomial:
         raise ValueError("prediction needs a single-term weight")
-    touched = {v for e in G.edges for v in e}
-    isolated = sorted(set(range(1, G.vertex_count + 1)) - touched)
-    if isolated:
-        raise ValueError(
-            f"graph has isolated vertices {isolated}; every vertex must meet an edge"
-        )
+    _require_edge_cover(G)
     return G.vertex_count - bipartite_components(G) - 1 + w.degree
 
 

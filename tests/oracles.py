@@ -4,11 +4,13 @@ Everything here is deliberately computed through a different route than
 the library code it checks. Membership and relative-interior questions
 are settled by linear programs over barycentric coordinates (vertex
 descriptions only, no facet systems), lattice point sets by scanning
-bounding boxes, and Eulerian numbers by the classical recurrence.
+bounding boxes, facets by trying every hyperplane through vertices, and
+Eulerian numbers by the classical recurrence.
 """
 
 from fractions import Fraction
-from itertools import product
+from itertools import combinations, product
+from math import gcd
 
 from ehrwt._simplex import simplex_maximize
 
@@ -60,6 +62,43 @@ def in_relative_interior(vertices, point):
     objective = [Fraction(0)] * m + [Fraction(1)]
     status, value, _ = simplex_maximize(rows, rhs, objective)
     return status == "optimal" and value > 0
+
+
+def _det(rows):
+    """Determinant by Laplace expansion along the first row (small sizes only)."""
+    if not rows:
+        return 1
+    return sum(
+        (-1) ** j * rows[0][j] * _det([r[:j] + r[j + 1:] for r in rows[1:]])
+        for j in range(len(rows))
+        if rows[0][j]
+    )
+
+
+def brute_force_facets(vertices):
+    """Facet rows (a, b), primitive a.x <= b, of a full-dimensional vertex set.
+
+    Every s points of the set that are affinely independent span one
+    hyperplane, whose normal is the vector of signed cofactors of their
+    difference vectors. The hyperplane supports a facet exactly when all
+    points lie on one side of it.
+    """
+    s = len(vertices[0])
+    rows = set()
+    for subset in combinations(vertices, s):
+        diffs = [[a - b for a, b in zip(p, subset[0])] for p in subset[1:]]
+        normal = [(-1) ** j * _det([r[:j] + r[j + 1:] for r in diffs]) for j in range(s)]
+        g = gcd(*normal)
+        if g == 0:
+            continue
+        normal = [c // g for c in normal]
+        b = sum(c * x for c, x in zip(normal, subset[0]))
+        values = [sum(c * x for c, x in zip(normal, v)) for v in vertices]
+        if max(values) <= b:
+            rows.add((tuple(normal), b))
+        elif min(values) >= b:
+            rows.add((tuple(-c for c in normal), -b))
+    return rows
 
 
 def _dilated(vertices, n):

@@ -8,6 +8,7 @@ from fractions import Fraction as F
 
 import pytest
 
+import ehrwt.hilbert
 from ehrwt import ConsistencyError, LatticePolytope, RationalGF, UniPoly
 from ehrwt.cli import read_polytope, run, write_output, write_polytope
 from ehrwt.errors import PolytopeFormatError
@@ -202,6 +203,19 @@ def test_hilbert_command_json(capsys):
     assert data["polynomial"]["coeffs"] == ["-1", "5"]
     assert data["series"]["numerator_coeffs"] == ["1", "2", "2"]
     assert data["series"]["denom_power"] == 2
+
+
+def test_hilbert_command_fits_once(monkeypatch, capsys):
+    fit = ehrwt.hilbert.hilbert_polynomial
+    calls = []
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return fit(*args, **kwargs)
+
+    monkeypatch.setattr(ehrwt.hilbert, "hilbert_polynomial", counted)
+    assert run(["hilbert", "--vertices", "1 1; 3 0; 2 3", "--wrows", "1 2"]) == 0
+    assert len(calls) == 1
 
 
 def test_hilbert_command_rejects_negative_table(capsys):

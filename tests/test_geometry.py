@@ -17,9 +17,16 @@ from ehrwt import (
     interior_lattice_points,
     lattice_points,
 )
-from ehrwt.errors import EnumerationLimitError
+from ehrwt.errors import ConsistencyError, EnumerationLimitError
+from ehrwt.geometry import _check_facets
 
-from oracles import box_points, in_hull, in_relative_interior, random_vertices
+from oracles import (
+    box_points,
+    brute_force_facets,
+    in_hull,
+    in_relative_interior,
+    random_vertices,
+)
 
 SQUARE = LatticePolytope([(0, 0), (1, 0), (0, 1), (1, 1)])
 TRIANGLE = LatticePolytope([(1, 0), (0, 1), (1, 1)])
@@ -171,6 +178,33 @@ def test_facets_are_supporting_and_tight_random():
             assert affine_rank(tight) == d - 1, (verts, row, rhs)
 
 
+def test_facets_match_brute_force_oracle_dims_4_and_5():
+    rng = random.Random(8128)
+    for case in range(40):
+        s = 4 + case % 2
+        while True:
+            verts = random_vertices(rng, s, rng.randint(s + 1, s + 3), 0, 4)
+            if affine_rank(verts) == s:
+                break
+        P = LatticePolytope(verts)
+        assert P.facet_inequalities == tuple(sorted(brute_force_facets(verts))), verts
+
+
+def test_facet_invariant_check_rejects_bad_rows():
+    rows = list(SQUARE.facet_inequalities)
+    _check_facets(SQUARE, rows)
+    with pytest.raises(ConsistencyError, match=r"violated by vertex \(1, 0\)"):
+        _check_facets(SQUARE, rows + [((1, 0), 0)])
+    with pytest.raises(ConsistencyError, match=r"not a facet: its tight vertices \[\(1, 1\)\]"):
+        _check_facets(SQUARE, rows + [((1, 1), 2)])
+    with pytest.raises(ConsistencyError, match="more than one row"):
+        _check_facets(SQUARE, rows + rows[:1])
+    # in a lower-dimensional hull a facet's tight set is one dimension down
+    _check_facets(SEGMENT, list(SEGMENT.facet_inequalities))
+    with pytest.raises(ConsistencyError, match="not a facet"):
+        _check_facets(SEGMENT, [((1, 1), 2)])
+
+
 # ---------------------------------------------------------------- enumeration
 
 def test_lattice_points_fixtures():
@@ -238,6 +272,12 @@ def test_interior_against_relint_oracle_dim3():
 def test_enumeration_cap(monkeypatch):
     monkeypatch.setenv("EHRWT_MAX_POINTS", "10")
     big = LatticePolytope([(0, 0), (11, 0), (0, 11), (11, 11)])
+    with pytest.raises(EnumerationLimitError):
+        lattice_points(big, 1)
+    # a result cached under a higher cap does not bypass a lowered one
+    monkeypatch.delenv("EHRWT_MAX_POINTS")
+    assert len(lattice_points(big, 1)) == 144
+    monkeypatch.setenv("EHRWT_MAX_POINTS", "10")
     with pytest.raises(EnumerationLimitError):
         lattice_points(big, 1)
     monkeypatch.setenv("EHRWT_MAX_POINTS", "frogs")
