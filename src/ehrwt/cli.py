@@ -13,9 +13,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from dataclasses import dataclass
 from fractions import Fraction
-from typing import Optional
 
 from . import hilbert, weighted
 from .errors import ConsistencyError, EhrwtError, PolytopeFormatError
@@ -30,26 +28,11 @@ from .polynomials import (
     parse_weight,
 )
 
-__all__ = ["JobSpec", "run", "main", "read_polytope", "write_polytope", "write_output"]
+__all__ = ["run", "main", "read_polytope", "write_polytope", "write_output"]
 
 
 class _UsageError(Exception):
     pass
-
-
-@dataclass
-class JobSpec:
-    """One CLI invocation, fully parsed and defaulted."""
-
-    command: str
-    vertices: Optional[str] = None
-    file: Optional[str] = None
-    weight: str = "1"
-    wrows: Optional[str] = None
-    n: Optional[int] = None
-    max_n: Optional[int] = None
-    fmt: str = "text"
-    check: bool = False
 
 
 # ---------------------------------------------------------------- input
@@ -196,13 +179,13 @@ def _parse_rows(text: str, what: str) -> list[tuple[int, ...]]:
     return rows
 
 
-def _load_polytope(job: JobSpec) -> LatticePolytope:
-    if job.vertices is not None:
-        rows = _parse_rows(job.vertices, "inline vertex")
+def _load_polytope(args: argparse.Namespace) -> LatticePolytope:
+    if args.vertices is not None:
+        rows = _parse_rows(args.vertices, "inline vertex")
         if not rows:
             raise ValueError("no vertex rows given")
         return LatticePolytope(rows)
-    with open(job.file, "r", encoding="utf-8") as fh:
+    with open(args.file, "r", encoding="utf-8") as fh:
         return read_polytope(fh.read())
 
 
@@ -238,30 +221,30 @@ def _check_reports(P: LatticePolytope, w, n_max: int) -> dict:
     }
 
 
-def _cmd_points(job: JobSpec) -> dict:
-    P = _load_polytope(job)
-    return {"points": [list(p) for p in lattice_points(P, job.n)]}
+def _cmd_points(args: argparse.Namespace) -> dict:
+    P = _load_polytope(args)
+    return {"points": [list(p) for p in lattice_points(P, args.n)]}
 
 
-def _cmd_ehrhart(job: JobSpec) -> dict:
-    P = _load_polytope(job)
+def _cmd_ehrhart(args: argparse.Namespace) -> dict:
+    P = _load_polytope(args)
     poly = weighted.ehrhart_polynomial(P)
     return {"polynomial": poly, "series": gf_of_polynomial(poly)}
 
 
-def _cmd_weighted(job: JobSpec) -> dict:
-    P = _load_polytope(job)
-    w = parse_weight(job.weight, P.ambient_dim)
+def _cmd_weighted(args: argparse.Namespace) -> dict:
+    P = _load_polytope(args)
+    w = parse_weight(args.weight, P.ambient_dim)
     poly = weighted.weighted_ehrhart_polynomial(P, w)
     result = {"polynomial": poly, "series": gf_of_polynomial(poly)}
-    if job.check:
-        result.update(_check_reports(P, w, job.max_n if job.max_n is not None else 4))
+    if args.check:
+        result.update(_check_reports(P, w, args.max_n if args.max_n is not None else 4))
     return result
 
 
-def _cmd_lift(job: JobSpec) -> dict:
-    P = _load_polytope(job)
-    w = parse_weight(job.weight, P.ambient_dim)
+def _cmd_lift(args: argparse.Namespace) -> dict:
+    P = _load_polytope(args)
+    w = parse_weight(args.weight, P.ambient_dim)
     try:
         row, offset = w.affine_parts()
     except ValueError:
@@ -287,33 +270,34 @@ def _cmd_lift(job: JobSpec) -> dict:
     }
 
 
-def _cmd_integral(job: JobSpec) -> dict:
-    P = _load_polytope(job)
-    w = parse_weight(job.weight, P.ambient_dim)
+def _cmd_integral(args: argparse.Namespace) -> dict:
+    P = _load_polytope(args)
+    w = parse_weight(args.weight, P.ambient_dim)
     return {"integral": weighted.integral_leading(P, w)}
 
 
-def _cmd_check(job: JobSpec) -> dict:
-    P = _load_polytope(job)
-    w = parse_weight(job.weight, P.ambient_dim)
-    return _check_reports(P, w, job.max_n if job.max_n is not None else 4)
+def _cmd_check(args: argparse.Namespace) -> dict:
+    P = _load_polytope(args)
+    w = parse_weight(args.weight, P.ambient_dim)
+    return _check_reports(P, w, args.max_n if args.max_n is not None else 4)
 
 
-def _cmd_hilbert(job: JobSpec) -> dict:
-    P = _load_polytope(job)
-    W = hilbert.LinearWeightTuple(_parse_rows(job.wrows, "weight-tuple"))
-    table_max = job.max_n if job.max_n is not None else 8
+def _cmd_hilbert(args: argparse.Namespace) -> dict:
+    P = _load_polytope(args)
+    W = hilbert.LinearWeightTuple(_parse_rows(args.wrows, "weight-tuple"))
+    table_max = args.max_n if args.max_n is not None else 8
     if table_max < 0:
         raise ValueError("--max-n must be nonnegative")
-    values = [[n, hilbert.hilbert_value(P, W, n)] for n in range(table_max + 1)]
+    counts = hilbert._ImageCounts(P, W)
+    values = [[n, counts[n]] for n in range(table_max + 1)]
     cap = max(hilbert.DEFAULT_MAX_ONSET, table_max)
-    fit, onset = hilbert.hilbert_polynomial(P, W, max_onset=cap)
-    series = hilbert._series_of_fit(P, W, fit, onset)
+    fit, onset = hilbert._fit(counts, cap, hilbert.FIT_MARGIN)
+    series = hilbert._series_of_fit(counts, fit, onset)
     return {"values": values, "polynomial": fit, "onset": onset, "series": series}
 
 
-def _cmd_eulerian(job: JobSpec) -> dict:
-    d = job.n
+def _cmd_eulerian(args: argparse.Namespace) -> dict:
+    d = args.n
     if d is None or d < 0:
         raise ValueError("--n must give a nonnegative row index")
     return {"d": d, "row": [eulerian(d, k) for k in range(d + 1)]}
@@ -472,20 +456,6 @@ def _build_parser() -> _Parser:
     return parser
 
 
-def _job_from_args(args) -> JobSpec:
-    return JobSpec(
-        command=args.command,
-        vertices=getattr(args, "vertices", None),
-        file=getattr(args, "file", None),
-        weight=getattr(args, "weight", "1"),
-        wrows=getattr(args, "wrows", None),
-        n=getattr(args, "n", None),
-        max_n=getattr(args, "max_n", None),
-        fmt=getattr(args, "fmt", "text"),
-        check=getattr(args, "check", False),
-    )
-
-
 def run(argv=None) -> int:
     """Execute one CLI invocation; returns the process exit code."""
     parser = _build_parser()
@@ -497,16 +467,15 @@ def run(argv=None) -> int:
     except SystemExit as exc:
         # argparse exits directly for --help; keep its code
         return 0 if not exc.code else int(exc.code)
-    job = _job_from_args(args)
     try:
-        result = _HANDLERS[job.command](job)
+        result = _HANDLERS[args.command](args)
     except ConsistencyError as exc:
         print(f"internal error: {exc}", file=sys.stderr)
         return 2
     except (EhrwtError, ValueError, TypeError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
-    print(write_output(result, job.fmt))
+    print(write_output(result, args.fmt))
     return 0
 
 

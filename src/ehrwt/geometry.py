@@ -1,12 +1,13 @@
 """Exact polyhedral geometry over the integer lattice.
 
 Polytopes are given by integer vertex lists. The H-representation is
-recovered by eliminating barycentric coordinates on integer rows (Gauss
-substitution where an equation is available, Fourier-Motzkin otherwise).
-After every round only the rows whose tight points span a facet of the
-current projection survive, so the last round leaves exactly one row
-per facet. An integer invariant check on the final rows raises
-ConsistencyError if that ever fails. Dilations are enumerated
+recovered by an incremental double description on integer rows, run on
+the coordinates that the affine hull equations leave free: starting
+from a simplex, each point outside the current hull replaces the rows
+it violates by positive combinations with the rows it satisfies
+strictly, kept only when their tight points span a facet. An integer
+invariant check on the final rows raises ConsistencyError if that ever
+fails. Dilations are enumerated
 coordinate by coordinate with exact interval propagation. Membership
 is settled by a barycentric feasibility LP that never looks at the
 facet pipeline, so the two routes can serve as mutual oracles.
@@ -226,19 +227,6 @@ def _affine_hull(vertices):
     return tuple(sorted(eqs))
 
 
-def _substitute(con, eq, var):
-    """Eliminate var from con with eq, scaling con by a positive factor only."""
-    row, rhs = con
-    k = row[var]
-    if k == 0:
-        return con
-    erow, erhs = eq
-    e = erow[var]
-    if e < 0:
-        e, k = -e, -k
-    return [e * a - k * b for a, b in zip(row, erow)], e * rhs - k * erhs
-
-
 def _affine_rank(points) -> int:
     """Affine dimension of an integer point list; -1 when the list is empty.
 
@@ -263,32 +251,6 @@ def _affine_rank(points) -> int:
         prev = p
         rank += 1
     return rank
-
-
-def _keep_facet_rows(ineqs, points, active):
-    """Keep only rows supporting a facet of the projected point hull.
-
-    The elimination state always describes the convex hull of the
-    projected ``points`` together with a complete equation block for its
-    affine hull, so a valid inequality is essential exactly when its
-    tight point set spans one dimension less than the hull. Implicit
-    equalities (tight everywhere) are carried by the equation block and
-    dropped here too. This is what keeps intermediate row counts small.
-    """
-    proj = [[p[c] for c in active] for p in points]
-    dim_q = _affine_rank(proj)
-    if dim_q <= 0:
-        return []
-    keep = []
-    for row, rhs in ineqs:
-        tight = [
-            q
-            for p, q in zip(points, proj)
-            if sum(c * v for c, v in zip(row, p)) == rhs
-        ]
-        if _affine_rank(tight) == dim_q - 1:
-            keep.append((row, rhs))
-    return keep
 
 
 def _tidy(cons):
@@ -330,86 +292,60 @@ def _check_facets(P, rows):
 
 
 def _facet_inequalities(P):
-    verts = P.vertices
-    m, s = len(verts), P.ambient_dim
+    """Facet rows by double description in the coordinates the hull leaves free.
+
+    P projects one-to-one onto the columns that are not pivots of the
+    hull equations' RREF, and a row that is zero on the pivot columns is
+    the canonical representative of its class modulo those equations.
+    """
     if P.dim == 0:
         return ()
+    _, pivots = _rref([[Fraction(c) for c in a] for a, _ in P.affine_hull])
+    free = [j for j in range(P.ambient_dim) if j not in pivots]
+    points = list(dict.fromkeys(tuple(v[j] for j in free) for v in P.vertices))
+    d = len(free)
 
-    # barycentric system: x = V.lam, sum(lam) = 1, lam >= 0, variables (lam, x)
-    width = m + s
-    eqs = []
-    for j in range(s):
-        row = [verts[i][j] for i in range(m)] + [0] * s
-        row[m + j] = -1
-        eqs.append((row, 0))
-    eqs.append(([1] * m + [0] * s, 1))
-    ineqs = []
-    for i in range(m):
-        row = [0] * width
-        row[i] = -1
-        ineqs.append((row, 0))
-    # images of the barycentric vertices; projections of their hull are
-    # exactly what each elimination state describes
-    images = []
-    for i, v in enumerate(verts):
-        unit = [0] * m
-        unit[i] = 1
-        images.append(tuple(unit) + v)
-
-    remaining = set(range(m))
-    while remaining:
-        pick = None
-        for eq in eqs:
-            var = next((v for v in sorted(remaining) if eq[0][v] != 0), None)
-            if var is not None:
-                pick = (var, eq)
+    # start from d + 1 affinely independent points; seen holds the points added so far
+    seen = []
+    for q in points:
+        if _affine_rank(seen + [q]) == len(seen):
+            seen.append(q)
+            if len(seen) == d + 1:
                 break
-        if pick is not None:
-            var, eq = pick
-            eqs = [_primitive_eq(*_substitute(c, eq, var)) for c in eqs if c is not eq]
-            eqs = [e for e in eqs if e is not None]
-            ineqs = _tidy(_substitute(c, eq, var) for c in ineqs)
-        else:
-            # no equation mentions a remaining variable: Fourier-Motzkin round
-            def fm_cost(v):
-                pos = sum(1 for row, _ in ineqs if row[v] > 0)
-                neg = sum(1 for row, _ in ineqs if row[v] < 0)
-                return (pos * neg, v)
+    rows = []
+    for apex in seen:
+        # the one equation through the opposite face, oriented away from the apex
+        ((a, b),) = _affine_hull([q for q in seen if q != apex])
+        if sum(c * x for c, x in zip(a, apex)) > b:
+            a, b = tuple(-c for c in a), -b
+        rows.append((a, b))
 
-            var = min(remaining, key=fm_cost)
-            pos = [c for c in ineqs if c[0][var] > 0]
-            neg = [c for c in ineqs if c[0][var] < 0]
-            keep = [c for c in ineqs if c[0][var] == 0]
-            for prow, prhs in pos:
-                alpha = prow[var]
-                for nrow, nrhs in neg:
-                    beta = -nrow[var]
-                    row = [beta * a + alpha * b for a, b in zip(prow, nrow)]
-                    keep.append((row, beta * prhs + alpha * nrhs))
-            ineqs = _tidy(keep)
-        remaining.discard(var)
-        active = sorted(remaining) + list(range(m, width))
-        ineqs = _keep_facet_rows(ineqs, images, active)
+    for q in points:
+        slack = [sum(c * x for c, x in zip(a, q)) - b for a, b in rows]
+        if max(slack) <= 0:
+            continue
+        tight = [
+            {i for i, p in enumerate(seen) if sum(c * x for c, x in zip(a, p)) == b}
+            for a, b in rows
+        ]
+        kept = [r for r, u in zip(rows, slack) if u <= 0]
+        for (a, b), u, tu in zip(rows, slack, tight):
+            if u <= 0:
+                continue
+            for (a2, b2), w, tw in zip(rows, slack, tight):
+                # the combination is tight at q and at the points tight at both rows
+                if w < 0 and _affine_rank([seen[i] for i in tu & tw] + [q]) == d - 1:
+                    kept.append(([-w * x + u * y for x, y in zip(a, a2)], -w * b + u * b2))
+        seen.append(q)
+        rows = _tidy(kept)
 
-    # lambdas are gone; project onto the x block
-    projected = []
-    for row, rhs in ineqs:
-        if any(c != 0 for c in row[:m]):
-            raise ConsistencyError("elimination left a barycentric coefficient behind")
-        projected.append((row[m:], rhs))
-
-    # canonical representative modulo the hull equations
-    rref, pivots = _rref([[Fraction(c) for c in a] + [Fraction(b)] for a, b in P.affine_hull])
-    reduced = []
-    for row, rhs in projected:
-        u = [Fraction(c) for c in row] + [Fraction(rhs)]
-        for rr, p in zip(rref, pivots):
-            f = u[p]
-            if f != 0:
-                u = [a - f * b for a, b in zip(u, rr)]
-        u = _integerize(u)
-        reduced.append((u[:-1], u[-1]))
-    rows = _tidy(reduced)
+    lifted = []
+    for a, b in rows:
+        row = [0] * P.ambient_dim
+        for j, c in zip(free, a):
+            row[j] = c
+        lifted.append((row, b))
+    rows = _tidy(lifted)
     _check_facets(P, rows)
     return tuple(rows)
 

@@ -104,6 +104,22 @@ def image_polytope(P: LatticePolytope, W: LinearWeightTuple) -> LatticePolytope:
     return LatticePolytope([W.apply(v) for v in P.vertices])
 
 
+class _ImageCounts(dict):
+    """hilbert_value of one (P, W) by dilation, each computed on first use.
+
+    One table serves the CLI's value table, the fit and the series
+    corrections of a call, so no dilation is enumerated twice.
+    """
+
+    def __init__(self, P: LatticePolytope, W: LinearWeightTuple):
+        super().__init__()
+        self.P, self.W = P, W
+
+    def __missing__(self, n: int) -> int:
+        self[n] = count = hilbert_value(self.P, self.W, n)
+        return count
+
+
 def hilbert_polynomial(
     P: LatticePolytope,
     W: LinearWeightTuple,
@@ -119,32 +135,31 @@ def hilbert_polynomial(
     fit keeps matching. Raises UndeterminedFitError (carrying the
     samples) when no window stabilizes.
     """
+    return _fit(_ImageCounts(P, W), max_onset, margin)
+
+
+def _fit(counts: _ImageCounts, max_onset: int, margin: int) -> tuple[UniPoly, int]:
+    """hilbert_polynomial on a table that the caller may read from too."""
+    P, W = counts.P, counts.W
     _check_input(P, W)
     if not isinstance(max_onset, int) or max_onset < 0:
         raise ValueError("max_onset must be a nonnegative integer")
     if not isinstance(margin, int) or margin < 1:
         raise ValueError("margin must be a positive integer")
     degree = image_polytope(P, W).dim
-    cache: dict[int, int] = {}
-
-    def value(n: int) -> int:
-        if n not in cache:
-            cache[n] = hilbert_value(P, W, n)
-        return cache[n]
-
     for start in range(1, max_onset + 1):
-        window = [(n, value(n)) for n in range(start, start + degree + 1)]
+        window = [(n, counts[n]) for n in range(start, start + degree + 1)]
         fit = lagrange_interpolate(window)
         probes = range(start + degree + 1, start + degree + 1 + margin)
-        if all(fit(n) == value(n) for n in probes):
+        if all(fit(n) == counts[n] for n in probes):
             onset = start
-            while onset > 0 and fit(onset - 1) == value(onset - 1):
+            while onset > 0 and fit(onset - 1) == counts[onset - 1]:
                 onset -= 1
             return fit, onset
     raise UndeterminedFitError(
         f"image count did not stabilize on any window with onset <= {max_onset}; "
         "raise max_onset to keep searching",
-        cache,
+        counts,
     )
 
 
@@ -161,17 +176,16 @@ def hilbert_series(
     with integer coefficients and a nonzero value at 1; anything else is
     an internal inconsistency.
     """
-    fit, onset = hilbert_polynomial(P, W, max_onset=max_onset, margin=margin)
-    return _series_of_fit(P, W, fit, onset)
+    counts = _ImageCounts(P, W)
+    fit, onset = _fit(counts, max_onset, margin)
+    return _series_of_fit(counts, fit, onset)
 
 
-def _series_of_fit(
-    P: LatticePolytope, W: LinearWeightTuple, fit: UniPoly, onset: int
-) -> RationalGF:
-    """hilbert_series from a fit and onset that hilbert_polynomial returned."""
+def _series_of_fit(counts: _ImageCounts, fit: UniPoly, onset: int) -> RationalGF:
+    """hilbert_series from a fit and onset that _fit returned on the same table."""
     series = gf_of_polynomial(fit)
     if onset > 0:
-        corrections = [hilbert_value(P, W, n) - fit(n) for n in range(onset)]
+        corrections = [counts[n] - fit(n) for n in range(onset)]
         series = series + RationalGF(UniPoly(corrections), 0)
     numerator = series.numerator
     if any(c.denominator != 1 for c in numerator.coeffs):

@@ -77,7 +77,7 @@ def weighted_sum(P: LatticePolytope, w: WeightPoly, n: int) -> Fraction:
     return sum((w.eval(a) for a in lattice_points(P, n)), Fraction(0))
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=256)  # bounded: a long-lived process must not keep every P it saw
 def weighted_ehrhart_polynomial(P: LatticePolytope, w: WeightPoly) -> UniPoly:
     """The polynomial matching n -> weighted_sum(P, w, n) on all n >= 0.
 

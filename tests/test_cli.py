@@ -4,6 +4,7 @@ import json
 import random
 import subprocess
 import sys
+from collections import Counter
 from fractions import Fraction as F
 
 import pytest
@@ -206,16 +207,32 @@ def test_hilbert_command_json(capsys):
 
 
 def test_hilbert_command_fits_once(monkeypatch, capsys):
-    fit = ehrwt.hilbert.hilbert_polynomial
+    fit = ehrwt.hilbert._fit
+    value = ehrwt.hilbert.hilbert_value
     calls = []
+    values = Counter()
 
     def counted(*args, **kwargs):
         calls.append(args)
         return fit(*args, **kwargs)
 
-    monkeypatch.setattr(ehrwt.hilbert, "hilbert_polynomial", counted)
+    def counted_value(P, W, n):
+        values[n] += 1
+        return value(P, W, n)
+
+    monkeypatch.setattr(ehrwt.hilbert, "_fit", counted)
+    monkeypatch.setattr(ehrwt.hilbert, "hilbert_value", counted_value)
     assert run(["hilbert", "--vertices", "1 1; 3 0; 2 3", "--wrows", "1 2"]) == 0
     assert len(calls) == 1
+    # the table, the fit and the series corrections share one sample table
+    assert set(values) == set(range(9)) and set(values.values()) == {1}
+
+    values.clear()
+    P = LatticePolytope([(1, 1), (3, 0), (2, 3)])
+    W = ehrwt.hilbert.LinearWeightTuple([(1, 2)])
+    series = ehrwt.hilbert.hilbert_series(P, W)
+    assert series == RationalGF(UniPoly([1, 2, 2]), 2)
+    assert 0 in values and set(values.values()) == {1}
 
 
 def test_hilbert_command_rejects_negative_table(capsys):

@@ -190,6 +190,41 @@ def test_facets_match_brute_force_oracle_dims_4_and_5():
         assert P.facet_inequalities == tuple(sorted(brute_force_facets(verts))), verts
 
 
+def test_facets_of_embedded_polytopes_match_oracles():
+    # full-dimensional Q in Z^d, placed in Z^s by an injective integer
+    # affine map y -> A.y + c, so the hull equations leave d coordinates free
+    rng = random.Random(3141)
+    for case in range(30):
+        d = 2 + case % 3
+        s = rng.randint(d + 1, 6)
+        while True:
+            base = random_vertices(rng, d, rng.randint(d + 1, d + 3), 0, 4)
+            if affine_rank(base) == d:
+                break
+        while True:
+            A = [[rng.randint(-2, 2) for _ in range(d)] for _ in range(s)]
+            if affine_rank([(0,) * s] + [tuple(row[k] for row in A) for k in range(d)]) == d:
+                break
+        c = [rng.randint(-3, 3) for _ in range(s)]
+        # doubled coordinates make every midpoint a lattice point of Q
+        Q = [tuple(2 * x for x in v) for v in base]
+        ys = Q + [rng.choice(Q)]
+        for _ in range(2):
+            p, q = rng.sample(Q, 2)
+            ys.append(tuple((a + b) // 2 for a, b in zip(p, q)))
+        rng.shuffle(ys)
+
+        def embed(y):
+            return tuple(sum(a * x for a, x in zip(row, y)) + cc for row, cc in zip(A, c))
+
+        P = LatticePolytope([embed(y) for y in ys])
+        assert P.dim == d
+        assert len(facets(P)[1]) == len(brute_force_facets(Q)), ys
+        for _ in range(12):
+            y = tuple(rng.randint(-1, 9) for _ in range(d))
+            assert facet_membership(P, embed(y), 1) == in_hull(Q, y), (ys, y)
+
+
 def test_facet_invariant_check_rejects_bad_rows():
     rows = list(SQUARE.facet_inequalities)
     _check_facets(SQUARE, rows)

@@ -355,6 +355,14 @@ def test_weighted_polynomial_cache_is_consistent():
     assert first is second
 
 
+def test_weighted_polynomial_cache_is_bounded():
+    bound = weighted_ehrhart_polynomial.cache_info().maxsize
+    assert bound is not None
+    for k in range(bound + 44):
+        assert ehrhart_polynomial(LatticePolytope([(0,), (k + 1,)])) == UniPoly([1, k + 1])
+    assert weighted_ehrhart_polynomial.cache_info().currsize <= bound
+
+
 def test_random_weighted_polynomials_interpolate_sums():
     rng = random.Random(140)
     with warnings.catch_warnings():
