@@ -7,10 +7,11 @@ from a simplex, each point outside the current hull replaces the rows
 it violates by positive combinations with the rows it satisfies
 strictly, kept only when their tight points span a facet. An integer
 invariant check on the final rows raises ConsistencyError if that ever
-fails. Dilations are enumerated
-coordinate by coordinate with exact interval propagation. Membership
-is settled by a barycentric feasibility LP that never looks at the
-facet pipeline, so the two routes can serve as mutual oracles.
+fails. The lattice points of a dilation are streamed by one generator,
+coordinate by coordinate with exact interval propagation; its consumers
+accumulate as they go, and no point list is cached. Membership is
+settled by a barycentric feasibility LP that never looks at the facet
+pipeline, so the two routes can serve as mutual oracles.
 """
 
 from __future__ import annotations
@@ -18,7 +19,6 @@ from __future__ import annotations
 import math
 import os
 from fractions import Fraction
-from functools import lru_cache
 from typing import Iterable, Sequence
 
 from ._simplex import simplex_feasible
@@ -363,12 +363,14 @@ def _enumeration_cap() -> int:
     return cap
 
 
-@lru_cache(maxsize=64)
-def _points(P: LatticePolytope, n: int, strict: bool, cap: int):
-    # the cap is part of the cache key, so a lowered cap is not bypassed
-    # by a result cached under a higher one
+def _walk(P: LatticePolytope, n: int, strict: bool):
+    """Stream the lattice points of nP (of its relative interior if strict) in lex order."""
     s = P.ambient_dim
-    verts = P.vertices
+    if n == 0 and not strict:
+        # 0P is the origin; answered without facets or the cap
+        yield (0,) * s
+        return
+    cap = _enumeration_cap()  # read per call: nothing is kept between calls
     rows = []
     for a, b in P.facet_inequalities:
         # integer rows make "< n*b" the same as "<= n*b - 1"
@@ -376,8 +378,8 @@ def _points(P: LatticePolytope, n: int, strict: bool, cap: int):
     for a, b in P.affine_hull:
         rows.append((a, n * b))
         rows.append((tuple(-c for c in a), -n * b))
-    lo = [n * min(v[j] for v in verts) for j in range(s)]
-    hi = [n * max(v[j] for v in verts) for j in range(s)]
+    lo = [n * min(v[j] for v in P.vertices) for j in range(s)]
+    hi = [n * max(v[j] for v in P.vertices) for j in range(s)]
     # per-row minimum possible contribution of coordinates j..s-1 over the box
     tails = []
     for a, _ in rows:
@@ -386,40 +388,35 @@ def _points(P: LatticePolytope, n: int, strict: bool, cap: int):
             t[j] = t[j + 1] + min(a[j] * lo[j], a[j] * hi[j])
         tails.append(t)
     visited = 0
-    out = []
-    point = [0] * s
 
-    def descend(k, partials):
+    def descend(k, head, sums):
         nonlocal visited
-        if k == s:
-            out.append(tuple(point))
-            return
         low, high = lo[k], hi[k]
-        for idx, (a, b) in enumerate(rows):
+        for (a, b), part, tail in zip(rows, sums, tails):
             c = a[k]
-            if c == 0:
-                continue
-            slack = b - partials[idx] - tails[idx][k + 1]
             if c > 0:
-                bound = slack // c
+                bound = (b - part - tail[k + 1]) // c
                 if bound < high:
                     high = bound
-            else:
-                bound = -(slack // -c)
+            elif c < 0:
+                bound = -((b - part - tail[k + 1]) // -c)
                 if bound > low:
                     low = bound
+        visited += max(high - low + 1, 0)
+        if visited > cap:
+            raise EnumerationLimitError(
+                f"lattice-point enumeration of the {'interior' if strict else 'closed'} "
+                f"dilation n={n} counted {visited} candidate cells, over "
+                f"EHRWT_MAX_POINTS={cap}; raise the cap to allow larger jobs"
+            )
+        if k == s - 1:
+            for x in range(low, high + 1):
+                yield head + (x,)
+            return
         for x in range(low, high + 1):
-            visited += 1
-            if visited > cap:
-                raise EnumerationLimitError(
-                    f"enumeration exceeded EHRWT_MAX_POINTS={cap} candidate cells; "
-                    "raise the cap to allow larger jobs"
-                )
-            point[k] = x
-            descend(k + 1, [p + a[k] * x for (a, _), p in zip(rows, partials)])
+            yield from descend(k + 1, head + (x,), [p + a[k] * x for (a, _), p in zip(rows, sums)])
 
-    descend(0, [0] * len(rows))
-    return tuple(out)
+    yield from descend(0, (), [0] * len(rows))
 
 
 def dimension(P: LatticePolytope) -> int:
@@ -439,15 +436,13 @@ def facets(P: LatticePolytope):
 def lattice_points(P: LatticePolytope, n: int) -> list[tuple[int, ...]]:
     """Lattice points of the n-th dilation, lexicographically sorted.
 
-    The 0-th dilation is the origin. Work is capped by the
+    The 0-th dilation is the origin. Work per call is capped by the
     EHRWT_MAX_POINTS environment variable (default 10^8 candidate
     cells); beyond the cap an EnumerationLimitError is raised.
     """
     if not isinstance(n, int) or n < 0:
         raise ValueError("dilation factor must be a nonnegative integer")
-    if n == 0:
-        return [(0,) * P.ambient_dim]
-    return list(_points(P, n, False, _enumeration_cap()))
+    return list(_walk(P, n, False))
 
 
 def interior_lattice_points(P: LatticePolytope, n: int) -> list[tuple[int, ...]]:
@@ -458,7 +453,7 @@ def interior_lattice_points(P: LatticePolytope, n: int) -> list[tuple[int, ...]]
     """
     if not isinstance(n, int) or n < 1:
         raise ValueError("dilation factor must be a positive integer")
-    return list(_points(P, n, True, _enumeration_cap()))
+    return list(_walk(P, n, True))
 
 
 def contains(P: LatticePolytope, point: Sequence, n=1) -> bool:

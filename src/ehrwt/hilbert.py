@@ -16,7 +16,7 @@ from dataclasses import dataclass
 from typing import Iterable, Sequence
 
 from .errors import ConsistencyError, UndeterminedFitError
-from .geometry import LatticePolytope, lattice_points, require_nonnegative_vertices
+from .geometry import LatticePolytope, _walk, require_nonnegative_vertices
 from .polynomials import RationalGF, UniPoly, gf_of_polynomial, lagrange_interpolate
 
 __all__ = [
@@ -95,7 +95,7 @@ def hilbert_value(P: LatticePolytope, W: LinearWeightTuple, n: int) -> int:
     _check_input(P, W)
     if not isinstance(n, int) or n < 0:
         raise ValueError("dilation factor must be a nonnegative integer")
-    return len({W.apply(a) for a in lattice_points(P, n)})
+    return len({W.apply(a) for a in _walk(P, n, False)})
 
 
 def image_polytope(P: LatticePolytope, W: LinearWeightTuple) -> LatticePolytope:
@@ -216,7 +216,7 @@ def image_gap_report(P: LatticePolytope, W: LinearWeightTuple, n: int) -> ImageG
     gap can be strict.
     """
     count = hilbert_value(P, W, n)
-    hull_count = len(lattice_points(image_polytope(P, W), n))
+    hull_count = sum(1 for _ in _walk(image_polytope(P, W), n, False))
     if count > hull_count:
         raise ConsistencyError("image count exceeded the lattice count of the image hull")
     return ImageGapReport(count, hull_count)

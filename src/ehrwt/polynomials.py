@@ -175,7 +175,7 @@ class WeightPoly:
     naming used by the expression parser. Immutable and hashable.
     """
 
-    __slots__ = ("_nvars", "_terms")
+    __slots__ = ("_nvars", "_terms", "_den", "_scaled_terms")
 
     def __init__(self, nvars: int, terms: Mapping[tuple[int, ...], Rational] = {}):
         if not isinstance(nvars, int) or nvars < 1:
@@ -192,6 +192,11 @@ class WeightPoly:
                 clean[exps] = clean.get(exps, Fraction(0)) + c
         self._nvars = nvars
         self._terms = {e: c for e, c in sorted(clean.items()) if c != 0}
+        self._den = math.lcm(*(c.denominator for c in self._terms.values()))
+        self._scaled_terms = tuple(
+            (int(c * self._den), tuple((i, k) for i, k in enumerate(e) if k))
+            for e, c in self._terms.items()
+        )
 
     @classmethod
     def constant(cls, nvars: int, value: Rational) -> "WeightPoly":
@@ -258,14 +263,16 @@ class WeightPoly:
     def eval(self, point: Sequence[Rational]) -> Fraction:
         if len(point) != self._nvars:
             raise ValueError(f"point has length {len(point)}, expected {self._nvars}")
-        vals = [_exact(p, "coordinate") for p in point]
-        total = Fraction(0)
-        for exps, coeff in self._terms.items():
-            term = coeff
-            for v, e in zip(vals, exps):
-                if e:
-                    term *= v**e
-            total += term
+        vals = [p if type(p) is int else _exact(p, "coordinate") for p in point]
+        return Fraction(self._scaled(vals), self._den)
+
+    def _scaled(self, point) -> Rational:
+        """w(point) times the positive common denominator: an int at an integer point."""
+        total = 0
+        for coeff, powers in self._scaled_terms:
+            for i, k in powers:
+                coeff *= point[i] ** k
+            total += coeff
         return total
 
     def __eq__(self, other) -> bool:

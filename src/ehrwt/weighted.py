@@ -27,9 +27,8 @@ from .geometry import (
     Graph,
     LatticePolytope,
     _require_edge_cover,
+    _walk,
     bipartite_components,
-    interior_lattice_points,
-    lattice_points,
     require_nonnegative_vertices,
 )
 from .polynomials import (
@@ -74,7 +73,7 @@ def weighted_sum(P: LatticePolytope, w: WeightPoly, n: int) -> Fraction:
         raise ValueError("dilation factor must be a nonnegative integer")
     if w.is_zero:
         return Fraction(0)
-    return sum((w.eval(a) for a in lattice_points(P, n)), Fraction(0))
+    return Fraction(sum(map(w._scaled, _walk(P, n, False))), w._den)
 
 
 @lru_cache(maxsize=256)  # bounded: a long-lived process must not keep every P it saw
@@ -192,8 +191,8 @@ def predicted_degree(G: Graph, w: WeightPoly) -> int:
 
 def _spot_check_nonnegative(P: LatticePolytope, w: WeightPoly) -> None:
     # hypothesis w >= 0 on P is the caller's responsibility; probe 3P only
-    for a in lattice_points(P, 3):
-        if w.eval(a) < 0:
+    for a in _walk(P, 3, False):
+        if w._scaled(a) < 0:
             warnings.warn(
                 f"weight is negative at {a}; the result assumes w >= 0 on the polytope",
                 RuntimeWarning,
@@ -325,8 +324,6 @@ def reciprocity_check(
     poly = weighted_ehrhart_polynomial(P, w)
     entries = []
     for n in range(1, n_max + 1):
-        interior = sum(
-            (w.eval(a) for a in interior_lattice_points(P, n)), Fraction(0)
-        )
+        interior = Fraction(sum(map(w._scaled, _walk(P, n, True))), w._den)
         entries.append(ReciprocityEntry(n, interior, sign * poly(-n)))
     return ReciprocityReport(sign, tuple(entries))

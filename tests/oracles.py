@@ -134,6 +134,16 @@ def box_weighted_sum(vertices, weight, n, interior=False):
     return total
 
 
+def term_value(weight, point):
+    """Value of the weight at a point, multiplied out term by term in Fractions."""
+    total = Fraction(0)
+    for exps, coeff in weight.terms.items():
+        for x, e in zip(point, exps):
+            coeff *= Fraction(x) ** e
+        total += coeff
+    return total
+
+
 def random_vertices(rng, s, m, lo, hi):
     """m distinct random integer points in [lo, hi]^s, sorted for determinism."""
     seen = set()

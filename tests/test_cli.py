@@ -310,6 +310,17 @@ def test_enumeration_cap_reports_input_error(monkeypatch, capsys):
     code = run(["points", "--vertices", "0 0; 9 0; 0 9; 9 9", "--n", "1"])
     assert code == 1
     assert "error:" in capsys.readouterr().err
+    # the sums stream, so the cap can stop them partway; the message names the dilation
+    for argv, dilation in [
+        (["weighted", "--vertices", "0 0; 9 0; 0 9; 9 9", "--weight", "t1"], "n=1"),
+        (["check", "--vertices", "0 0; 3 0; 0 3", "--weight", "t1*t2"], "n=3"),
+        (["check", "--vertices", "0 0; 3 0; 0 3", "--weight", "t1", "--format", "json"], "n=3"),
+    ]:
+        assert run(argv) == 1
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err.startswith("error: lattice-point enumeration of the closed dilation " + dilation)
+        assert "EHRWT_MAX_POINTS=5" in err
 
 
 def test_internal_inconsistency_exits_two(monkeypatch, capsys):

@@ -307,9 +307,12 @@ def test_interior_against_relint_oracle_dim3():
 def test_enumeration_cap(monkeypatch):
     monkeypatch.setenv("EHRWT_MAX_POINTS", "10")
     big = LatticePolytope([(0, 0), (11, 0), (0, 11), (11, 11)])
-    with pytest.raises(EnumerationLimitError):
+    message = "closed dilation n=1 counted .* EHRWT_MAX_POINTS=10;"
+    with pytest.raises(EnumerationLimitError, match=message):
         lattice_points(big, 1)
-    # a result cached under a higher cap does not bypass a lowered one
+    with pytest.raises(EnumerationLimitError, match="interior dilation n=2"):
+        interior_lattice_points(big, 2)
+    # every call reads the cap afresh: a lowered cap holds after a run under a higher one
     monkeypatch.delenv("EHRWT_MAX_POINTS")
     assert len(lattice_points(big, 1)) == 144
     monkeypatch.setenv("EHRWT_MAX_POINTS", "10")

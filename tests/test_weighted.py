@@ -2,6 +2,7 @@
 lifts, degree prediction, integrals, reciprocity, root vanishing."""
 
 import random
+import tracemalloc
 import warnings
 from fractions import Fraction as F
 
@@ -30,13 +31,20 @@ from ehrwt import (
 )
 from ehrwt.weighted import affine_lift_polytope
 
-from oracles import box_weighted_sum, random_vertices, random_weight_terms
+from oracles import (
+    box_points,
+    box_weighted_sum,
+    random_vertices,
+    random_weight_terms,
+    term_value,
+)
 
 SQUARE = LatticePolytope([(0, 0), (1, 0), (0, 1), (1, 1)])
 TRIANGLE = LatticePolytope([(1, 0), (0, 1), (1, 1)])
 SEG2 = LatticePolytope([(2, 0), (0, 2)])
 INTERVAL12 = LatticePolytope([(1,), (2,)])
 SPIKE = LatticePolytope([(1, 1, 0), (0, 1, 1), (1, 0, 1), (1, 1, 7)])
+BIG = 10**20
 
 
 # ---------------------------------------------------------------- sums
@@ -63,6 +71,64 @@ def test_weighted_sum_against_box_oracle():
         w = WeightPoly(s, random_weight_terms(rng, s, 3, rng.randint(1, 3)))
         n = rng.randint(0, 2)
         assert weighted_sum(P, w, n) == box_weighted_sum(verts, w, n)
+
+
+def _fraction_route_sum(verts, w, n, interior=False):
+    """Box-oracle sum through per-point WeightPoly.eval, checked term by term."""
+    points = box_points(verts, n, interior=interior)
+    by_eval = sum((w.eval(p) for p in points), F(0))
+    assert by_eval == sum((term_value(w, p) for p in points), F(0))
+    return by_eval
+
+
+def test_integer_sums_match_fraction_route():
+    weights = ["-3/4*t1^2*t2 + 5/6*t2 - 2/7", "t1*t2 - 1/2*t1^2 + 7/10", "-5/3", "0"]
+    polytopes = [
+        [(2, -1)],  # 0-dimensional
+        [(0, 0), (3, 1)],  # lower-dimensional
+        [(1, 0, 0), (0, 1, 0), (0, 0, 1)],  # lower-dimensional
+        [(0, 0), (2, 1), (1, 2)],
+        [(BIG, -BIG), (BIG + 2, -BIG + 1)],  # bigint coordinates
+        [(BIG, 3), (BIG + 1, 3), (BIG, 5)],
+    ]
+    for verts in polytopes:
+        P = LatticePolytope(verts)
+        for text in weights:
+            w = parse_weight(text, P.ambient_dim)
+            for n in range(3):
+                assert weighted_sum(P, w, n) == _fraction_route_sum(verts, w, n)
+
+
+def test_reciprocity_interior_sums_match_fraction_route():
+    cases = [
+        ([(0, 0), (2, 1), (1, 2)], "-3/4*t1^2 + 5/6*t1*t2"),
+        ([(BIG, 0), (BIG + 2, 0), (BIG, 2), (BIG + 2, 2)], "2/3*t1*t2 - 1/5*t2^2"),
+        ([(-BIG,), (-BIG + 3,)], "-7/2*t1^3"),
+        ([(0, 0, 0), (2, 0, 0), (0, 2, 0), (0, 0, 2)], "1/2*t1 - 1/3*t3"),
+    ]
+    for verts, text in cases:
+        P = LatticePolytope(verts)
+        w = parse_weight(text, P.ambient_dim)
+        report = reciprocity_check(P, w, n_max=3, spot_check=False)
+        assert report.all_equal
+        for e in report.entries:
+            assert e.interior_sum == _fraction_route_sum(verts, w, e.n, interior=True)
+
+
+def test_weighted_sum_streams_in_bounded_memory():
+    P = LatticePolytope([(0,), (1,)])
+    w = parse_weight("-3/4*t1^2 + 1/3", 1)
+    N = 10**5  # N + 1 lattice points in the dilation
+    P.facet_inequalities  # computed before the measured region
+    tracemalloc.start()
+    try:
+        total = weighted_sum(P, w, N)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert total == F(-3, 4) * N * (N + 1) * (2 * N + 1) / 6 + F(N + 1, 3)
+    # a list of the points alone would take several megabytes
+    assert peak < 64 * 1024
 
 
 # ---------------------------------------------------------------- polynomials
