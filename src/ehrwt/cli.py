@@ -194,7 +194,8 @@ def _load_polytope(args: argparse.Namespace) -> LatticePolytope:
 
 def _check_reports(P: LatticePolytope, w, n_max: int) -> dict:
     rec = weighted.reciprocity_check(P, w, n_max=n_max)
-    van = weighted.check_negative_root_vanishing(P, w)
+    # the reciprocity check has already spot-checked w >= 0 on 3P
+    van = weighted.check_negative_root_vanishing(P, w, spot_check=False)
     return {
         "reciprocity": {
             "sign": rec.sign,

@@ -1,17 +1,22 @@
 """Exact polyhedral geometry over the integer lattice.
 
-Polytopes are given by integer vertex lists. The H-representation is
-recovered by an incremental double description on integer rows, run on
-the coordinates that the affine hull equations leave free: starting
-from a simplex, each point outside the current hull replaces the rows
-it violates by positive combinations with the rows it satisfies
-strictly, kept only when their tight points span a facet. An integer
-invariant check on the final rows raises ConsistencyError if that ever
-fails. The lattice points of a dilation are streamed by one generator,
+Polytopes are given by integer vertex lists, and the H-representation
+is recovered without fractions. One fraction-free Gauss-Jordan
+elimination (Bareiss) does all of its linear algebra: the affine hull
+is the integer kernel of the vertex differences' echelon form, an
+affine rank is its pivot count, and the hull equations' pivots fix the
+coordinates left free. The facets come from an incremental double
+description on integer rows in those free coordinates: starting from a
+simplex, each point outside the current hull replaces the rows it
+violates by positive combinations with the rows it satisfies strictly,
+kept only when their tight points span a facet. An integer invariant
+check on the final rows raises ConsistencyError if that ever fails.
+
+The lattice points of a dilation are streamed by one generator,
 coordinate by coordinate with exact interval propagation; its consumers
 accumulate as they go, and no point list is cached. Membership is
-settled by a barycentric feasibility LP that never looks at the facet
-pipeline, so the two routes can serve as mutual oracles.
+settled by a barycentric feasibility LP over Fractions that never looks
+at the facet pipeline, so the two routes can serve as mutual oracles.
 """
 
 from __future__ import annotations
@@ -152,35 +157,34 @@ class Graph:
         return f"Graph({self._n}, {list(self._edges)!r})"
 
 
-def _rref(rows):
-    """Reduced row echelon form; returns (nonzero rows, pivot columns)."""
+def _echelon(rows):
+    """Fraction-free Gauss-Jordan elimination; returns (nonzero rows, pivot columns).
+
+    Bareiss's update keeps every entry an integer minor of the input, so
+    each division is exact. Every returned row holds the last pivot on
+    its own pivot column and 0 on the other pivot columns: divided by
+    that pivot, the rows are the reduced row echelon form.
+    """
     mat = [list(r) for r in rows]
     pivots = []
-    r = 0
-    ncols = len(mat[0]) if mat else 0
-    for col in range(ncols):
-        pivot = next((i for i in range(r, len(mat)) if mat[i][col] != 0), -1)
-        if pivot < 0:
+    prev = 1
+    for col in range(len(mat[0]) if mat else 0):
+        r = len(pivots)
+        pivot = next((i for i in range(r, len(mat)) if mat[i][col] != 0), None)
+        if pivot is None:
             continue
         mat[r], mat[pivot] = mat[pivot], mat[r]
-        inv = mat[r][col]
-        mat[r] = [v / inv for v in mat[r]]
-        for i in range(len(mat)):
-            if i != r and mat[i][col] != 0:
-                f = mat[i][col]
-                mat[i] = [v - f * p for v, p in zip(mat[i], mat[r])]
+        top = mat[r]
+        p = top[col]
+        for i, row in enumerate(mat):
+            if i != r:
+                f = row[col]
+                mat[i] = [(p * a - f * b) // prev for a, b in zip(row, top)]
+        prev = p
         pivots.append(col)
-        r += 1
-        if r == len(mat):
+        if len(pivots) == len(mat):
             break
-    return mat[:r], pivots
-
-
-def _integerize(values):
-    den = 1
-    for v in values:
-        den = den * v.denominator // math.gcd(den, v.denominator)
-    return [int(v * den) for v in values]
+    return mat[: len(pivots)], pivots
 
 
 def _primitive_ineq(row, rhs):
@@ -208,49 +212,33 @@ def _primitive_eq(row, rhs):
 
 
 def _affine_hull(vertices):
-    """Primitive integer equations of the affine hull, from vertex differences."""
+    """Primitive integer equations of the affine hull: the integer kernel of
+    the vertex differences' echelon form.
+
+    Each column f that is not a pivot gives one normal, with the last
+    pivot on f and minus row r's entry in column f on row r's pivot.
+    """
     base = vertices[0]
-    s = len(base)
-    diffs = [[Fraction(v[j] - base[j]) for j in range(s)] for v in vertices[1:]]
-    rref, pivots = _rref(diffs)
+    rows, pivots = _echelon([[a - b for a, b in zip(v, base)] for v in vertices[1:]])
+    last = rows[0][pivots[0]] if pivots else 1
     eqs = []
-    for free in (j for j in range(s) if j not in pivots):
-        normal = [Fraction(0)] * s
-        normal[free] = Fraction(1)
-        for r, p in enumerate(pivots):
-            normal[p] = -rref[r][free]
-        rhs = sum(c * b for c, b in zip(normal, base))
-        ints = _integerize(normal + [rhs])
-        prim = _primitive_eq(ints[:-1], ints[-1])
-        if prim is not None:
-            eqs.append(prim)
+    for f in range(len(base)):
+        if f in pivots:
+            continue
+        normal = [0] * len(base)
+        normal[f] = last
+        for row, p in zip(rows, pivots):
+            normal[p] = -row[f]
+        eqs.append(_primitive_eq(normal, sum(c * b for c, b in zip(normal, base))))
     return tuple(sorted(eqs))
 
 
 def _affine_rank(points) -> int:
-    """Affine dimension of an integer point list; -1 when the list is empty.
-
-    Fraction-free (Bareiss) elimination: every entry stays an integer
-    minor of the difference matrix, so each division is exact.
-    """
+    """Affine dimension of an integer point list; -1 when the list is empty."""
     if not points:
         return -1
     base = points[0]
-    rows = [[a - b for a, b in zip(p, base)] for p in points[1:]]
-    rank, prev = 0, 1
-    for col in range(len(base)):
-        pivot = next((i for i in range(rank, len(rows)) if rows[i][col] != 0), None)
-        if pivot is None:
-            continue
-        rows[rank], rows[pivot] = rows[pivot], rows[rank]
-        top = rows[rank]
-        p = top[col]
-        for i in range(rank + 1, len(rows)):
-            f = rows[i][col]
-            rows[i] = [(p * a - f * b) // prev for a, b in zip(rows[i], top)]
-        prev = p
-        rank += 1
-    return rank
+    return len(_echelon([[a - b for a, b in zip(p, base)] for p in points[1:]])[1])
 
 
 def _tidy(cons):
@@ -295,12 +283,13 @@ def _facet_inequalities(P):
     """Facet rows by double description in the coordinates the hull leaves free.
 
     P projects one-to-one onto the columns that are not pivots of the
-    hull equations' RREF, and a row that is zero on the pivot columns is
-    the canonical representative of its class modulo those equations.
+    hull equations' echelon form, and a row that is zero on the pivot
+    columns is the canonical representative of its class modulo those
+    equations.
     """
     if P.dim == 0:
         return ()
-    _, pivots = _rref([[Fraction(c) for c in a] for a, _ in P.affine_hull])
+    _, pivots = _echelon([a for a, _ in P.affine_hull])
     free = [j for j in range(P.ambient_dim) if j not in pivots]
     points = list(dict.fromkeys(tuple(v[j] for j in free) for v in P.vertices))
     d = len(free)

@@ -354,7 +354,9 @@ class RationalGF:
 
     def __init__(self, numerator, denom_power: int):
         num = numerator if isinstance(numerator, UniPoly) else UniPoly(numerator)
-        d = int(denom_power)
+        if not isinstance(denom_power, int):
+            raise TypeError(f"denominator power {denom_power!r} is not an integer")
+        d = denom_power
         if d < 0:
             raise ValueError("denominator power must be nonnegative")
         while num and d > 0 and num(1) == 0:
@@ -487,26 +489,25 @@ def gf_of_polynomial(g: UniPoly) -> RationalGF:
 def lagrange_interpolate(samples: Sequence[tuple[Rational, Rational]]) -> UniPoly:
     """Unique polynomial of degree < len(samples) through the given points.
 
-    Exact rational Lagrange form; abscissae must be pairwise distinct.
+    Exact rational Newton divided differences, expanded by Horner's rule;
+    abscissae must be pairwise distinct.
     """
     pts = [(_exact(a, "abscissa"), _exact(y, "value")) for a, y in samples]
     if not pts:
         raise ValueError("at least one sample is required")
     if len({a for a, _ in pts}) != len(pts):
         raise ValueError("sample abscissae must be pairwise distinct")
-    acc = UniPoly()
-    for j, (xj, yj) in enumerate(pts):
-        if yj == 0:
-            continue
-        basis = UniPoly([1])
-        denom = Fraction(1)
-        for k, (xk, _) in enumerate(pts):
-            if k == j:
-                continue
-            basis = basis * UniPoly([-xk, 1])
-            denom *= xj - xk
-        acc = acc + (yj / denom) * basis
-    return acc
+    xs = [a for a, _ in pts]
+    diffs = [y for _, y in pts]
+    for k in range(1, len(xs)):
+        for i in range(len(xs) - 1, k - 1, -1):
+            diffs[i] = (diffs[i] - diffs[i - 1]) / (xs[i] - xs[i - k])
+    # c_0 + (n - x_0)(c_1 + (n - x_1)(c_2 + ...)), innermost first
+    coeffs = [diffs[-1]]
+    for c, x in zip(reversed(diffs[:-1]), reversed(xs[:-1])):
+        inner = [a - x * b for a, b in zip(coeffs, coeffs[1:])]
+        coeffs = [c - x * coeffs[0]] + inner + [coeffs[-1]]
+    return UniPoly(coeffs)
 
 
 def expand(series: RationalGF, count: int) -> list[Fraction]:
@@ -568,7 +569,11 @@ class _WeightParser:
         return tok
 
     def parse(self) -> WeightPoly:
-        value = self._expr()
+        try:
+            value = self._expr()
+        except RecursionError:
+            # each '(' costs a few stack frames; name the token where they ran out
+            raise WeightParseError("expression nests too deeply", self._peek()[2]) from None
         kind, text, pos = self._peek()
         if kind != "end":
             raise WeightParseError(f"unexpected trailing input {text!r}", pos)

@@ -5,12 +5,14 @@ the library code it checks. Membership and relative-interior questions
 are settled by linear programs over barycentric coordinates (vertex
 descriptions only, no facet systems), lattice point sets by scanning
 bounding boxes, facets by trying every hyperplane through vertices, and
-Eulerian numbers by the classical recurrence.
+Eulerian numbers by the classical recurrence. Affine hulls and ranks
+come from Gauss-Jordan elimination over Fractions, where the library
+eliminates fraction-free on integers.
 """
 
 from fractions import Fraction
 from itertools import combinations, product
-from math import gcd
+from math import gcd, lcm
 
 from ehrwt._simplex import simplex_maximize
 
@@ -62,6 +64,71 @@ def in_relative_interior(vertices, point):
     objective = [Fraction(0)] * m + [Fraction(1)]
     status, value, _ = simplex_maximize(rows, rhs, objective)
     return status == "optimal" and value > 0
+
+
+def _rref(rows):
+    """Reduced row echelon form over Fractions; returns (nonzero rows, pivot columns)."""
+    mat = [[Fraction(v) for v in r] for r in rows]
+    pivots = []
+    r = 0
+    ncols = len(mat[0]) if mat else 0
+    for col in range(ncols):
+        pivot = next((i for i in range(r, len(mat)) if mat[i][col] != 0), -1)
+        if pivot < 0:
+            continue
+        mat[r], mat[pivot] = mat[pivot], mat[r]
+        inv = mat[r][col]
+        mat[r] = [v / inv for v in mat[r]]
+        for i in range(len(mat)):
+            if i != r and mat[i][col] != 0:
+                f = mat[i][col]
+                mat[i] = [v - f * p for v, p in zip(mat[i], mat[r])]
+        pivots.append(col)
+        r += 1
+        if r == len(mat):
+            break
+    return mat[:r], pivots
+
+
+def _differences(points):
+    base = points[0]
+    return [[a - b for a, b in zip(p, base)] for p in points[1:]]
+
+
+def affine_rank(points):
+    """Affine dimension of a point list (-1 when empty), from the RREF of
+    the difference vectors."""
+    pts = list(points)
+    if not pts:
+        return -1
+    return len(_rref(_differences(pts))[1])
+
+
+def hull_equations(vertices):
+    """Affine hull equations a.x = b of a point list, sorted, each primitive
+    with its first nonzero coefficient positive.
+
+    One equation per non-pivot column f of the RREF of the difference
+    vectors: 1 on f and minus each row's entry in column f on that row's
+    pivot, cleared of denominators.
+    """
+    base = vertices[0]
+    s = len(base)
+    rref, pivots = _rref(_differences(vertices))
+    eqs = []
+    for free in (j for j in range(s) if j not in pivots):
+        normal = [Fraction(0)] * s
+        normal[free] = Fraction(1)
+        for row, p in zip(rref, pivots):
+            normal[p] = -row[free]
+        values = normal + [sum(c * b for c, b in zip(normal, base))]
+        den = lcm(*(v.denominator for v in values))
+        ints = [int(v * den) for v in values]
+        g = gcd(*ints)
+        if next(v for v in ints if v != 0) < 0:
+            g = -g
+        eqs.append((tuple(v // g for v in ints[:-1]), ints[-1] // g))
+    return tuple(sorted(eqs))
 
 
 def _det(rows):

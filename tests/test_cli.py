@@ -335,11 +335,31 @@ def test_internal_inconsistency_exits_two(monkeypatch, capsys):
     assert "internal error:" in capsys.readouterr().err
 
 
-def test_module_entry_point():
-    proc = subprocess.run(
-        [sys.executable, "-m", "ehrwt.cli", "eulerian", "--n", "4"],
-        capture_output=True, text=True,
+def cli_subprocess(*argv):
+    return subprocess.run(
+        [sys.executable, "-m", "ehrwt.cli", *argv], capture_output=True, text=True
     )
+
+
+def test_checks_warn_about_a_negative_weight_once():
+    # reciprocity and vanishing share one spot check of w >= 0 on 3P
+    for command in (["check"], ["weighted", "--check"]):
+        proc = cli_subprocess(*command, "--vertices", "0 0; 2 0; 0 2", "--weight", "t1-t2")
+        assert proc.returncode == 0
+        assert proc.stderr.count("weight is negative") == 1, proc.stderr
+
+
+def test_deeply_nested_weight_is_an_input_error():
+    weight = "(" * 3000 + "t1" + ")" * 3000
+    proc = cli_subprocess("weighted", "--vertices", "0 0; 1 0", "--weight", weight)
+    assert proc.returncode == 1
+    assert proc.stdout == ""
+    assert proc.stderr.startswith("error: expression nests too deeply (position ")
+    assert "Traceback" not in proc.stderr
+
+
+def test_module_entry_point():
+    proc = cli_subprocess("eulerian", "--n", "4")
     assert proc.returncode == 0
     assert proc.stdout.splitlines() == ["d: 4", "row: 0 1 11 11 1"]
 

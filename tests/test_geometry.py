@@ -2,9 +2,10 @@
 dilation lattice points, membership, and edge polytopes of graphs."""
 
 import random
-from fractions import Fraction as F
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from ehrwt import (
     Graph,
@@ -18,11 +19,13 @@ from ehrwt import (
     lattice_points,
 )
 from ehrwt.errors import ConsistencyError, EnumerationLimitError
-from ehrwt.geometry import _check_facets
+from ehrwt.geometry import _affine_rank, _check_facets
 
 from oracles import (
+    affine_rank,
     box_points,
     brute_force_facets,
+    hull_equations,
     in_hull,
     in_relative_interior,
     random_vertices,
@@ -32,30 +35,6 @@ SQUARE = LatticePolytope([(0, 0), (1, 0), (0, 1), (1, 1)])
 TRIANGLE = LatticePolytope([(1, 0), (0, 1), (1, 1)])
 SEGMENT = LatticePolytope([(2, 0), (0, 2)])
 POINT = LatticePolytope([(1, 1)])
-
-
-def affine_rank(points):
-    """Affine rank by Gaussian elimination over the difference vectors."""
-    pts = list(points)
-    if not pts:
-        return -1
-    base = pts[0]
-    rows = [[F(c - b) for c, b in zip(p, base)] for p in pts[1:]]
-    rank = 0
-    cols = len(base)
-    for col in range(cols):
-        pivot = next((r for r in range(rank, len(rows)) if rows[r][col] != 0), None)
-        if pivot is None:
-            continue
-        rows[rank], rows[pivot] = rows[pivot], rows[rank]
-        lead = rows[rank][col]
-        rows[rank] = [v / lead for v in rows[rank]]
-        for r in range(len(rows)):
-            if r != rank and rows[r][col] != 0:
-                f = rows[r][col]
-                rows[r] = [v - f * w for v, w in zip(rows[r], rows[rank])]
-        rank += 1
-    return rank
 
 
 # ---------------------------------------------------------------- construction
@@ -93,6 +72,32 @@ def test_affine_hull_fixtures():
     assert SQUARE.affine_hull == ()
     assert SEGMENT.affine_hull == (((1, 1), 2),)
     assert set(POINT.affine_hull) == {((0, 1), 1), ((1, 0), 1)}
+
+
+@st.composite
+def affine_images(draw):
+    """Images of distinct small points of Z^d under an integer affine map into
+    Z^s (s <= 6), some of them repeated, in any order; a map's entries and
+    offset may run to 30 digits."""
+    s = draw(st.integers(1, 6))
+    d = draw(st.integers(1, s))
+    entry = st.sampled_from([-3, -2, -1, 1, 2, 3]) | st.integers(-10**30, 10**30)
+    A = [[draw(entry) for _ in range(d)] for _ in range(s)]
+    c = [draw(entry) for _ in range(s)]
+    source = st.tuples(*[st.integers(-4, 4)] * d)
+    size = draw(st.integers(d, d + 2))
+    ys = draw(st.lists(source, min_size=size, max_size=size, unique=True))
+    ys = draw(st.permutations(ys + draw(st.lists(st.sampled_from(ys), max_size=2))))
+    return [tuple(sum(a * x for a, x in zip(row, y)) + cc for row, cc in zip(A, c)) for y in ys]
+
+
+@settings(max_examples=300)
+@given(affine_images())
+def test_affine_hull_and_rank_match_fraction_oracles(points):
+    P = LatticePolytope(points)
+    assert P.affine_hull == hull_equations(points)
+    assert P.dim == affine_rank(points)
+    assert _affine_rank(points) == affine_rank(points)
 
 
 def test_facet_fixtures():

@@ -194,6 +194,10 @@ def test_rationalgf_arithmetic_matches_expansion():
 def test_rationalgf_validation():
     with pytest.raises(ValueError):
         RationalGF(UniPoly([1]), -1)
+    # int() would truncate these silently
+    for power in (1.9, F(3, 2), F(2)):
+        with pytest.raises(TypeError, match="denominator power"):
+            RationalGF(UniPoly([1]), power)
 
 
 # ---------------------------------------------------------------- interpolation
@@ -270,6 +274,13 @@ def test_parse_weight_errors_carry_positions():
         parse_weight("t1 t2", 2)
     with pytest.raises(WeightParseError):
         parse_weight("", 1)
+
+
+def test_parse_weight_deep_nesting_is_a_parse_error():
+    assert parse_weight("(" * 100 + "t1" + ")" * 100, 1) == parse_weight("t1", 1)
+    with pytest.raises(WeightParseError, match="nests too deeply") as info:
+        parse_weight("(" * 3000 + "t1" + ")" * 3000, 1)
+    assert 0 < info.value.position < 3000
 
 
 def test_parse_weight_exponent_cap():
