@@ -4,8 +4,8 @@ A tuple of linear forms W with nonnegative integer entries sends each
 lattice point of nP to an integer vector. The number of distinct image
 vectors grows like a polynomial for n large enough; this module samples
 that count, fits the polynomial on a stable window, locates the least
-onset from which the fit holds, and assembles the generating function
-(a polynomial correction below the onset plus the fitted tail). The
+onset from which the fit holds, and takes the generating function
+straight from the sampled counts, which follow the fit from there. The
 image count can lag strictly behind the lattice-point count of the
 image polytope, which is what image_gap_report makes visible.
 """
@@ -17,7 +17,7 @@ from typing import Iterable, Sequence
 
 from .errors import ConsistencyError, UndeterminedFitError
 from .geometry import LatticePolytope, _walk, require_nonnegative_vertices
-from .polynomials import RationalGF, UniPoly, gf_of_polynomial, lagrange_interpolate
+from .polynomials import RationalGF, UniPoly, _series_of_values, lagrange_interpolate
 
 __all__ = [
     "LinearWeightTuple",
@@ -107,8 +107,8 @@ def image_polytope(P: LatticePolytope, W: LinearWeightTuple) -> LatticePolytope:
 class _ImageCounts(dict):
     """hilbert_value of one (P, W) by dilation, each computed on first use.
 
-    One table serves the CLI's value table, the fit and the series
-    corrections of a call, so no dilation is enumerated twice.
+    One table serves the CLI's value table, the fit and the series of a
+    call, so no dilation is enumerated twice.
     """
 
     def __init__(self, P: LatticePolytope, W: LinearWeightTuple):
@@ -171,10 +171,9 @@ def hilbert_series(
 ) -> RationalGF:
     """Generating function of the image count, in canonical rational form.
 
-    Sum of the fitted tail's series and an explicit correction for the
-    finitely many values below the onset. The numerator must come out
-    with integer coefficients and a nonzero value at 1; anything else is
-    an internal inconsistency.
+    The difference transform of the counts (see _series_of_fit). The
+    numerator must come out with integer coefficients and a nonzero
+    value at 1; anything else is an internal inconsistency.
     """
     counts = _ImageCounts(P, W)
     fit, onset = _fit(counts, max_onset, margin)
@@ -182,11 +181,12 @@ def hilbert_series(
 
 
 def _series_of_fit(counts: _ImageCounts, fit: UniPoly, onset: int) -> RationalGF:
-    """hilbert_series from a fit and onset that _fit returned on the same table."""
-    series = gf_of_polynomial(fit)
-    if onset > 0:
-        corrections = [counts[n] - fit(n) for n in range(onset)]
-        series = series + RationalGF(UniPoly(corrections), 0)
+    """hilbert_series from a fit and onset that _fit returned on the same table.
+
+    _fit checked counts[n] == fit(n) from the onset through its window, so
+    the difference transform of counts[0 .. onset + deg fit] is the series.
+    """
+    series = _series_of_values([counts[n] for n in range(onset + fit.degree + 1)], fit.degree)
     numerator = series.numerator
     if any(c.denominator != 1 for c in numerator.coeffs):
         raise ConsistencyError("series numerator has non-integer coefficients")

@@ -5,6 +5,9 @@ order. Weights are sparse multivariate polynomials keyed by exponent
 vectors. Generating functions are kept in the canonical rational form
 h(x) / (1 - x)^D with h(1) != 0 (or h = 0), which is the shape every
 counting series here reduces to. No floating point is allowed anywhere.
+Series come from values by one integer difference transform (Stanley, EC I,
+Cor. 4.3.1): v(n), a polynomial of degree <= r from n = m - r on, has the series
+h/(1-x)^(r+1), h_i = sum_{j <= min(i, r+1)} (-1)^j C(r+1, j) v(i-j), i = 0..m.
 """
 
 from __future__ import annotations
@@ -18,7 +21,7 @@ from .errors import WeightParseError
 
 Rational = Union[int, Fraction]
 
-# exponents above this are almost certainly a typo in a weight expression
+# an exponent or total degree above this is almost certainly a typo in a weight
 MAX_WEIGHT_EXPONENT = 64
 
 __all__ = [
@@ -42,6 +45,20 @@ def _exact(value: Rational, what: str = "coefficient") -> Fraction:
     if isinstance(value, float):
         raise TypeError(f"floating point {what} {value!r} is not allowed")
     return Fraction(value)
+
+
+def _power(base, exponent: int, one):
+    """base**exponent by square-and-multiply; no square past the top bit."""
+    if not isinstance(exponent, int) or exponent < 0:
+        raise ValueError("exponent must be a nonnegative integer")
+    result = one
+    while exponent:
+        if exponent & 1:
+            result = result * base
+        exponent >>= 1
+        if exponent:
+            base = base * base
+    return result
 
 
 class UniPoly:
@@ -137,17 +154,7 @@ class UniPoly:
     __rmul__ = __mul__
 
     def __pow__(self, exponent: int) -> "UniPoly":
-        if not isinstance(exponent, int) or exponent < 0:
-            raise ValueError("exponent must be a nonnegative integer")
-        result = UniPoly([1])
-        base = self
-        e = exponent
-        while e:
-            if e & 1:
-                result = result * base
-            base = base * base
-            e >>= 1
-        return result
+        return _power(self, exponent, UniPoly([1]))
 
     def div_one_minus_x(self) -> "UniPoly":
         """Exact quotient by (1 - x); requires the value at x = 1 to be 0."""
@@ -325,17 +332,7 @@ class WeightPoly:
     __rmul__ = __mul__
 
     def __pow__(self, exponent: int) -> "WeightPoly":
-        if not isinstance(exponent, int) or exponent < 0:
-            raise ValueError("exponent must be a nonnegative integer")
-        result = WeightPoly.constant(self._nvars, 1)
-        base = self
-        e = exponent
-        while e:
-            if e & 1:
-                result = result * base
-            base = base * base
-            e >>= 1
-        return result
+        return _power(self, exponent, WeightPoly.constant(self._nvars, 1))
 
     def __repr__(self) -> str:
         body = ", ".join(f"{e}: {c}" for e, c in self._terms.items())
@@ -462,28 +459,24 @@ def cube_series(d: int) -> RationalGF:
     return RationalGF(UniPoly([eulerian(d, k) for k in range(1, d + 1)]), d + 1)
 
 
+def _series_of_values(values: Sequence[Rational], r: int) -> RationalGF:
+    """Series of v(0..m), a polynomial of degree <= r from n = m - r on: the module's transform."""
+    den = math.lcm(*(v.denominator for v in values))
+    scaled = [v.numerator * (den // v.denominator) for v in values]
+    signed = [(-1) ** j * math.comb(r + 1, j) for j in range(r + 2)]
+    h = [sum(c * scaled[i - j] for j, c in enumerate(signed[: i + 1])) for i in range(len(scaled))]
+    return RationalGF([Fraction(c, den) for c in h], r + 1)
+
+
 def gf_of_polynomial(g: UniPoly) -> RationalGF:
     """Generating function sum_n g(n) x^n of a polynomial sequence.
 
-    Writes g in the basis 1, n, n^2, ... and assembles the series from
-    cube series: the coefficient b_0 contributes b_0/(1-x) and each b_i
-    with i >= 1 contributes b_i * x * (cube numerator)_i / (1-x)^(i+1),
-    all over the common denominator (1-x)^(deg g + 1).
+    The difference transform of g(0..deg g); the paper's assembly from
+    cube series, which gives the same series, is the tests' oracle.
     """
     if not g:
         return RationalGF(UniPoly(), 0)
-    r = g.degree
-    omx = UniPoly([1, -1])
-    num = UniPoly()
-    for i, b in enumerate(g.coeffs):
-        if b == 0:
-            continue
-        if i == 0:
-            num = num + b * omx**r
-        else:
-            shifted = UniPoly.monomial(1) * cube_series(i).numerator
-            num = num + b * shifted * omx ** (r - i)
-    return RationalGF(num, r + 1)
+    return _series_of_values([g(n) for n in range(g.degree + 1)], g.degree)
 
 
 def lagrange_interpolate(samples: Sequence[tuple[Rational, Rational]]) -> UniPoly:
@@ -540,6 +533,11 @@ def _tokenize(text: str):
         pos = m.end()
     tokens.append(("end", "", length))
     return tokens
+
+
+def _check_cap(what: str, value, pos: int) -> None:
+    if value > MAX_WEIGHT_EXPONENT:
+        raise WeightParseError(f"{what} {value} exceeds the cap {MAX_WEIGHT_EXPONENT}", pos)
 
 
 class _WeightParser:
@@ -599,10 +597,13 @@ class _WeightParser:
     def _term(self) -> WeightPoly:
         value = self._factor()
         while True:
-            kind, text, _ = self._peek()
+            kind, text, pos = self._peek()
             if kind == "op" and text == "*":
                 self._take()
-                value = value * self._factor()
+                rhs = self._factor()
+                # checked before multiplying, so an over-cap product is never built
+                _check_cap("total degree", value.degree + rhs.degree, pos)
+                value = value * rhs
             else:
                 return value
 
@@ -616,7 +617,7 @@ class _WeightParser:
             else:
                 break
         value = self._atom()
-        kind, text, pos = self._peek()
+        kind, text, op_pos = self._peek()
         if kind == "op" and text == "^":
             self._take()
             kind, text, pos = self._peek()
@@ -624,10 +625,8 @@ class _WeightParser:
                 raise WeightParseError("exponent must be a nonnegative integer", pos)
             self._take()
             exponent = int(text)
-            if exponent > MAX_WEIGHT_EXPONENT:
-                raise WeightParseError(
-                    f"exponent {exponent} exceeds the cap {MAX_WEIGHT_EXPONENT}", pos
-                )
+            _check_cap("exponent", exponent, pos)
+            _check_cap("total degree", max(value.degree, 0) * exponent, op_pos)
             value = value**exponent
         return sign * value
 

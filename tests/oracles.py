@@ -7,13 +7,16 @@ descriptions only, no facet systems), lattice point sets by scanning
 bounding boxes, facets by trying every hyperplane through vertices, and
 Eulerian numbers by the classical recurrence. Affine hulls and ranks
 come from Gauss-Jordan elimination over Fractions, where the library
-eliminates fraction-free on integers.
+eliminates fraction-free on integers. Series of polynomials come from
+the paper's assembly out of cube series, where the library takes one
+difference transform of values.
 """
 
 from fractions import Fraction
 from itertools import combinations, product
 from math import gcd, lcm
 
+from ehrwt import RationalGF, UniPoly, cube_series
 from ehrwt._simplex import simplex_maximize
 
 
@@ -29,6 +32,30 @@ def eulerian_row(d):
             right = prev[k] if k < len(prev) else 0
             row[k] = (m - k + 1) * left + k * right
     return row
+
+
+def series_by_cube_assembly(g):
+    """Generating function sum_n g(n) x^n of a polynomial sequence.
+
+    Writes g in the basis 1, n, n^2, ... and assembles the series from
+    cube series: the coefficient b_0 contributes b_0/(1-x) and each b_i
+    with i >= 1 contributes b_i * x * (cube numerator)_i / (1-x)^(i+1),
+    all over the common denominator (1-x)^(deg g + 1).
+    """
+    if not g:
+        return RationalGF(UniPoly(), 0)
+    r = g.degree
+    omx = UniPoly([1, -1])
+    num = UniPoly()
+    for i, b in enumerate(g.coeffs):
+        if b == 0:
+            continue
+        if i == 0:
+            num = num + b * omx**r
+        else:
+            shifted = UniPoly.monomial(1) * cube_series(i).numerator
+            num = num + b * shifted * omx ** (r - i)
+    return RationalGF(num, r + 1)
 
 
 def in_hull(vertices, point):

@@ -224,7 +224,7 @@ def test_hilbert_command_fits_once(monkeypatch, capsys):
     monkeypatch.setattr(ehrwt.hilbert, "hilbert_value", counted_value)
     assert run(["hilbert", "--vertices", "1 1; 3 0; 2 3", "--wrows", "1 2"]) == 0
     assert len(calls) == 1
-    # the table, the fit and the series corrections share one sample table
+    # the table, the fit and the series share one sample table
     assert set(values) == set(range(9)) and set(values.values()) == {1}
 
     values.clear()
@@ -356,6 +356,13 @@ def test_deeply_nested_weight_is_an_input_error():
     assert proc.stdout == ""
     assert proc.stderr.startswith("error: expression nests too deeply (position ")
     assert "Traceback" not in proc.stderr
+
+
+def test_weight_over_the_degree_cap_is_an_input_error():
+    proc = cli_subprocess("weighted", "--vertices", "0 0", "--weight", "t1^40*t2^40")
+    assert proc.returncode == 1
+    assert proc.stdout == ""
+    assert proc.stderr == "error: total degree 80 exceeds the cap 64 (position 5)\n"
 
 
 def test_module_entry_point():

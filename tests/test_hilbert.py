@@ -21,7 +21,7 @@ from ehrwt import (
 )
 from ehrwt.errors import UndeterminedFitError
 
-from oracles import box_points, random_vertices
+from oracles import box_points, random_vertices, series_by_cube_assembly
 
 WEDGE = LatticePolytope([(1, 1), (3, 0), (2, 3)])
 FORM = LinearWeightTuple([[1, 2]])
@@ -140,6 +140,25 @@ def test_series_expansion_reproduces_values():
     for P, W in ((WEDGE, FORM), (UNIT_SQUARE, IDENTITY2), (UNIT_INTERVAL, DOUBLER)):
         coeffs = expand(hilbert_series(P, W), 15)
         assert coeffs == [hilbert_value(P, W, n) for n in range(16)]
+
+
+def test_series_matches_fit_plus_corrections():
+    # the fitted tail's cube-assembled series plus the corrections below
+    # the onset, added as series; the seed reaches onsets 0, 1, 2, 3, 10
+    rng = random.Random(61)
+    onsets = set()
+    for case in range(60):
+        s = rng.randint(1, 3)
+        P = LatticePolytope(random_vertices(rng, s, rng.randint(1, 4), 0, 3))
+        W = LinearWeightTuple(
+            [[rng.randint(0, 3) for _ in range(s)] for _ in range(rng.randint(1, 2))]
+        )
+        fit, onset = hilbert_polynomial(P, W)
+        corrections = [hilbert_value(P, W, n) - fit(n) for n in range(onset)]
+        expected = series_by_cube_assembly(fit) + RationalGF(UniPoly(corrections), 0)
+        assert repr(hilbert_series(P, W)) == repr(expected), (P, W)
+        onsets.add(onset)
+    assert {0, 1, 2, 3, 10} <= onsets
 
 
 # ---------------------------------------------------------------- image gap

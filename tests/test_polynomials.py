@@ -6,6 +6,8 @@ import random
 from fractions import Fraction as F
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from ehrwt import (
     RationalGF,
@@ -24,7 +26,7 @@ from ehrwt import (
 from ehrwt.errors import WeightParseError
 from ehrwt.polynomials import MAX_WEIGHT_EXPONENT
 
-from oracles import eulerian_row
+from oracles import eulerian_row, series_by_cube_assembly
 
 
 # ---------------------------------------------------------------- UniPoly
@@ -63,6 +65,24 @@ def test_unipoly_pow():
     assert (p ** 4).coeffs == tuple(F(math.comb(4, k)) for k in range(5))
     with pytest.raises(ValueError):
         p ** -1
+
+
+@pytest.mark.parametrize("base", [UniPoly([1, 1]), WeightPoly.variable(1, 2) + 1])
+def test_pow_squares_no_further_than_the_top_bit(base, monkeypatch):
+    # square-and-multiply: bit_length - 1 squarings, popcount multiplications
+    mul = type(base).__mul__
+    calls = []
+
+    def counting(self, other):
+        calls.append(other)
+        return mul(self, other)
+
+    monkeypatch.setattr(type(base), "__mul__", counting)
+    for e in range(71):
+        calls.clear()
+        power = base**e
+        assert len(calls) == max(e.bit_length() - 1 + bin(e).count("1"), 0), e
+    assert power == mul(base**69, base)
 
 
 def test_unipoly_rejects_floats():
@@ -139,6 +159,7 @@ def test_cube_series_numerator_degree():
 
 
 def test_gf_of_polynomial_fixed():
+    assert gf_of_polynomial(UniPoly()) == RationalGF(UniPoly(), 0)
     assert gf_of_polynomial(UniPoly([1])) == RationalGF(UniPoly([1]), 1)
     assert gf_of_polynomial(UniPoly([1, 2, 1])) == RationalGF(UniPoly([1, 1]), 3)
     k1 = UniPoly([0, 0, F(1, 4), F(1, 2), F(1, 4)])
@@ -153,6 +174,17 @@ def test_gf_expand_round_trip_random():
         g = UniPoly(coeffs)
         values = expand(gf_of_polynomial(g), 12)
         assert values == [g(n) for n in range(13)]
+
+
+_coefficient = st.fractions(min_value=-40, max_value=40, max_denominator=12)
+
+
+@settings(max_examples=200)
+@given(st.lists(_coefficient, max_size=15), _coefficient.filter(bool))
+def test_gf_of_polynomial_matches_cube_assembly(lower, lead):
+    # degrees 0..15, constants included; the lower coefficients may vanish
+    g = UniPoly(lower + [lead])
+    assert repr(gf_of_polynomial(g)) == repr(series_by_cube_assembly(g))
 
 
 def test_expand_fixed():
@@ -287,6 +319,24 @@ def test_parse_weight_exponent_cap():
     parse_weight(f"t1^{MAX_WEIGHT_EXPONENT}", 1)
     with pytest.raises(WeightParseError):
         parse_weight(f"t1^{MAX_WEIGHT_EXPONENT + 1}", 1)
+
+
+def test_parse_weight_caps_total_degree():
+    assert parse_weight(f"t1^{MAX_WEIGHT_EXPONENT}", 1).degree == MAX_WEIGHT_EXPONENT
+    assert parse_weight(f"(t1+t2+t3)^{MAX_WEIGHT_EXPONENT}", 3).degree == MAX_WEIGHT_EXPONENT
+    assert parse_weight("t1^32*t2^32*7 + t1^40", 2).degree == MAX_WEIGHT_EXPONENT
+    # the cap is checked at the operator, before the product is built
+    for text, degree, position in (
+        ("(t1^64)^64", 4096, 7),
+        ("t1^40*t2^40", 80, 5),
+        ("((t1+t2)^8)^9", 72, 11),
+        ("t1*t1^64", 65, 2),
+    ):
+        with pytest.raises(WeightParseError, match=f"total degree {degree} ") as info:
+            parse_weight(text, 2)
+        assert info.value.position == position, text
+    # the zero weight has no degree to cap
+    assert parse_weight("(0*t1)^64*t1^64", 1).is_zero
 
 
 def test_parse_weight_rejects_bad_nvars():
