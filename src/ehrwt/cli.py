@@ -13,6 +13,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+import warnings
 from fractions import Fraction
 
 from . import hilbert, weighted
@@ -469,7 +470,14 @@ def run(argv=None) -> int:
         # argparse exits directly for --help; keep its code
         return 0 if not exc.code else int(exc.code)
     try:
-        result = _HANDLERS[args.command](args)
+        # library warnings reach stderr as plain lines, each distinct one once
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            try:
+                result = _HANDLERS[args.command](args)
+            finally:
+                for message in dict.fromkeys(str(w.message) for w in caught):
+                    print(f"warning: {message}", file=sys.stderr)
     except ConsistencyError as exc:
         print(f"internal error: {exc}", file=sys.stderr)
         return 2

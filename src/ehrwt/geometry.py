@@ -12,11 +12,20 @@ violates by positive combinations with the rows it satisfies strictly,
 kept only when their tight points span a facet. An integer invariant
 check on the final rows raises ConsistencyError if that ever fails.
 
-The lattice points of a dilation are streamed by one generator,
-coordinate by coordinate with exact interval propagation; its consumers
-accumulate as they go, and no point list is cached. Membership is
-settled by a barycentric feasibility LP over Fractions that never looks
-at the facet pipeline, so the two routes can serve as mutual oracles.
+The lattice points of a dilation come from one walk in a lattice basis
+of the affine hull: with v0 a vertex and the columns of B a basis of
+the lattice (aff(P) - v0) & Z^s, found by unimodular column operations
+on the hull equations, nP's lattice points are n*v0 + B y over the
+lattice points y of nQ, Q = {y : v0 + B y in P}. Q is full-dimensional,
+so the hull equations never reach the walk. It fixes Q's coordinates
+one by one with exact interval propagation, in a column order chosen
+once per polytope by pilot counts on 2Q, and hands out each innermost
+fiber as an arithmetic progression of points; its consumers accumulate
+as they go, and no point list is cached.
+
+Membership is settled by a barycentric feasibility LP over Fractions
+that never looks at the facet pipeline, so the two routes can serve as
+mutual oracles.
 """
 
 from __future__ import annotations
@@ -24,6 +33,7 @@ from __future__ import annotations
 import math
 import os
 from fractions import Fraction
+from itertools import chain, repeat
 from typing import Iterable, Sequence
 
 from ._simplex import simplex_feasible
@@ -44,6 +54,9 @@ __all__ = [
 ]
 
 DEFAULT_ENUMERATION_CAP = 10**8
+# most cells one pilot walk of 2Q may visit while it ranks column orders;
+# it bounds the set-up cost of a polytope's first walk
+PILOT_CELLS = 4096
 
 
 class LatticePolytope:
@@ -55,7 +68,7 @@ class LatticePolytope:
     computed on first use and cached. Hashable on the point list.
     """
 
-    __slots__ = ("_vertices", "_hull", "_facets")
+    __slots__ = ("_vertices", "_hull", "_facets", "_frame")
 
     def __init__(self, vertices: Iterable[Sequence[int]]):
         rows = []
@@ -76,6 +89,7 @@ class LatticePolytope:
         self._vertices = tuple(rows)
         self._hull = None
         self._facets = None
+        self._frame = None
 
     @property
     def vertices(self) -> tuple[tuple[int, ...], ...]:
@@ -352,60 +366,180 @@ def _enumeration_cap() -> int:
     return cap
 
 
-def _walk(P: LatticePolytope, n: int, strict: bool):
-    """Stream the lattice points of nP (of its relative interior if strict) in lex order."""
-    s = P.ambient_dim
-    if n == 0 and not strict:
-        # 0P is the origin; answered without facets or the cap
-        yield (0,) * s
-        return
-    cap = _enumeration_cap()  # read per call: nothing is kept between calls
-    rows = []
-    for a, b in P.facet_inequalities:
-        # integer rows make "< n*b" the same as "<= n*b - 1"
-        rows.append((a, n * b - 1 if strict else n * b))
-    for a, b in P.affine_hull:
-        rows.append((a, n * b))
-        rows.append((tuple(-c for c in a), -n * b))
-    lo = [n * min(v[j] for v in P.vertices) for j in range(s)]
-    hi = [n * max(v[j] for v in P.vertices) for j in range(s)]
-    # per-row minimum possible contribution of coordinates j..s-1 over the box
-    tails = []
-    for a, _ in rows:
-        t = [0] * (s + 1)
-        for j in range(s - 1, -1, -1):
-            t[j] = t[j + 1] + min(a[j] * lo[j], a[j] * hi[j])
-        tails.append(t)
+def _lattice_coordinates(P):
+    """Q = {y in Z^d : v0 + B y in P} for v0 = P's first vertex.
+
+    B is an integer basis of the kernel lattice of the hull equations A,
+    the last d columns of a unimodular U with A U = [H | 0], found by
+    Euclid's column operations (Cohen, A Course in Computational
+    Algebraic Number Theory, Sec. 2.4). Returns (v0, the columns of B,
+    Q's facet rows (a.B, b - a.v0), Q's box as (lo, hi)).
+    """
+    s, v0 = P.ambient_dim, P.vertices[0]
+    eqs = [a for a, _ in P.affine_hull]
+    r = len(eqs)
+    # each column stacks A's column over U's; inv is U^-1, updated row-wise
+    cols = [[a[j] for a in eqs] + [int(i == j) for i in range(s)] for j in range(s)]
+    inv = [[int(i == j) for j in range(s)] for i in range(s)]
+    for i in range(r):
+        for j in range(i + 1, s):
+            while cols[j][i]:
+                q = cols[i][i] // cols[j][i]
+                cols[i] = [x - q * z for x, z in zip(cols[i], cols[j])]
+                inv[j] = [x + q * z for x, z in zip(inv[j], inv[i])]
+                cols[i], cols[j] = cols[j], cols[i]
+                inv[i], inv[j] = inv[j], inv[i]
+    basis = [tuple(c[r:]) for c in cols[r:]]
+    ys = [[sum(c * (x - o) for c, x, o in zip(row, v, v0)) for row in inv[r:]] for v in P.vertices]
+    rows = [
+        (tuple(sum(c * e for c, e in zip(a, col)) for col in basis),
+         b - sum(c * o for c, o in zip(a, v0)))
+        for a, b in P.facet_inequalities
+    ]
+    return v0, basis, rows, ([min(y) for y in zip(*ys)], [max(y) for y in zip(*ys)])
+
+
+def _frame(coords, order):
+    """The walk's data for Q with its coordinates walked in the given order.
+
+    Each row carries, per depth k, the least value coordinates k..d-1 can
+    add to it over Q's box, so a prefix whose best completion already
+    breaks the row is cut at once.
+    """
+    v0, basis, rows, (lo, hi) = coords
+    lo, hi = [lo[j] for j in order], [hi[j] for j in order]
+    framed = []
+    for c, beta in rows:
+        c = [c[j] for j in order]
+        tail = [0] * (len(c) + 1)
+        for k in range(len(c) - 1, -1, -1):
+            tail[k] = tail[k + 1] + min(c[k] * lo[k], c[k] * hi[k])
+        framed.append((c, beta, tail))
+    return v0, [basis[j] for j in order], framed, lo, hi
+
+
+def _fibers(frame, n, strict, cap):
+    """Stream the lattice points of nQ (of its interior if strict) as fibers.
+
+    A fiber is an iterator over the ambient points n*v0 + B y whose y
+    differ only in the innermost coordinate. A cell is one value a
+    coordinate can take after interval propagation; the generator
+    returns the number of cells it visited and raises
+    EnumerationLimitError once that passes cap.
+    """
+    v0, cols, rows, lo, hi = frame
+    last = len(cols) - 1
+    lo, hi = [n * v for v in lo], [n * v for v in hi]
+    # per depth, the rows that bound it with their rhs less the tail past
+    # it; integer rows make "< rhs" the same as "<= rhs - 1"
+    bounds = [
+        [(i, c[k], n * (beta - tail[k + 1]) - strict)
+         for i, (c, beta, tail) in enumerate(rows) if c[k]]
+        for k in range(last + 1)
+    ]
+    steps = [[c[k] for c, _, _ in rows] for k in range(last)]
     visited = 0
 
-    def descend(k, head, sums):
+    def interval(k, sums):
         nonlocal visited
         low, high = lo[k], hi[k]
-        for (a, b), part, tail in zip(rows, sums, tails):
-            c = a[k]
+        for i, c, rhs in bounds[k]:
             if c > 0:
-                bound = (b - part - tail[k + 1]) // c
+                bound = (rhs - sums[i]) // c
                 if bound < high:
                     high = bound
-            elif c < 0:
-                bound = -((b - part - tail[k + 1]) // -c)
+            else:
+                bound = -((rhs - sums[i]) // -c)
                 if bound > low:
                     low = bound
-        visited += max(high - low + 1, 0)
-        if visited > cap:
-            raise EnumerationLimitError(
-                f"lattice-point enumeration of the {'interior' if strict else 'closed'} "
-                f"dilation n={n} counted {visited} candidate cells, over "
-                f"EHRWT_MAX_POINTS={cap}; raise the cap to allow larger jobs"
-            )
-        if k == s - 1:
-            for x in range(low, high + 1):
-                yield head + (x,)
-            return
-        for x in range(low, high + 1):
-            yield from descend(k + 1, head + (x,), [p + a[k] * x for (a, _), p in zip(rows, sums)])
+        if low <= high:
+            visited += high - low + 1
+            if visited > cap:
+                raise EnumerationLimitError(
+                    f"lattice-point enumeration of the {'interior' if strict else 'closed'} "
+                    f"dilation n={n} counted {visited} candidate cells, over "
+                    f"EHRWT_MAX_POINTS={cap}; raise the cap to allow larger jobs"
+                )
+        return low, high
 
-    yield from descend(0, (), [0] * len(rows))
+    def fiber(base, low, high):
+        # the points base + x * (last column) for low <= x <= high
+        return zip(*[
+            range(b + low * e, b + (high + 1) * e, e) if e else repeat(b, high - low + 1)
+            for b, e in zip(base, cols[last])
+        ])
+
+    def descend(k, base, sums):
+        low, high = interval(k, sums)
+        col, step = cols[k], steps[k]
+        for x in range(low, high + 1):
+            below = [b + x * e for b, e in zip(base, col)]
+            sums_below = [p + x * c for p, c in zip(sums, step)]
+            if k + 1 < last:
+                yield from descend(k + 1, below, sums_below)
+            else:
+                low_in, high_in = interval(last, sums_below)
+                if low_in <= high_in:
+                    yield fiber(below, low_in, high_in)
+
+    base, sums = [n * v for v in v0], [0] * len(rows)
+    if last:
+        yield from descend(0, base, sums)
+    else:
+        low, high = interval(0, sums)
+        if low <= high:
+            yield fiber(base, low, high)
+    return visited
+
+
+def _walk_frame(P, cap):
+    """Q's frame in a column order chosen greedily from the innermost position out.
+
+    Each position keeps the candidate whose order, with the coordinates
+    still open outside it in index order, visits the fewest cells when
+    walking 2Q. A candidate's pilot stops once it passes the best count
+    so far, PILOT_CELLS or the cap; when every candidate stops, the
+    position keeps the last one, so a large Q is walked in index order.
+    """
+    coords = _lattice_coordinates(P)
+    chosen, rest = [], list(range(len(coords[1])))
+    while len(rest) > 1:
+        best, fewest = rest[-1], None
+        for c in rest:
+            order = [j for j in rest if j != c] + [c] + chosen
+            limit = min(cap, PILOT_CELLS) if fewest is None else fewest - 1
+            pilot = _fibers(_frame(coords, order), 2, False, limit)
+            try:
+                while True:
+                    next(pilot)
+            except StopIteration as done:
+                best, fewest = c, done.value
+            except EnumerationLimitError:
+                pass
+        chosen.insert(0, best)
+        rest.remove(best)
+    return _frame(coords, rest + chosen)
+
+
+def _walk(P: LatticePolytope, n: int, strict: bool):
+    """Iterate over the lattice points of nP (of its relative interior if strict).
+
+    The points are n*v0 + B y for the lattice points y of nQ, where v0
+    is P's first vertex, the columns of B are a basis of the lattice
+    (aff(P) - v0) & Z^s, and Q = {y : v0 + B y in P} is full-dimensional,
+    so the hull equations never reach the walk. The points come in the
+    order of Q's walk, not in lex order; the cap counts the cells visited
+    in Q's coordinates.
+    """
+    if n == 0 and not strict:
+        # 0P is the origin; answered without facets or the cap
+        return iter([(0,) * P.ambient_dim])
+    cap = _enumeration_cap()  # read per call
+    if P.dim == 0:
+        return iter([tuple(n * c for c in P.vertices[0])])
+    if P._frame is None:
+        P._frame = _walk_frame(P, cap)
+    return chain.from_iterable(_fibers(P._frame, n, strict, cap))
 
 
 def dimension(P: LatticePolytope) -> int:
@@ -427,11 +561,12 @@ def lattice_points(P: LatticePolytope, n: int) -> list[tuple[int, ...]]:
 
     The 0-th dilation is the origin. Work per call is capped by the
     EHRWT_MAX_POINTS environment variable (default 10^8 candidate
-    cells); beyond the cap an EnumerationLimitError is raised.
+    cells, counted in the lattice coordinates of the affine hull);
+    beyond the cap an EnumerationLimitError is raised.
     """
     if not isinstance(n, int) or n < 0:
         raise ValueError("dilation factor must be a nonnegative integer")
-    return list(_walk(P, n, False))
+    return sorted(_walk(P, n, False))
 
 
 def interior_lattice_points(P: LatticePolytope, n: int) -> list[tuple[int, ...]]:
@@ -442,7 +577,7 @@ def interior_lattice_points(P: LatticePolytope, n: int) -> list[tuple[int, ...]]
     """
     if not isinstance(n, int) or n < 1:
         raise ValueError("dilation factor must be a positive integer")
-    return list(_walk(P, n, True))
+    return sorted(_walk(P, n, True))
 
 
 def contains(P: LatticePolytope, point: Sequence, n=1) -> bool:

@@ -15,6 +15,7 @@ from __future__ import annotations
 import math
 import re
 from fractions import Fraction
+from operator import add
 from typing import Iterable, Mapping, Sequence, Union
 
 from .errors import WeightParseError
@@ -318,12 +319,18 @@ class WeightPoly:
     def __mul__(self, other):
         if isinstance(other, WeightPoly):
             self._check_same_space(other)
-            out: dict[tuple[int, ...], Fraction] = {}
-            for e1, c1 in self._terms.items():
-                for e2, c2 in other._terms.items():
-                    key = tuple(a + b for a, b in zip(e1, e2))
-                    out[key] = out.get(key, Fraction(0)) + c1 * c2
-            return WeightPoly(self._nvars, out)
+            # integer numerators over each factor's common denominator
+            left, right = (
+                [(e, c.numerator * (p._den // c.denominator)) for e, c in p._terms.items()]
+                for p in (self, other)
+            )
+            out: dict[tuple[int, ...], int] = {}
+            for e1, c1 in left:
+                for e2, c2 in right:
+                    key = tuple(map(add, e1, e2))
+                    out[key] = out.get(key, 0) + c1 * c2
+            den = self._den * other._den
+            return WeightPoly(self._nvars, {e: Fraction(c, den) for e, c in out.items()})
         if isinstance(other, (int, Fraction)):
             f = _exact(other)
             return WeightPoly(self._nvars, {e: c * f for e, c in self._terms.items()})

@@ -191,14 +191,14 @@ def predicted_degree(G: Graph, w: WeightPoly) -> int:
 
 def _spot_check_nonnegative(P: LatticePolytope, w: WeightPoly) -> None:
     # hypothesis w >= 0 on P is the caller's responsibility; probe 3P only
-    for a in _walk(P, 3, False):
-        if w._scaled(a) < 0:
-            warnings.warn(
-                f"weight is negative at {a}; the result assumes w >= 0 on the polytope",
-                RuntimeWarning,
-                stacklevel=3,
-            )
-            return
+    # and name its lex-first negative point, whatever order the walk takes
+    a = min((a for a in _walk(P, 3, False) if w._scaled(a) < 0), default=None)
+    if a is not None:
+        warnings.warn(
+            f"weight is negative at {a}; the result assumes w >= 0 on the polytope",
+            RuntimeWarning,
+            stacklevel=3,
+        )
 
 
 def _check_full_dim_homogeneous(P: LatticePolytope, w: WeightPoly, op: str) -> None:

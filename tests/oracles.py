@@ -9,7 +9,11 @@ Eulerian numbers by the classical recurrence. Affine hulls and ranks
 come from Gauss-Jordan elimination over Fractions, where the library
 eliminates fraction-free on integers. Series of polynomials come from
 the paper's assembly out of cube series, where the library takes one
-difference transform of values.
+difference transform of values. Lattice points of a dilation come
+from a walk over every ambient coordinate with the hull equations as
+inequality pairs, where the library walks a lattice basis of the hull;
+products of weights are multiplied out term by term in Fractions, where
+the library multiplies integer numerators.
 """
 
 from fractions import Fraction
@@ -18,6 +22,8 @@ from math import gcd, lcm
 
 from ehrwt import RationalGF, UniPoly, cube_series
 from ehrwt._simplex import simplex_maximize
+from ehrwt.errors import EnumerationLimitError
+from ehrwt.geometry import _enumeration_cap
 
 
 def eulerian_row(d):
@@ -226,6 +232,77 @@ def box_weighted_sum(vertices, weight, n, interior=False):
     for p in box_points(vertices, n, interior=interior):
         total += weight.eval(p)
     return total
+
+
+def ambient_walk(P, n, strict):
+    """Stream the lattice points of nP (of its relative interior if strict) in lex order.
+
+    Walks every ambient coordinate with exact interval propagation; each
+    hull equation enters as a pair of opposite inequality rows.
+    """
+    s = P.ambient_dim
+    if n == 0 and not strict:
+        # 0P is the origin; answered without facets or the cap
+        yield (0,) * s
+        return
+    cap = _enumeration_cap()  # read per call: nothing is kept between calls
+    rows = []
+    for a, b in P.facet_inequalities:
+        # integer rows make "< n*b" the same as "<= n*b - 1"
+        rows.append((a, n * b - 1 if strict else n * b))
+    for a, b in P.affine_hull:
+        rows.append((a, n * b))
+        rows.append((tuple(-c for c in a), -n * b))
+    lo = [n * min(v[j] for v in P.vertices) for j in range(s)]
+    hi = [n * max(v[j] for v in P.vertices) for j in range(s)]
+    # per-row minimum possible contribution of coordinates j..s-1 over the box
+    tails = []
+    for a, _ in rows:
+        t = [0] * (s + 1)
+        for j in range(s - 1, -1, -1):
+            t[j] = t[j + 1] + min(a[j] * lo[j], a[j] * hi[j])
+        tails.append(t)
+    visited = 0
+
+    def descend(k, head, sums):
+        nonlocal visited
+        low, high = lo[k], hi[k]
+        for (a, b), part, tail in zip(rows, sums, tails):
+            c = a[k]
+            if c > 0:
+                bound = (b - part - tail[k + 1]) // c
+                if bound < high:
+                    high = bound
+            elif c < 0:
+                bound = -((b - part - tail[k + 1]) // -c)
+                if bound > low:
+                    low = bound
+        visited += max(high - low + 1, 0)
+        if visited > cap:
+            raise EnumerationLimitError(
+                f"lattice-point enumeration of the {'interior' if strict else 'closed'} "
+                f"dilation n={n} counted {visited} candidate cells, over "
+                f"EHRWT_MAX_POINTS={cap}; raise the cap to allow larger jobs"
+            )
+        if k == s - 1:
+            for x in range(low, high + 1):
+                yield head + (x,)
+            return
+        for x in range(low, high + 1):
+            yield from descend(k + 1, head + (x,), [p + a[k] * x for (a, _), p in zip(rows, sums)])
+
+    yield from descend(0, (), [0] * len(rows))
+
+
+def term_product(left, right):
+    """Terms of the product of two weights, multiplied out term pair by
+    term pair in Fractions."""
+    out = {}
+    for e1, c1 in left.terms.items():
+        for e2, c2 in right.terms.items():
+            key = tuple(a + b for a, b in zip(e1, e2))
+            out[key] = out.get(key, Fraction(0)) + c1 * c2
+    return {e: c for e, c in sorted(out.items()) if c != 0}
 
 
 def term_value(weight, point):

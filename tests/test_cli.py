@@ -349,6 +349,15 @@ def test_checks_warn_about_a_negative_weight_once():
         assert proc.stderr.count("weight is negative") == 1, proc.stderr
 
 
+def test_warning_is_one_plain_line_on_stderr():
+    argv = ("weighted", "--vertices", "0 0; 1 0; 0 1", "--weight", "t1-t2", "--check")
+    proc = cli_subprocess(*argv)
+    assert proc.returncode == 0
+    assert proc.stderr == (
+        "warning: weight is negative at (0, 1); the result assumes w >= 0 on the polytope\n"
+    )
+
+
 def test_deeply_nested_weight_is_an_input_error():
     weight = "(" * 3000 + "t1" + ")" * 3000
     proc = cli_subprocess("weighted", "--vertices", "0 0; 1 0", "--weight", weight)

@@ -1,10 +1,12 @@
 """Exact polytope layer: vertex validation, affine hulls, facet recovery,
 dilation lattice points, membership, and edge polytopes of graphs."""
 
+import math
 import random
+from itertools import chain, permutations
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from ehrwt import (
@@ -19,10 +21,20 @@ from ehrwt import (
     lattice_points,
 )
 from ehrwt.errors import ConsistencyError, EnumerationLimitError
-from ehrwt.geometry import _affine_rank, _check_facets
+from ehrwt import geometry
+from ehrwt.geometry import (
+    _affine_rank,
+    _check_facets,
+    _fibers,
+    _frame,
+    _lattice_coordinates,
+    _walk,
+    _walk_frame,
+)
 
 from oracles import (
     affine_rank,
+    ambient_walk,
     box_points,
     brute_force_facets,
     hull_equations,
@@ -35,6 +47,19 @@ SQUARE = LatticePolytope([(0, 0), (1, 0), (0, 1), (1, 1)])
 TRIANGLE = LatticePolytope([(1, 0), (0, 1), (1, 1)])
 SEGMENT = LatticePolytope([(2, 0), (0, 2)])
 POINT = LatticePolytope([(1, 1)])
+# criterion 3: the edge polytope of a 4-cycle and a triangle, dim 5 in Z^7
+CRITERION3 = (
+    (1, 1, 0, 0, 0, 0, 0),
+    (0, 1, 1, 0, 0, 0, 0),
+    (0, 0, 1, 1, 0, 0, 0),
+    (1, 0, 0, 1, 0, 0, 0),
+    (0, 0, 0, 0, 1, 1, 0),
+    (0, 0, 0, 0, 0, 1, 1),
+    (0, 0, 0, 0, 1, 0, 1),
+)
+# a plane in Z^3 whose lattice projects onto the coordinates (x2, x3),
+# which its hull equation 2*x1 + x2 + x3 = 0 leaves free, with index 2
+INDEX_TWO_PLANE = ((0, 0, 0), (1, -2, 0), (1, 0, -2), (-1, 1, 1))
 
 
 # ---------------------------------------------------------------- construction
@@ -326,6 +351,83 @@ def test_enumeration_cap(monkeypatch):
     monkeypatch.setenv("EHRWT_MAX_POINTS", "frogs")
     with pytest.raises(ValueError):
         lattice_points(LatticePolytope([(0, 0), (3, 5)]), 1)
+
+
+@st.composite
+def small_affine_images(draw):
+    """Images of small points of Z^d under an integer affine map into Z^s
+    (s <= 6) with small entries, so that dilations stay cheap to walk; the
+    map need not be injective, and its image lattice may have index > 1
+    in the lattice of the image's hull."""
+    s = draw(st.integers(1, 6))
+    d = draw(st.integers(1, min(s, 4)))
+    entry = st.integers(-3, 3)
+    A = [[draw(entry) for _ in range(d)] for _ in range(s)]
+    c = [draw(entry) for _ in range(s)]
+    source = st.tuples(*[st.integers(-1, 1)] * d)
+    ys = draw(st.lists(source, min_size=d + 1, max_size=d + 2, unique=True))
+    return [tuple(sum(a * x for a, x in zip(row, y)) + cc for row, cc in zip(A, c)) for y in ys]
+
+
+permuted_criterion3 = st.permutations(range(7)).map(
+    lambda perm: [tuple(v[j] for j in perm) for v in CRITERION3]
+)
+
+
+@settings(max_examples=250)
+@given(small_affine_images() | permuted_criterion3, st.integers(0, 3), st.booleans())
+@example(INDEX_TWO_PLANE, 3, False)
+@example(INDEX_TWO_PLANE, 3, True)
+@example([(0, 0), (2, 1)], 3, True)
+@example([(4, -1, 2)], 2, True)
+def test_walk_matches_the_ambient_walk(points, n, strict):
+    n = max(n, strict)  # interior dilations start at n = 1
+    P = LatticePolytope(points)
+    walked = sorted(_walk(P, n, strict))
+    assert walked == sorted(ambient_walk(P, n, strict))
+    box = math.prod(n * (max(col) - min(col)) + 1 for col in zip(*points))
+    if box <= 64:
+        assert walked == box_points(points, n, interior=strict)
+
+
+@pytest.mark.parametrize(
+    "points", [CRITERION3, INDEX_TWO_PLANE, [(0, 0, 0), (3, 1, 0), (0, 2, 1), (1, 1, 2)]]
+)
+def test_every_column_order_walks_the_same_points(points):
+    P = LatticePolytope(points)
+    coords = _lattice_coordinates(P)
+    for n, strict in ((3, False), (2, True)):
+        expected = sorted(ambient_walk(P, n, strict))
+        for order in permutations(range(P.dim)):
+            fibers = _fibers(_frame(coords, order), n, strict, math.inf)
+            assert sorted(chain.from_iterable(fibers)) == expected, order
+
+
+def test_pilot_over_its_budget_keeps_the_index_order(monkeypatch):
+    P = LatticePolytope(CRITERION3)
+    index_order = _frame(_lattice_coordinates(P), range(P.dim))
+    assert _walk_frame(P, 10**8) != index_order
+    monkeypatch.setattr(geometry, "PILOT_CELLS", 1)
+    assert _walk_frame(P, 10**8) == index_order
+    assert sorted(_walk(P, 3, False)) == sorted(ambient_walk(P, 3, False))
+
+
+def test_enumeration_cap_counts_cells_in_the_hull_lattice(monkeypatch):
+    # the diagonal's lattice walk visits one cell per point, where a walk
+    # of both ambient coordinates visited two
+    diagonal = LatticePolytope([(0, 0), (10, 10)])
+    monkeypatch.setenv("EHRWT_MAX_POINTS", "11")
+    assert len(lattice_points(diagonal, 1)) == 11
+    monkeypatch.setenv("EHRWT_MAX_POINTS", "10")
+    message = "closed dilation n=1 counted 11 candidate cells, over EHRWT_MAX_POINTS=10;"
+    with pytest.raises(EnumerationLimitError, match=message):
+        lattice_points(diagonal, 1)
+    triangle = LatticePolytope([(0, 0, 0), (4, 0, 4), (0, 4, 4)])
+    message = "interior dilation n=3 counted .* EHRWT_MAX_POINTS=10;"
+    with pytest.raises(EnumerationLimitError, match=message):
+        interior_lattice_points(triangle, 3)
+    monkeypatch.delenv("EHRWT_MAX_POINTS")
+    assert len(interior_lattice_points(triangle, 3)) == 55
 
 
 # ---------------------------------------------------------------- membership

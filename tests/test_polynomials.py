@@ -26,7 +26,7 @@ from ehrwt import (
 from ehrwt.errors import WeightParseError
 from ehrwt.polynomials import MAX_WEIGHT_EXPONENT
 
-from oracles import eulerian_row, series_by_cube_assembly
+from oracles import eulerian_row, series_by_cube_assembly, term_product
 
 
 # ---------------------------------------------------------------- UniPoly
@@ -383,6 +383,24 @@ def test_weightpoly_arithmetic_and_eval_random():
         assert (u * v).eval(point) == u.eval(point) * v.eval(point)
         assert (u - v).eval(point) == u.eval(point) - v.eval(point)
         assert (u ** 2).eval(point) == u.eval(point) ** 2
+
+
+@st.composite
+def rational_weights(draw, nvars):
+    """Weights with up to six terms of degree <= 4 whose coefficients have
+    either sign and denominators that are often coprime."""
+    exponents = st.tuples(*[st.integers(0, 2)] * nvars)
+    coefficient = st.fractions(min_value=-20, max_value=20, max_denominator=35)
+    return WeightPoly(nvars, draw(st.dictionaries(exponents, coefficient, max_size=6)))
+
+
+@settings(max_examples=100)
+@given(st.integers(1, 4).flatmap(lambda s: st.tuples(rational_weights(s), rational_weights(s))))
+def test_weightpoly_product_matches_term_by_term_fractions(pair):
+    left, right = pair
+    product = left * right
+    assert product.terms == term_product(left, right)
+    assert list(product.terms) == sorted(product.terms)
 
 
 def test_weightpoly_space_mismatch():
