@@ -23,20 +23,19 @@ once per polytope by pilot counts on 2Q, and hands out each innermost
 fiber as an arithmetic progression of points; its consumers accumulate
 as they go, and no point list is cached.
 
-Membership is settled by a barycentric feasibility LP over Fractions
-that never looks at the facet pipeline, so the two routes can serve as
-mutual oracles.
+Membership is settled by a barycentric feasibility LP, phase 1 of the
+simplex method on an integer tableau, same fraction-free step as the
+hull. It never looks at the facet pipeline, so the two routes can serve
+as mutual oracles.
 """
 
 from __future__ import annotations
 
 import math
 import os
-from fractions import Fraction
 from itertools import chain, repeat
 from typing import Iterable, Sequence
 
-from ._simplex import simplex_feasible
 from .errors import ConsistencyError, EnumerationLimitError
 from .polynomials import _exact
 
@@ -171,13 +170,29 @@ class Graph:
         return f"Graph({self._n}, {list(self._edges)!r})"
 
 
+def _pivot(mat, r, col, prev):
+    """One fraction-free Gauss-Jordan step on row r and column col; returns the new pivot.
+
+    Every other row loses its entry in col by (p*a - f*b) // prev, where
+    p is the pivot and prev the one before it (1 at the start). Bareiss's
+    update keeps each entry an integer minor of the input, so each
+    division is exact; row r stays as it is.
+    """
+    top = mat[r]
+    p = top[col]
+    for i, row in enumerate(mat):
+        if i != r:
+            f = row[col]
+            mat[i] = [(p * a - f * b) // prev for a, b in zip(row, top)]
+    return p
+
+
 def _echelon(rows):
     """Fraction-free Gauss-Jordan elimination; returns (nonzero rows, pivot columns).
 
-    Bareiss's update keeps every entry an integer minor of the input, so
-    each division is exact. Every returned row holds the last pivot on
-    its own pivot column and 0 on the other pivot columns: divided by
-    that pivot, the rows are the reduced row echelon form.
+    Every returned row holds the last pivot on its own pivot column and
+    0 on the other pivot columns: divided by that pivot, the rows are
+    the reduced row echelon form.
     """
     mat = [list(r) for r in rows]
     pivots = []
@@ -188,13 +203,7 @@ def _echelon(rows):
         if pivot is None:
             continue
         mat[r], mat[pivot] = mat[pivot], mat[r]
-        top = mat[r]
-        p = top[col]
-        for i, row in enumerate(mat):
-            if i != r:
-                f = row[col]
-                mat[i] = [(p * a - f * b) // prev for a, b in zip(row, top)]
-        prev = p
+        prev = _pivot(mat, r, col, prev)
         pivots.append(col)
         if len(pivots) == len(mat):
             break
@@ -580,12 +589,50 @@ def interior_lattice_points(P: LatticePolytope, n: int) -> list[tuple[int, ...]]
     return sorted(_walk(P, n, True))
 
 
+def _feasible(rows, rhs) -> bool:
+    """Has rows.y == rhs a solution y >= 0? Phase 1 of the simplex method on integers.
+
+    Rows with a negative right-hand side are negated and an artificial
+    identity is appended. The last row holds the reduced costs of
+    maximizing -sum(artificials): the column sums, 0 on the artificial
+    columns, and the sum of the artificials as its last entry. Bland's
+    rule picks the first column with a positive reduced cost and the row
+    of least ratio, ties to the lowest basis index, so no basis repeats.
+    Pivots are the hull's fraction-free step; each is positive, so the
+    tableau over the last pivot reads with the usual signs.
+    """
+    m, nvars = len(rows), len(rows[0])
+    mat = []
+    for i, (row, b) in enumerate(zip(rows, rhs)):
+        sign = -1 if b < 0 else 1
+        mat.append([sign * v for v in row] + [int(k == i) for k in range(m)] + [sign * b])
+    sums = [sum(col) for col in zip(*mat)]
+    mat.append(sums[:nvars] + [0] * m + sums[-1:])
+    basis = list(range(nvars, nvars + m))
+    prev = 1
+    while True:
+        cost = mat[-1]
+        col = next((j for j in range(nvars + m) if cost[j] > 0), None)
+        if col is None:
+            return cost[-1] == 0
+        r = None
+        for i in range(m):
+            a = mat[i][col]
+            # least ratio mat[i][-1] / a, cross-multiplied; ties to the lower basis index
+            if a > 0 and (r is None or (mat[i][-1] * mat[r][col], basis[i])
+                          < (mat[r][-1] * a, basis[r])):
+                r = i
+        prev = _pivot(mat, r, col, prev)
+        basis[r] = col
+
+
 def contains(P: LatticePolytope, point: Sequence, n=1) -> bool:
     """Exact membership of a rational point in the n-th dilation (n > 0 rational).
 
     Feasibility of the barycentric system {n*V.lam = point, sum(lam) = 1,
-    lam >= 0}, solved by the exact simplex. Independent of the facet
-    pipeline by design.
+    lam >= 0}, each row cleared of denominators: phase 1 on an integer
+    tableau, same fraction-free step as the hull. Independent of the
+    facet pipeline by design.
     """
     scale = _exact(n, "dilation factor")
     if scale <= 0:
@@ -593,11 +640,11 @@ def contains(P: LatticePolytope, point: Sequence, n=1) -> bool:
     coords = [_exact(c, "coordinate") for c in point]
     if len(coords) != P.ambient_dim:
         raise ValueError(f"point has length {len(coords)}, expected {P.ambient_dim}")
-    m = len(P.vertices)
-    rows = [[scale * v[j] for v in P.vertices] for j in range(P.ambient_dim)]
-    rows.append([Fraction(1)] * m)
-    rhs = coords + [Fraction(1)]
-    return simplex_feasible(rows, rhs)
+    num, den = scale.numerator, scale.denominator
+    rows = [[num * x.denominator * v[j] for v in P.vertices] for j, x in enumerate(coords)]
+    rows.append([1] * len(P.vertices))
+    rhs = [den * x.numerator for x in coords] + [1]
+    return _feasible(rows, rhs)
 
 
 def edge_polytope(G: Graph) -> LatticePolytope:

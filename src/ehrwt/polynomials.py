@@ -591,7 +591,7 @@ class _WeightParser:
             self._take()
             if text == "-":
                 sign = -1
-        value = sign * self._term()
+        value = self._term() if sign == 1 else -self._term()
         while True:
             kind, text, _ = self._peek()
             if kind == "op" and text in "+-":
@@ -635,7 +635,7 @@ class _WeightParser:
             _check_cap("exponent", exponent, pos)
             _check_cap("total degree", max(value.degree, 0) * exponent, op_pos)
             value = value**exponent
-        return sign * value
+        return value if sign == 1 else -value
 
     def _atom(self) -> WeightPoly:
         kind, text, pos = self._take()

@@ -91,10 +91,12 @@ def weighted_ehrhart_polynomial(P: LatticePolytope, w: WeightPoly) -> UniPoly:
     samples = [(n, weighted_sum(P, w, n)) for n in range(1, bound + 2)]
     poly = lagrange_interpolate(samples)
     for probe in (0, bound + 2):
-        if poly(probe) != weighted_sum(P, w, probe):
+        value, enumerated = poly(probe), weighted_sum(P, w, probe)
+        if value != enumerated:
             raise ConsistencyError(
                 f"interpolated counting polynomial fails at n={probe}; "
-                "degree bound or enumeration is wrong"
+                f"degree bound or enumeration is wrong: vertices {list(P.vertices)}, "
+                f"weight {w!r}, interpolated {value}, enumerated {enumerated}"
             )
     return poly
 

@@ -3,9 +3,12 @@
 Everything here is deliberately computed through a different route than
 the library code it checks. Membership and relative-interior questions
 are settled by linear programs over barycentric coordinates (vertex
-descriptions only, no facet systems), lattice point sets by scanning
-bounding boxes, facets by trying every hyperplane through vertices, and
-Eulerian numbers by the classical recurrence. Affine hulls and ranks
+descriptions only, no facet systems), solved by a two-phase simplex
+method over Fractions: the library's former LP, kept here so that the
+oracle shares no code with ``contains``, which runs phase 1 on an
+integer tableau. Lattice point sets are found by scanning bounding
+boxes, facets by trying every hyperplane through vertices, and Eulerian
+numbers by the classical recurrence. Affine hulls and ranks
 come from Gauss-Jordan elimination over Fractions, where the library
 eliminates fraction-free on integers. Series of polynomials come from
 the paper's assembly out of cube series, where the library takes one
@@ -21,7 +24,6 @@ from itertools import combinations, product
 from math import gcd, lcm
 
 from ehrwt import RationalGF, UniPoly, cube_series
-from ehrwt._simplex import simplex_maximize
 from ehrwt.errors import EnumerationLimitError
 from ehrwt.geometry import _enumeration_cap
 
@@ -62,6 +64,93 @@ def series_by_cube_assembly(g):
             shifted = UniPoly.monomial(1) * cube_series(i).numerator
             num = num + b * shifted * omx ** (r - i)
     return RationalGF(num, r + 1)
+
+
+def _pivot(tableau, basis, row, col):
+    piv = tableau[row][col]
+    tableau[row] = [v / piv for v in tableau[row]]
+    for r, line in enumerate(tableau):
+        if r != row and line[col] != 0:
+            factor = line[col]
+            tableau[r] = [v - factor * p for v, p in zip(line, tableau[row])]
+    basis[row] = col
+
+
+def _optimize(tableau, basis, cost, allowed):
+    """Run Bland-rule pivots; returns 'optimal' or 'unbounded'."""
+    ncols = len(tableau[0]) - 1 if tableau else len(cost)
+    while True:
+        # reduced costs relative to the current basis
+        dual = [cost[b] for b in basis]
+        entering = -1
+        for j in range(ncols):
+            if j in basis or not allowed(j):
+                continue
+            reduced = cost[j] - sum(d * tableau[r][j] for r, d in enumerate(dual))
+            if reduced > 0:
+                entering = j
+                break
+        if entering < 0:
+            return "optimal"
+        leave = -1
+        best = None
+        for r, line in enumerate(tableau):
+            if line[entering] > 0:
+                ratio = line[-1] / line[entering]
+                if best is None or ratio < best or (ratio == best and basis[r] < basis[leave]):
+                    best = ratio
+                    leave = r
+        if leave < 0:
+            return "unbounded"
+        _pivot(tableau, basis, leave, entering)
+
+
+def simplex_maximize(rows, rhs, objective):
+    """Maximize objective.y subject to rows.y == rhs, y >= 0.
+
+    Returns (status, value, solution) with status one of "optimal",
+    "unbounded", "infeasible"; value and solution are None unless optimal.
+    """
+    nvars = len(objective)
+    m = len(rows)
+    tableau = []
+    for row, b in zip(rows, rhs):
+        line = [Fraction(v) for v in row]
+        b = Fraction(b)
+        if b < 0:
+            line = [-v for v in line]
+            b = -b
+        tableau.append(line + [Fraction(0)] * m + [b])
+    for r in range(m):
+        tableau[r][nvars + r] = Fraction(1)
+    basis = [nvars + r for r in range(m)]
+
+    phase1 = [Fraction(0)] * nvars + [Fraction(-1)] * m
+    _optimize(tableau, basis, phase1, lambda j: True)
+    if sum(phase1[b] * tableau[r][-1] for r, b in enumerate(basis)) != 0:
+        return "infeasible", None, None
+
+    # drive leftover artificials out of the basis or drop their rows
+    for r in range(m - 1, -1, -1):
+        if basis[r] < nvars:
+            continue
+        col = next((j for j in range(nvars) if tableau[r][j] != 0), -1)
+        if col >= 0:
+            _pivot(tableau, basis, r, col)
+        else:
+            del tableau[r]
+            del basis[r]
+
+    phase2 = [Fraction(c) for c in objective] + [Fraction(0)] * m
+    status = _optimize(tableau, basis, phase2, lambda j: j < nvars)
+    if status == "unbounded":
+        return "unbounded", None, None
+    solution = [Fraction(0)] * nvars
+    for r, b in enumerate(basis):
+        if b < nvars:
+            solution[b] = tableau[r][-1]
+    value = sum(c * v for c, v in zip(phase2, solution))
+    return "optimal", value, solution
 
 
 def in_hull(vertices, point):

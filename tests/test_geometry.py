@@ -3,7 +3,9 @@ dilation lattice points, membership, and edge polytopes of graphs."""
 
 import math
 import random
+from fractions import Fraction
 from itertools import chain, permutations
+from unittest.mock import patch
 
 import pytest
 from hypothesis import example, given, settings
@@ -25,6 +27,7 @@ from ehrwt import geometry
 from ehrwt.geometry import (
     _affine_rank,
     _check_facets,
+    _feasible,
     _fibers,
     _frame,
     _lattice_coordinates,
@@ -41,6 +44,7 @@ from oracles import (
     in_hull,
     in_relative_interior,
     random_vertices,
+    simplex_maximize,
 )
 
 SQUARE = LatticePolytope([(0, 0), (1, 0), (0, 1), (1, 1)])
@@ -448,6 +452,91 @@ def test_contains_validation():
         contains(SQUARE, (0, 0), n=0)
     with pytest.raises(ValueError):
         contains(SQUARE, (0, 0, 0))
+
+
+class CheckedPivot:
+    """geometry._pivot on phase-1 tableaux, checked: each division exact, each
+    pivot positive, prev the tableau's last pivot (1 at its first step), and
+    no right-hand side of a constraint row negative afterwards."""
+
+    def __init__(self):
+        self.pivot = geometry._pivot
+        self.mat, self.last = None, 1
+
+    def __call__(self, mat, r, col, prev):
+        if mat is not self.mat:
+            self.mat, self.last = mat, 1
+        top, p = mat[r], mat[r][col]
+        assert prev == self.last and p > 0
+        assert all((p * a - row[col] * b) % prev == 0
+                   for i, row in enumerate(mat) if i != r for a, b in zip(row, top))
+        self.last = self.pivot(mat, r, col, prev)
+        assert all(row[-1] >= 0 for row in mat[:-1])
+        return self.last
+
+
+@st.composite
+def integer_systems(draw):
+    """rows.y == rhs on 1-5 rows and 1-6 columns of small integers. The rhs is
+    rows.y for some y >= 0 (feasible by construction, degenerate where y has
+    zeros) or random; extra rows repeat, negate or scale a row, which also
+    gives negative right-hand sides and ties in the ratio test, or are zero."""
+    n = draw(st.integers(1, 6))
+    m = draw(st.integers(1, 5))
+    rows = [[draw(st.integers(-3, 3)) for _ in range(n)] for _ in range(m)]
+    if draw(st.booleans()):
+        y = [draw(st.integers(0, 3)) for _ in range(n)]
+        rhs = [sum(a * x for a, x in zip(row, y)) for row in rows]
+    else:
+        rhs = [draw(st.integers(-4, 4)) for _ in range(m)]
+    for k in draw(st.lists(st.sampled_from([-1, 0, 1, 2]), max_size=3)):
+        i = draw(st.integers(0, m - 1))
+        rows.append([k * a for a in rows[i]])
+        rhs.append(k * rhs[i] if k else draw(st.integers(0, 1)))
+    return rows, rhs
+
+
+@settings(max_examples=600)
+@given(integer_systems())
+@example(([[1, 1], [1, -1]], [-2, 0]))
+@example(([[0, 0]], [1]))
+def test_feasible_matches_the_fraction_simplex(system):
+    rows, rhs = system
+    expected = simplex_maximize(rows, rhs, [0] * len(rows[0]))[0] != "infeasible"
+    with patch.object(geometry, "_pivot", CheckedPivot()):
+        assert _feasible(rows, rhs) == expected
+
+
+@st.composite
+def membership_queries(draw):
+    """(vertices, n, point): 1-4 vertices in Z^1..Z^4, small or up to 10^20,
+    some repeated, some on a lower-dimensional plane; n in {1, 2, 3/2, 1/3};
+    a rational point of nP, possibly pushed off it."""
+    s = draw(st.integers(1, 4))
+    coord = st.integers(-10**20, 10**20) if draw(st.booleans()) else st.integers(-3, 3)
+    verts = [tuple(draw(coord) for _ in range(s)) for _ in range(draw(st.integers(1, 4)))]
+    if s > 1 and draw(st.booleans()):
+        verts = [v[:-1] + (v[0] + v[-2],) for v in verts]
+    verts += draw(st.lists(st.sampled_from(verts), max_size=2))
+    n = draw(st.sampled_from([1, 2, Fraction(3, 2), Fraction(1, 3)]))
+    lam = [draw(st.integers(0, 3)) for _ in verts]
+    total = sum(lam) or 1
+    shift = st.sampled_from([0, 0, 0, Fraction(1, 7), Fraction(-1, 3), 1])
+    point = tuple(n * Fraction(sum(c * v[j] for c, v in zip(lam, verts)), total) + draw(shift)
+                  for j in range(s))
+    return verts, n, point
+
+
+@settings(max_examples=400)
+@given(membership_queries())
+@example(([(0,)], 1, (0,)))
+@example(([(5,)], Fraction(1, 3), (Fraction(5, 3),)))
+@example(([(10**20, 0), (0, 10**20)], Fraction(3, 2), (Fraction(3, 4) * 10**20,) * 2))
+def test_contains_matches_the_hull_oracle(query):
+    verts, n, point = query
+    expected = in_hull([tuple(n * c for c in v) for v in verts], point)
+    with patch.object(geometry, "_pivot", CheckedPivot()):
+        assert contains(LatticePolytope(verts), point, n) == expected
 
 
 def test_contains_agrees_with_enumeration_random():

@@ -288,6 +288,24 @@ def test_parse_weight_precedence():
     assert parse_weight("1+2*3", 1) == WeightPoly.constant(1, 7)
 
 
+def test_parse_weight_scales_by_no_sign(monkeypatch):
+    # a sign of +1 must not rebuild the term or factor as 1 * value
+    int_operands = []
+    mul = WeightPoly.__mul__
+
+    def counting(self, other):
+        if isinstance(other, int):
+            int_operands.append(other)
+        return mul(self, other)
+
+    monkeypatch.setattr(WeightPoly, "__mul__", counting)
+    monkeypatch.setattr(WeightPoly, "__rmul__", counting)
+    assert parse_weight("t1*t2 + t3^2 - 2*t1", 3) \
+        == WeightPoly(3, {(1, 1, 0): 1, (0, 0, 2): 1, (1, 0, 0): -2})
+    assert parse_weight("-t1", 1) == WeightPoly(1, {(1,): -1})
+    assert int_operands == []
+
+
 def test_parse_weight_unicode_minus():
     assert parse_weight("−2*t1", 1) == WeightPoly(1, {(1,): -2})
 

@@ -186,7 +186,11 @@ def test_validation_probe_detects_bad_interpolants(monkeypatch):
     import ehrwt.weighted as wmod
     monkeypatch.setattr(wmod, "lagrange_interpolate", lambda samples: UniPoly([9, 9]))
     fresh = LatticePolytope([(0,), (7,)])
-    with pytest.raises(ConsistencyError):
+    # the n = 0 probe fails first: 9 interpolated against the origin's weight 0
+    message = (r"^interpolated counting polynomial fails at n=0; degree bound or "
+               r"enumeration is wrong: vertices \[\(0,\), \(7,\)\], "
+               r"weight WeightPoly\(1, \{\(1,\): 1\}\), interpolated 9, enumerated 0$")
+    with pytest.raises(ConsistencyError, match=message):
         weighted_ehrhart_polynomial(fresh, parse_weight("t1", 1))
 
 
