@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import re
 import sys
 import warnings
 from fractions import Fraction
@@ -32,6 +33,11 @@ from .polynomials import (
 __all__ = ["run", "main", "read_polytope", "write_polytope", "write_output"]
 
 
+# largest row the eulerian subcommand computes; row 512 takes about a second,
+# and the cost grows faster than cubically with the row
+EULERIAN_ROW_CAP = 512
+
+
 class _UsageError(Exception):
     pass
 
@@ -40,25 +46,15 @@ class _UsageError(Exception):
 
 
 def _strip_block_comments(text: str) -> str:
-    out = []
-    i = 0
-    line = 1
-    while i < len(text):
-        if text.startswith("/*", i):
-            end = text.find("*/", i + 2)
-            if end < 0:
-                raise PolytopeFormatError("unterminated block comment", line)
-            chunk = text[i : end + 2]
-            line += chunk.count("\n")
-            out.append("\n" * chunk.count("\n"))
-            i = end + 2
-        else:
-            ch = text[i]
-            if ch == "\n":
-                line += 1
-            out.append(ch)
-            i += 1
-    return "".join(out)
+    def blank(m):
+        if not m.group(1):
+            raise PolytopeFormatError(
+                "unterminated block comment", text.count("\n", 0, m.start()) + 1
+            )
+        return "\n" * m.group().count("\n")
+
+    # each comment keeps its newlines, so line numbers still count raw lines
+    return re.sub(r"/\*.*?(\*/|\Z)", blank, text, flags=re.S)
 
 
 def _meaningful_lines(text: str) -> list[tuple[int, str]]:
@@ -253,19 +249,13 @@ def _cmd_lift(args: argparse.Namespace) -> dict:
         raise ValueError("lift needs a weight of total degree at most one") from None
     if all(c == 0 for c in row):
         raise ValueError("lift needs a weight with a nonzero linear part")
-    if offset == 0:
-        route = "linear"
-        lifted = weighted.linear_lift(P, w)
-        via_lift = weighted.ehrhart_polynomial(lifted) - weighted.ehrhart_polynomial(P)
-    else:
-        route = "affine"
-        lifted = weighted.affine_lift_polytope(P, row)
-        via_lift = weighted.weighted_by_affine_lift(P, row, offset)
+    lifted = weighted.affine_lift_polytope(P, row)
+    via_lift = weighted.weighted_by_affine_lift(P, row, offset)
     direct = weighted.weighted_ehrhart_polynomial(P, w)
     if via_lift != direct:
         raise ConsistencyError("lift route and interpolation route disagree")
     return {
-        "route": route,
+        "route": "linear" if offset == 0 else "affine",
         "lift_vertices": [list(v) for v in lifted.vertices],
         "polynomial": direct,
         "series": gf_of_polynomial(direct),
@@ -302,6 +292,8 @@ def _cmd_eulerian(args: argparse.Namespace) -> dict:
     d = args.n
     if d is None or d < 0:
         raise ValueError("--n must give a nonnegative row index")
+    if d > EULERIAN_ROW_CAP:
+        raise ValueError(f"--n {d} is over the Eulerian row cap of {EULERIAN_ROW_CAP}")
     return {"d": d, "row": [eulerian(d, k) for k in range(d + 1)]}
 
 

@@ -6,11 +6,14 @@ elimination (Bareiss) does all of its linear algebra: the affine hull
 is the integer kernel of the vertex differences' echelon form, an
 affine rank is its pivot count, and the hull equations' pivots fix the
 coordinates left free. The facets come from an incremental double
-description on integer rows in those free coordinates: starting from a
-simplex, each point outside the current hull replaces the rows it
-violates by positive combinations with the rows it satisfies strictly,
-kept only when their tight points span a facet. An integer invariant
-check on the final rows raises ConsistencyError if that ever fails.
+description on integer rows in those free coordinates, from the simplex
+on the first point and those whose differences from it are one echelon
+form's pivot columns. Each point outside the current hull replaces the
+rows it violates by positive combinations with the rows it satisfies
+strictly, for pairs with no third row tight wherever both are (Fukuda
+and Prodon's combinatorial test, valid as the rows are exactly the
+facets of the hull so far). An integer invariant check on the final
+rows raises ConsistencyError if that ever fails.
 
 The lattice points of a dilation come from one walk in a lattice basis
 of the affine hull: with v0 a vertex and the columns of B a basis of
@@ -317,13 +320,11 @@ def _facet_inequalities(P):
     points = list(dict.fromkeys(tuple(v[j] for j in free) for v in P.vertices))
     d = len(free)
 
-    # start from d + 1 affinely independent points; seen holds the points added so far
-    seen = []
-    for q in points:
-        if _affine_rank(seen + [q]) == len(seen):
-            seen.append(q)
-            if len(seen) == d + 1:
-                break
+    # start from d + 1 affinely independent points, the first point and those whose
+    # differences from it are pivot columns; seen holds the points added so far
+    base = points[0]
+    _, cols = _echelon([[q[j] - base[j] for q in points[1:]] for j in range(d)])
+    seen = [base] + [points[c + 1] for c in cols]
     rows = []
     for apex in seen:
         # the one equation through the opposite face, oriented away from the apex
@@ -345,8 +346,8 @@ def _facet_inequalities(P):
             if u <= 0:
                 continue
             for (a2, b2), w, tw in zip(rows, slack, tight):
-                # the combination is tight at q and at the points tight at both rows
-                if w < 0 and _affine_rank([seen[i] for i in tu & tw] + [q]) == d - 1:
+                # the two rows meet in a ridge iff no third row is tight wherever both are
+                if w < 0 and sum(tu & tw <= t for t in tight) == 2:
                     kept.append(([-w * x + u * y for x, y in zip(a, a2)], -w * b + u * b2))
         seen.append(q)
         rows = _tidy(kept)

@@ -111,26 +111,14 @@ def weighted_series(P: LatticePolytope, w: WeightPoly) -> RationalGF:
     return gf_of_polynomial(weighted_ehrhart_polynomial(P, w))
 
 
-def _lift_polytope(P: LatticePolytope, heights: Sequence[int]) -> LatticePolytope:
-    points = []
-    for v in P.vertices:
-        p = v + (0,)
-        if p not in points:
-            points.append(p)
-    for v, h in zip(P.vertices, heights):
-        p = v + (h,)
-        if p not in points:
-            points.append(p)
-    return LatticePolytope(points)
-
-
 def linear_lift(P: LatticePolytope, w: WeightPoly) -> LatticePolytope:
     """One-dimension-higher polytope whose slab heights realize a linear weight.
 
     Requires vertices in the nonnegative orthant and a nonzero weight
     that is homogeneous of degree one with nonnegative integer
     coefficients. The weighted count of P is then the difference of the
-    plain counts of the lift and of P itself.
+    plain counts of the lift and of P itself. The lift is the affine
+    lift of w's coefficient row, the affine route at offset 0.
     """
     require_nonnegative_vertices(P, "linear_lift")
     _check_space(P, w)
@@ -141,28 +129,26 @@ def linear_lift(P: LatticePolytope, w: WeightPoly) -> LatticePolytope:
             "weight must be homogeneous of degree one; "
             "use the affine route for a constant offset"
         )
-    row, _ = w.affine_parts()
-    for i, c in enumerate(row):
-        if c.denominator != 1 or c < 0:
-            raise ValueError(
-                f"coefficient of t{i + 1} must be a nonnegative integer, got {c}"
-            )
-    heights = [int(w.eval(v)) for v in P.vertices]
-    return _lift_polytope(P, heights)
+    return affine_lift_polytope(P, w.affine_parts()[0])
 
 
 def affine_lift_polytope(P: LatticePolytope, coeffs: Sequence) -> LatticePolytope:
-    """Companion lift for an affine weight's linear part (rows of C in N)."""
+    """Companion lift for an affine weight's linear part C (coefficients in N).
+
+    The hull of P x {0} and of each vertex v raised to height C.v, the
+    only lift construction: linear_lift is this lift at offset 0.
+    """
     require_nonnegative_vertices(P, "affine_lift_polytope")
     row = [_exact(c) for c in coeffs]
     if len(row) != P.ambient_dim:
         raise ValueError("coefficient row length must match the ambient dimension")
     if all(c == 0 for c in row):
         raise ValueError("linear part must be nonzero")
-    if any(c.denominator != 1 or c < 0 for c in row):
-        raise ValueError("linear coefficients must be nonnegative integers")
-    heights = [int(sum(c * x for c, x in zip(row, v))) for v in P.vertices]
-    return _lift_polytope(P, heights)
+    for i, c in enumerate(row):
+        if c.denominator != 1 or c < 0:
+            raise ValueError(f"coefficient of t{i + 1} must be a nonnegative integer, got {c}")
+    raised = [v + (int(sum(c * x for c, x in zip(row, v))),) for v in P.vertices]
+    return LatticePolytope(dict.fromkeys([v + (0,) for v in P.vertices] + raised))
 
 
 def weighted_by_affine_lift(P: LatticePolytope, coeffs: Sequence, offset) -> UniPoly:

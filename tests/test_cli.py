@@ -55,6 +55,15 @@ def test_read_errors_carry_line_numbers():
     assert "trailing" in str(info.value)
 
 
+def test_read_errors_count_the_lines_inside_comments():
+    with pytest.raises(PolytopeFormatError) as info:
+        read_polytope("vertices 2 2\n/* a comment\nspanning lines */ 0 0\n1 x\n")
+    assert info.value.line == 4 and "'x'" in str(info.value)
+    with pytest.raises(PolytopeFormatError) as info:
+        read_polytope("vertices 1 1\n/* closed */ 3\n/* never\nclosed\n")
+    assert info.value.line == 3 and "unterminated" in str(info.value)
+
+
 def test_read_rejects_unsupported_keywords_with_guidance():
     for keyword in ("inequalities", "polynomial", "WeightedEhrhartSeries", "Integral"):
         with pytest.raises(PolytopeFormatError) as info:
@@ -169,6 +178,21 @@ def test_lift_command_rejects_bad_weights(capsys):
     assert "nonzero linear part" in capsys.readouterr().err
 
 
+def test_lift_routes_report_the_same_errors(capsys):
+    # the linear and affine routes build one lift, so one fault gets one text
+    cases = [
+        ("0 -1; 2 0; 0 2", "t1", "affine_lift_polytope requires vertices in the "
+         "nonnegative orthant, got (0, -1)"),
+        ("2 0; 0 2", "t1-t2", "coefficient of t2 must be a nonnegative integer, got -1"),
+        ("2 0; 0 2", "1/2*t1+t2", "coefficient of t1 must be a nonnegative integer, got 1/2"),
+    ]
+    for vertices, linear, message in cases:
+        for weight in (linear, linear + "+1"):
+            assert run(["lift", "--vertices", vertices, "--weight", weight]) == 1
+            out, err = capsys.readouterr()
+            assert (out, err) == ("", f"error: {message}\n"), weight
+
+
 def test_integral_command(capsys):
     base = ["integral", "--vertices", "1 0; 0 1; 1 1", "--weight"]
     assert run(base + ["2*t1+3*t2"]) == 0
@@ -181,6 +205,13 @@ def test_eulerian_command(capsys):
     assert run(["eulerian", "--n", "3"]) == 0
     assert out_lines(capsys) == ["d: 3", "row: 0 1 4 1"]
     assert run(["eulerian", "--n", "-2"]) == 1
+
+
+def test_eulerian_command_caps_the_row(capsys):
+    assert run(["eulerian", "--n", "513"]) == 1
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err == "error: --n 513 is over the Eulerian row cap of 512\n"
 
 
 def test_hilbert_command_text(capsys):

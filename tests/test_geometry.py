@@ -4,7 +4,7 @@ dilation lattice points, membership, and edge polytopes of graphs."""
 import math
 import random
 from fractions import Fraction
-from itertools import chain, permutations
+from itertools import chain, permutations, product
 from unittest.mock import patch
 
 import pytest
@@ -257,6 +257,28 @@ def test_facets_of_embedded_polytopes_match_oracles():
         for _ in range(12):
             y = tuple(rng.randint(-1, 9) for _ in range(d))
             assert facet_membership(P, embed(y), 1) == in_hull(Q, y), (ys, y)
+
+
+def test_facets_of_degenerate_point_sets_match_brute_force():
+    # every boundary lattice point of boxes, cross-polytopes and simplices,
+    # and clouds in {0,1,2}^d: many points on each facet, and in lex order
+    # a box's first d + 1 points are collinear once L >= 2
+    rng = random.Random(2718)
+    sets = []
+    for d in (2, 3):
+        for L in range(1, 6 - d):
+            box = list(product(range(L + 1), repeat=d))
+            sets.append([p for p in box if L in p or 0 in p])
+            sets.append([p for p in product(range(-L, L + 1), repeat=d) if sum(map(abs, p)) == L])
+            sets.append([p for p in box if sum(p) == L or (sum(p) < L and 0 in p)])
+        for _ in range(30):
+            cloud = sorted({tuple(rng.randint(0, 2) for _ in range(d)) for _ in range(3 * d)})
+            if affine_rank(cloud) == d:
+                sets.append(cloud)
+    for verts in sets:
+        for points in (verts, rng.sample(verts, len(verts))):
+            P = LatticePolytope(points)
+            assert P.facet_inequalities == tuple(sorted(brute_force_facets(points))), points
 
 
 def test_facet_invariant_check_rejects_bad_rows():

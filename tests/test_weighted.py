@@ -292,6 +292,12 @@ def test_affine_lift_validation():
         weighted_by_affine_lift(SEG2, (-1, 1), 0)
 
 
+def test_affine_lift_names_the_bad_coefficient():
+    message = r"^coefficient of t2 must be a nonnegative integer, got -1$"
+    with pytest.raises(ValueError, match=message):
+        affine_lift_polytope(SEG2, (1, -1))
+
+
 def test_nonlinear_weight_breaks_the_lift_shortcut():
     # quadratic weight on [1,2]: the dilation of a quadratic-looking lift
     # cannot reproduce the cubic weighted count
