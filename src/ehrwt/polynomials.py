@@ -103,11 +103,15 @@ class UniPoly:
         return bool(self._coeffs)
 
     def __call__(self, value: Rational) -> Fraction:
+        # Horner on integer numerators over den * q^deg for the argument p/q
         x = _exact(value, "evaluation point")
-        acc = Fraction(0)
+        p, q = x.numerator, x.denominator
+        den = math.lcm(*(c.denominator for c in self._coeffs))
+        acc, scale = 0, 1
         for c in reversed(self._coeffs):
-            acc = acc * x + c
-        return acc
+            acc = acc * p + c.numerator * (den // c.denominator) * scale
+            scale *= q
+        return Fraction(acc * q, den * scale)
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, UniPoly):
@@ -195,14 +199,14 @@ class WeightPoly:
                 raise ValueError(f"exponent vector {exps} does not have length {nvars}")
             if any((not isinstance(e, int)) or e < 0 for e in exps):
                 raise ValueError(f"exponent vector {exps} must contain nonnegative integers")
-            c = _exact(coeff)
+            c = coeff if type(coeff) is Fraction else _exact(coeff)
             if c != 0:
-                clean[exps] = clean.get(exps, Fraction(0)) + c
+                clean[exps] = clean[exps] + c if exps in clean else c
         self._nvars = nvars
         self._terms = {e: c for e, c in sorted(clean.items()) if c != 0}
-        self._den = math.lcm(*(c.denominator for c in self._terms.values()))
+        self._den = den = math.lcm(*(c.denominator for c in self._terms.values()))
         self._scaled_terms = tuple(
-            (int(c * self._den), tuple((i, k) for i, k in enumerate(e) if k))
+            (c.numerator * (den // c.denominator), tuple((i, k) for i, k in enumerate(e) if k))
             for e, c in self._terms.items()
         )
 

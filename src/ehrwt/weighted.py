@@ -5,13 +5,14 @@ The central object is the polynomial that agrees with
     n  |->  sum of w(a) over the lattice points a of the n-th dilation
 
 for every nonnegative integer n; its degree is at most dim(P) + deg(w).
-It is recovered by exact Lagrange interpolation at n = 1..dim+deg+1,
-and validated at the reserved points n = 0 and n = dim+deg+2, so a
-silent enumeration or degree-bound failure cannot slip through. Lift
-constructions give a second, independent route for weights of degree
-at most one, and the reciprocity and root-vanishing checks connect the
-count of interior points to the polynomial's values at negative
-integers.
+It is interpolated exactly at N = dim+deg+1 nodes: closed walks of nP at
+n = 1..floor(N/2), and at n = -1..-ceil(N/2) the reciprocity value
+(-1)^dim * sum of w(-x) over relint(|n|P) (Stanley, Adv. Math. 14, 1974;
+Beck-Robins, ch. 4). Closed walks at the reserved points n = 0 and
+n = dim+deg+2 validate it, so a silent enumeration or degree-bound failure
+cannot slip through. Lifts give a second, independent route for weights of
+degree at most one. The reciprocity and root-vanishing checks, which read
+the polynomial at negative integers, interpolate from closed nodes only.
 """
 
 from __future__ import annotations
@@ -66,6 +67,10 @@ def _check_space(P: LatticePolytope, w: WeightPoly) -> None:
         )
 
 
+def _sum(P: LatticePolytope, w: WeightPoly, n: int, strict: bool) -> Fraction:
+    return Fraction(sum(map(w._scaled, _walk(P, n, strict))), w._den)
+
+
 def weighted_sum(P: LatticePolytope, w: WeightPoly, n: int) -> Fraction:
     """Sum of w over the lattice points of the n-th dilation (n >= 0)."""
     _check_space(P, w)
@@ -73,32 +78,48 @@ def weighted_sum(P: LatticePolytope, w: WeightPoly, n: int) -> Fraction:
         raise ValueError("dilation factor must be a nonnegative integer")
     if w.is_zero:
         return Fraction(0)
-    return Fraction(sum(map(w._scaled, _walk(P, n, False))), w._den)
+    return _sum(P, w, n, False)
+
+
+def _interpolated(P: LatticePolytope, w: WeightPoly, nodes) -> UniPoly:
+    """The counting polynomial of a nonzero w through nodes n >= 1 (closed
+    walks) and n <= -1 (by reciprocity), then probed by closed walks.
+    """
+    reflected = WeightPoly(w.nvars, {e: (-1) ** sum(e) * c for e, c in w._terms.items()})
+    samples = [
+        (n, _sum(P, w, n, False) if n > 0 else (-1) ** P.dim * _sum(P, reflected, -n, True))
+        for n in nodes
+    ]
+    poly = lagrange_interpolate(samples)
+    for probe in (0, P.dim + w.degree + 2):
+        value, enumerated = poly(probe), _sum(P, w, probe, False)
+        if value != enumerated:
+            table = ", ".join(f"({n}, {v})" for n, v in samples)
+            raise ConsistencyError(
+                f"interpolated counting polynomial fails at n={probe}; "
+                f"degree bound or enumeration is wrong: vertices {list(P.vertices)}, "
+                f"weight {w!r}, interpolated {value}, enumerated {enumerated}; "
+                f"nodes (n, value), n < 0 from interior walks: [{table}]"
+            )
+    return poly
 
 
 @lru_cache(maxsize=256)  # bounded: a long-lived process must not keep every P it saw
 def weighted_ehrhart_polynomial(P: LatticePolytope, w: WeightPoly) -> UniPoly:
     """The polynomial matching n -> weighted_sum(P, w, n) on all n >= 0.
 
-    Interpolated at n = 1..dim+deg+1 and cross-checked at n = 0 and
+    Of its N = dim+deg+1 nodes, n = 1..floor(N/2) are closed walks and
+    n = -1..-ceil(N/2) are interior walks of the small dilations |n|P,
+    by reciprocity. Cross-checked by closed walks at n = 0 and
     n = dim+deg+2; a mismatch raises ConsistencyError because it can
     only mean a broken degree bound or a broken enumerator.
     """
     _check_space(P, w)
     if w.is_zero:
         return UniPoly()
-    bound = P.dim + w.degree
-    samples = [(n, weighted_sum(P, w, n)) for n in range(1, bound + 2)]
-    poly = lagrange_interpolate(samples)
-    for probe in (0, bound + 2):
-        value, enumerated = poly(probe), weighted_sum(P, w, probe)
-        if value != enumerated:
-            raise ConsistencyError(
-                f"interpolated counting polynomial fails at n={probe}; "
-                f"degree bound or enumeration is wrong: vertices {list(P.vertices)}, "
-                f"weight {w!r}, interpolated {value}, enumerated {enumerated}"
-            )
-    return poly
+    count = P.dim + w.degree + 1
+    closed = count // 2
+    return _interpolated(P, w, [*range(1, closed + 1), *range(-1, closed - count - 1, -1)])
 
 
 def ehrhart_polynomial(P: LatticePolytope) -> UniPoly:
@@ -255,12 +276,13 @@ def check_negative_root_vanishing(
     Scans the window -(dim + deg w) .. -1, which contains all negative
     integer roots of the plain counting polynomial. Under the standing
     hypotheses (full-dimensional P, homogeneous w >= 0 on P) every entry
-    should vanish; the report records the exact values.
+    should vanish; the report records the exact values. The plain count
+    comes from closed nodes only, never from interior walks.
     """
     _check_full_dim_homogeneous(P, w, "check_negative_root_vanishing")
     if spot_check:
         _spot_check_nonnegative(P, w)
-    plain = ehrhart_polynomial(P)
+    plain = _interpolated(P, WeightPoly.constant(P.ambient_dim, 1), range(1, P.dim + 2))
     weighted = weighted_ehrhart_polynomial(P, w)
     window = range(-(P.dim + w.degree), 0)
     entries = tuple(RootEntry(r, weighted(r)) for r in window if plain(r) == 0)
@@ -300,7 +322,8 @@ def reciprocity_check(
     For full-dimensional P and homogeneous w, the sum of w over the
     interior lattice points of nP equals (-1)^(dim + deg w) times the
     counting polynomial at -n. Interior sums come from the strict
-    enumerator, not from the polynomial, so the two sides are
+    enumerator, and the polynomial from closed nodes n = 1..dim+deg+1
+    with both probes, not from interior walks, so the two sides are
     independent.
     """
     _check_full_dim_homogeneous(P, w, "reciprocity_check")
@@ -309,9 +332,7 @@ def reciprocity_check(
     if spot_check:
         _spot_check_nonnegative(P, w)
     sign = (-1) ** (P.dim + w.degree)
-    poly = weighted_ehrhart_polynomial(P, w)
-    entries = []
-    for n in range(1, n_max + 1):
-        interior = Fraction(sum(map(w._scaled, _walk(P, n, True))), w._den)
-        entries.append(ReciprocityEntry(n, interior, sign * poly(-n)))
+    poly = _interpolated(P, w, range(1, P.dim + w.degree + 2))
+    entries = (ReciprocityEntry(n, _sum(P, w, n, True), sign * poly(-n))
+               for n in range(1, n_max + 1))
     return ReciprocityReport(sign, tuple(entries))

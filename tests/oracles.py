@@ -16,16 +16,21 @@ difference transform of values. Lattice points of a dilation come
 from a walk over every ambient coordinate with the hull equations as
 inequality pairs, where the library walks a lattice basis of the hull;
 products of weights are multiplied out term by term in Fractions, where
-the library multiplies integer numerators.
+the library multiplies integer numerators; polynomials are evaluated by
+Horner's rule in Fractions and weights normalised in Fractions, where the
+library works on integer numerators over one denominator. Counting
+polynomials come from closed walks at every node, where the library
+takes half of its nodes from interior walks by reciprocity.
 """
 
 from fractions import Fraction
 from itertools import combinations, product
 from math import gcd, lcm
 
-from ehrwt import RationalGF, UniPoly, cube_series
-from ehrwt.errors import EnumerationLimitError
+from ehrwt import RationalGF, UniPoly, cube_series, lagrange_interpolate, weighted_sum
+from ehrwt.errors import ConsistencyError, EnumerationLimitError
 from ehrwt.geometry import _enumeration_cap
+from ehrwt.weighted import _check_space
 
 
 def eulerian_row(d):
@@ -435,3 +440,54 @@ def random_monomial_exponents(rng, s, max_degree, total=None):
     for _ in range(budget):
         exps[rng.randrange(s)] += 1
     return tuple(exps)
+
+
+def fraction_horner(poly, value):
+    """Value of a UniPoly at a rational point by Horner's rule in Fractions."""
+    x = Fraction(value)
+    acc = Fraction(0)
+    for c in reversed(poly.coeffs):
+        acc = acc * x + c
+    return acc
+
+
+def fraction_weight_parts(pairs):
+    """Terms, common denominator and scaled terms of a weight given as
+    (exponents, coefficient) pairs that may repeat an exponent vector:
+    each coefficient is added to a fresh Fraction(0) and scaled by
+    int(c * den)."""
+    clean = {}
+    for exps, coeff in pairs:
+        c = Fraction(coeff)
+        if c != 0:
+            clean[tuple(exps)] = clean.get(tuple(exps), Fraction(0)) + c
+    terms = {e: c for e, c in sorted(clean.items()) if c != 0}
+    den = lcm(*(c.denominator for c in terms.values()))
+    scaled = tuple(
+        (int(c * den), tuple((i, k) for i, k in enumerate(e) if k)) for e, c in terms.items()
+    )
+    return terms, den, scaled
+
+
+def closed_node_polynomial(P, w):
+    """The polynomial matching n -> weighted_sum(P, w, n) on all n >= 0.
+
+    Interpolated at n = 1..dim+deg+1 and cross-checked at n = 0 and
+    n = dim+deg+2; a mismatch raises ConsistencyError because it can
+    only mean a broken degree bound or a broken enumerator.
+    """
+    _check_space(P, w)
+    if w.is_zero:
+        return UniPoly()
+    bound = P.dim + w.degree
+    samples = [(n, weighted_sum(P, w, n)) for n in range(1, bound + 2)]
+    poly = lagrange_interpolate(samples)
+    for probe in (0, bound + 2):
+        value, enumerated = poly(probe), weighted_sum(P, w, probe)
+        if value != enumerated:
+            raise ConsistencyError(
+                f"interpolated counting polynomial fails at n={probe}; "
+                f"degree bound or enumeration is wrong: vertices {list(P.vertices)}, "
+                f"weight {w!r}, interpolated {value}, enumerated {enumerated}"
+            )
+    return poly

@@ -26,7 +26,13 @@ from ehrwt import (
 from ehrwt.errors import WeightParseError
 from ehrwt.polynomials import MAX_WEIGHT_EXPONENT
 
-from oracles import eulerian_row, series_by_cube_assembly, term_product
+from oracles import (
+    eulerian_row,
+    fraction_horner,
+    fraction_weight_parts,
+    series_by_cube_assembly,
+    term_product,
+)
 
 
 # ---------------------------------------------------------------- UniPoly
@@ -47,6 +53,19 @@ def test_unipoly_evaluation_is_exact():
     p = UniPoly([F(1, 4), 0, F(-2), 1])
     assert p(F(1, 2)) == F(1, 4) - F(1, 2) + F(1, 8)
     assert p(0) == F(1, 4)
+
+
+@settings(max_examples=200)
+@given(
+    st.lists(st.fractions(min_value=-40, max_value=40, max_denominator=12), max_size=10),
+    st.integers(-10**6, 10**6) | st.fractions(min_value=-30, max_value=30, max_denominator=50),
+)
+def test_unipoly_evaluation_matches_fraction_horner(coeffs, x):
+    # integer and rational points of either sign; the empty list is the zero polynomial
+    p = UniPoly(coeffs)
+    value = p(x)
+    assert type(value) is F
+    assert value == fraction_horner(p, x)
 
 
 def test_unipoly_arithmetic():
@@ -419,6 +438,34 @@ def test_weightpoly_product_matches_term_by_term_fractions(pair):
     product = left * right
     assert product.terms == term_product(left, right)
     assert list(product.terms) == sorted(product.terms)
+
+
+class _TermList:
+    """The items of a sum of terms, which may repeat an exponent vector."""
+
+    def __init__(self, pairs):
+        self._pairs = pairs
+
+    def items(self):
+        return iter(self._pairs)
+
+
+@settings(max_examples=150)
+@given(st.integers(1, 3).flatmap(lambda s: st.lists(st.tuples(
+    st.lists(st.integers(0, 2), min_size=s, max_size=s),
+    st.integers(-4, 4) | st.fractions(min_value=-6, max_value=6, max_denominator=9),
+), max_size=8)))
+def test_weightpoly_normalises_like_fractions(pairs):
+    # repeated exponent vectors add up, and the ones that cancel drop out
+    pairs = pairs + [(e, -c) for e, c in pairs[::3]]
+    nvars = len(pairs[0][0]) if pairs else 1
+    w = WeightPoly(nvars, _TermList(pairs))
+    terms, den, scaled = fraction_weight_parts(pairs)
+    assert w.terms == terms
+    assert all(type(c) is F for c in w.terms.values())
+    body = ", ".join(f"{e}: {c}" for e, c in terms.items())
+    assert repr(w) == f"WeightPoly({nvars}, {{{body}}})"
+    assert (w._den, w._scaled_terms) == (den, scaled)
 
 
 def test_weightpoly_space_mismatch():

@@ -7,6 +7,8 @@ import warnings
 from fractions import Fraction as F
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from ehrwt import (
     ConsistencyError,
@@ -34,6 +36,7 @@ from ehrwt.weighted import affine_lift_polytope
 from oracles import (
     box_points,
     box_weighted_sum,
+    closed_node_polynomial,
     random_vertices,
     random_weight_terms,
     term_value,
@@ -186,12 +189,97 @@ def test_validation_probe_detects_bad_interpolants(monkeypatch):
     import ehrwt.weighted as wmod
     monkeypatch.setattr(wmod, "lagrange_interpolate", lambda samples: UniPoly([9, 9]))
     fresh = LatticePolytope([(0,), (7,)])
-    # the n = 0 probe fails first: 9 interpolated against the origin's weight 0
+    # the n = 0 probe fails first: 9 interpolated against the origin's weight 0;
+    # the nodes are E(1) = 28 and, by reciprocity, E(-1) = 21 and E(-2) = 91
     message = (r"^interpolated counting polynomial fails at n=0; degree bound or "
                r"enumeration is wrong: vertices \[\(0,\), \(7,\)\], "
-               r"weight WeightPoly\(1, \{\(1,\): 1\}\), interpolated 9, enumerated 0$")
+               r"weight WeightPoly\(1, \{\(1,\): 1\}\), interpolated 9, enumerated 0; "
+               r"nodes \(n, value\), n < 0 from interior walks: "
+               r"\[\(1, 28\), \(-1, 21\), \(-2, 91\)\]$")
     with pytest.raises(ConsistencyError, match=message):
         weighted_ehrhart_polynomial(fresh, parse_weight("t1", 1))
+
+
+@st.composite
+def images_and_weights(draw):
+    """The image of small points of Z^d under an integer affine map into Z^s
+    (d <= s <= 4, d = 0 included), whose lattice may have index > 1 in the
+    lattice of its hull, and a weight on Z^s of degree <= 3 with rational
+    coefficients: zero, constant, homogeneous or not."""
+    s = draw(st.integers(1, 4))
+    d = draw(st.integers(0, min(s, 3)))
+    entry = st.integers(-2, 2)
+    A = [[draw(entry) for _ in range(d)] for _ in range(s)]
+    c = [draw(entry) for _ in range(s)]
+    source = st.tuples(*[st.integers(-1, 1)] * d)
+    ys = draw(st.lists(source, min_size=d + 1, max_size=d + 2, unique=True))
+    points = [tuple(sum(a * x for a, x in zip(row, y)) + cc for row, cc in zip(A, c)) for y in ys]
+    exponents = st.tuples(*[st.integers(0, 3)] * s).filter(lambda e: sum(e) <= 3)
+    coefficient = st.fractions(min_value=-3, max_value=3, max_denominator=4)
+    terms = draw(st.dictionaries(exponents, coefficient, min_size=1, max_size=3))
+    return points, WeightPoly(s, terms)
+
+
+@settings(max_examples=200)
+@given(images_and_weights())
+@example((  # a plane whose vertex lattice has index 2 in its hull's; odd-degree terms
+    [(0, 0, 0), (1, -2, 0), (1, 0, -2), (-1, 1, 1)], parse_weight("t1 - 2*t2*t3^2 + 1/3", 3)))
+@example(([(0,), (3,)], parse_weight("2", 1)))  # odd dimension
+@example(([(0, 1, 1), (1, 0, 1), (1, 1, 0)], parse_weight("t1^2 - 1/2*t3", 3)))
+@example(([(2, -1)], parse_weight("t1^3 + 1/2", 2)))  # dimension 0
+def test_reciprocity_nodes_match_closed_nodes(case):
+    # half the nodes come from interior walks of w(-x), signed by (-1)^dim
+    points, w = case
+    P = LatticePolytope(points)
+    assert weighted_ehrhart_polynomial(P, w) == closed_node_polynomial(P, w)
+
+
+def test_checks_do_not_read_the_interior_nodes(monkeypatch):
+    # a strict walk that loses a point must show in both routes: the
+    # checks interpolate from closed nodes, the probes are closed walks
+    import ehrwt.weighted as wmod
+
+    walk = wmod._walk
+
+    def lossy(P, n, strict):
+        points = walk(P, n, strict)
+        if strict:
+            next(points, None)
+        return points
+
+    monkeypatch.setattr(wmod, "_walk", lossy)
+    P = LatticePolytope([(0, 0), (3, 0), (0, 3)])
+    w = parse_weight("t1 + t2", 2)
+    assert not reciprocity_check(P, w, spot_check=False).all_equal
+    weighted_ehrhart_polynomial.cache_clear()
+    with pytest.raises(ConsistencyError, match="fails at n="):
+        weighted_ehrhart_polynomial(P, w)
+
+
+def test_criterion_three_walks_stay_small(monkeypatch):
+    # points walked per polynomial: closed nodes 1..6 (1..3 for the plain
+    # count), interior nodes of 1P..7P (1P..3P) and the two closed probes;
+    # closed walks at every node took 65,892 and 2,640
+    import ehrwt.weighted as wmod
+
+    walk = wmod._walk
+    walked = 0
+
+    def counted(P, n, strict):
+        nonlocal walked
+        for point in walk(P, n, strict):
+            walked += 1
+            yield point
+
+    monkeypatch.setattr(wmod, "_walk", counted)
+    squares = Graph(7, [(1, 2), (1, 4), (2, 3), (3, 4), (5, 6), (5, 7), (6, 7)])
+    P = edge_polytope(squares)
+    weighted_ehrhart_polynomial.cache_clear()
+    weighted_ehrhart_polynomial(P, parse_weight("t1*t2*t3*t4*t5*t6*t7", 7))
+    assert walked == 21_617
+    walked = 0
+    ehrhart_polynomial(P)
+    assert walked == 1_366
 
 
 # ---------------------------------------------------------------- series
