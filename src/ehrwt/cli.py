@@ -11,6 +11,7 @@ error, 2 internal consistency failure.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import re
 import sys
@@ -398,7 +399,9 @@ class _Parser(argparse.ArgumentParser):
         raise _UsageError(message)
 
 
+@functools.lru_cache(maxsize=1)
 def _build_parser() -> _Parser:
+    """The CLI parser, built once per process; parse_args leaves it unchanged."""
     parser = _Parser(
         prog="ehrwt",
         description="Exact weighted lattice-point counts of polytope dilations.",

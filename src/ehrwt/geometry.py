@@ -20,11 +20,12 @@ of the affine hull: with v0 a vertex and the columns of B a basis of
 the lattice (aff(P) - v0) & Z^s, found by unimodular column operations
 on the hull equations, nP's lattice points are n*v0 + B y over the
 lattice points y of nQ, Q = {y : v0 + B y in P}. Q is full-dimensional,
-so the hull equations never reach the walk. It fixes Q's coordinates
-one by one with exact interval propagation, in a column order chosen
-once per polytope by pilot counts on 2Q, and hands out each innermost
-fiber as an arithmetic progression of points; its consumers accumulate
-as they go, and no point list is cached.
+so the hull equations never reach the walk. One loop walks Q depth
+first on an explicit stack, at most one level of siblings per
+coordinate, fixing the coordinates one by one with exact interval
+propagation in a column order chosen once per polytope by pilot counts
+on 2Q; each innermost fiber goes out as an arithmetic progression of
+points, its consumers accumulate as they go, and no point list is kept.
 
 Membership is settled by a barycentric feasibility LP, phase 1 of the
 simplex method on an integer tableau, same fraction-free step as the
@@ -432,10 +433,13 @@ def _fibers(frame, n, strict, cap):
     """Stream the lattice points of nQ (of its interior if strict) as fibers.
 
     A fiber is an iterator over the ambient points n*v0 + B y whose y
-    differ only in the innermost coordinate. A cell is one value a
-    coordinate can take after interval propagation; the generator
-    returns the number of cells it visited and raises
-    EnumerationLimitError once that passes cap.
+    differ only in the innermost coordinate. One depth-first loop pops
+    (depth, ambient base, row sums) entries off a stack that holds at
+    most one level of siblings per depth; it yields the innermost fibers
+    and pushes other children from high to low, so they pop in
+    increasing order. A cell is one value a coordinate can take after
+    interval propagation; the generator returns the number of cells it
+    visited and raises EnumerationLimitError once that passes cap.
     """
     v0, cols, rows, lo, hi = frame
     last = len(cols) - 1
@@ -449,9 +453,9 @@ def _fibers(frame, n, strict, cap):
     ]
     steps = [[c[k] for c, _, _ in rows] for k in range(last)]
     visited = 0
-
-    def interval(k, sums):
-        nonlocal visited
+    stack = [(0, [n * v for v in v0], [0] * len(rows))]
+    while stack:
+        k, base, sums = stack.pop()
         low, high = lo[k], hi[k]
         for i, c, rhs in bounds[k]:
             if c > 0:
@@ -462,54 +466,38 @@ def _fibers(frame, n, strict, cap):
                 bound = -((rhs - sums[i]) // -c)
                 if bound > low:
                     low = bound
-        if low <= high:
-            visited += high - low + 1
-            if visited > cap:
-                raise EnumerationLimitError(
-                    f"lattice-point enumeration of the {'interior' if strict else 'closed'} "
-                    f"dilation n={n} counted {visited} candidate cells, over "
-                    f"EHRWT_MAX_POINTS={cap}; raise the cap to allow larger jobs"
-                )
-        return low, high
-
-    def fiber(base, low, high):
-        # the points base + x * (last column) for low <= x <= high
-        return zip(*[
-            range(b + low * e, b + (high + 1) * e, e) if e else repeat(b, high - low + 1)
-            for b, e in zip(base, cols[last])
-        ])
-
-    def descend(k, base, sums):
-        low, high = interval(k, sums)
-        col, step = cols[k], steps[k]
-        for x in range(low, high + 1):
-            below = [b + x * e for b, e in zip(base, col)]
-            sums_below = [p + x * c for p, c in zip(sums, step)]
-            if k + 1 < last:
-                yield from descend(k + 1, below, sums_below)
-            else:
-                low_in, high_in = interval(last, sums_below)
-                if low_in <= high_in:
-                    yield fiber(below, low_in, high_in)
-
-    base, sums = [n * v for v in v0], [0] * len(rows)
-    if last:
-        yield from descend(0, base, sums)
-    else:
-        low, high = interval(0, sums)
-        if low <= high:
-            yield fiber(base, low, high)
+        if low > high:
+            continue
+        visited += high - low + 1
+        if visited > cap:
+            raise EnumerationLimitError(
+                f"lattice-point enumeration of the {'interior' if strict else 'closed'} "
+                f"dilation n={n} counted {visited} candidate cells, over "
+                f"EHRWT_MAX_POINTS={cap}; raise the cap to allow larger jobs"
+            )
+        col = cols[k]
+        if k == last:
+            # the points base + x * col for low <= x <= high
+            yield zip(*[
+                range(b + low * e, b + (high + 1) * e, e) if e else repeat(b, high - low + 1)
+                for b, e in zip(base, col)
+            ])
+        else:
+            for x in range(high, low - 1, -1):
+                stack.append((k + 1, [b + x * e for b, e in zip(base, col)],
+                              [p + x * c for p, c in zip(sums, steps[k])]))
     return visited
 
 
-def _walk_frame(P, cap):
+def _walk_frame(P):
     """Q's frame in a column order chosen greedily from the innermost position out.
 
     Each position keeps the candidate whose order, with the coordinates
     still open outside it in index order, visits the fewest cells when
     walking 2Q. A candidate's pilot stops once it passes the best count
-    so far, PILOT_CELLS or the cap; when every candidate stops, the
-    position keeps the last one, so a large Q is walked in index order.
+    so far or PILOT_CELLS, not the cap, so the cached frame does not
+    depend on the cap; when every candidate stops, the position keeps
+    the last one, so a large Q is walked in index order.
     """
     coords = _lattice_coordinates(P)
     chosen, rest = [], list(range(len(coords[1])))
@@ -517,7 +505,7 @@ def _walk_frame(P, cap):
         best, fewest = rest[-1], None
         for c in rest:
             order = [j for j in rest if j != c] + [c] + chosen
-            limit = min(cap, PILOT_CELLS) if fewest is None else fewest - 1
+            limit = PILOT_CELLS if fewest is None else fewest - 1
             pilot = _fibers(_frame(coords, order), 2, False, limit)
             try:
                 while True:
@@ -548,7 +536,7 @@ def _walk(P: LatticePolytope, n: int, strict: bool):
     if P.dim == 0:
         return iter([tuple(n * c for c in P.vertices[0])])
     if P._frame is None:
-        P._frame = _walk_frame(P, cap)
+        P._frame = _walk_frame(P)
     return chain.from_iterable(_fibers(P._frame, n, strict, cap))
 
 

@@ -446,7 +446,8 @@ def eulerian(d: int, k: int) -> int:
 
     Computed by the alternating binomial sum
     A(d, k) = sum_{j=0..k} (-1)^j C(d+1, j) (k-j)^d for d >= 1, with
-    A(0, 0) = 1 and A(d, k) = 0 for k > d.
+    A(0, 0) = 1 and A(d, k) = 0 for k > d. Any d is taken: the caller
+    chooses d directly, and the CLI caps its row at EULERIAN_ROW_CAP.
     """
     if not isinstance(d, int) or not isinstance(k, int) or d < 0 or k < 0:
         raise ValueError("eulerian arguments must be nonnegative integers")
@@ -461,7 +462,7 @@ def cube_series(d: int) -> RationalGF:
     """Generating function of n -> (n+1)^d, the point count of the d-cube.
 
     Equal to (sum_{k=1..d} A(d, k) x^(k-1)) / (1-x)^(d+1); the d = 0 case
-    is 1/(1-x).
+    is 1/(1-x). Like eulerian(), it takes any d the caller chooses.
     """
     if not isinstance(d, int) or d < 0:
         raise ValueError("cube dimension must be a nonnegative integer")

@@ -20,11 +20,13 @@ the library multiplies integer numerators; polynomials are evaluated by
 Horner's rule in Fractions and weights normalised in Fractions, where the
 library works on integer numerators over one denominator. Counting
 polynomials come from closed walks at every node, where the library
-takes half of its nodes from interior walks by reciprocity.
+takes half of its nodes from interior walks by reciprocity. Fibers of a
+walk frame come from a recursive descent of nested generators, where the
+library runs one loop on an explicit stack.
 """
 
 from fractions import Fraction
-from itertools import combinations, product
+from itertools import combinations, product, repeat
 from math import gcd, lcm
 
 from ehrwt import RationalGF, UniPoly, cube_series, lagrange_interpolate, weighted_sum
@@ -386,6 +388,80 @@ def ambient_walk(P, n, strict):
             yield from descend(k + 1, head + (x,), [p + a[k] * x for (a, _), p in zip(rows, sums)])
 
     yield from descend(0, (), [0] * len(rows))
+
+
+def recursive_fibers(frame, n, strict, cap):
+    """Stream the lattice points of nQ (of its interior if strict) as fibers.
+
+    A fiber is an iterator over the ambient points n*v0 + B y whose y
+    differ only in the innermost coordinate. A cell is one value a
+    coordinate can take after interval propagation; the generator
+    returns the number of cells it visited and raises
+    EnumerationLimitError once that passes cap.
+    """
+    v0, cols, rows, lo, hi = frame
+    last = len(cols) - 1
+    lo, hi = [n * v for v in lo], [n * v for v in hi]
+    # per depth, the rows that bound it with their rhs less the tail past
+    # it; integer rows make "< rhs" the same as "<= rhs - 1"
+    bounds = [
+        [(i, c[k], n * (beta - tail[k + 1]) - strict)
+         for i, (c, beta, tail) in enumerate(rows) if c[k]]
+        for k in range(last + 1)
+    ]
+    steps = [[c[k] for c, _, _ in rows] for k in range(last)]
+    visited = 0
+
+    def interval(k, sums):
+        nonlocal visited
+        low, high = lo[k], hi[k]
+        for i, c, rhs in bounds[k]:
+            if c > 0:
+                bound = (rhs - sums[i]) // c
+                if bound < high:
+                    high = bound
+            else:
+                bound = -((rhs - sums[i]) // -c)
+                if bound > low:
+                    low = bound
+        if low <= high:
+            visited += high - low + 1
+            if visited > cap:
+                raise EnumerationLimitError(
+                    f"lattice-point enumeration of the {'interior' if strict else 'closed'} "
+                    f"dilation n={n} counted {visited} candidate cells, over "
+                    f"EHRWT_MAX_POINTS={cap}; raise the cap to allow larger jobs"
+                )
+        return low, high
+
+    def fiber(base, low, high):
+        # the points base + x * (last column) for low <= x <= high
+        return zip(*[
+            range(b + low * e, b + (high + 1) * e, e) if e else repeat(b, high - low + 1)
+            for b, e in zip(base, cols[last])
+        ])
+
+    def descend(k, base, sums):
+        low, high = interval(k, sums)
+        col, step = cols[k], steps[k]
+        for x in range(low, high + 1):
+            below = [b + x * e for b, e in zip(base, col)]
+            sums_below = [p + x * c for p, c in zip(sums, step)]
+            if k + 1 < last:
+                yield from descend(k + 1, below, sums_below)
+            else:
+                low_in, high_in = interval(last, sums_below)
+                if low_in <= high_in:
+                    yield fiber(below, low_in, high_in)
+
+    base, sums = [n * v for v in v0], [0] * len(rows)
+    if last:
+        yield from descend(0, base, sums)
+    else:
+        low, high = interval(0, sums)
+        if low <= high:
+            yield fiber(base, low, high)
+    return visited
 
 
 def term_product(left, right):

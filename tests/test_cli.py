@@ -1,5 +1,6 @@
 """Command-line front end: input formats, output formats, exit codes."""
 
+import gc
 import json
 import random
 import subprocess
@@ -292,6 +293,33 @@ def test_weighted_with_check_flag(capsys):
     assert "polynomial: 1/4*n^4 + 1/2*n^3 + 1/4*n^2" in text
     assert "all checks passed: yes" in text
     assert text.count("n=") == 2
+
+
+def test_walks_and_runs_leave_no_cyclic_garbage(capsys):
+    # text output only: the stdlib's JSON encoder with indent leaves cycles of its own
+    from ehrwt import interior_lattice_points, lattice_points, parse_weight
+    from ehrwt import weighted_ehrhart_polynomial
+    from ehrwt.cli import _build_parser
+
+    # building the parser leaves argparse's help formatters as garbage, once per process
+    _build_parser()
+    gc.collect()
+    gc.disable()
+    try:
+        P = LatticePolytope([(0, 0, 1), (3, 0, 1), (0, 2, 1), (2, 2, 1)])
+        lattice_points(P, 3)
+        interior_lattice_points(P, 3)
+        weighted_ehrhart_polynomial(P, parse_weight("t1*t2 + 1/2", 3))
+        square = ["--vertices", "0 0; 2 0; 0 2; 2 2", "--weight", "t1"]
+        assert run(["weighted", *square, "--check"]) == 0
+        assert "all checks passed" in capsys.readouterr().out
+        # the reused parser keeps no --check from the call before
+        assert run(["weighted", *square]) == 0
+        text = capsys.readouterr().out
+        assert "polynomial:" in text and "checks" not in text and "n=" not in text
+        assert gc.collect() == 0
+    finally:
+        gc.enable()
 
 
 def test_file_input(tmp_path, capsys):

@@ -44,6 +44,7 @@ from oracles import (
     in_hull,
     in_relative_interior,
     random_vertices,
+    recursive_fibers,
     simplex_maximize,
 )
 
@@ -432,10 +433,58 @@ def test_every_column_order_walks_the_same_points(points):
 def test_pilot_over_its_budget_keeps_the_index_order(monkeypatch):
     P = LatticePolytope(CRITERION3)
     index_order = _frame(_lattice_coordinates(P), range(P.dim))
-    assert _walk_frame(P, 10**8) != index_order
+    assert _walk_frame(P) != index_order
     monkeypatch.setattr(geometry, "PILOT_CELLS", 1)
-    assert _walk_frame(P, 10**8) == index_order
+    assert _walk_frame(P) == index_order
     assert sorted(_walk(P, 3, False)) == sorted(ambient_walk(P, 3, False))
+
+
+def _outcome(walk, frame, n, strict, cap):
+    """The fibers a walk yields, as point lists, and its cell count or cap message."""
+    fibers = []
+    walker = walk(frame, n, strict, cap)
+    try:
+        while True:
+            fibers.append(list(next(walker)))
+    except StopIteration as done:
+        return fibers, done.value
+    except EnumerationLimitError as exc:
+        return fibers, str(exc)
+
+
+@settings(max_examples=100)
+@given(small_affine_images() | permuted_criterion3, st.integers(0, 3), st.booleans())
+@example(INDEX_TWO_PLANE, 3, False)
+@example([(0, 0), (2, 1)], 3, True)
+@example([(7, -2, 4, -1, 5, 3), (2, -8, -1, 0, -2, 0), (7, -2, 6, -3, 3, 5), (4, -5, 0, -1, 1, 0),
+          (3, -2, 5, -1, -1, 3)], 2, False)
+def test_loop_walk_matches_the_recursive_walk(points, n, strict):
+    P = LatticePolytope(points)
+    if P.dim == 0:
+        return
+    index_order = _frame(_lattice_coordinates(P), range(P.dim))
+    for frame in (_walk_frame(P), index_order):
+        # a few drawn images visit over 10^6 cells; those are compared up to
+        # the cap message at 20,000 and at the caps below it
+        expected = _outcome(recursive_fibers, frame, n, strict, 20_000)
+        assert _outcome(_fibers, frame, n, strict, 20_000) == expected
+        count = expected[1] if isinstance(expected[1], int) else 20_000
+        for cap in (1, count // 2, count - 1):
+            assert _outcome(_fibers, frame, n, strict, cap) \
+                == _outcome(recursive_fibers, frame, n, strict, cap)
+
+
+def test_cached_frame_does_not_depend_on_the_first_cap(monkeypatch):
+    low = LatticePolytope(CRITERION3)
+    monkeypatch.setenv("EHRWT_MAX_POINTS", "60")
+    try:
+        lattice_points(low, 3)
+    except EnumerationLimitError:
+        pass
+    monkeypatch.delenv("EHRWT_MAX_POINTS")
+    fresh = LatticePolytope(CRITERION3)
+    lattice_points(fresh, 1)
+    assert low._frame == fresh._frame
 
 
 def test_enumeration_cap_counts_cells_in_the_hull_lattice(monkeypatch):

@@ -259,11 +259,14 @@ def test_checks_do_not_read_the_interior_nodes(monkeypatch):
 def test_criterion_three_walks_stay_small(monkeypatch):
     # points walked per polynomial: closed nodes 1..6 (1..3 for the plain
     # count), interior nodes of 1P..7P (1P..3P) and the two closed probes;
-    # closed walks at every node took 65,892 and 2,640
+    # closed walks at every node took 65,892 and 2,640. The cells the walk
+    # core visits pin its order and the pilot's choice: the first count
+    # includes the completed pilot walks of 2Q
     import ehrwt.weighted as wmod
+    from ehrwt import geometry
 
-    walk = wmod._walk
-    walked = 0
+    walk, fibers = wmod._walk, geometry._fibers
+    walked = cells = 0
 
     def counted(P, n, strict):
         nonlocal walked
@@ -271,15 +274,22 @@ def test_criterion_three_walks_stay_small(monkeypatch):
             walked += 1
             yield point
 
+    def counted_fibers(*args):
+        nonlocal cells
+        c = yield from fibers(*args)
+        cells += c
+        return c
+
     monkeypatch.setattr(wmod, "_walk", counted)
+    monkeypatch.setattr(geometry, "_fibers", counted_fibers)
     squares = Graph(7, [(1, 2), (1, 4), (2, 3), (3, 4), (5, 6), (5, 7), (6, 7)])
     P = edge_polytope(squares)
     weighted_ehrhart_polynomial.cache_clear()
     weighted_ehrhart_polynomial(P, parse_weight("t1*t2*t3*t4*t5*t6*t7", 7))
-    assert walked == 21_617
-    walked = 0
+    assert (walked, cells) == (21_617, 26_762)
+    walked = cells = 0
     ehrhart_polynomial(P)
-    assert walked == 1_366
+    assert (walked, cells) == (1_366, 1_987)
 
 
 # ---------------------------------------------------------------- series
