@@ -21,11 +21,11 @@ the lattice (aff(P) - v0) & Z^s, found by unimodular column operations
 on the hull equations, nP's lattice points are n*v0 + B y over the
 lattice points y of nQ, Q = {y : v0 + B y in P}. Q is full-dimensional,
 so the hull equations never reach the walk. One loop walks Q depth
-first on an explicit stack, at most one level of siblings per
-coordinate, fixing the coordinates one by one with exact interval
-propagation in a column order chosen once per polytope by pilot counts
-on 2Q; each innermost fiber goes out as an arithmetic progression of
-points, its consumers accumulate as they go, and no point list is kept.
+first on an explicit stack of lazy cursors, one per coordinate open,
+fixing the coordinates one by one with exact interval propagation in a
+column order chosen once per polytope by pilot counts on 2Q; each
+innermost fiber goes out as an arithmetic progression of points, its
+consumers accumulate as they go, and no point list is kept.
 
 Membership is settled by a barycentric feasibility LP, phase 1 of the
 simplex method on an integer tableau, same fraction-free step as the
@@ -433,13 +433,12 @@ def _fibers(frame, n, strict, cap):
     """Stream the lattice points of nQ (of its interior if strict) as fibers.
 
     A fiber is an iterator over the ambient points n*v0 + B y whose y
-    differ only in the innermost coordinate. One depth-first loop pops
-    (depth, ambient base, row sums) entries off a stack that holds at
-    most one level of siblings per depth; it yields the innermost fibers
-    and pushes other children from high to low, so they pop in
-    increasing order. A cell is one value a coordinate can take after
-    interval propagation; the generator returns the number of cells it
-    visited and raises EnumerationLimitError once that passes cap.
+    differ only in the innermost coordinate. One depth-first loop keeps
+    one (depth, ambient base, row sums, cursor) entry per depth open, the
+    cursor a lazy range over that coordinate's values, so the stack never
+    outgrows d + 1 entries. A cell is one value a coordinate can take
+    after interval propagation; the generator returns the number of cells
+    it visited and raises EnumerationLimitError once that passes cap.
     """
     v0, cols, rows, lo, hi = frame
     last = len(cols) - 1
@@ -451,11 +450,20 @@ def _fibers(frame, n, strict, cap):
          for i, (c, beta, tail) in enumerate(rows) if c[k]]
         for k in range(last + 1)
     ]
-    steps = [[c[k] for c, _, _ in rows] for k in range(last)]
+    steps = [[c[k] for c, _, _ in rows] for k in range(last + 1)]
     visited = 0
-    stack = [(0, [n * v for v in v0], [0] * len(rows))]
+    # the root is the one child of a seed at depth -1 whose cursor holds only 0,
+    # so the column it reads, cols[-1], never moves it
+    stack = [(-1, [n * v for v in v0], [0] * len(rows), iter((0,)))]
     while stack:
-        k, base, sums = stack.pop()
+        k, base, sums, xs = stack[-1]
+        x = next(xs, None)
+        if x is None:
+            stack.pop()
+            continue
+        base = [b + x * e for b, e in zip(base, cols[k])]
+        sums = [p + x * c for p, c in zip(sums, steps[k])]
+        k += 1
         low, high = lo[k], hi[k]
         for i, c, rhs in bounds[k]:
             if c > 0:
@@ -475,17 +483,14 @@ def _fibers(frame, n, strict, cap):
                 f"dilation n={n} counted {visited} candidate cells, over "
                 f"EHRWT_MAX_POINTS={cap}; raise the cap to allow larger jobs"
             )
-        col = cols[k]
         if k == last:
-            # the points base + x * col for low <= x <= high
+            # the points base + x * cols[last] for low <= x <= high
             yield zip(*[
                 range(b + low * e, b + (high + 1) * e, e) if e else repeat(b, high - low + 1)
-                for b, e in zip(base, col)
+                for b, e in zip(base, cols[k])
             ])
         else:
-            for x in range(high, low - 1, -1):
-                stack.append((k + 1, [b + x * e for b, e in zip(base, col)],
-                              [p + x * c for p, c in zip(sums, steps[k])]))
+            stack.append((k, base, sums, iter(range(low, high + 1))))
     return visited
 
 

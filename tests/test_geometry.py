@@ -3,8 +3,9 @@ dilation lattice points, membership, and edge polytopes of graphs."""
 
 import math
 import random
+import tracemalloc
 from fractions import Fraction
-from itertools import chain, permutations, product
+from itertools import chain, islice, permutations, product
 from unittest.mock import patch
 
 import pytest
@@ -472,6 +473,22 @@ def test_loop_walk_matches_the_recursive_walk(points, n, strict):
         for cap in (1, count // 2, count - 1):
             assert _outcome(_fibers, frame, n, strict, cap) \
                 == _outcome(recursive_fibers, frame, n, strict, cap)
+
+
+def test_walk_memory_does_not_grow_with_a_coordinate_width():
+    # a thin parallelogram whose outer coordinate spans 10^5 + 2 values: the
+    # walk keeps one lazy cursor per depth, never a level's siblings, so its
+    # first thousand fibers cost a few kilobytes (34 MB with the siblings)
+    N = 10**5
+    frame = _walk_frame(LatticePolytope([(0, 0), (1, 0), (N, N), (N + 1, N)]))
+    tracemalloc.start()
+    try:
+        walk = _fibers(frame, 1, False, 10**8)
+        points = sum(1 for fiber in islice(walk, 1000) for _ in fiber)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert points == 1999 and peak < 64 * 1024
 
 
 def test_cached_frame_does_not_depend_on_the_first_cap(monkeypatch):
