@@ -38,6 +38,10 @@ __all__ = ["run", "main", "read_polytope", "write_polytope", "write_output"]
 # and the cost grows faster than cubically with the row
 EULERIAN_ROW_CAP = 512
 
+# largest --max-n that check, weighted --check and hilbert take: each of them
+# walks every dilation up to it; 64 is the widest onset window the benchmark fits
+MAX_N_CAP = 64
+
 
 class _UsageError(Exception):
     pass
@@ -190,6 +194,13 @@ def _load_polytope(args: argparse.Namespace) -> LatticePolytope:
 # ---------------------------------------------------------------- handlers
 
 
+def _max_n(args: argparse.Namespace, default: int) -> int:
+    n = default if args.max_n is None else args.max_n
+    if n > MAX_N_CAP:
+        raise ValueError(f"--max-n {n} is over the dilation cap of {MAX_N_CAP}")
+    return n
+
+
 def _check_reports(P: LatticePolytope, w, n_max: int) -> dict:
     rec = weighted.reciprocity_check(P, w, n_max=n_max)
     # the reciprocity check has already spot-checked w >= 0 on 3P
@@ -234,10 +245,11 @@ def _cmd_ehrhart(args: argparse.Namespace) -> dict:
 def _cmd_weighted(args: argparse.Namespace) -> dict:
     P = _load_polytope(args)
     w = parse_weight(args.weight, P.ambient_dim)
+    n_max = _max_n(args, 4) if args.check else None
     poly = weighted.weighted_ehrhart_polynomial(P, w)
     result = {"polynomial": poly, "series": gf_of_polynomial(poly)}
     if args.check:
-        result.update(_check_reports(P, w, args.max_n if args.max_n is not None else 4))
+        result.update(_check_reports(P, w, n_max))
     return result
 
 
@@ -272,20 +284,19 @@ def _cmd_integral(args: argparse.Namespace) -> dict:
 def _cmd_check(args: argparse.Namespace) -> dict:
     P = _load_polytope(args)
     w = parse_weight(args.weight, P.ambient_dim)
-    return _check_reports(P, w, args.max_n if args.max_n is not None else 4)
+    return _check_reports(P, w, _max_n(args, 4))
 
 
 def _cmd_hilbert(args: argparse.Namespace) -> dict:
     P = _load_polytope(args)
     W = hilbert.LinearWeightTuple(_parse_rows(args.wrows, "weight-tuple"))
-    table_max = args.max_n if args.max_n is not None else 8
+    table_max = _max_n(args, 8)
     if table_max < 0:
         raise ValueError("--max-n must be nonnegative")
-    counts = hilbert._ImageCounts(P, W)
-    values = [[n, counts[n]] for n in range(table_max + 1)]
+    counts = {n: hilbert.hilbert_value(P, W, n) for n in range(table_max + 1)}
+    values = [[n, h] for n, h in counts.items()]
     cap = max(hilbert.DEFAULT_MAX_ONSET, table_max)
-    fit, onset = hilbert._fit(counts, cap, hilbert.FIT_MARGIN)
-    series = hilbert._series_of_fit(counts, fit, onset)
+    _, fit, onset, series = hilbert._fit(P, W, cap, counts)
     return {"values": values, "polynomial": fit, "onset": onset, "series": series}
 
 

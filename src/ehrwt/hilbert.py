@@ -1,19 +1,21 @@
 """Counting distinct linear-weight images of dilation lattice points.
 
 A tuple of linear forms W with nonnegative integer entries sends each
-lattice point of nP to an integer vector. The number of distinct image
-vectors grows like a polynomial for n large enough; this module samples
-that count, fits the polynomial on a stable window, locates the least
-onset from which the fit holds, and takes the generating function
-straight from the sampled counts, which follow the fit from there. The
+lattice point of nP to an integer vector. The number c(n) of distinct
+image vectors is a polynomial of degree at most D, the dimension of the
+image polytope, for n large enough. This module samples that count and
+decides the fit, its least onset and the series by one integer test:
+c(n..n+D+1) lie on one polynomial of degree at most D exactly when
+their (D+1)-th difference sum_j (-1)^(D+1-j) C(D+1, j) c(n+j) vanishes.
+The series is then the difference transform of the sampled counts. The
 image count can lag strictly behind the lattice-point count of the
 image polytope, which is what image_gap_report makes visible.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Iterable, Sequence
+from math import comb
+from typing import Iterable, NamedTuple, Sequence
 
 from .errors import ConsistencyError, UndeterminedFitError
 from .geometry import LatticePolytope, _walk, require_nonnegative_vertices
@@ -104,99 +106,81 @@ def image_polytope(P: LatticePolytope, W: LinearWeightTuple) -> LatticePolytope:
     return LatticePolytope([W.apply(v) for v in P.vertices])
 
 
-class _ImageCounts(dict):
-    """hilbert_value of one (P, W) by dilation, each computed on first use.
-
-    One table serves the CLI's value table, the fit and the series of a
-    call, so no dilation is enumerated twice.
-    """
-
-    def __init__(self, P: LatticePolytope, W: LinearWeightTuple):
-        super().__init__()
-        self.P, self.W = P, W
-
-    def __missing__(self, n: int) -> int:
-        self[n] = count = hilbert_value(self.P, self.W, n)
-        return count
-
-
 def hilbert_polynomial(
-    P: LatticePolytope,
-    W: LinearWeightTuple,
-    max_onset: int = DEFAULT_MAX_ONSET,
-    margin: int = FIT_MARGIN,
+    P: LatticePolytope, W: LinearWeightTuple, max_onset: int = DEFAULT_MAX_ONSET
 ) -> tuple[UniPoly, int]:
     """Eventual polynomial of the image count and the least onset where it holds.
 
-    The fit degree is the dimension of the image polytope. Candidate
-    windows start at n = 1, 2, ... up to max_onset; a window is accepted
-    when the interpolant also matches the next ``margin`` sampled
-    values, and the reported onset then walks back toward 0 while the
-    fit keeps matching. Raises UndeterminedFitError (carrying the
-    samples) when no window stabilizes.
+    The fit degree is at most D, the dimension of the image polytope, so
+    counts c(n..n+D+1) lie on one polynomial exactly when their (D+1)-th
+    difference vanishes. A start s in 1..max_onset is accepted when that
+    difference vanishes at s..s+FIT_MARGIN-1, the onset then walks back
+    toward 0 while it still vanishes one step lower, and the fit is the
+    interpolant of c(onset..onset+D). Raises UndeterminedFitError
+    (carrying the samples) when no start is accepted.
     """
-    return _fit(_ImageCounts(P, W), max_onset, margin)
-
-
-def _fit(counts: _ImageCounts, max_onset: int, margin: int) -> tuple[UniPoly, int]:
-    """hilbert_polynomial on a table that the caller may read from too."""
-    P, W = counts.P, counts.W
-    _check_input(P, W)
-    if not isinstance(max_onset, int) or max_onset < 0:
-        raise ValueError("max_onset must be a nonnegative integer")
-    if not isinstance(margin, int) or margin < 1:
-        raise ValueError("margin must be a positive integer")
-    degree = image_polytope(P, W).dim
-    for start in range(1, max_onset + 1):
-        window = [(n, counts[n]) for n in range(start, start + degree + 1)]
-        fit = lagrange_interpolate(window)
-        probes = range(start + degree + 1, start + degree + 1 + margin)
-        if all(fit(n) == counts[n] for n in probes):
-            onset = start
-            while onset > 0 and fit(onset - 1) == counts[onset - 1]:
-                onset -= 1
-            return fit, onset
-    raise UndeterminedFitError(
-        f"image count did not stabilize on any window with onset <= {max_onset}; "
-        "raise max_onset to keep searching",
-        counts,
-    )
+    return _fit(P, W, max_onset, {})[1:3]
 
 
 def hilbert_series(
-    P: LatticePolytope,
-    W: LinearWeightTuple,
-    max_onset: int = DEFAULT_MAX_ONSET,
-    margin: int = FIT_MARGIN,
+    P: LatticePolytope, W: LinearWeightTuple, max_onset: int = DEFAULT_MAX_ONSET
 ) -> RationalGF:
     """Generating function of the image count, in canonical rational form.
 
-    The difference transform of the counts (see _series_of_fit). The
-    numerator must come out with integer coefficients and a nonzero
-    value at 1; anything else is an internal inconsistency.
+    The counts follow the fit of hilbert_polynomial from its onset on, so
+    the difference transform of c(0..onset+D) over (1-x)^(D+1) is the
+    series. The numerator must come out with integer coefficients and a
+    nonzero value at 1; anything else is an internal inconsistency.
     """
-    counts = _ImageCounts(P, W)
-    fit, onset = _fit(counts, max_onset, margin)
-    return _series_of_fit(counts, fit, onset)
+    return _fit(P, W, max_onset, {})[3]
 
 
-def _series_of_fit(counts: _ImageCounts, fit: UniPoly, onset: int) -> RationalGF:
-    """hilbert_series from a fit and onset that _fit returned on the same table.
+def _fit(
+    P: LatticePolytope, W: LinearWeightTuple, max_onset: int, counts: dict[int, int]
+) -> tuple[dict[int, int], UniPoly, int, RationalGF]:
+    """(counts, fit, onset, series) of hilbert_polynomial and hilbert_series.
 
-    _fit checked counts[n] == fit(n) from the onset through its window, so
-    the difference transform of counts[0 .. onset + deg fit] is the series.
+    ``counts`` maps dilations to image counts; the caller may pass values
+    it already has, and every count read here is added to it.
     """
-    series = _series_of_values([counts[n] for n in range(onset + fit.degree + 1)], fit.degree)
+    _check_input(P, W)
+    if not isinstance(max_onset, int) or max_onset < 0:
+        raise ValueError("max_onset must be a nonnegative integer")
+    degree = image_polytope(P, W).dim
+    signs = [(-1) ** (degree + 1 - j) * comb(degree + 1, j) for j in range(degree + 2)]
+
+    def count(n: int) -> int:
+        if n not in counts:
+            counts[n] = hilbert_value(P, W, n)
+        return counts[n]
+
+    def on_one_polynomial(n: int) -> bool:
+        # the (D+1)-th difference of c(n..n+D+1), read in increasing n
+        return sum(sign * count(n + j) for j, sign in enumerate(signs)) == 0
+
+    for start in range(1, max_onset + 1):
+        if all(on_one_polynomial(s) for s in range(start, start + FIT_MARGIN)):
+            onset = start
+            while onset > 0 and on_one_polynomial(onset - 1):
+                onset -= 1
+            break
+    else:
+        raise UndeterminedFitError(
+            f"image count did not stabilize on any window with onset <= {max_onset}; "
+            "raise max_onset to keep searching",
+            counts,
+        )
+    fit = lagrange_interpolate([(n, counts[n]) for n in range(onset, onset + degree + 1)])
+    series = _series_of_values([count(n) for n in range(onset + degree + 1)], degree)
     numerator = series.numerator
     if any(c.denominator != 1 for c in numerator.coeffs):
         raise ConsistencyError("series numerator has non-integer coefficients")
     if numerator and numerator(1) == 0:
         raise ConsistencyError("series numerator vanishes at 1 after reduction")
-    return series
+    return counts, fit, onset, series
 
 
-@dataclass(frozen=True)
-class ImageGapReport:
+class ImageGapReport(NamedTuple):
     """Distinct images versus lattice points of the dilated image polytope."""
 
     image_count: int

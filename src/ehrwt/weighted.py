@@ -18,10 +18,9 @@ the polynomial at negative integers, interpolate from closed nodes only.
 from __future__ import annotations
 
 import warnings
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
 from .errors import ConsistencyError
 from .geometry import (
@@ -239,8 +238,7 @@ def integral_leading(P: LatticePolytope, w: WeightPoly, spot_check: bool = True)
     return top
 
 
-@dataclass(frozen=True)
-class RootEntry:
+class RootEntry(NamedTuple):
     """Value of the weighted count at one negative root of the plain count."""
 
     root: int
@@ -251,8 +249,7 @@ class RootEntry:
         return self.value == 0
 
 
-@dataclass(frozen=True)
-class VanishingReport:
+class VanishingReport(NamedTuple):
     """Negative integer roots of the plain count, probed on the weighted one."""
 
     plain: UniPoly
@@ -289,8 +286,7 @@ def check_negative_root_vanishing(
     return VanishingReport(plain, weighted, entries)
 
 
-@dataclass(frozen=True)
-class ReciprocityEntry:
+class ReciprocityEntry(NamedTuple):
     """One dilation's interior weighted sum against the signed negative value."""
 
     n: int
@@ -302,8 +298,7 @@ class ReciprocityEntry:
         return self.interior_sum == self.signed_value
 
 
-@dataclass(frozen=True)
-class ReciprocityReport:
+class ReciprocityReport(NamedTuple):
     """Interior sums versus (-1)^(dim + deg w) times the count at -n."""
 
     sign: int

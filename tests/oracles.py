@@ -22,7 +22,10 @@ library works on integer numerators over one denominator. Counting
 polynomials come from closed walks at every node, where the library
 takes half of its nodes from interior walks by reciprocity. Fibers of a
 walk frame come from a recursive descent of nested generators, where the
-library runs one loop on an explicit stack.
+library runs one loop on an explicit stack. Hilbert fits come from a
+rational interpolant of each candidate window, checked at later samples
+and walked back by evaluation, where the library decides the window, the
+onset and the series by one integer difference test.
 """
 
 from fractions import Fraction
@@ -30,8 +33,10 @@ from itertools import combinations, product, repeat
 from math import gcd, lcm
 
 from ehrwt import RationalGF, UniPoly, cube_series, lagrange_interpolate, weighted_sum
-from ehrwt.errors import ConsistencyError, EnumerationLimitError
+from ehrwt.errors import ConsistencyError, EnumerationLimitError, UndeterminedFitError
 from ehrwt.geometry import _enumeration_cap
+from ehrwt.hilbert import FIT_MARGIN, _check_input, hilbert_value, image_polytope
+from ehrwt.polynomials import _series_of_values
 from ehrwt.weighted import _check_space
 
 
@@ -567,3 +572,74 @@ def closed_node_polynomial(P, w):
                 f"weight {w!r}, interpolated {value}, enumerated {enumerated}"
             )
     return poly
+
+
+class _ImageCounts(dict):
+    """hilbert_value of one (P, W) by dilation, each computed on first use.
+
+    One table serves the CLI's value table, the fit and the series of a
+    call, so no dilation is enumerated twice.
+    """
+
+    def __init__(self, P, W):
+        super().__init__()
+        self.P, self.W = P, W
+
+    def __missing__(self, n):
+        self[n] = count = hilbert_value(self.P, self.W, n)
+        return count
+
+
+def _fit(counts, max_onset, margin):
+    """hilbert_polynomial on a table that the caller may read from too."""
+    P, W = counts.P, counts.W
+    _check_input(P, W)
+    if not isinstance(max_onset, int) or max_onset < 0:
+        raise ValueError("max_onset must be a nonnegative integer")
+    if not isinstance(margin, int) or margin < 1:
+        raise ValueError("margin must be a positive integer")
+    degree = image_polytope(P, W).dim
+    for start in range(1, max_onset + 1):
+        window = [(n, counts[n]) for n in range(start, start + degree + 1)]
+        fit = lagrange_interpolate(window)
+        probes = range(start + degree + 1, start + degree + 1 + margin)
+        if all(fit(n) == counts[n] for n in probes):
+            onset = start
+            while onset > 0 and fit(onset - 1) == counts[onset - 1]:
+                onset -= 1
+            return fit, onset
+    raise UndeterminedFitError(
+        f"image count did not stabilize on any window with onset <= {max_onset}; "
+        "raise max_onset to keep searching",
+        counts,
+    )
+
+
+def _series_of_fit(counts, fit, onset):
+    """hilbert_series from a fit and onset that _fit returned on the same table.
+
+    _fit checked counts[n] == fit(n) from the onset through its window, so
+    the difference transform of counts[0 .. onset + deg fit] is the series.
+    """
+    series = _series_of_values([counts[n] for n in range(onset + fit.degree + 1)], fit.degree)
+    numerator = series.numerator
+    if any(c.denominator != 1 for c in numerator.coeffs):
+        raise ConsistencyError("series numerator has non-integer coefficients")
+    if numerator and numerator(1) == 0:
+        raise ConsistencyError("series numerator vanishes at 1 after reduction")
+    return series
+
+
+def window_fit(P, W, max_onset):
+    """(counts, fit, onset, series) of the image count by interpolated windows.
+
+    Each start's window of deg + 1 counts is interpolated over Fractions,
+    accepted when the interpolant matches the next FIT_MARGIN counts, and
+    walked back by evaluating it; the series is the difference transform
+    of the counts up to the onset plus the fit's own degree. ``counts``
+    holds every dilation read, in the order first read; on failure the
+    UndeterminedFitError carries the same table as its samples.
+    """
+    counts = _ImageCounts(P, W)
+    fit, onset = _fit(counts, max_onset, FIT_MARGIN)
+    return counts, fit, onset, _series_of_fit(counts, fit, onset)

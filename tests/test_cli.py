@@ -272,6 +272,20 @@ def test_hilbert_command_rejects_negative_table(capsys):
                 "--max-n", "-1"]) == 1
 
 
+def test_max_n_over_the_cap_is_an_input_error(capsys):
+    triangle = ["--vertices", "0 0; 1 0; 0 1"]
+    for command in (["hilbert", "--wrows", "1 0; 0 1"], ["check", "--weight", "t1"],
+                    ["weighted", "--weight", "t1", "--check"]):
+        assert run(command + triangle + ["--max-n", "65"]) == 1
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err == "error: --max-n 65 is over the dilation cap of 64\n"
+    assert run(["hilbert", "--wrows", "1 0; 0 1", *triangle, "--max-n", "64"]) == 0
+    lines = out_lines(capsys)
+    assert lines[65] == "  H(64) = 2145"
+    assert lines[66] == "fit: 1/2*n^2 + 3/2*n + 1 (n >= 0)"
+
+
 def test_check_command(capsys):
     code = run(["check", "--vertices", "0 0; 1 0; 0 1; 1 1"])
     assert code == 0
@@ -431,6 +445,15 @@ def test_weight_over_the_degree_cap_is_an_input_error():
     assert proc.returncode == 1
     assert proc.stdout == ""
     assert proc.stderr == "error: total degree 80 exceeds the cap 64 (position 5)\n"
+
+
+def test_import_loads_neither_dataclasses_nor_inspect():
+    # both are slow to import, and inspect pulls in ast, dis and tokenize
+    code = ("import ehrwt, ehrwt.cli, sys; "
+            "print(sorted({'dataclasses', 'inspect'} & sys.modules.keys()))")
+    proc = subprocess.run([sys.executable, "-S", "-c", code], capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == "[]\n"
 
 
 def test_module_entry_point():

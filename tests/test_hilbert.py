@@ -4,6 +4,8 @@ series, and the gap between images and the dilated image hull."""
 import random
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from ehrwt import (
     LatticePolytope,
@@ -20,8 +22,9 @@ from ehrwt import (
     lattice_points,
 )
 from ehrwt.errors import UndeterminedFitError
+from ehrwt.hilbert import _fit
 
-from oracles import box_points, random_vertices, series_by_cube_assembly
+from oracles import box_points, random_vertices, series_by_cube_assembly, window_fit
 
 WEDGE = LatticePolytope([(1, 1), (3, 0), (2, 3)])
 FORM = LinearWeightTuple([[1, 2]])
@@ -118,14 +121,46 @@ def test_fit_even_numbers():
 def test_fit_parameter_validation():
     with pytest.raises(ValueError):
         hilbert_polynomial(WEDGE, FORM, max_onset=-1)
-    with pytest.raises(ValueError):
-        hilbert_polynomial(WEDGE, FORM, margin=0)
 
 
 def test_fit_undetermined_carries_samples():
     with pytest.raises(UndeterminedFitError) as info:
         hilbert_polynomial(WEDGE, FORM, max_onset=0)
     assert isinstance(info.value.samples, dict)
+
+
+@st.composite
+def image_count_inputs(draw):
+    """(P, W, max_onset): 1-5 points of [0, 4]^s with s = 1..3, so P is often
+    lower-dimensional, and 1-3 forms with entries 0..3, all zero now and then."""
+    s = draw(st.integers(1, 3))
+    m, p = draw(st.sampled_from([4, 5, 3, 2, 1])), draw(st.sampled_from([1, 2, 3]))
+    points = st.lists(st.tuples(*[st.integers(0, 4)] * s), min_size=m, max_size=m, unique=True)
+    P = LatticePolytope(draw(points))
+    entry = st.just(0) if draw(st.integers(0, 7)) == 7 else st.sampled_from([1, 2, 3, 0])
+    form = st.lists(entry, min_size=s, max_size=s)
+    W = LinearWeightTuple(draw(st.lists(form, min_size=p, max_size=p)))
+    return P, W, draw(st.sampled_from([12, 64, 2, 1, 0]))
+
+
+def _fit_outcome(route, P, W, max_onset):
+    """Dilations read with their counts, in the order read, and the result."""
+    try:
+        counts, fit, onset, series = route(P, W, max_onset)
+    except UndeterminedFitError as exc:
+        return list(exc.samples.items()), None
+    return list(counts.items()), (fit, onset, series)
+
+
+@settings(max_examples=200)
+@given(image_count_inputs())
+@example((WEDGE, FORM, 64))
+@example((WEDGE, FORM, 0))
+@example((UNIT_SQUARE, LinearWeightTuple([[0, 0]]), 12))
+def test_difference_test_fit_matches_interpolated_windows(case):
+    P, W, max_onset = case
+    ours = _fit_outcome(lambda P, W, m: _fit(P, W, m, {}), P, W, max_onset)
+    assert ours == _fit_outcome(window_fit, P, W, max_onset)
 
 
 # ---------------------------------------------------------------- series
