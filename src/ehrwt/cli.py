@@ -13,6 +13,7 @@ from __future__ import annotations
 import argparse
 import functools
 import json
+import os
 import re
 import sys
 import warnings
@@ -194,8 +195,10 @@ def _load_polytope(args: argparse.Namespace) -> LatticePolytope:
 # ---------------------------------------------------------------- handlers
 
 
-def _max_n(args: argparse.Namespace, default: int) -> int:
+def _max_n(args: argparse.Namespace, default: int, low: int) -> int:
     n = default if args.max_n is None else args.max_n
+    if n < low:
+        raise ValueError(f"--max-n must be at least {low}, got {n}")
     if n > MAX_N_CAP:
         raise ValueError(f"--max-n {n} is over the dilation cap of {MAX_N_CAP}")
     return n
@@ -245,7 +248,7 @@ def _cmd_ehrhart(args: argparse.Namespace) -> dict:
 def _cmd_weighted(args: argparse.Namespace) -> dict:
     P = _load_polytope(args)
     w = parse_weight(args.weight, P.ambient_dim)
-    n_max = _max_n(args, 4) if args.check else None
+    n_max = _max_n(args, 4, 1)
     poly = weighted.weighted_ehrhart_polynomial(P, w)
     result = {"polynomial": poly, "series": gf_of_polynomial(poly)}
     if args.check:
@@ -284,15 +287,13 @@ def _cmd_integral(args: argparse.Namespace) -> dict:
 def _cmd_check(args: argparse.Namespace) -> dict:
     P = _load_polytope(args)
     w = parse_weight(args.weight, P.ambient_dim)
-    return _check_reports(P, w, _max_n(args, 4))
+    return _check_reports(P, w, _max_n(args, 4, 1))
 
 
 def _cmd_hilbert(args: argparse.Namespace) -> dict:
     P = _load_polytope(args)
     W = hilbert.LinearWeightTuple(_parse_rows(args.wrows, "weight-tuple"))
-    table_max = _max_n(args, 8)
-    if table_max < 0:
-        raise ValueError("--max-n must be nonnegative")
+    table_max = _max_n(args, 8, 0)
     counts = {n: hilbert.hilbert_value(P, W, n) for n in range(table_max + 1)}
     values = [[n, h] for n, h in counts.items()]
     cap = max(hilbert.DEFAULT_MAX_ONSET, table_max)
@@ -302,7 +303,7 @@ def _cmd_hilbert(args: argparse.Namespace) -> dict:
 
 def _cmd_eulerian(args: argparse.Namespace) -> dict:
     d = args.n
-    if d is None or d < 0:
+    if d < 0:
         raise ValueError("--n must give a nonnegative row index")
     if d > EULERIAN_ROW_CAP:
         raise ValueError(f"--n {d} is over the Eulerian row cap of {EULERIAN_ROW_CAP}")
@@ -324,21 +325,27 @@ _HANDLERS = {
 # ---------------------------------------------------------------- output
 
 
-def _jsonable(value):
+def _json(value, indent: str = "") -> str:
+    """The text of json.dumps(value, indent=2), rationals as p/q strings.
+
+    Only keys and scalars pass through json.dumps: its C encoder leaves no
+    reference cycles, where the pure-Python one that indent selects does."""
     if isinstance(value, UniPoly):
-        return {"coeffs": [str(c) for c in value.coeffs]}
-    if isinstance(value, RationalGF):
-        return {
-            "numerator_coeffs": [str(c) for c in value.numerator.coeffs],
-            "denom_power": value.denom_power,
-        }
-    if isinstance(value, Fraction):
-        return str(value)
+        value = {"coeffs": value.coeffs}
+    elif isinstance(value, RationalGF):
+        value = {"numerator_coeffs": value.numerator.coeffs, "denom_power": value.denom_power}
+    inner = indent + "  "
     if isinstance(value, dict):
-        return {k: _jsonable(v) for k, v in value.items()}
-    if isinstance(value, (list, tuple)):
-        return [_jsonable(v) for v in value]
-    return value
+        items = [f"{json.dumps(k)}: {_json(v, inner)}" for k, v in value.items()]
+    elif isinstance(value, (list, tuple)):
+        items = [_json(v, inner) for v in value]
+    else:
+        return json.dumps(str(value) if isinstance(value, Fraction) else value)
+    brackets = "{}" if isinstance(value, dict) else "[]"
+    if not items:
+        return brackets
+    body = ",\n".join(inner + item for item in items)
+    return f"{brackets[0]}\n{body}\n{indent}{brackets[1]}"
 
 
 def _yes(flag: bool) -> str:
@@ -396,7 +403,7 @@ def _text_lines(result: dict) -> list[str]:
 def write_output(result: dict, fmt: str) -> str:
     """Serialize a handler result as text or JSON (rationals as p/q strings)."""
     if fmt == "json":
-        return json.dumps(_jsonable(result), indent=2)
+        return _json(result)
     if fmt != "text":
         raise ValueError(f"unknown output format {fmt!r}")
     return "\n".join(_text_lines(result))
@@ -495,7 +502,15 @@ def run(argv=None) -> int:
 
 
 def main() -> None:
-    sys.exit(run(sys.argv[1:]))
+    try:
+        code = run(sys.argv[1:])
+        sys.stdout.flush()
+    except BrokenPipeError:
+        # the reader closed the pipe early; as the Python docs' SIGPIPE note
+        # advises, point stdout at devnull so the flush at exit is quiet too
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        code = 1
+    sys.exit(code)
 
 
 if __name__ == "__main__":

@@ -520,30 +520,19 @@ def expand(series: RationalGF, count: int) -> list[Fraction]:
     return series.expand(count)
 
 
-_TOKEN_RE = re.compile(r"t\d+|\d+|[-+*/^()]")
+# whitespace, then one token; the last alternative catches any other character
+_TOKEN_RE = re.compile(r"\s*(?:(?P<var>t\d+)|(?P<num>\d+)|(?P<op>[-+*/^()])|(?P<bad>\S))")
 
 
 def _tokenize(text: str):
     tokens = []
-    pos = 0
-    length = len(text)
-    while pos < length:
-        ch = text[pos]
-        if ch.isspace():
-            pos += 1
-            continue
-        m = _TOKEN_RE.match(text, pos)
-        if m is None:
-            raise WeightParseError(f"unexpected character {ch!r}", pos)
-        tok = m.group()
-        if tok[0] == "t":
-            tokens.append(("var", tok, pos))
-        elif tok[0].isdigit():
-            tokens.append(("num", tok, pos))
-        else:
-            tokens.append(("op", tok, pos))
-        pos = m.end()
-    tokens.append(("end", "", length))
+    for m in _TOKEN_RE.finditer(text):
+        kind = m.lastgroup
+        pos = m.start(kind)
+        if kind == "bad":
+            raise WeightParseError(f"unexpected character {m[kind]!r}", pos)
+        tokens.append((kind, m[kind], pos))
+    tokens.append(("end", "", len(text)))
     return tokens
 
 
@@ -557,7 +546,7 @@ class _WeightParser:
 
     Grammar (a strict superset of the documented surface syntax):
 
-        expr   := ['+'|'-'] term (('+'|'-') term)*
+        expr   := '+'? term (('+'|'-') term)*
         term   := factor ('*' factor)*
         factor := '-'* atom ('^' uint)?
         atom   := uint ('/' uint)? | 'txx' | '(' expr ')'
@@ -578,6 +567,14 @@ class _WeightParser:
         self._index += 1
         return tok
 
+    def _accept(self, ops: str):
+        """Take the next token if it is one of the operators in ops."""
+        kind, text, pos = self._tokens[self._index]
+        if kind == "op" and text in ops:
+            self._index += 1
+            return text, pos
+        return None
+
     def parse(self) -> WeightPoly:
         try:
             value = self._expr()
@@ -590,55 +587,34 @@ class _WeightParser:
         return value
 
     def _expr(self) -> WeightPoly:
-        sign = 1
-        kind, text, _ = self._peek()
-        if kind == "op" and text in "+-":
-            self._take()
-            if text == "-":
-                sign = -1
-        value = self._term() if sign == 1 else -self._term()
-        while True:
-            kind, text, _ = self._peek()
-            if kind == "op" and text in "+-":
-                self._take()
-                rhs = self._term()
-                value = value + rhs if text == "+" else value - rhs
-            else:
-                return value
+        self._accept("+")
+        value = self._term()
+        while op := self._accept("+-"):
+            rhs = self._term()
+            value = value + rhs if op[0] == "+" else value - rhs
+        return value
 
     def _term(self) -> WeightPoly:
         value = self._factor()
-        while True:
-            kind, text, pos = self._peek()
-            if kind == "op" and text == "*":
-                self._take()
-                rhs = self._factor()
-                # checked before multiplying, so an over-cap product is never built
-                _check_cap("total degree", value.degree + rhs.degree, pos)
-                value = value * rhs
-            else:
-                return value
+        while op := self._accept("*"):
+            rhs = self._factor()
+            # checked before multiplying, so an over-cap product is never built
+            _check_cap("total degree", value.degree + rhs.degree, op[1])
+            value = value * rhs
+        return value
 
     def _factor(self) -> WeightPoly:
         sign = 1
-        while True:
-            kind, text, _ = self._peek()
-            if kind == "op" and text == "-":
-                self._take()
-                sign = -sign
-            else:
-                break
+        while self._accept("-"):
+            sign = -sign
         value = self._atom()
-        kind, text, op_pos = self._peek()
-        if kind == "op" and text == "^":
-            self._take()
-            kind, text, pos = self._peek()
+        if op := self._accept("^"):
+            kind, text, pos = self._take()
             if kind != "num":
                 raise WeightParseError("exponent must be a nonnegative integer", pos)
-            self._take()
             exponent = int(text)
             _check_cap("exponent", exponent, pos)
-            _check_cap("total degree", max(value.degree, 0) * exponent, op_pos)
+            _check_cap("total degree", max(value.degree, 0) * exponent, op[1])
             value = value**exponent
         return value if sign == 1 else -value
 
@@ -646,17 +622,14 @@ class _WeightParser:
         kind, text, pos = self._take()
         if kind == "num":
             numerator = int(text)
-            nk, nt, npos = self._peek()
-            if nk == "op" and nt == "/":
-                self._take()
-                dk, dt, dpos = self._peek()
-                if dk != "num":
-                    raise WeightParseError("expected an integer denominator", dpos)
-                self._take()
-                if int(dt) == 0:
-                    raise WeightParseError("division by zero", dpos)
-                return WeightPoly.constant(self._nvars, Fraction(numerator, int(dt)))
-            return WeightPoly.constant(self._nvars, numerator)
+            if not self._accept("/"):
+                return WeightPoly.constant(self._nvars, numerator)
+            dk, dt, dpos = self._take()
+            if dk != "num":
+                raise WeightParseError("expected an integer denominator", dpos)
+            if int(dt) == 0:
+                raise WeightParseError("division by zero", dpos)
+            return WeightPoly.constant(self._nvars, Fraction(numerator, int(dt)))
         if kind == "var":
             index = int(text[1:])
             if not 1 <= index <= self._nvars:
@@ -666,10 +639,8 @@ class _WeightParser:
             return WeightPoly.variable(index, self._nvars)
         if kind == "op" and text == "(":
             value = self._expr()
-            kind, text, pos = self._peek()
-            if not (kind == "op" and text == ")"):
-                raise WeightParseError("expected ')'", pos)
-            self._take()
+            if not self._accept(")"):
+                raise WeightParseError("expected ')'", self._peek()[2])
             return value
         raise WeightParseError(
             "expected a number, a variable, or a parenthesized expression", pos

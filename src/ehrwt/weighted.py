@@ -11,8 +11,10 @@ n = 1..floor(N/2), and at n = -1..-ceil(N/2) the reciprocity value
 Beck-Robins, ch. 4). Closed walks at the reserved points n = 0 and
 n = dim+deg+2 validate it, so a silent enumeration or degree-bound failure
 cannot slip through. Lifts give a second, independent route for weights of
-degree at most one. The reciprocity and root-vanishing checks, which read
-the polynomial at negative integers, interpolate from closed nodes only.
+degree at most one. The checks read the polynomial at negative integers.
+The reciprocity check interpolates from closed nodes only; the
+root-vanishing check does so for the plain count, while its weighted count
+is the reciprocity-node polynomial, validated by its closed probes.
 """
 
 from __future__ import annotations
@@ -274,7 +276,9 @@ def check_negative_root_vanishing(
     integer roots of the plain counting polynomial. Under the standing
     hypotheses (full-dimensional P, homogeneous w >= 0 on P) every entry
     should vanish; the report records the exact values. The plain count
-    comes from closed nodes only, never from interior walks.
+    comes from closed nodes only, never from interior walks; the weighted
+    count is weighted_ehrhart_polynomial, whose interior nodes its closed
+    probes at n = 0 and n = dim+deg+2 validate.
     """
     _check_full_dim_homogeneous(P, w, "check_negative_root_vanishing")
     if spot_check:

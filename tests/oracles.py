@@ -25,18 +25,29 @@ walk frame come from a recursive descent of nested generators, where the
 library runs one loop on an explicit stack. Hilbert fits come from a
 rational interpolant of each candidate window, checked at later samples
 and walked back by evaluation, where the library decides the window, the
-onset and the series by one integer difference test.
+onset and the series by one integer difference test. Weights are parsed
+by a scanner that tests each character and a grammar that takes a
+leading minus in two rules, where the library tokenizes with one regex
+and takes every prefix minus in one rule. JSON output is converted to
+plain data and indented by json.dumps, where the library writes the
+indented text itself.
 """
 
+import re
 from fractions import Fraction
 from itertools import combinations, product, repeat
 from math import gcd, lcm
 
 from ehrwt import RationalGF, UniPoly, cube_series, lagrange_interpolate, weighted_sum
-from ehrwt.errors import ConsistencyError, EnumerationLimitError, UndeterminedFitError
+from ehrwt.errors import (
+    ConsistencyError,
+    EnumerationLimitError,
+    UndeterminedFitError,
+    WeightParseError,
+)
 from ehrwt.geometry import _enumeration_cap
 from ehrwt.hilbert import FIT_MARGIN, _check_input, hilbert_value, image_polytope
-from ehrwt.polynomials import _series_of_values
+from ehrwt.polynomials import WeightPoly, _check_cap, _series_of_values
 from ehrwt.weighted import _check_space
 
 
@@ -643,3 +654,185 @@ def window_fit(P, W, max_onset):
     counts = _ImageCounts(P, W)
     fit, onset = _fit(counts, max_onset, FIT_MARGIN)
     return counts, fit, onset, _series_of_fit(counts, fit, onset)
+
+
+_TOKEN_RE = re.compile(r"t\d+|\d+|[-+*/^()]")
+
+
+def _tokenize(text: str):
+    tokens = []
+    pos = 0
+    length = len(text)
+    while pos < length:
+        ch = text[pos]
+        if ch.isspace():
+            pos += 1
+            continue
+        m = _TOKEN_RE.match(text, pos)
+        if m is None:
+            raise WeightParseError(f"unexpected character {ch!r}", pos)
+        tok = m.group()
+        if tok[0] == "t":
+            tokens.append(("var", tok, pos))
+        elif tok[0].isdigit():
+            tokens.append(("num", tok, pos))
+        else:
+            tokens.append(("op", tok, pos))
+        pos = m.end()
+    tokens.append(("end", "", length))
+    return tokens
+
+
+class _WeightParser:
+    """Recursive-descent parser for weight expressions over t1..ts.
+
+    Grammar (a strict superset of the documented surface syntax):
+
+        expr   := ['+'|'-'] term (('+'|'-') term)*
+        term   := factor ('*' factor)*
+        factor := '-'* atom ('^' uint)?
+        atom   := uint ('/' uint)? | 'txx' | '(' expr ')'
+
+    The exponent binds tighter than a prefix sign, so -2^2 is -4.
+    """
+
+    def __init__(self, text: str, nvars: int):
+        self._tokens = _tokenize(text)
+        self._index = 0
+        self._nvars = nvars
+
+    def _peek(self):
+        return self._tokens[self._index]
+
+    def _take(self):
+        tok = self._tokens[self._index]
+        self._index += 1
+        return tok
+
+    def parse(self) -> WeightPoly:
+        try:
+            value = self._expr()
+        except RecursionError:
+            # each '(' costs a few stack frames; name the token where they ran out
+            raise WeightParseError("expression nests too deeply", self._peek()[2]) from None
+        kind, text, pos = self._peek()
+        if kind != "end":
+            raise WeightParseError(f"unexpected trailing input {text!r}", pos)
+        return value
+
+    def _expr(self) -> WeightPoly:
+        sign = 1
+        kind, text, _ = self._peek()
+        if kind == "op" and text in "+-":
+            self._take()
+            if text == "-":
+                sign = -1
+        value = self._term() if sign == 1 else -self._term()
+        while True:
+            kind, text, _ = self._peek()
+            if kind == "op" and text in "+-":
+                self._take()
+                rhs = self._term()
+                value = value + rhs if text == "+" else value - rhs
+            else:
+                return value
+
+    def _term(self) -> WeightPoly:
+        value = self._factor()
+        while True:
+            kind, text, pos = self._peek()
+            if kind == "op" and text == "*":
+                self._take()
+                rhs = self._factor()
+                # checked before multiplying, so an over-cap product is never built
+                _check_cap("total degree", value.degree + rhs.degree, pos)
+                value = value * rhs
+            else:
+                return value
+
+    def _factor(self) -> WeightPoly:
+        sign = 1
+        while True:
+            kind, text, _ = self._peek()
+            if kind == "op" and text == "-":
+                self._take()
+                sign = -sign
+            else:
+                break
+        value = self._atom()
+        kind, text, op_pos = self._peek()
+        if kind == "op" and text == "^":
+            self._take()
+            kind, text, pos = self._peek()
+            if kind != "num":
+                raise WeightParseError("exponent must be a nonnegative integer", pos)
+            self._take()
+            exponent = int(text)
+            _check_cap("exponent", exponent, pos)
+            _check_cap("total degree", max(value.degree, 0) * exponent, op_pos)
+            value = value**exponent
+        return value if sign == 1 else -value
+
+    def _atom(self) -> WeightPoly:
+        kind, text, pos = self._take()
+        if kind == "num":
+            numerator = int(text)
+            nk, nt, npos = self._peek()
+            if nk == "op" and nt == "/":
+                self._take()
+                dk, dt, dpos = self._peek()
+                if dk != "num":
+                    raise WeightParseError("expected an integer denominator", dpos)
+                self._take()
+                if int(dt) == 0:
+                    raise WeightParseError("division by zero", dpos)
+                return WeightPoly.constant(self._nvars, Fraction(numerator, int(dt)))
+            return WeightPoly.constant(self._nvars, numerator)
+        if kind == "var":
+            index = int(text[1:])
+            if not 1 <= index <= self._nvars:
+                raise WeightParseError(
+                    f"variable {text} out of range (expected t1..t{self._nvars})", pos
+                )
+            return WeightPoly.variable(index, self._nvars)
+        if kind == "op" and text == "(":
+            value = self._expr()
+            kind, text, pos = self._peek()
+            if not (kind == "op" and text == ")"):
+                raise WeightParseError("expected ')'", pos)
+            self._take()
+            return value
+        raise WeightParseError(
+            "expected a number, a variable, or a parenthesized expression", pos
+        )
+
+
+def oracle_parse_weight(text: str, nvars: int) -> WeightPoly:
+    """Parse a weight expression over variables t1..t(nvars).
+
+    The syntax covers sums, differences, products, integer/rational
+    constants like 2/5, and exponents, e.g. "t1^2*t2^2 - 1/3*(t1+1)".
+    Raises :class:`WeightParseError` with the offending position.
+    """
+    if not isinstance(nvars, int) or nvars < 1:
+        raise ValueError("nvars must be a positive integer")
+    # normalize the unicode minus so pasted formulas survive
+    return _WeightParser(text.replace("−", "-"), nvars).parse()
+
+
+def jsonable(value):
+    """Plain JSON data of a CLI handler result, for json.dumps to indent."""
+    if isinstance(value, UniPoly):
+        return {"coeffs": [str(c) for c in value.coeffs]}
+    if isinstance(value, RationalGF):
+        return {
+            "numerator_coeffs": [str(c) for c in value.numerator.coeffs],
+            "denom_power": value.denom_power,
+        }
+    if isinstance(value, Fraction):
+        return str(value)
+    if isinstance(value, dict):
+        return {k: jsonable(v) for k, v in value.items()}
+    if isinstance(value, (list, tuple)):
+        return [jsonable(v) for v in value]
+    return value

@@ -9,6 +9,8 @@ from collections import Counter
 from fractions import Fraction as F
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import ehrwt.hilbert
 from ehrwt import ConsistencyError, LatticePolytope, RationalGF, UniPoly
@@ -16,7 +18,7 @@ from ehrwt.cli import read_polytope, run, write_output, write_polytope
 from ehrwt.errors import PolytopeFormatError
 from ehrwt.polynomials import format_polynomial, format_series
 
-from oracles import random_vertices
+from oracles import jsonable, random_vertices
 
 
 # ---------------------------------------------------------------- readers
@@ -286,6 +288,20 @@ def test_max_n_over_the_cap_is_an_input_error(capsys):
     assert lines[66] == "fit: 1/2*n^2 + 3/2*n + 1 (n >= 0)"
 
 
+def test_max_n_below_its_floor_is_an_input_error(capsys):
+    # the checks probe n = 1..--max-n, the hilbert table starts at n = 0
+    triangle = ["--vertices", "0 0; 1 0; 0 1"]
+    cases = [(["check", "--weight", "t1"], "0", 1),
+             (["weighted", "--weight", "t1", "--check"], "-5", 1),
+             (["weighted", "--weight", "t1"], "-5", 1),
+             (["hilbert", "--wrows", "1 0; 0 1"], "-1", 0)]
+    for command, value, low in cases:
+        assert run(command + triangle + ["--max-n", value]) == 1
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err == f"error: --max-n must be at least {low}, got {value}\n"
+
+
 def test_check_command(capsys):
     code = run(["check", "--vertices", "0 0; 1 0; 0 1; 1 1"])
     assert code == 0
@@ -310,7 +326,6 @@ def test_weighted_with_check_flag(capsys):
 
 
 def test_walks_and_runs_leave_no_cyclic_garbage(capsys):
-    # text output only: the stdlib's JSON encoder with indent leaves cycles of its own
     from ehrwt import interior_lattice_points, lattice_points, parse_weight
     from ehrwt import weighted_ehrhart_polynomial
     from ehrwt.cli import _build_parser
@@ -331,6 +346,8 @@ def test_walks_and_runs_leave_no_cyclic_garbage(capsys):
         assert run(["weighted", *square]) == 0
         text = capsys.readouterr().out
         assert "polynomial:" in text and "checks" not in text and "n=" not in text
+        assert run(["weighted", *square, "--check", "--format", "json"]) == 0
+        assert json.loads(capsys.readouterr().out)["ok"] is True
         assert gc.collect() == 0
     finally:
         gc.enable()
@@ -414,6 +431,19 @@ def cli_subprocess(*argv):
     )
 
 
+def test_closed_pipe_exits_quietly():
+    # the output outgrows the pipe's buffer, so the write after the reader closes fails
+    argv = ["points", "--vertices", "0 0; 1 0; 0 1; 1 1", "--n", "300"]
+    with subprocess.Popen([sys.executable, "-m", "ehrwt.cli", *argv], text=True,
+                          stdout=subprocess.PIPE, stderr=subprocess.PIPE) as proc:
+        first = proc.stdout.readline()
+        proc.stdout.close()
+        err = proc.stderr.read()
+    assert first == "0 0\n"
+    assert proc.returncode == 1
+    assert err == ""
+
+
 def test_checks_warn_about_a_negative_weight_once():
     # reciprocity and vanishing share one spot check of w >= 0 on 3P
     for command in (["check"], ["weighted", "--check"]):
@@ -467,6 +497,27 @@ def test_module_entry_point():
 def test_write_output_rejects_unknown_format():
     with pytest.raises(ValueError):
         write_output({"polynomial": UniPoly([1])}, "xml")
+
+
+# keys and strings with characters that JSON escapes: a quote, a backslash,
+# a newline and a non-ASCII letter
+_json_text = st.text(alphabet='ab"\\\n\u00e9', max_size=4)
+_json_values = st.recursive(
+    st.none() | st.booleans() | st.integers() | _json_text
+    | st.fractions(max_denominator=9)
+    | st.lists(st.fractions(max_denominator=9), max_size=3).map(UniPoly)
+    | st.builds(RationalGF, st.lists(st.integers(-3, 3), max_size=3).map(UniPoly),
+                st.integers(0, 3)),
+    lambda inner: st.lists(inner, max_size=3) | st.lists(inner, max_size=3).map(tuple)
+    | st.dictionaries(_json_text, inner, max_size=3),
+    max_leaves=12,
+)
+
+
+@settings(max_examples=200)
+@given(st.dictionaries(_json_text, _json_values, max_size=4))
+def test_json_output_is_the_stdlib_indented_text(result):
+    assert write_output(result, "json") == json.dumps(jsonable(result), indent=2)
 
 
 def test_write_output_zero_polynomial():

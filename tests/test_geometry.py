@@ -9,7 +9,7 @@ from itertools import chain, islice, permutations, product
 from unittest.mock import patch
 
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from ehrwt import (
@@ -640,6 +640,46 @@ def test_contains_agrees_with_enumeration_random():
         for _ in range(20):
             cand = tuple(rng.randint(lo, hi) for lo, hi in zip(lows, highs))
             assert contains(P, cand, n=n) == (cand in inside)
+
+
+@st.composite
+def thin_index_images(draw):
+    """Images of the origin, the unit vectors and at most one more small
+    point of Z^d under an integer affine map into Z^s, d < s <= 4, whose
+    first column is scaled by 2 or 3: the image has dimension d and its
+    lattice has index > 1 in the lattice of its hull. The bounding box of
+    2P holds at most 64 points."""
+    s = draw(st.integers(2, 4))
+    d = draw(st.integers(1, s - 1))
+    k = draw(st.integers(2, 3))
+    entry = st.sampled_from([0, 0, 1, -1])
+    A = [[k * draw(entry)] + [draw(entry) for _ in range(d - 1)] for _ in range(s)]
+    c = [draw(entry) for _ in range(s)]
+    ys = [(0,) * d] + [tuple(int(i == j) for i in range(d)) for j in range(d)]
+    ys += draw(st.lists(st.tuples(*[st.integers(-1, 1)] * d), max_size=1))
+    points = [tuple(sum(a * x for a, x in zip(row, y)) + cc for row, cc in zip(A, c)) for y in ys]
+    assume(affine_rank(points) == d)
+    box = math.prod(2 * (max(col) - min(col)) + 1 for col in zip(*points))
+    assume(box <= 64)
+    return points
+
+
+@settings(max_examples=150)
+@given(thin_index_images())
+@example([(0, 0), (2, 2)])
+@example([(0, 0, 0), (2, 0, 0), (0, 1, 1)])
+def test_membership_routes_agree_on_every_box_point(points):
+    # contains runs phase 1 of the simplex method, the facet rows are the hull
+    # route, and box_points asks the LP oracle, on every point of the box
+    P = LatticePolytope(points)
+    equations, inequalities = facets(P)
+    for n in (1, 2):
+        inside = set(box_points(points, n))
+        box = [range(n * min(col), n * max(col) + 1) for col in zip(*points)]
+        for q in product(*box):
+            by_rows = all(sum(a * x for a, x in zip(row, q)) == n * b for row, b in equations) \
+                and all(sum(a * x for a, x in zip(row, q)) <= n * b for row, b in inequalities)
+            assert contains(P, q, n) == by_rows == (q in inside)
 
 
 # ---------------------------------------------------------------- graphs

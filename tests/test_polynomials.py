@@ -6,7 +6,7 @@ import random
 from fractions import Fraction as F
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from ehrwt import (
@@ -30,6 +30,7 @@ from oracles import (
     eulerian_row,
     fraction_horner,
     fraction_weight_parts,
+    oracle_parse_weight,
     series_by_cube_assembly,
     term_product,
 )
@@ -379,6 +380,48 @@ def test_parse_weight_caps_total_degree():
 def test_parse_weight_rejects_bad_nvars():
     with pytest.raises(ValueError):
         parse_weight("t1", 0)
+
+
+# token pieces, bad characters included: a letter, '$', a Unicode digit,
+# a superscript (a digit to str.isdigit, not to the regex), a no-break space
+_weight_pieces = st.lists(st.sampled_from(
+    ["t", "t1", "t2", "t3", "t4", "t5", "t0", "0", "1", "2", "10", "64", "65", "+", "-", "*",
+     "/", "^", "(", ")", " ", "\t", "\u2212", "$", "x", "\u0663", "\u00b2", "\u00a0"]),
+    max_size=20).map("".join)
+_gap = st.sampled_from(["", "", " ", "\t"])
+# expressions of the grammar over t1..t5, with tabs and spaces between tokens
+_weight_expressions = st.recursive(
+    st.one_of(
+        st.integers(0, 12).map(str),
+        st.tuples(st.integers(0, 12), st.integers(1, 5)).map(lambda f: f"{f[0]}/{f[1]}"),
+        st.integers(1, 5).map(lambda i: f"t{i}"),
+    ),
+    lambda inner: st.one_of(
+        st.tuples(inner, _gap, st.sampled_from("+-*"), _gap, inner).map("".join),
+        st.tuples(st.sampled_from(["-", "--", "+", "\u2212"]), _gap, inner).map("".join),
+        st.tuples(_gap, inner, _gap).map(lambda t: "(" + "".join(t) + ")"),
+        st.tuples(inner, st.integers(0, 3)).map(lambda t: f"{t[0]}^{t[1]}"),
+    ),
+    max_leaves=8,
+)
+
+
+def _parse_outcome(parse, text, nvars):
+    try:
+        return parse(text, nvars)
+    except WeightParseError as exc:
+        return type(exc), str(exc), exc.position
+
+
+@settings(max_examples=1000)
+@given(_weight_pieces | _weight_expressions, st.integers(1, 4))
+@example("t1*-t2", 2)
+@example(" -t1^2 $", 1)
+@example("\tt9", 3)
+def test_parse_weight_matches_the_former_parser(text, nvars):
+    # the former scanner and its two leading-minus rules are the oracle
+    assert _parse_outcome(parse_weight, text, nvars) \
+        == _parse_outcome(oracle_parse_weight, text, nvars)
 
 
 # ---------------------------------------------------------------- WeightPoly

@@ -234,6 +234,40 @@ def test_reciprocity_nodes_match_closed_nodes(case):
     assert weighted_ehrhart_polynomial(P, w) == closed_node_polynomial(P, w)
 
 
+@st.composite
+def images_and_high_degree_weights(draw):
+    """As images_and_weights, with d <= 2 and a weight of total degree 4..8:
+    its top term has that degree and the others any degree up to it, so
+    terms of both parities meet the reflection signs (-1)^|e|."""
+    s = draw(st.integers(1, 3))
+    d = draw(st.integers(0, min(s, 2)))
+    entry = st.integers(-2, 2)
+    A = [[draw(entry) for _ in range(d)] for _ in range(s)]
+    c = [draw(entry) for _ in range(s)]
+    source = st.tuples(*[st.integers(-1, 1)] * d)
+    ys = draw(st.lists(source, min_size=d + 1, max_size=d + 2, unique=True))
+    points = [tuple(sum(a * x for a, x in zip(row, y)) + cc for row, cc in zip(A, c)) for y in ys]
+    degree = draw(st.integers(4, 8))
+
+    def monomial(total):
+        cuts = sorted(draw(st.lists(st.integers(0, total), min_size=s - 1, max_size=s - 1)))
+        return tuple(hi - lo for lo, hi in zip([0, *cuts], [*cuts, total]))
+
+    coefficient = st.fractions(min_value=-3, max_value=3, max_denominator=4).filter(bool)
+    totals = [degree] + draw(st.lists(st.integers(0, degree), max_size=3))
+    return points, WeightPoly(s, {monomial(t): draw(coefficient) for t in totals})
+
+
+@settings(max_examples=200)
+@given(images_and_high_degree_weights())
+@example(([(0, 0), (2, 0), (0, 2), (2, 2)], parse_weight("t1^5*t2 - t1^2 + 1/2*t2^3", 2)))
+@example(([(1,), (4,)], parse_weight("t1^8 - t1^7", 1)))
+def test_reciprocity_nodes_match_closed_nodes_at_high_degree(case):
+    points, w = case
+    P = LatticePolytope(points)
+    assert weighted_ehrhart_polynomial(P, w) == closed_node_polynomial(P, w)
+
+
 def test_checks_do_not_read_the_interior_nodes(monkeypatch):
     # a strict walk that loses a point must show in both routes: the
     # checks interpolate from closed nodes, the probes are closed walks
