@@ -18,14 +18,16 @@ rows raises ConsistencyError if that ever fails.
 The lattice points of a dilation come from one walk in a lattice basis
 of the affine hull: with v0 a vertex and the columns of B a basis of
 the lattice (aff(P) - v0) & Z^s, found by unimodular column operations
-on the hull equations, nP's lattice points are n*v0 + B y over the
-lattice points y of nQ, Q = {y : v0 + B y in P}. Q is full-dimensional,
-so the hull equations never reach the walk. One loop walks Q depth
-first on an explicit stack of lazy cursors, one per coordinate open,
-fixing the coordinates one by one with exact interval propagation in a
-column order chosen once per polytope by pilot counts on 2Q; each
-innermost fiber goes out as an arithmetic progression of points, its
-consumers accumulate as they go, and no point list is kept.
+on the hull equations and LLL-reduced in integers (Cohen, Alg. 2.6.7),
+nP's lattice points are n*v0 + B y over the lattice points y of nQ,
+Q = {y : v0 + B y in P}. Q is full-dimensional, so the hull equations
+never reach the walk, and the reduced basis keeps Q from being skewed
+whatever the coordinate order. One loop walks Q depth first on an
+explicit stack of lazy cursors, one per coordinate open, fixing the
+coordinates one by one with exact interval propagation in a column
+order chosen once per polytope by pilot counts on 2Q; each innermost
+fiber goes out as an arithmetic progression of points, its consumers
+accumulate as they go, and no point list is kept.
 
 Membership is settled by a barycentric feasibility LP, phase 1 of the
 simplex method on an integer tableau, same fraction-free step as the
@@ -377,14 +379,69 @@ def _enumeration_cap() -> int:
     return cap
 
 
+def _lll(b, inv):
+    """LLL-reduce (delta 3/4) the basis vectors b in place, all in integers.
+
+    Cohen's integral LLL (A Course in Computational Algebraic Number
+    Theory, Alg. 2.6.7; Lenstra, Lenstra and Lovasz, Math. Ann. 261,
+    1982): d[i] is the Gram determinant of b[:i] and lam[k][j] the
+    Gram-Schmidt coefficient of b[k] on b[j] times d[j + 1]. The b are
+    columns of a unimodular U and inv the matching rows of U^-1, which
+    every step keeps in step.
+    """
+    n = len(b)
+    d, lam = [1] * (n + 1), [[0] * n for _ in range(n)]
+    for k in range(n):
+        for j in range(k + 1):
+            u = sum(x * y for x, y in zip(b[k], b[j]))
+            for i in range(j):
+                u = (d[i + 1] * u - lam[k][i] * lam[j][i]) // d[i]
+            if j < k:
+                lam[k][j] = u
+            else:
+                d[k + 1] = u
+
+    def size_reduce(k, l):
+        if 2 * abs(lam[k][l]) > d[l + 1]:
+            q = (2 * lam[k][l] + d[l + 1]) // (2 * d[l + 1])
+            b[k] = [x - q * y for x, y in zip(b[k], b[l])]
+            inv[l] = [x + q * y for x, y in zip(inv[l], inv[k])]
+            lam[k][l] -= q * d[l + 1]
+            for i in range(l):
+                lam[k][i] -= q * lam[l][i]
+
+    k = 1
+    while k < n:
+        size_reduce(k, k - 1)
+        m = lam[k][k - 1]
+        if 4 * d[k + 1] * d[k - 1] >= 3 * d[k] ** 2 - 4 * m * m:
+            for l in range(k - 2, -1, -1):
+                size_reduce(k, l)
+            k += 1
+            continue
+        # swap b[k-1] and b[k]; only d[k] and the coefficients on them move
+        b[k - 1], b[k] = b[k], b[k - 1]
+        inv[k - 1], inv[k] = inv[k], inv[k - 1]
+        lam[k - 1][:k - 1], lam[k][:k - 1] = lam[k][:k - 1], lam[k - 1][:k - 1]
+        new = (d[k - 1] * d[k + 1] + m * m) // d[k]
+        for i in range(k + 1, n):
+            t = lam[i][k]
+            lam[i][k] = (d[k + 1] * lam[i][k - 1] - m * t) // d[k]
+            lam[i][k - 1] = (new * t + m * lam[i][k]) // d[k + 1]
+        d[k] = new
+        k = max(1, k - 1)
+
+
 def _lattice_coordinates(P):
     """Q = {y in Z^d : v0 + B y in P} for v0 = P's first vertex.
 
     B is an integer basis of the kernel lattice of the hull equations A,
     the last d columns of a unimodular U with A U = [H | 0], found by
     Euclid's column operations (Cohen, A Course in Computational
-    Algebraic Number Theory, Sec. 2.4). Returns (v0, the columns of B,
-    Q's facet rows (a.B, b - a.v0), Q's box as (lo, hi)).
+    Algebraic Number Theory, Sec. 2.4) and then LLL-reduced (Cohen, Alg.
+    2.6.7), so its columns are short and nearly orthogonal whatever the
+    coordinate order. Returns (v0, the columns of B, Q's facet rows
+    (a.B, b - a.v0), Q's box as (lo, hi)).
     """
     s, v0 = P.ambient_dim, P.vertices[0]
     eqs = [a for a, _ in P.affine_hull]
@@ -400,8 +457,12 @@ def _lattice_coordinates(P):
                 inv[j] = [x + q * z for x, z in zip(inv[j], inv[i])]
                 cols[i], cols[j] = cols[j], cols[i]
                 inv[i], inv[j] = inv[j], inv[i]
-    basis = [tuple(c[r:]) for c in cols[r:]]
-    ys = [[sum(c * (x - o) for c, x, o in zip(row, v, v0)) for row in inv[r:]] for v in P.vertices]
+    basis, inv = [c[r:] for c in cols[r:]], inv[r:]
+    if r:
+        # with no hull equations the basis is the identity, already reduced
+        _lll(basis, inv)
+    basis = [tuple(c) for c in basis]
+    ys = [[sum(c * (x - o) for c, x, o in zip(row, v, v0)) for row in inv] for v in P.vertices]
     rows = [
         (tuple(sum(c * e for c, e in zip(a, col)) for col in basis),
          b - sum(c * o for c, o in zip(a, v0)))

@@ -22,10 +22,12 @@ library works on integer numerators over one denominator. Counting
 polynomials come from closed walks at every node, where the library
 takes half of its nodes from interior walks by reciprocity. Fibers of a
 walk frame come from a recursive descent of nested generators, where the
-library runs one loop on an explicit stack. Hilbert fits come from a
-rational interpolant of each candidate window, checked at later samples
-and walked back by evaluation, where the library decides the window, the
-onset and the series by one integer difference test. Weights are parsed
+library runs one loop on an explicit stack. The lattice basis of a hull
+comes from Euclid's column steps alone, where the library LLL-reduces it
+after them. Hilbert fits come from a rational interpolant of each
+candidate window, checked at later samples and walked back by
+evaluation, where the library decides the window, the onset and the
+series by one integer difference test. Weights are parsed
 by a scanner that tests each character and a grammar that takes a
 leading minus in two rules, where the library tokenizes with one regex
 and takes every prefix minus in one rule. JSON output is converted to
@@ -233,6 +235,14 @@ def _rref(rows):
         if r == len(mat):
             break
     return mat[:r], pivots
+
+
+def lattice_coefficients(cols, v):
+    """The rational x with v = sum of x[j] * cols[j], for independent cols, or None."""
+    mat, pivots = _rref([[*entries, x] for *entries, x in zip(*cols, v)])
+    if pivots != list(range(len(cols))):
+        return None
+    return [row[-1] for row in mat]
 
 
 def _differences(points):
@@ -478,6 +488,39 @@ def recursive_fibers(frame, n, strict, cap):
         if low <= high:
             yield fiber(base, low, high)
     return visited
+
+
+def euclid_coordinates(P):
+    """Q = {y in Z^d : v0 + B y in P} for v0 = P's first vertex.
+
+    B is an integer basis of the kernel lattice of the hull equations A,
+    the last d columns of a unimodular U with A U = [H | 0], found by
+    Euclid's column operations (Cohen, A Course in Computational
+    Algebraic Number Theory, Sec. 2.4). Returns (v0, the columns of B,
+    Q's facet rows (a.B, b - a.v0), Q's box as (lo, hi)).
+    """
+    s, v0 = P.ambient_dim, P.vertices[0]
+    eqs = [a for a, _ in P.affine_hull]
+    r = len(eqs)
+    # each column stacks A's column over U's; inv is U^-1, updated row-wise
+    cols = [[a[j] for a in eqs] + [int(i == j) for i in range(s)] for j in range(s)]
+    inv = [[int(i == j) for j in range(s)] for i in range(s)]
+    for i in range(r):
+        for j in range(i + 1, s):
+            while cols[j][i]:
+                q = cols[i][i] // cols[j][i]
+                cols[i] = [x - q * z for x, z in zip(cols[i], cols[j])]
+                inv[j] = [x + q * z for x, z in zip(inv[j], inv[i])]
+                cols[i], cols[j] = cols[j], cols[i]
+                inv[i], inv[j] = inv[j], inv[i]
+    basis = [tuple(c[r:]) for c in cols[r:]]
+    ys = [[sum(c * (x - o) for c, x, o in zip(row, v, v0)) for row in inv[r:]] for v in P.vertices]
+    rows = [
+        (tuple(sum(c * e for c, e in zip(a, col)) for col in basis),
+         b - sum(c * o for c, o in zip(a, v0)))
+        for a, b in P.facet_inequalities
+    ]
+    return v0, basis, rows, ([min(y) for y in zip(*ys)], [max(y) for y in zip(*ys)])
 
 
 def term_product(left, right):

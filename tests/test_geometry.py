@@ -41,9 +41,11 @@ from oracles import (
     ambient_walk,
     box_points,
     brute_force_facets,
+    euclid_coordinates,
     hull_equations,
     in_hull,
     in_relative_interior,
+    lattice_coefficients,
     random_vertices,
     recursive_fibers,
     simplex_maximize,
@@ -66,6 +68,10 @@ CRITERION3 = (
 # a plane in Z^3 whose lattice projects onto the coordinates (x2, x3),
 # which its hull equation 2*x1 + x2 + x3 = 0 leaves free, with index 2
 INDEX_TWO_PLANE = ((0, 0, 0), (1, -2, 0), (1, 0, -2), (-1, 1, 1))
+# a 4-dimensional image in Z^6 whose Euclid basis is so skewed that its
+# walk visits 1,220,883 cells for the 20 points of 2P
+SKEWED = ((7, -2, 4, -1, 5, 3), (2, -8, -1, 0, -2, 0), (7, -2, 6, -3, 3, 5), (4, -5, 0, -1, 1, 0),
+          (3, -2, 5, -1, -1, 3))
 
 
 # ---------------------------------------------------------------- construction
@@ -402,6 +408,19 @@ permuted_criterion3 = st.permutations(range(7)).map(
 )
 
 
+def _outcome(walk, frame, n, strict, cap):
+    """The fibers a walk yields, as point lists, and its cell count or cap message."""
+    fibers = []
+    walker = walk(frame, n, strict, cap)
+    try:
+        while True:
+            fibers.append(list(next(walker)))
+    except StopIteration as done:
+        return fibers, done.value
+    except EnumerationLimitError as exc:
+        return fibers, str(exc)
+
+
 @settings(max_examples=250)
 @given(small_affine_images() | permuted_criterion3, st.integers(0, 3), st.booleans())
 @example(INDEX_TWO_PLANE, 3, False)
@@ -416,6 +435,55 @@ def test_walk_matches_the_ambient_walk(points, n, strict):
     box = math.prod(n * (max(col) - min(col)) + 1 for col in zip(*points))
     if box <= 64:
         assert walked == box_points(points, n, interior=strict)
+
+
+@settings(max_examples=100)
+@given(small_affine_images() | permuted_criterion3, st.integers(0, 3), st.booleans())
+@example(SKEWED, 2, False)
+@example(INDEX_TWO_PLANE, 3, True)
+def test_reduced_basis_spans_the_euclid_lattice_and_walks_the_same_points(points, n, strict):
+    n = max(n, strict)
+    P = LatticePolytope(points)
+    if P.dim == 0:
+        return
+    euclid, reduced = euclid_coordinates(P)[1], _lattice_coordinates(P)[1]
+    for cols, v in chain(product([reduced], euclid), product([euclid], reduced)):
+        coefficients = lattice_coefficients(cols, v)
+        assert coefficients is not None and all(x.denominator == 1 for x in coefficients)
+    expected = sorted(ambient_walk(P, n, strict))
+    assert sorted(_walk(P, n, strict)) == expected
+    # some Euclid bases are skewed enough to visit 10^6 cells: compare
+    # those up to the cap, where every point walked must still be in nP
+    fibers, cells = _outcome(_fibers, _frame(euclid_coordinates(P), range(P.dim)), n, strict,
+                             100_000)
+    walked = sorted(chain.from_iterable(fibers))
+    if isinstance(cells, int):
+        assert walked == expected
+    else:
+        assert set(walked) <= set(expected)
+
+
+def test_reduced_basis_walks_the_skewed_image_in_few_cells():
+    P = LatticePolytope(SKEWED)
+    expected = sorted(ambient_walk(P, 3, False))
+    for frame in (_walk_frame(P), _frame(_lattice_coordinates(P), range(P.dim))):
+        fibers, cells = _outcome(_fibers, frame, 3, False, 1_000)
+        assert isinstance(cells, int) and sorted(chain.from_iterable(fibers)) == expected
+
+
+@settings(max_examples=200)
+@given(small_affine_images())
+@example(SKEWED)
+def test_walk_visits_few_cells_per_point(points):
+    # at most 1,000 cells per point at n = 2: a search steering the draws
+    # of this strategy reached 427 (a thin full-dimensional simplex, whose
+    # basis is the identity), and the skewed image's Euclid basis 61,044
+    P = LatticePolytope(points)
+    if P.dim == 0:
+        return
+    count = sum(1 for _ in ambient_walk(P, 2, False))
+    fibers, cells = _outcome(_fibers, _walk_frame(P), 2, False, 1_000 * count)
+    assert isinstance(cells, int), cells
 
 
 @pytest.mark.parametrize(
@@ -440,36 +508,23 @@ def test_pilot_over_its_budget_keeps_the_index_order(monkeypatch):
     assert sorted(_walk(P, 3, False)) == sorted(ambient_walk(P, 3, False))
 
 
-def _outcome(walk, frame, n, strict, cap):
-    """The fibers a walk yields, as point lists, and its cell count or cap message."""
-    fibers = []
-    walker = walk(frame, n, strict, cap)
-    try:
-        while True:
-            fibers.append(list(next(walker)))
-    except StopIteration as done:
-        return fibers, done.value
-    except EnumerationLimitError as exc:
-        return fibers, str(exc)
-
-
 @settings(max_examples=100)
 @given(small_affine_images() | permuted_criterion3, st.integers(0, 3), st.booleans())
 @example(INDEX_TWO_PLANE, 3, False)
 @example([(0, 0), (2, 1)], 3, True)
-@example([(7, -2, 4, -1, 5, 3), (2, -8, -1, 0, -2, 0), (7, -2, 6, -3, 3, 5), (4, -5, 0, -1, 1, 0),
-          (3, -2, 5, -1, -1, 3)], 2, False)
+@example(SKEWED, 2, False)
 def test_loop_walk_matches_the_recursive_walk(points, n, strict):
     P = LatticePolytope(points)
     if P.dim == 0:
         return
     index_order = _frame(_lattice_coordinates(P), range(P.dim))
     for frame in (_walk_frame(P), index_order):
-        # a few drawn images visit over 10^6 cells; those are compared up to
-        # the cap message at 20,000 and at the caps below it
-        expected = _outcome(recursive_fibers, frame, n, strict, 20_000)
-        assert _outcome(_fibers, frame, n, strict, 20_000) == expected
-        count = expected[1] if isinstance(expected[1], int) else 20_000
+        # 2,000 plain draws visited at most 12,019 cells, and a search that
+        # steers the draws 42,622; a draw over 100,000 is compared up to the
+        # cap message and at the caps below it
+        expected = _outcome(recursive_fibers, frame, n, strict, 100_000)
+        assert _outcome(_fibers, frame, n, strict, 100_000) == expected
+        count = expected[1] if isinstance(expected[1], int) else 100_000
         for cap in (1, count // 2, count - 1):
             assert _outcome(_fibers, frame, n, strict, cap) \
                 == _outcome(recursive_fibers, frame, n, strict, cap)

@@ -22,6 +22,8 @@ from ehrwt import (
     ehrhart_polynomial,
     gf_of_polynomial,
     integral_leading,
+    interior_lattice_points,
+    lattice_points,
     linear_lift,
     parse_weight,
     predicted_degree,
@@ -269,23 +271,34 @@ def test_reciprocity_nodes_match_closed_nodes_at_high_degree(case):
 
 
 def test_checks_do_not_read_the_interior_nodes(monkeypatch):
-    # a strict walk that loses a point must show in both routes: the
-    # checks interpolate from closed nodes, the probes are closed walks
+    # a strict walk that loses a point must show in every route:
+    # reciprocity_check interpolates from closed nodes and walks strictly
+    # only for its entries, the vanishing check's plain count takes closed
+    # nodes only, and weighted_ehrhart_polynomial, which the vanishing
+    # check reads for its weighted count, reads interior nodes that its
+    # closed probes validate
     import ehrwt.weighted as wmod
 
-    walk = wmod._walk
+    walk, calls = wmod._walk, []
 
     def lossy(P, n, strict):
+        calls.append((n, strict))
         points = walk(P, n, strict)
         if strict:
             next(points, None)
         return points
 
-    monkeypatch.setattr(wmod, "_walk", lossy)
     P = LatticePolytope([(0, 0), (3, 0), (0, 3)])
     w = parse_weight("t1 + t2", 2)
-    assert not reciprocity_check(P, w, spot_check=False).all_equal
     weighted_ehrhart_polynomial.cache_clear()
+    weighted_ehrhart_polynomial(P, w)  # cached from sound walks: only the plain count walks below
+    monkeypatch.setattr(wmod, "_walk", lossy)
+    check_negative_root_vanishing(P, w, spot_check=False)
+    assert calls and not any(strict for _, strict in calls)
+    weighted_ehrhart_polynomial.cache_clear()
+    calls.clear()
+    assert not reciprocity_check(P, w, spot_check=False).all_equal
+    assert [n for n, strict in calls if strict] == [1, 2, 3, 4]
     with pytest.raises(ConsistencyError, match="fails at n="):
         weighted_ehrhart_polynomial(P, w)
 
@@ -320,10 +333,10 @@ def test_criterion_three_walks_stay_small(monkeypatch):
     P = edge_polytope(squares)
     weighted_ehrhart_polynomial.cache_clear()
     weighted_ehrhart_polynomial(P, parse_weight("t1*t2*t3*t4*t5*t6*t7", 7))
-    assert (walked, cells) == (21_617, 26_762)
+    assert (walked, cells) == (21_617, 26_638)
     walked = cells = 0
     ehrhart_polynomial(P)
-    assert (walked, cells) == (1_366, 1_987)
+    assert (walked, cells) == (1_366, 1_980)
 
 
 # ---------------------------------------------------------------- series
@@ -409,6 +422,84 @@ def test_affine_lift_matches_interpolation():
     half = weighted_by_affine_lift(SEG2, (2, 1), F(1, 2))
     direct = weighted_ehrhart_polynomial(SEG2, parse_weight("2*t1 + t2 + 1/2", 2))
     assert half == direct
+
+
+@st.composite
+def nonnegative_images(draw):
+    """Nonnegative images of small points of Z^d, d <= 3, under an integer
+    linear map into Z^s (s <= 4), so of dimension 0-3; lower-dimensional
+    ones may have lattice index > 1 in the lattice of their hull."""
+    s = draw(st.integers(1, 4))
+    d = draw(st.integers(0, min(s, 3)))
+    A = [[draw(st.integers(-2, 2)) for _ in range(d)] for _ in range(s)]
+    source = st.tuples(*[st.integers(0, 1)] * d)
+    ys = draw(st.lists(source, min_size=1, max_size=d + 2, unique=True))
+    points = [tuple(sum(a * x for a, x in zip(row, y)) for row in A) for y in ys]
+    lows = [min(col) for col in zip(*points)]
+    return [tuple(x - low for x, low in zip(p, lows)) for p in points]
+
+
+@settings(max_examples=200, deadline=None)
+@given(nonnegative_images(), st.data())
+@example([(1, 2, 2), (2, 0, 2), (2, 2, 0), (0, 3, 3)], None)  # index 2 in its hull lattice
+def test_affine_lift_matches_interpolation_on_images(points, data):
+    P = LatticePolytope(points)
+    s = P.ambient_dim
+    if data is None:
+        row, offset = (1, 0, 2), F(-1, 2)
+    else:
+        row = data.draw(st.lists(st.integers(0, 2), min_size=s, max_size=s).filter(any))
+        offset = data.draw(st.fractions(min_value=-3, max_value=3, max_denominator=4))
+    units = [tuple(int(i == j) for j in range(s)) for i in range(s)]
+    w = WeightPoly(s, {**dict(zip(units, row)), (0,) * s: offset})
+    assert weighted_by_affine_lift(P, row, offset) == weighted_ehrhart_polynomial(P, w)
+
+
+def test_bigint_translation_shifts_walks_polynomials_and_lift():
+    # a triangle in a plane of Z^3 whose hull lattice has index 2 over
+    # its image lattice, and its translate by entries near 10^30; the
+    # lift's height t2 ignores the translation, so the lift of the
+    # translate is the lift translated by (t, 0)
+    points = [(1, 2, 2), (2, 0, 2), (2, 2, 0), (0, 3, 3)]
+    t = (10**30, 0, 3 * 10**30 + 7)
+    P = LatticePolytope(points)
+    T = LatticePolytope([tuple(x + y for x, y in zip(p, t)) for p in points])
+    lift_P, lift_T = affine_lift_polytope(P, (0, 1, 0)), affine_lift_polytope(T, (0, 1, 0))
+
+    def shifted(points, n, by):
+        return sorted(tuple(x + n * y for x, y in zip(p, by)) for p in points)
+
+    for n in range(4):
+        assert sorted(lattice_points(T, n)) == shifted(lattice_points(P, n), n, t)
+        assert sorted(lattice_points(lift_T, n)) == shifted(lattice_points(lift_P, n), n, t + (0,))
+    for n in range(1, 4):
+        assert sorted(interior_lattice_points(T, n)) \
+            == shifted(interior_lattice_points(P, n), n, t)
+    one, t1 = parse_weight("1", 3), parse_weight("t1", 3)
+    assert weighted_ehrhart_polynomial(T, one) == ehrhart_polynomial(P)
+    assert weighted_ehrhart_polynomial(T, t1) \
+        == weighted_ehrhart_polynomial(P, t1) + UniPoly([0, t[0]]) * ehrhart_polynomial(P)
+    assert ehrhart_polynomial(lift_T) == ehrhart_polynomial(lift_P)
+    assert weighted_by_affine_lift(T, (0, 1, 0), F(1, 3)) \
+        == weighted_by_affine_lift(P, (0, 1, 0), F(1, 3)) \
+        == weighted_ehrhart_polynomial(T, parse_weight("t2 + 1/3", 3))
+
+
+def test_duplicate_and_interior_points_in_the_vertex_list():
+    # a square in a plane of Z^3, listed with an interior point first,
+    # repeated vertices and a point of an edge
+    square = [(0, 0, 1), (2, 0, 3), (0, 2, 3), (2, 2, 5)]
+    padded = [(1, 1, 3), (2, 2, 5), (0, 0, 1), (1, 0, 2), (0, 0, 1), (2, 0, 3), (0, 2, 3),
+              (2, 2, 5)]
+    P, Q = LatticePolytope(square), LatticePolytope(padded)
+    for n in range(4):
+        assert sorted(lattice_points(Q, n)) == sorted(lattice_points(P, n))
+    for text in ("1", "t1", "t1*t3 + 2*t2 - 1/3"):
+        w = parse_weight(text, 3)
+        assert weighted_ehrhart_polynomial(Q, w) == weighted_ehrhart_polynomial(P, w)
+    lift_P, lift_Q = affine_lift_polytope(P, (1, 2, 0)), affine_lift_polytope(Q, (1, 2, 0))
+    assert sorted(lattice_points(lift_Q, 2)) == sorted(lattice_points(lift_P, 2))
+    assert ehrhart_polynomial(lift_Q) == ehrhart_polynomial(lift_P)
 
 
 def test_affine_lift_validation():
