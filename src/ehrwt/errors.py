@@ -15,7 +15,7 @@ class ConsistencyError(EhrwtError):
 
 
 class EnumerationLimitError(EhrwtError):
-    """Lattice-point enumeration exceeded the configured work cap."""
+    """A stage exceeded a work cap: lattice-point enumeration or the facet computation."""
 
 
 class WeightParseError(EhrwtError, ValueError):

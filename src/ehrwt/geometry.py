@@ -16,18 +16,21 @@ facets of the hull so far). An integer invariant check on the final
 rows raises ConsistencyError if that ever fails.
 
 The lattice points of a dilation come from one walk in a lattice basis
-of the affine hull: with v0 a vertex and the columns of B a basis of
-the lattice (aff(P) - v0) & Z^s, found by unimodular column operations
-on the hull equations and LLL-reduced in integers (Cohen, Alg. 2.6.7),
-nP's lattice points are n*v0 + B y over the lattice points y of nQ,
-Q = {y : v0 + B y in P}. Q is full-dimensional, so the hull equations
-never reach the walk, and the reduced basis keeps Q from being skewed
-whatever the coordinate order. One loop walks Q depth first on an
-explicit stack of lazy cursors, one per coordinate open, fixing the
-coordinates one by one with exact interval propagation in a column
-order chosen once per polytope by pilot counts on 2Q; each innermost
-fiber goes out as an arithmetic progression of points, its consumers
-accumulate as they go, and no point list is kept.
+of the affine hull: with v0 a vertex and the columns of B a reduced
+basis of the lattice (aff(P) - v0) & Z^s, nP's lattice points are
+n*v0 + B y over the lattice points y of nQ, Q = {y : v0 + B y in P}.
+B comes from one integral LLL on the unit columns with the hull
+equations stacked on top, weighted by an N that LLL's bound on the
+reduced lengths (Prop. 1.12) makes larger than any short kernel
+vector, so the first d columns are a reduced kernel basis. Q is
+full-dimensional, so the hull equations never reach the walk, and the
+reduced basis keeps Q from being skewed whatever the coordinate order.
+One loop walks Q depth first on an explicit stack of lazy cursors, one
+per coordinate open, fixing the coordinates one by one with exact
+interval propagation in a column order chosen once per polytope by
+pilot counts on 2Q; each innermost fiber goes out as an arithmetic
+progression of points, its consumers accumulate as they go, and no
+point list is kept.
 
 Membership is settled by a barycentric feasibility LP, phase 1 of the
 simplex method on an integer tableau, same fraction-free step as the
@@ -62,6 +65,11 @@ DEFAULT_ENUMERATION_CAP = 10**8
 # most cells one pilot walk of 2Q may visit while it ranks column orders;
 # it bounds the set-up cost of a polytope's first walk
 PILOT_CELLS = 4096
+# most rows the facets' double description may hold after a point: a
+# point costs up to cubic time in the rows: points on the moment curve of
+# R^3 take 13 s to reach this cap (CPython 3.11, a shared Xeon server),
+# where the hull workloads peak at 14
+HULL_ROWS = 200
 
 
 class LatticePolytope:
@@ -314,7 +322,8 @@ def _facet_inequalities(P):
     P projects one-to-one onto the columns that are not pivots of the
     hull equations' echelon form, and a row that is zero on the pivot
     columns is the canonical representative of its class modulo those
-    equations.
+    equations. More than HULL_ROWS rows after a point raise
+    EnumerationLimitError.
     """
     if P.dim == 0:
         return ()
@@ -354,6 +363,12 @@ def _facet_inequalities(P):
                     kept.append(([-w * x + u * y for x, y in zip(a, a2)], -w * b + u * b2))
         seen.append(q)
         rows = _tidy(kept)
+        if len(rows) > HULL_ROWS:
+            raise EnumerationLimitError(
+                f"facet computation of {len(points)} points in dimension {d} reached "
+                f"{len(rows)} double-description rows after {len(seen)} points, over "
+                f"the cap of {HULL_ROWS}"
+            )
 
     lifted = []
     for a, b in rows:
@@ -386,8 +401,8 @@ def _lll(b, inv):
     Theory, Alg. 2.6.7; Lenstra, Lenstra and Lovasz, Math. Ann. 261,
     1982): d[i] is the Gram determinant of b[:i] and lam[k][j] the
     Gram-Schmidt coefficient of b[k] on b[j] times d[j + 1]. The b are
-    columns of a unimodular U and inv the matching rows of U^-1, which
-    every step keeps in step.
+    the columns of [N*A ; U] for a unimodular U and inv the matching rows
+    of U^-1, which every step keeps in step.
     """
     n = len(b)
     d, lam = [1] * (n + 1), [[0] * n for _ in range(n)]
@@ -435,34 +450,31 @@ def _lll(b, inv):
 def _lattice_coordinates(P):
     """Q = {y in Z^d : v0 + B y in P} for v0 = P's first vertex.
 
-    B is an integer basis of the kernel lattice of the hull equations A,
-    the last d columns of a unimodular U with A U = [H | 0], found by
-    Euclid's column operations (Cohen, A Course in Computational
-    Algebraic Number Theory, Sec. 2.4) and then LLL-reduced (Cohen, Alg.
-    2.6.7), so its columns are short and nearly orthogonal whatever the
-    coordinate order. Returns (v0, the columns of B, Q's facet rows
-    (a.B, b - a.v0), Q's box as (lo, hi)).
+    B is a reduced basis of ker A & Z^s for the r hull equations A: the
+    first d of the s columns [N*A e_j ; e_j] after one integral LLL
+    (Cohen, A Course in Computational Algebraic Number Theory, Sec. 2.7),
+    N = 1 + 2^(s-1) (r+1) prod |a_i|^2. A's d Cramer kernel vectors are
+    independent with squared norms at most (r+1) prod |a_i|^2 (Hadamard),
+    so the first d reduced columns have squared norm below N (Lenstra,
+    Lenstra and Lovasz, Math. Ann. 261, 1982, Prop. 1.12), where A x != 0
+    costs N^2: their A-parts are 0, they span ker A & Z^s, and they are
+    reduced in the plain norm, so Q is not skewed whatever the coordinate
+    order. Returns (v0, B's columns, Q's facet rows (a.B, b - a.v0), Q's
+    box as (lo, hi)).
     """
     s, v0 = P.ambient_dim, P.vertices[0]
     eqs = [a for a, _ in P.affine_hull]
-    r = len(eqs)
-    # each column stacks A's column over U's; inv is U^-1, updated row-wise
-    cols = [[a[j] for a in eqs] + [int(i == j) for i in range(s)] for j in range(s)]
+    r, d = len(eqs), P.dim
+    N = 1 + 2 ** (s - 1) * (r + 1) * math.prod(sum(c * c for c in a) for a in eqs)
+    # each column stacks N*A's column over U's; inv is U^-1, updated row-wise
+    cols = [[N * a[j] for a in eqs] + [int(i == j) for i in range(s)] for j in range(s)]
     inv = [[int(i == j) for j in range(s)] for i in range(s)]
-    for i in range(r):
-        for j in range(i + 1, s):
-            while cols[j][i]:
-                q = cols[i][i] // cols[j][i]
-                cols[i] = [x - q * z for x, z in zip(cols[i], cols[j])]
-                inv[j] = [x + q * z for x, z in zip(inv[j], inv[i])]
-                cols[i], cols[j] = cols[j], cols[i]
-                inv[i], inv[j] = inv[j], inv[i]
-    basis, inv = [c[r:] for c in cols[r:]], inv[r:]
-    if r:
-        # with no hull equations the basis is the identity, already reduced
-        _lll(basis, inv)
-    basis = [tuple(c) for c in basis]
-    ys = [[sum(c * (x - o) for c, x, o in zip(row, v, v0)) for row in inv] for v in P.vertices]
+    _lll(cols, inv)
+    if any(any(c[:r]) for c in cols[:d]):
+        raise ConsistencyError(f"the reduced basis leaves the hull of {list(P.vertices)}")
+    basis = [tuple(c[r:]) for c in cols[:d]]
+    ys = [[sum(c * (x - o) for c, x, o in zip(row, v, v0)) for row in inv[:d]]
+          for v in P.vertices]
     rows = [
         (tuple(sum(c * e for c, e in zip(a, col)) for col in basis),
          b - sum(c * o for c, o in zip(a, v0)))

@@ -158,7 +158,10 @@ def affine_lift_polytope(P: LatticePolytope, coeffs: Sequence) -> LatticePolytop
     """Companion lift for an affine weight's linear part C (coefficients in N).
 
     The hull of P x {0} and of each vertex v raised to height C.v, the
-    only lift construction: linear_lift is this lift at offset 0.
+    only lift construction: linear_lift is this lift at offset 0. The
+    heights are C.v, not C.(v - min), so a P far from the origin lifts
+    to a tall polytope: a triangle translated by about 10^30 has heights
+    near 10^30, and counting its lift passes the enumeration cap.
     """
     require_nonnegative_vertices(P, "affine_lift_polytope")
     row = [_exact(c) for c in coeffs]
@@ -178,7 +181,10 @@ def weighted_by_affine_lift(P: LatticePolytope, coeffs: Sequence, offset) -> Uni
 
     Computed as count(lift of the linear part) + (b - 1) * count(P),
     entirely without interpolation against w itself, so it can serve as
-    an independent check of the interpolation route.
+    an independent check of the interpolation route. Far from the origin
+    the lift is too tall to count (see affine_lift_polytope): the first
+    walk raises EnumerationLimitError where the interpolation route
+    answers.
     """
     b = _exact(offset, "offset")
     lifted = affine_lift_polytope(P, coeffs)

@@ -23,16 +23,17 @@ polynomials come from closed walks at every node, where the library
 takes half of its nodes from interior walks by reciprocity. Fibers of a
 walk frame come from a recursive descent of nested generators, where the
 library runs one loop on an explicit stack. The lattice basis of a hull
-comes from Euclid's column steps alone, where the library LLL-reduces it
-after them. Hilbert fits come from a rational interpolant of each
-candidate window, checked at later samples and walked back by
-evaluation, where the library decides the window, the onset and the
-series by one integer difference test. Weights are parsed
-by a scanner that tests each character and a grammar that takes a
-leading minus in two rules, where the library tokenizes with one regex
-and takes every prefix minus in one rule. JSON output is converted to
-plain data and indented by json.dumps, where the library writes the
-indented text itself.
+comes from Euclid's column steps alone, and its reduction is checked by
+Gram-Schmidt over Fractions, where the library takes a reduced basis
+from one integral LLL on weighted columns. Hilbert fits come from a
+rational interpolant of each candidate window, checked at later samples
+and walked back by evaluation, where the library decides the window,
+the onset and the series by one integer difference test. Weights are
+parsed by a scanner that tests each character and a grammar that takes
+a leading minus in two rules, where the library tokenizes with one
+regex and takes every prefix minus in one rule. JSON output is
+converted to plain data and indented by json.dumps, where the library
+writes the indented text itself.
 """
 
 import re
@@ -243,6 +244,27 @@ def lattice_coefficients(cols, v):
     if pivots != list(range(len(cols))):
         return None
     return [row[-1] for row in mat]
+
+
+def lll_reduced(basis):
+    """Is the basis LLL-reduced with delta 3/4? Gram-Schmidt over Fractions.
+
+    Size reduction asks |mu[k][j]| <= 1/2 for j < k, and the Lovasz
+    condition |b*_k|^2 >= (3/4 - mu[k][k-1]^2) |b*_(k-1)|^2.
+    """
+    star, norms, mu = [], [], []
+    for b in basis:
+        row = [sum(Fraction(x) * y for x, y in zip(b, g)) / n for g, n in zip(star, norms)]
+        g = [Fraction(x) for x in b]
+        for m, h in zip(row, star):
+            g = [x - m * y for x, y in zip(g, h)]
+        star.append(g)
+        norms.append(sum(x * x for x in g))
+        mu.append(row)
+    if any(abs(m) > Fraction(1, 2) for row in mu for m in row):
+        return False
+    return all(norms[k] >= (Fraction(3, 4) - mu[k][k - 1] ** 2) * norms[k - 1]
+               for k in range(1, len(basis)))
 
 
 def _differences(points):

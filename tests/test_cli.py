@@ -413,6 +413,19 @@ def test_enumeration_cap_reports_input_error(monkeypatch, capsys):
         assert "EHRWT_MAX_POINTS=5" in err
 
 
+def test_facet_row_cap_reports_input_error(monkeypatch, capsys):
+    # the 4-cube's double description peaks at 10 rows
+    monkeypatch.setattr(ehrwt.geometry, "HULL_ROWS", 9)
+    cube = "; ".join(" ".join(str(i >> k & 1) for k in range(4)) for i in range(16))
+    for argv in (["points", "--vertices", cube, "--n", "1"],
+                 ["weighted", "--vertices", cube, "--weight", "t1"]):
+        assert run(argv) == 1
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err == ("error: facet computation of 16 points in dimension 4 reached 10 "
+                       "double-description rows after 13 points, over the cap of 9\n")
+
+
 def test_internal_inconsistency_exits_two(monkeypatch, capsys):
     import ehrwt.weighted as wmod
 
@@ -484,6 +497,18 @@ def test_import_loads_neither_dataclasses_nor_inspect():
     proc = subprocess.run([sys.executable, "-S", "-c", code], capture_output=True, text=True)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout == "[]\n"
+
+
+def test_lift_far_from_the_origin_stops_cleanly():
+    # the lift of a triangle translated by about 10^30 has heights near
+    # 10^30, so its first walk passes the enumeration cap at once
+    shift = (10**30, 0, 3 * 10**30 + 7)
+    points = [(1, 2, 2), (2, 0, 2), (2, 2, 0), (0, 3, 3)]
+    vertices = "; ".join(" ".join(str(x + y) for x, y in zip(p, shift)) for p in points)
+    proc = cli_subprocess("lift", "--vertices", vertices, "--weight", "t1")
+    assert proc.returncode == 1 and proc.stdout == ""
+    assert proc.stderr.startswith("error: lattice-point enumeration of the closed dilation n=1 ")
+    assert proc.stderr.count("\n") == 1 and "Traceback" not in proc.stderr
 
 
 def test_module_entry_point():

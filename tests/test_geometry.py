@@ -46,6 +46,7 @@ from oracles import (
     in_hull,
     in_relative_interior,
     lattice_coefficients,
+    lll_reduced,
     random_vertices,
     recursive_fibers,
     simplex_maximize,
@@ -463,6 +464,30 @@ def test_reduced_basis_spans_the_euclid_lattice_and_walks_the_same_points(points
         assert set(walked) <= set(expected)
 
 
+@settings(max_examples=200)
+@given(small_affine_images() | permuted_criterion3)
+@example([(0, 0, 0), (2, 2 * 10**30, 6)])
+@example([(0, 0, 0), (10**20, 0, -1), (0, 10**15, 1)])
+@example([(0,) * 8, (3, -1, 4, 1, -5, 9, -2, 6)])
+@example(SKEWED)
+def test_one_lll_gives_a_reduced_basis_of_the_hull_lattice(points):
+    P = LatticePolytope(points)
+    if P.dim == 0:
+        return
+    v0, basis, rows, (lo, hi) = _lattice_coordinates(P)
+    assert len(basis) == P.dim and lll_reduced(basis)
+    for col in basis:
+        assert all(sum(c * x for c, x in zip(a, col)) == 0 for a, _ in P.affine_hull)
+    # every vertex is v0 + B y for an integer y in Q, and Q's box is their hull's
+    ys = []
+    for v in P.vertices:
+        y = lattice_coefficients(basis, [x - o for x, o in zip(v, v0)])
+        assert y is not None and all(c.denominator == 1 for c in y)
+        assert all(sum(c * e for c, e in zip(a, y)) <= b for a, b in rows)
+        ys.append(y)
+    assert (lo, hi) == ([min(y) for y in zip(*ys)], [max(y) for y in zip(*ys)])
+
+
 def test_reduced_basis_walks_the_skewed_image_in_few_cells():
     P = LatticePolytope(SKEWED)
     expected = sorted(ambient_walk(P, 3, False))
@@ -575,6 +600,18 @@ def test_enumeration_cap_counts_cells_in_the_hull_lattice(monkeypatch):
         interior_lattice_points(triangle, 3)
     monkeypatch.delenv("EHRWT_MAX_POINTS")
     assert len(interior_lattice_points(triangle, 3)) == 55
+
+
+def test_facet_rows_over_the_cap_stop_the_hull(monkeypatch):
+    # the 4-cube's double description peaks at 10 rows on the way to its 8 facets
+    cube = list(product((0, 1), repeat=4))
+    monkeypatch.setattr(geometry, "HULL_ROWS", 9)
+    message = ("facet computation of 16 points in dimension 4 reached 10 "
+               "double-description rows after 13 points, over the cap of 9")
+    with pytest.raises(EnumerationLimitError, match=message):
+        facets(LatticePolytope(cube))
+    monkeypatch.setattr(geometry, "HULL_ROWS", 10)
+    assert len(facets(LatticePolytope(cube))[1]) == 8
 
 
 # ---------------------------------------------------------------- membership

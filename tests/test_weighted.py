@@ -33,9 +33,11 @@ from ehrwt import (
     weighted_series,
     weighted_sum,
 )
-from ehrwt.weighted import affine_lift_polytope
+from ehrwt.errors import EnumerationLimitError
+from ehrwt.weighted import _interpolated, affine_lift_polytope
 
 from oracles import (
+    ambient_walk,
     box_points,
     box_weighted_sum,
     closed_node_polynomial,
@@ -43,6 +45,7 @@ from oracles import (
     random_weight_terms,
     term_value,
 )
+from test_geometry import small_affine_images
 
 SQUARE = LatticePolytope([(0, 0), (1, 0), (0, 1), (1, 1)])
 TRIANGLE = LatticePolytope([(1, 0), (0, 1), (1, 1)])
@@ -455,6 +458,27 @@ def test_affine_lift_matches_interpolation_on_images(points, data):
     assert weighted_by_affine_lift(P, row, offset) == weighted_ehrhart_polynomial(P, w)
 
 
+@settings(max_examples=300)
+@given(small_affine_images(), st.data())
+def test_closed_node_polynomial_meets_reciprocity_on_lower_dimensional_images(points, data):
+    # the polynomial through closed nodes only, read at -n, against the
+    # interior sums of the ambient walk, which shares no code with _walk
+    P = LatticePolytope(points)
+    if not 1 <= P.dim <= min(3, P.ambient_dim - 1):
+        return
+    s = P.ambient_dim
+    # a monomial of degree <= 2 as the variables it multiplies
+    exponents = st.lists(st.integers(0, s - 1), max_size=2).map(
+        lambda ts: tuple(ts.count(j) for j in range(s)))
+    coefficients = st.fractions(min_value=-3, max_value=3, max_denominator=3).filter(bool)
+    terms = data.draw(st.dictionaries(exponents, coefficients, min_size=1, max_size=3))
+    w = WeightPoly(s, terms)
+    poly = _interpolated(P, w, range(1, P.dim + w.degree + 2))
+    for n in range(1, 4):
+        interior = sum(term_value(w, tuple(-x for x in p)) for p in ambient_walk(P, n, True))
+        assert poly(-n) == (-1) ** P.dim * interior, n
+
+
 def test_bigint_translation_shifts_walks_polynomials_and_lift():
     # a triangle in a plane of Z^3 whose hull lattice has index 2 over
     # its image lattice, and its translate by entries near 10^30; the
@@ -483,6 +507,10 @@ def test_bigint_translation_shifts_walks_polynomials_and_lift():
     assert weighted_by_affine_lift(T, (0, 1, 0), F(1, 3)) \
         == weighted_by_affine_lift(P, (0, 1, 0), F(1, 3)) \
         == weighted_ehrhart_polynomial(T, parse_weight("t2 + 1/3", 3))
+    # documented, not mended: with height t1 the lift of the translate is
+    # about 10^30 tall, so the lift route stops at its first walk
+    with pytest.raises(EnumerationLimitError, match="closed dilation n=1 counted"):
+        weighted_by_affine_lift(T, (1, 0, 0), 0)
 
 
 def test_duplicate_and_interior_points_in_the_vertex_list():
