@@ -28,9 +28,9 @@ reduced basis keeps Q from being skewed whatever the coordinate order.
 One loop walks Q depth first on an explicit stack of lazy cursors, one
 per coordinate open, fixing the coordinates one by one with exact
 interval propagation in a column order chosen once per polytope by
-pilot counts on 2Q; each innermost fiber goes out as an arithmetic
-progression of points, its consumers accumulate as they go, and no
-point list is kept.
+pilot counts on 2Q; each innermost fiber goes out as its base and the
+interval of its last coordinate, so sums, counts and images are taken
+per fiber in C-level loops over ranges, and no point list is kept.
 
 Membership is settled by a barycentric feasibility LP, phase 1 of the
 simplex method on an integer tableau, same fraction-free step as the
@@ -505,8 +505,8 @@ def _frame(coords, order):
 def _fibers(frame, n, strict, cap):
     """Stream the lattice points of nQ (of its interior if strict) as fibers.
 
-    A fiber is an iterator over the ambient points n*v0 + B y whose y
-    differ only in the innermost coordinate. One depth-first loop keeps
+    A fiber (base, low, high) stands for the points n*v0 + B y = base + x * e
+    for low <= x <= high, e = B's last column. One depth-first loop keeps
     one (depth, ambient base, row sums, cursor) entry per depth open, the
     cursor a lazy range over that coordinate's values, so the stack never
     outgrows d + 1 entries. A cell is one value a coordinate can take
@@ -557,11 +557,7 @@ def _fibers(frame, n, strict, cap):
                 f"EHRWT_MAX_POINTS={cap}; raise the cap to allow larger jobs"
             )
         if k == last:
-            # the points base + x * cols[last] for low <= x <= high
-            yield zip(*[
-                range(b + low * e, b + (high + 1) * e, e) if e else repeat(b, high - low + 1)
-                for b, e in zip(base, cols[k])
-            ])
+            yield base, low, high
         else:
             stack.append((k, base, sums, iter(range(low, high + 1))))
     return visited
@@ -597,25 +593,47 @@ def _walk_frame(P):
     return _frame(coords, rest + chosen)
 
 
-def _walk(P: LatticePolytope, n: int, strict: bool):
-    """Iterate over the lattice points of nP (of its relative interior if strict).
-
-    The points are n*v0 + B y for the lattice points y of nQ, where v0
-    is P's first vertex, the columns of B are a basis of the lattice
-    (aff(P) - v0) & Z^s, and Q = {y : v0 + B y in P} is full-dimensional,
-    so the hull equations never reach the walk. The points come in the
-    order of Q's walk, not in lex order; the cap counts the cells visited
-    in Q's coordinates.
+def _walk_fibers(P: LatticePolytope, n: int, strict: bool):
+    """(e, fibers) of nP (of its relative interior if strict) as _fibers yields
+    them, in the order of Q's walk; the cap counts the cells visited in Q.
     """
-    if n == 0 and not strict:
-        # 0P is the origin; answered without facets or the cap
-        return iter([(0,) * P.ambient_dim])
-    cap = _enumeration_cap()  # read per call
-    if P.dim == 0:
-        return iter([tuple(n * c for c in P.vertices[0])])
+    cap = None if n == 0 and not strict else _enumeration_cap()  # read per call
+    if cap is None or P.dim == 0:
+        # 0P is the origin, answered without facets or the cap; a point is one fiber
+        return (0,) * P.ambient_dim, iter([([n * c for c in P.vertices[0]], 0, 0)])
     if P._frame is None:
         P._frame = _walk_frame(P)
-    return chain.from_iterable(_fibers(P._frame, n, strict, cap))
+    return P._frame[1][-1], _fibers(P._frame, n, strict, cap)
+
+
+def _points(e, fibers):
+    """The points base + x * e, low <= x <= high, of the fibers (base, low, high)."""
+    return chain.from_iterable(
+        zip(*[range(b + low * c, b + (high + 1) * c, c) if c else repeat(b, high - low + 1)
+              for b, c in zip(base, e)]) for base, low, high in fibers)
+
+
+def _walk(P: LatticePolytope, n: int, strict: bool):
+    """Iterate over the lattice points of nP (of its relative interior if strict)."""
+    return _points(*_walk_fibers(P, n, strict))
+
+
+def _walk_sum(P: LatticePolytope, n: int, strict: bool, terms) -> int:
+    """Sum of the terms c * prod(a_i^k), given as (c, ((i, k), ...)), over the points a
+    of nP (of its relative interior if strict), one fiber at a time: a coordinate
+    e leaves alone is read once from the base, the others run along their ranges.
+    """
+    e, fibers = _walk_fibers(P, n, strict)
+    moving = [i for i, c in enumerate(e) if c]
+    split = [(c, [i for i, k in p if not e[i] for _ in range(k)],
+              [moving.index(i) for i, k in p if e[i] for _ in range(k)]) for c, p in terms]
+    total = 0
+    for base, low, high in fibers:
+        ranges = [range(base[i] + low * e[i], base[i] + (high + 1) * e[i], e[i]) for i in moving]
+        for c, fixed, run in split:
+            total += c * math.prod(map(base.__getitem__, fixed)) * (
+                sum(map(math.prod, zip(*map(ranges.__getitem__, run)))) if run else high - low + 1)
+    return total
 
 
 def dimension(P: LatticePolytope) -> int:

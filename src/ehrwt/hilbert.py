@@ -18,7 +18,8 @@ from math import comb
 from typing import Iterable, NamedTuple, Sequence
 
 from .errors import ConsistencyError, UndeterminedFitError
-from .geometry import LatticePolytope, _walk, require_nonnegative_vertices
+from .geometry import LatticePolytope, _points, _walk_fibers, _walk_sum
+from .geometry import require_nonnegative_vertices
 from .polynomials import RationalGF, UniPoly, _series_of_values, lagrange_interpolate
 
 __all__ = [
@@ -97,7 +98,9 @@ def hilbert_value(P: LatticePolytope, W: LinearWeightTuple, n: int) -> int:
     _check_input(P, W)
     if not isinstance(n, int) or n < 0:
         raise ValueError("dilation factor must be a nonnegative integer")
-    return len({W.apply(a) for a in _walk(P, n, False)})
+    e, fibers = _walk_fibers(P, n, False)
+    # W(base + x*e) = W(base) + x*W(e): each fiber's images step along W(e)
+    return len(set(_points(W.apply(e), ((W.apply(b), low, high) for b, low, high in fibers))))
 
 
 def image_polytope(P: LatticePolytope, W: LinearWeightTuple) -> LatticePolytope:
@@ -200,7 +203,7 @@ def image_gap_report(P: LatticePolytope, W: LinearWeightTuple, n: int) -> ImageG
     gap can be strict.
     """
     count = hilbert_value(P, W, n)
-    hull_count = sum(1 for _ in _walk(image_polytope(P, W), n, False))
+    hull_count = _walk_sum(image_polytope(P, W), n, False, ((1, ()),))
     if count > hull_count:
         raise ConsistencyError("image count exceeded the lattice count of the image hull")
     return ImageGapReport(count, hull_count)

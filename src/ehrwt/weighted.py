@@ -14,7 +14,8 @@ cannot slip through. Lifts give a second, independent route for weights of
 degree at most one. The checks read the polynomial at negative integers.
 The reciprocity check interpolates from closed nodes only; the
 root-vanishing check does so for the plain count, while its weighted count
-is the reciprocity-node polynomial, validated by its closed probes.
+is the reciprocity-node polynomial, validated by its closed probes. Each
+sum is taken per fiber of the walk, in integers over w's denominator.
 """
 
 from __future__ import annotations
@@ -30,6 +31,7 @@ from .geometry import (
     LatticePolytope,
     _require_edge_cover,
     _walk,
+    _walk_sum,
     bipartite_components,
     require_nonnegative_vertices,
 )
@@ -69,7 +71,7 @@ def _check_space(P: LatticePolytope, w: WeightPoly) -> None:
 
 
 def _sum(P: LatticePolytope, w: WeightPoly, n: int, strict: bool) -> Fraction:
-    return Fraction(sum(map(w._scaled, _walk(P, n, strict))), w._den)
+    return Fraction(_walk_sum(P, n, strict, w._scaled_terms), w._den)
 
 
 def weighted_sum(P: LatticePolytope, w: WeightPoly, n: int) -> Fraction:

@@ -22,23 +22,24 @@ library works on integer numerators over one denominator. Counting
 polynomials come from closed walks at every node, where the library
 takes half of its nodes from interior walks by reciprocity. Fibers of a
 walk frame come from a recursive descent of nested generators, where the
-library runs one loop on an explicit stack. The lattice basis of a hull
-comes from Euclid's column steps alone, and its reduction is checked by
-Gram-Schmidt over Fractions, where the library takes a reduced basis
-from one integral LLL on weighted columns. Hilbert fits come from a
-rational interpolant of each candidate window, checked at later samples
-and walked back by evaluation, where the library decides the window,
-the onset and the series by one integer difference test. Weights are
-parsed by a scanner that tests each character and a grammar that takes
-a leading minus in two rules, where the library tokenizes with one
-regex and takes every prefix minus in one rule. JSON output is
-converted to plain data and indented by json.dumps, where the library
-writes the indented text itself.
+library runs one loop on an explicit stack. Weighted sums of a walk
+evaluate the weight at each point, where the library sums per fiber. The
+lattice basis of a hull comes from Euclid's column steps alone, and its
+reduction is checked by Gram-Schmidt over Fractions, where the library
+takes a reduced basis from one integral LLL on weighted columns. Hilbert
+fits come from a rational interpolant of each candidate window, checked
+at later samples and walked back by evaluation, where the library
+decides the window, the onset and the series by one integer difference
+test. Weights are parsed by a scanner that tests each character and a
+grammar that takes a leading minus in two rules, where the library
+tokenizes with one regex and takes every prefix minus in one rule. JSON
+output is converted to plain data and indented by json.dumps, where the
+library writes the indented text itself.
 """
 
 import re
 from fractions import Fraction
-from itertools import combinations, product, repeat
+from itertools import combinations, product
 from math import gcd, lcm
 
 from ehrwt import RationalGF, UniPoly, cube_series, lagrange_interpolate, weighted_sum
@@ -48,7 +49,7 @@ from ehrwt.errors import (
     UndeterminedFitError,
     WeightParseError,
 )
-from ehrwt.geometry import _enumeration_cap
+from ehrwt.geometry import _enumeration_cap, _walk
 from ehrwt.hilbert import FIT_MARGIN, _check_input, hilbert_value, image_polytope
 from ehrwt.polynomials import WeightPoly, _check_cap, _series_of_values
 from ehrwt.weighted import _check_space
@@ -441,8 +442,9 @@ def ambient_walk(P, n, strict):
 def recursive_fibers(frame, n, strict, cap):
     """Stream the lattice points of nQ (of its interior if strict) as fibers.
 
-    A fiber is an iterator over the ambient points n*v0 + B y whose y
-    differ only in the innermost coordinate. A cell is one value a
+    A fiber (base, low, high) stands for the ambient points n*v0 + B y
+    whose y differ only in the innermost coordinate: base + x * e for
+    low <= x <= high, with e = B's last column. A cell is one value a
     coordinate can take after interval propagation; the generator
     returns the number of cells it visited and raises
     EnumerationLimitError once that passes cap.
@@ -482,13 +484,6 @@ def recursive_fibers(frame, n, strict, cap):
                 )
         return low, high
 
-    def fiber(base, low, high):
-        # the points base + x * (last column) for low <= x <= high
-        return zip(*[
-            range(b + low * e, b + (high + 1) * e, e) if e else repeat(b, high - low + 1)
-            for b, e in zip(base, cols[last])
-        ])
-
     def descend(k, base, sums):
         low, high = interval(k, sums)
         col, step = cols[k], steps[k]
@@ -500,7 +495,7 @@ def recursive_fibers(frame, n, strict, cap):
             else:
                 low_in, high_in = interval(last, sums_below)
                 if low_in <= high_in:
-                    yield fiber(below, low_in, high_in)
+                    yield below, low_in, high_in
 
     base, sums = [n * v for v in v0], [0] * len(rows)
     if last:
@@ -508,8 +503,14 @@ def recursive_fibers(frame, n, strict, cap):
     else:
         low, high = interval(0, sums)
         if low <= high:
-            yield fiber(base, low, high)
+            yield base, low, high
     return visited
+
+
+def pointwise_sum(P, w, n, strict):
+    """Sum of w over the points of nP (of relint(nP) if strict), times w's
+    denominator: the weight evaluated at each point the walk expands."""
+    return sum(map(w._scaled, _walk(P, n, strict)))
 
 
 def euclid_coordinates(P):

@@ -15,6 +15,7 @@ from hypothesis import strategies as st
 from ehrwt import (
     Graph,
     LatticePolytope,
+    WeightPoly,
     bipartite_components,
     contains,
     dimension,
@@ -32,8 +33,10 @@ from ehrwt.geometry import (
     _fibers,
     _frame,
     _lattice_coordinates,
+    _points,
     _walk,
     _walk_frame,
+    _walk_sum,
 )
 
 from oracles import (
@@ -47,6 +50,7 @@ from oracles import (
     in_relative_interior,
     lattice_coefficients,
     lll_reduced,
+    pointwise_sum,
     random_vertices,
     recursive_fibers,
     simplex_maximize,
@@ -415,7 +419,7 @@ def _outcome(walk, frame, n, strict, cap):
     walker = walk(frame, n, strict, cap)
     try:
         while True:
-            fibers.append(list(next(walker)))
+            fibers.append(list(_points(frame[1][-1], [next(walker)])))
     except StopIteration as done:
         return fibers, done.value
     except EnumerationLimitError as exc:
@@ -520,8 +524,9 @@ def test_every_column_order_walks_the_same_points(points):
     for n, strict in ((3, False), (2, True)):
         expected = sorted(ambient_walk(P, n, strict))
         for order in permutations(range(P.dim)):
-            fibers = _fibers(_frame(coords, order), n, strict, math.inf)
-            assert sorted(chain.from_iterable(fibers)) == expected, order
+            frame = _frame(coords, order)
+            fibers = _fibers(frame, n, strict, math.inf)
+            assert sorted(_points(frame[1][-1], fibers)) == expected, order
 
 
 def test_pilot_over_its_budget_keeps_the_index_order(monkeypatch):
@@ -564,11 +569,61 @@ def test_walk_memory_does_not_grow_with_a_coordinate_width():
     tracemalloc.start()
     try:
         walk = _fibers(frame, 1, False, 10**8)
-        points = sum(1 for fiber in islice(walk, 1000) for _ in fiber)
+        points = sum(1 for _ in _points(frame[1][-1], islice(walk, 1000)))
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
     assert points == 1999 and peak < 64 * 1024
+
+
+@st.composite
+def images_and_weights(draw):
+    """A small image or a permuted criterion-3 polytope, with a weight of up to
+    four terms whose exponents reach 6 on any coordinate, fixed along the
+    walk's fibers or moving."""
+    points = draw(small_affine_images() | permuted_criterion3)
+    s = len(points[0])
+    coefficient = st.fractions(min_value=-5, max_value=5, max_denominator=6).filter(bool)
+    exponents = st.tuples(*[st.integers(0, 6)] * s)
+    terms = st.dictionaries(exponents, coefficient, min_size=1, max_size=4)
+    return points, WeightPoly(s, draw(terms))
+
+
+@settings(max_examples=150)
+@given(images_and_weights(), st.integers(0, 4), st.booleans())
+@example(([(4, -1, 2)], WeightPoly(3, {(6, 0, 1): Fraction(-7, 3), (0, 0, 0): 1})), 3, True)
+@example(([(2, 5), (2, 5)], WeightPoly(2, {(0, 6): Fraction(1, 2), (3, 0): -1})), 0, False)
+@example(([(0, 0), (1, 0), (0, 5), (1, 5)],
+          WeightPoly(2, {(1, 6): 3, (2, 0): Fraction(-1, 4)})), 4, False)
+def test_walk_sum_matches_the_pointwise_sum(case, n, strict):
+    points, w = case
+    P = LatticePolytope(points)
+    assert _walk_sum(P, n, strict, w._scaled_terms) == pointwise_sum(P, w, n, strict)
+
+
+@pytest.mark.parametrize("N, points", [
+    # the parallelogram of the memory test, narrower: 10^4 + 1 fibers of at most two points
+    (10**4, [(0, 0), (1, 0), (10**4, 10**4), (10**4 + 1, 10**4)]),
+    # two fibers of 10^5 + 1 points each
+    (10**5, [(0, 0), (1, 0), (0, 10**5), (1, 10**5)]),
+])
+def test_walk_sum_memory_does_not_grow_with_a_fiber_or_a_width(N, points):
+    # w = t1*t2 - 3*t2^2 + 1/2 over 1P against a closed form, S1 and S2 the
+    # sums of t and t^2 for t = 0..N. The untraced first sum caches the frame
+    # and fills the interpreter's tuple free lists, about 170 KiB held once
+    # per process; the traced sum then holds a few kilobytes
+    S1, S2 = N * (N + 1) // 2, N * (N + 1) * (2 * N + 1) // 6
+    w = WeightPoly(2, {(1, 1): 1, (0, 2): -3, (0, 0): Fraction(1, 2)})
+    P = LatticePolytope(points)
+    first = _walk_sum(P, 1, False, w._scaled_terms)
+    tracemalloc.start()
+    try:
+        total = _walk_sum(P, 1, False, w._scaled_terms)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    closed = (2 * S2 + S1 if points[2][0] else S1) - 6 * S2 + N + 1
+    assert first == total and Fraction(total, w._den) == closed and peak < 64 * 1024
 
 
 def test_cached_frame_does_not_depend_on_the_first_cap(monkeypatch):

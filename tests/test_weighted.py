@@ -5,6 +5,7 @@ import random
 import tracemalloc
 import warnings
 from fractions import Fraction as F
+from itertools import chain
 
 import pytest
 from hypothesis import example, given, settings
@@ -280,22 +281,24 @@ def test_checks_do_not_read_the_interior_nodes(monkeypatch):
     # nodes only, and weighted_ehrhart_polynomial, which the vanishing
     # check reads for its weighted count, reads interior nodes that its
     # closed probes validate
-    import ehrwt.weighted as wmod
+    from ehrwt import geometry
 
-    walk, calls = wmod._walk, []
+    walk_fibers, calls = geometry._walk_fibers, []
 
     def lossy(P, n, strict):
         calls.append((n, strict))
-        points = walk(P, n, strict)
+        e, fibers = walk_fibers(P, n, strict)
         if strict:
-            next(points, None)
-        return points
+            # the first fiber loses its first point
+            base, low, high = next(fibers)
+            fibers = chain([(base, low + 1, high)], fibers)
+        return e, fibers
 
     P = LatticePolytope([(0, 0), (3, 0), (0, 3)])
     w = parse_weight("t1 + t2", 2)
     weighted_ehrhart_polynomial.cache_clear()
     weighted_ehrhart_polynomial(P, w)  # cached from sound walks: only the plain count walks below
-    monkeypatch.setattr(wmod, "_walk", lossy)
+    monkeypatch.setattr(geometry, "_walk_fibers", lossy)
     check_negative_root_vanishing(P, w, spot_check=False)
     assert calls and not any(strict for _, strict in calls)
     weighted_ehrhart_polynomial.cache_clear()
@@ -312,17 +315,17 @@ def test_criterion_three_walks_stay_small(monkeypatch):
     # closed walks at every node took 65,892 and 2,640. The cells the walk
     # core visits pin its order and the pilot's choice: the first count
     # includes the completed pilot walks of 2Q
-    import ehrwt.weighted as wmod
     from ehrwt import geometry
 
-    walk, fibers = wmod._walk, geometry._fibers
+    walk_fibers, fibers = geometry._walk_fibers, geometry._fibers
     walked = cells = 0
 
     def counted(P, n, strict):
         nonlocal walked
-        for point in walk(P, n, strict):
-            walked += 1
-            yield point
+        e, each = walk_fibers(P, n, strict)
+        each = list(each)
+        walked += sum(1 for _ in geometry._points(e, each))
+        return e, iter(each)
 
     def counted_fibers(*args):
         nonlocal cells
@@ -330,7 +333,7 @@ def test_criterion_three_walks_stay_small(monkeypatch):
         cells += c
         return c
 
-    monkeypatch.setattr(wmod, "_walk", counted)
+    monkeypatch.setattr(geometry, "_walk_fibers", counted)
     monkeypatch.setattr(geometry, "_fibers", counted_fibers)
     squares = Graph(7, [(1, 2), (1, 4), (2, 3), (3, 4), (5, 6), (5, 7), (6, 7)])
     P = edge_polytope(squares)
