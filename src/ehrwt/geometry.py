@@ -32,10 +32,9 @@ pilot counts on 2Q; each innermost fiber goes out as its base and the
 interval of its last coordinate, so sums, counts and images are taken
 per fiber in C-level loops over ranges, and no point list is kept.
 
-Membership is settled by a barycentric feasibility LP, phase 1 of the
-simplex method on an integer tableau, same fraction-free step as the
-hull. It never looks at the facet pipeline, so the two routes can serve
-as mutual oracles.
+Membership reads the same cached rows: with the point's and the
+dilation's denominators cleared once, it is one integer dot product per
+hull equation and facet row.
 """
 
 from __future__ import annotations
@@ -43,6 +42,7 @@ from __future__ import annotations
 import math
 import os
 from itertools import chain, repeat
+from operator import mul
 from typing import Iterable, Sequence
 
 from .errors import ConsistencyError, EnumerationLimitError
@@ -674,62 +674,27 @@ def interior_lattice_points(P: LatticePolytope, n: int) -> list[tuple[int, ...]]
     return sorted(_walk(P, n, True))
 
 
-def _feasible(rows, rhs) -> bool:
-    """Has rows.y == rhs a solution y >= 0? Phase 1 of the simplex method on integers.
-
-    Rows with a negative right-hand side are negated and an artificial
-    identity is appended. The last row holds the reduced costs of
-    maximizing -sum(artificials): the column sums, 0 on the artificial
-    columns, and the sum of the artificials as its last entry. Bland's
-    rule picks the first column with a positive reduced cost and the row
-    of least ratio, ties to the lowest basis index, so no basis repeats.
-    Pivots are the hull's fraction-free step; each is positive, so the
-    tableau over the last pivot reads with the usual signs.
-    """
-    m, nvars = len(rows), len(rows[0])
-    mat = []
-    for i, (row, b) in enumerate(zip(rows, rhs)):
-        sign = -1 if b < 0 else 1
-        mat.append([sign * v for v in row] + [int(k == i) for k in range(m)] + [sign * b])
-    sums = [sum(col) for col in zip(*mat)]
-    mat.append(sums[:nvars] + [0] * m + sums[-1:])
-    basis = list(range(nvars, nvars + m))
-    prev = 1
-    while True:
-        cost = mat[-1]
-        col = next((j for j in range(nvars + m) if cost[j] > 0), None)
-        if col is None:
-            return cost[-1] == 0
-        r = None
-        for i in range(m):
-            a = mat[i][col]
-            # least ratio mat[i][-1] / a, cross-multiplied; ties to the lower basis index
-            if a > 0 and (r is None or (mat[i][-1] * mat[r][col], basis[i])
-                          < (mat[r][-1] * a, basis[r])):
-                r = i
-        prev = _pivot(mat, r, col, prev)
-        basis[r] = col
-
-
 def contains(P: LatticePolytope, point: Sequence, n=1) -> bool:
     """Exact membership of a rational point in the n-th dilation (n > 0 rational).
 
-    Feasibility of the barycentric system {n*V.lam = point, sum(lam) = 1,
-    lam >= 0}, each row cleared of denominators: phase 1 on an integer
-    tableau, same fraction-free step as the hull. Independent of the
-    facet pipeline by design.
+    With the point written as xs / L, L the lcm of its denominators, and
+    n = p / q, the point lies in nP iff q * a.xs == p * L * b on each hull
+    equation and q * a.xs <= p * L * b on each facet row, all in integers.
+    The rows are P's cached H-representation, computed on first use, so a
+    P whose double description passes HULL_ROWS raises EnumerationLimitError.
     """
     scale = _exact(n, "dilation factor")
     if scale <= 0:
         raise ValueError("dilation factor must be positive")
-    coords = [_exact(c, "coordinate") for c in point]
+    coords = [c if isinstance(c, int) else _exact(c, "coordinate") for c in point]
     if len(coords) != P.ambient_dim:
         raise ValueError(f"point has length {len(coords)}, expected {P.ambient_dim}")
-    num, den = scale.numerator, scale.denominator
-    rows = [[num * x.denominator * v[j] for v in P.vertices] for j, x in enumerate(coords)]
-    rows.append([1] * len(P.vertices))
-    rhs = [den * x.numerator for x in coords] + [1]
-    return _feasible(rows, rhs)
+    equations, inequalities = P.affine_hull, P.facet_inequalities
+    den = math.lcm(*(x.denominator for x in coords))
+    xs = [x.numerator * (den // x.denominator) for x in coords]
+    q, rhs = scale.denominator, scale.numerator * den
+    return (all(q * sum(map(mul, a, xs)) == rhs * b for a, b in equations)
+            and all(q * sum(map(mul, a, xs)) <= rhs * b for a, b in inequalities))
 
 
 def edge_polytope(G: Graph) -> LatticePolytope:

@@ -163,7 +163,8 @@ def affine_lift_polytope(P: LatticePolytope, coeffs: Sequence) -> LatticePolytop
     only lift construction: linear_lift is this lift at offset 0. The
     heights are C.v, not C.(v - min), so a P far from the origin lifts
     to a tall polytope: a triangle translated by about 10^30 has heights
-    near 10^30, and counting its lift passes the enumeration cap.
+    near 10^30, and counting this lift passes the enumeration cap;
+    weighted_by_affine_lift lifts the translate P - min instead.
     """
     require_nonnegative_vertices(P, "affine_lift_polytope")
     row = [_exact(c) for c in coeffs]
@@ -181,16 +182,20 @@ def affine_lift_polytope(P: LatticePolytope, coeffs: Sequence) -> LatticePolytop
 def weighted_by_affine_lift(P: LatticePolytope, coeffs: Sequence, offset) -> UniPoly:
     """Counting polynomial for the affine weight C.x + b via the lift route.
 
-    Computed as count(lift of the linear part) + (b - 1) * count(P),
-    entirely without interpolation against w itself, so it can serve as
-    an independent check of the interpolation route. Far from the origin
-    the lift is too tall to count (see affine_lift_polytope): the first
-    walk raises EnumerationLimitError where the interpolation route
-    answers.
+    The lift is taken of P - m, m the coordinatewise minimum of the
+    vertices, so it stays short however far P lies from the origin. Over
+    n(P - m) the weight is C.x + b + n*C.m, so the polynomial is
+    count(lift of P - m) + (b - 1 + n*C.m) * count(P), entirely without
+    interpolation against w itself: an independent check of the
+    interpolation route.
     """
     b = _exact(offset, "offset")
-    lifted = affine_lift_polytope(P, coeffs)
-    return ehrhart_polynomial(lifted) + (b - 1) * ehrhart_polynomial(P)
+    require_nonnegative_vertices(P, "weighted_by_affine_lift")
+    m = [min(col) for col in zip(*P.vertices)]
+    lifted = affine_lift_polytope(
+        LatticePolytope([tuple(x - y for x, y in zip(v, m)) for v in P.vertices]), coeffs)
+    shift = sum(_exact(c) * y for c, y in zip(coeffs, m))
+    return ehrhart_polynomial(lifted) + UniPoly([b - 1, shift]) * ehrhart_polynomial(P)
 
 
 def predicted_degree(G: Graph, w: WeightPoly) -> int:

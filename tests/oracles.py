@@ -4,9 +4,10 @@ Everything here is deliberately computed through a different route than
 the library code it checks. Membership and relative-interior questions
 are settled by linear programs over barycentric coordinates (vertex
 descriptions only, no facet systems), solved by a two-phase simplex
-method over Fractions: the library's former LP, kept here so that the
-oracle shares no code with ``contains``, which runs phase 1 on an
-integer tableau. Lattice point sets are found by scanning bounding
+method over Fractions, where ``contains`` tests the library's facet
+rows. The library's former membership LP, phase 1 on an integer tableau
+with the hull's fraction-free step, is kept here as a second
+vertex-only route. Lattice point sets are found by scanning bounding
 boxes, facets by trying every hyperplane through vertices, and Eulerian
 numbers by the classical recurrence. Affine hulls and ranks
 come from Gauss-Jordan elimination over Fractions, where the library
@@ -42,7 +43,7 @@ from fractions import Fraction
 from itertools import combinations, product
 from math import gcd, lcm
 
-from ehrwt import RationalGF, UniPoly, cube_series, lagrange_interpolate, weighted_sum
+from ehrwt import RationalGF, UniPoly, cube_series, geometry, lagrange_interpolate, weighted_sum
 from ehrwt.errors import (
     ConsistencyError,
     EnumerationLimitError,
@@ -213,6 +214,56 @@ def in_relative_interior(vertices, point):
     objective = [Fraction(0)] * m + [Fraction(1)]
     status, value, _ = simplex_maximize(rows, rhs, objective)
     return status == "optimal" and value > 0
+
+
+def phase_one_feasible(rows, rhs) -> bool:
+    """Has rows.y == rhs a solution y >= 0? Phase 1 of the simplex method on integers.
+
+    Rows with a negative right-hand side are negated and an artificial
+    identity is appended. The last row holds the reduced costs of
+    maximizing -sum(artificials): the column sums, 0 on the artificial
+    columns, and the sum of the artificials as its last entry. Bland's
+    rule picks the first column with a positive reduced cost and the row
+    of least ratio, ties to the lowest basis index, so no basis repeats.
+    Pivots are the library's fraction-free step, looked up on the module
+    at each call; each is positive, so the tableau over the last pivot
+    reads with the usual signs.
+    """
+    m, nvars = len(rows), len(rows[0])
+    mat = []
+    for i, (row, b) in enumerate(zip(rows, rhs)):
+        sign = -1 if b < 0 else 1
+        mat.append([sign * v for v in row] + [int(k == i) for k in range(m)] + [sign * b])
+    sums = [sum(col) for col in zip(*mat)]
+    mat.append(sums[:nvars] + [0] * m + sums[-1:])
+    basis = list(range(nvars, nvars + m))
+    prev = 1
+    while True:
+        cost = mat[-1]
+        col = next((j for j in range(nvars + m) if cost[j] > 0), None)
+        if col is None:
+            return cost[-1] == 0
+        r = None
+        for i in range(m):
+            a = mat[i][col]
+            # least ratio mat[i][-1] / a, cross-multiplied; ties to the lower basis index
+            if a > 0 and (r is None or (mat[i][-1] * mat[r][col], basis[i])
+                          < (mat[r][-1] * a, basis[r])):
+                r = i
+        prev = geometry._pivot(mat, r, col, prev)
+        basis[r] = col
+
+
+def barycentric_member(vertices, point, n=1) -> bool:
+    """Is the rational point in n * conv(vertices)? Feasibility of
+    {n*V.lam = point, sum(lam) = 1, lam >= 0}, each row cleared of
+    denominators, by phase_one_feasible."""
+    n = Fraction(n)
+    coords = [Fraction(c) for c in point]
+    rows = [[n.numerator * x.denominator * v[j] for v in vertices] for j, x in enumerate(coords)]
+    rows.append([1] * len(vertices))
+    rhs = [n.denominator * x.numerator for x in coords] + [1]
+    return phase_one_feasible(rows, rhs)
 
 
 def _rref(rows):

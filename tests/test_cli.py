@@ -499,16 +499,20 @@ def test_import_loads_neither_dataclasses_nor_inspect():
     assert proc.stdout == "[]\n"
 
 
-def test_lift_far_from_the_origin_stops_cleanly():
-    # the lift of a triangle translated by about 10^30 has heights near
-    # 10^30, so its first walk passes the enumeration cap at once
+def test_lift_far_from_the_origin_matches_interpolation():
+    # the printed lift of a triangle translated by about 10^30 has heights
+    # near 10^30, but the route counts the lift of its translate to the
+    # origin, so the command's own cross-check against interpolation passes
     shift = (10**30, 0, 3 * 10**30 + 7)
     points = [(1, 2, 2), (2, 0, 2), (2, 2, 0), (0, 3, 3)]
     vertices = "; ".join(" ".join(str(x + y) for x, y in zip(p, shift)) for p in points)
     proc = cli_subprocess("lift", "--vertices", vertices, "--weight", "t1")
-    assert proc.returncode == 1 and proc.stdout == ""
-    assert proc.stderr.startswith("error: lattice-point enumeration of the closed dilation n=1 ")
-    assert proc.stderr.count("\n") == 1 and "Traceback" not in proc.stderr
+    assert proc.returncode == 0 and proc.stderr == ""
+    lines = proc.stdout.splitlines()
+    assert lines[:2] == ["route: linear", "lift vertices:"]
+    assert lines[6] == f"  {10**30 + 1} 2 {3 * 10**30 + 9} {10**30 + 1}"
+    weighted = cli_subprocess("weighted", "--vertices", vertices, "--weight", "t1")
+    assert weighted.returncode == 0 and lines[-2:] == weighted.stdout.splitlines()
 
 
 def test_module_entry_point():

@@ -29,7 +29,6 @@ from ehrwt import geometry
 from ehrwt.geometry import (
     _affine_rank,
     _check_facets,
-    _feasible,
     _fibers,
     _frame,
     _lattice_coordinates,
@@ -42,6 +41,7 @@ from ehrwt.geometry import (
 from oracles import (
     affine_rank,
     ambient_walk,
+    barycentric_member,
     box_points,
     brute_force_facets,
     euclid_coordinates,
@@ -50,6 +50,7 @@ from oracles import (
     in_relative_interior,
     lattice_coefficients,
     lll_reduced,
+    phase_one_feasible,
     pointwise_sum,
     random_vertices,
     recursive_fibers,
@@ -669,6 +670,24 @@ def test_facet_rows_over_the_cap_stop_the_hull(monkeypatch):
     assert len(facets(LatticePolytope(cube))[1]) == 8
 
 
+def test_facet_rows_over_the_cap_stop_contains(monkeypatch):
+    # contains reads the facet rows, so its first query computes the hull;
+    # the cube also sits in a hyperplane of Z^5, where a point off the
+    # hyperplane raises too
+    cube = list(product((0, 1), repeat=4))
+    flat = LatticePolytope(cube)
+    raised = LatticePolytope([v + (0,) for v in cube])
+    monkeypatch.setattr(geometry, "HULL_ROWS", 9)
+    message = ("facet computation of 16 points in dimension 4 reached 10 "
+               "double-description rows after 13 points, over the cap of 9")
+    for P, point in [(flat, (0, 0, 0, 0)), (raised, (0, 0, 0, 0, 1))]:
+        with pytest.raises(EnumerationLimitError, match=message):
+            contains(P, point)
+    monkeypatch.setattr(geometry, "HULL_ROWS", 10)
+    assert contains(flat, (Fraction(1, 2),) * 4)
+    assert not contains(raised, (0, 0, 0, 0, 1))
+
+
 # ---------------------------------------------------------------- membership
 
 def test_contains_fixtures():
@@ -690,9 +709,10 @@ def test_contains_validation():
 
 
 class CheckedPivot:
-    """geometry._pivot on phase-1 tableaux, checked: each division exact, each
-    pivot positive, prev the tableau's last pivot (1 at its first step), and
-    no right-hand side of a constraint row negative afterwards."""
+    """geometry._pivot on the oracle LP's phase-1 tableaux, checked: each
+    division exact, each pivot positive, prev the tableau's last pivot (1 at
+    its first step), and no right-hand side of a constraint row negative
+    afterwards."""
 
     def __init__(self):
         self.pivot = geometry._pivot
@@ -739,7 +759,7 @@ def test_feasible_matches_the_fraction_simplex(system):
     rows, rhs = system
     expected = simplex_maximize(rows, rhs, [0] * len(rows[0]))[0] != "infeasible"
     with patch.object(geometry, "_pivot", CheckedPivot()):
-        assert _feasible(rows, rhs) == expected
+        assert phase_one_feasible(rows, rhs) == expected
 
 
 @st.composite
@@ -770,8 +790,9 @@ def membership_queries(draw):
 def test_contains_matches_the_hull_oracle(query):
     verts, n, point = query
     expected = in_hull([tuple(n * c for c in v) for v in verts], point)
+    assert contains(LatticePolytope(verts), point, n) == expected
     with patch.object(geometry, "_pivot", CheckedPivot()):
-        assert contains(LatticePolytope(verts), point, n) == expected
+        assert barycentric_member(verts, point, n) == expected
 
 
 def test_contains_agrees_with_enumeration_random():
@@ -816,8 +837,9 @@ def thin_index_images(draw):
 @example([(0, 0), (2, 2)])
 @example([(0, 0, 0), (2, 0, 0), (0, 1, 1)])
 def test_membership_routes_agree_on_every_box_point(points):
-    # contains runs phase 1 of the simplex method, the facet rows are the hull
-    # route, and box_points asks the LP oracle, on every point of the box
+    # contains and the rows below are the hull route, barycentric_member is
+    # phase 1 on an integer tableau, and box_points asks the Fraction LP, on
+    # every point of the box
     P = LatticePolytope(points)
     equations, inequalities = facets(P)
     for n in (1, 2):
@@ -826,7 +848,8 @@ def test_membership_routes_agree_on_every_box_point(points):
         for q in product(*box):
             by_rows = all(sum(a * x for a, x in zip(row, q)) == n * b for row, b in equations) \
                 and all(sum(a * x for a, x in zip(row, q)) <= n * b for row, b in inequalities)
-            assert contains(P, q, n) == by_rows == (q in inside)
+            assert contains(P, q, n) == by_rows == barycentric_member(points, q, n) \
+                == (q in inside)
 
 
 # ---------------------------------------------------------------- graphs

@@ -5,7 +5,7 @@ import random
 import tracemalloc
 import warnings
 from fractions import Fraction as F
-from itertools import chain
+from itertools import chain, product
 
 import pytest
 from hypothesis import example, given, settings
@@ -461,6 +461,59 @@ def test_affine_lift_matches_interpolation_on_images(points, data):
     assert weighted_by_affine_lift(P, row, offset) == weighted_ehrhart_polynomial(P, w)
 
 
+@settings(max_examples=100, deadline=None)
+@given(nonnegative_images(), st.data())
+@example([(1, 2, 2), (2, 0, 2), (2, 2, 0), (0, 3, 3)], None)
+def test_affine_lift_matches_interpolation_on_translates(points, data):
+    # the route lifts T - min, so a translate far from the origin lifts as
+    # short as the image itself
+    s = len(points[0])
+    if data is None:
+        shift, row, offset = (10**30, 0, 3 * 10**30 + 7), (1, 0, 2), F(-1, 2)
+    else:
+        shift = data.draw(st.lists(st.integers(0, 3) | st.integers(0, 10**30),
+                                   min_size=s, max_size=s))
+        row = data.draw(st.lists(st.integers(0, 2), min_size=s, max_size=s).filter(any))
+        offset = data.draw(st.fractions(min_value=-3, max_value=3, max_denominator=4))
+    T = LatticePolytope([tuple(x + y for x, y in zip(p, shift)) for p in points])
+    units = [tuple(int(i == j) for j in range(s)) for i in range(s)]
+    w = WeightPoly(s, {**dict(zip(units, row)), (0,) * s: offset})
+    assert weighted_by_affine_lift(T, row, offset) == weighted_ehrhart_polynomial(T, w)
+
+
+def _box(lo, hi):
+    return LatticePolytope(sorted(set(product(*zip(lo, hi)))))
+
+
+@st.composite
+def cut_boxes(draw):
+    """(lo, hi, j, c): a lattice box [lo, hi] in Z^1..Z^3 with sides 0..2
+    and an integer value c of its coordinate j, possibly on its boundary."""
+    s = draw(st.integers(1, 3))
+    lo = [draw(st.integers(-2, 2)) for _ in range(s)]
+    hi = [a + draw(st.integers(0, 2)) for a in lo]
+    j = draw(st.integers(0, s - 1))
+    return lo, hi, j, draw(st.integers(lo[j], hi[j]))
+
+
+@settings(max_examples=100, deadline=None)
+@given(cut_boxes(), st.integers(0, 2**32))
+def test_inclusion_exclusion_across_a_cut(box, seed):
+    # the cut x_j = c splits the box into two lattice boxes that share the
+    # facet x_j = c: at every n the halves less the facet give the box
+    lo, hi, j, c = box
+    left = _box(lo, hi[:j] + [c] + hi[j + 1:])
+    right = _box(lo[:j] + [c] + lo[j + 1:], hi)
+    shared = _box(lo[:j] + [c] + lo[j + 1:], hi[:j] + [c] + hi[j + 1:])
+    whole = _box(lo, hi)
+    w = WeightPoly(len(lo), random_weight_terms(random.Random(seed), len(lo), 2, 3))
+    for n in range(whole.dim + w.degree + 3):
+        assert weighted_sum(left, w, n) + weighted_sum(right, w, n) \
+            - weighted_sum(shared, w, n) == weighted_sum(whole, w, n), n
+    assert weighted_ehrhart_polynomial(left, w) + weighted_ehrhart_polynomial(right, w) \
+        - weighted_ehrhart_polynomial(shared, w) == weighted_ehrhart_polynomial(whole, w)
+
+
 @settings(max_examples=300)
 @given(small_affine_images(), st.data())
 def test_closed_node_polynomial_meets_reciprocity_on_lower_dimensional_images(points, data):
@@ -510,10 +563,11 @@ def test_bigint_translation_shifts_walks_polynomials_and_lift():
     assert weighted_by_affine_lift(T, (0, 1, 0), F(1, 3)) \
         == weighted_by_affine_lift(P, (0, 1, 0), F(1, 3)) \
         == weighted_ehrhart_polynomial(T, parse_weight("t2 + 1/3", 3))
-    # documented, not mended: with height t1 the lift of the translate is
-    # about 10^30 tall, so the lift route stops at its first walk
+    # with height t1 the lift of the translate is about 10^30 tall and its
+    # first walk passes the cap; the lift route counts the lift of T - min
     with pytest.raises(EnumerationLimitError, match="closed dilation n=1 counted"):
-        weighted_by_affine_lift(T, (1, 0, 0), 0)
+        ehrhart_polynomial(affine_lift_polytope(T, (1, 0, 0)))
+    assert weighted_by_affine_lift(T, (1, 0, 0), 0) == weighted_ehrhart_polynomial(T, t1)
 
 
 def test_duplicate_and_interior_points_in_the_vertex_list():
