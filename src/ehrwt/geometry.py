@@ -6,14 +6,19 @@ elimination (Bareiss) does all of its linear algebra: the affine hull
 is the integer kernel of the vertex differences' echelon form, an
 affine rank is its pivot count, and the hull equations' pivots fix the
 coordinates left free. The facets come from an incremental double
-description on integer rows in those free coordinates, from the simplex
-on the first point and those whose differences from it are one echelon
-form's pivot columns. Each point outside the current hull replaces the
-rows it violates by positive combinations with the rows it satisfies
-strictly, for pairs with no third row tight wherever both are (Fukuda
-and Prodon's combinatorial test, valid as the rows are exactly the
-facets of the hull so far). An integer invariant check on the final
-rows raises ConsistencyError if that ever fails.
+description on integer rows in those free coordinates. Its starting
+simplex comes from one elimination of the points' differences from the
+first point with the identity appended: the pivot columns pick the
+simplex's other points, and the appended block holds its facet normals.
+Each point outside the current hull replaces the rows it violates by
+positive combinations with the rows it satisfies strictly, for pairs
+with no third row tight wherever both are (Fukuda and Prodon's
+combinatorial test, valid as the rows are exactly the facets of the hull
+so far). Each row carries the points tight at it as a bitmask, so a new
+row's tight set is its parents' common one plus the new point, and no
+tight set is recomputed. An integer invariant check on the final rows,
+with the tight sets taken afresh from the vertices, raises
+ConsistencyError if that ever fails.
 
 The lattice points of a dilation come from one walk in a lattice basis
 of the affine hull: with v0 a vertex and the columns of B a reduced
@@ -67,8 +72,8 @@ DEFAULT_ENUMERATION_CAP = 10**8
 PILOT_CELLS = 4096
 # most rows the facets' double description may hold after a point: a
 # point costs up to cubic time in the rows: points on the moment curve of
-# R^3 take 13 s to reach this cap (CPython 3.11, a shared Xeon server),
-# where the hull workloads peak at 14
+# R^3 reach this cap after 103 points in 0.15 s (CPython 3.11, a shared
+# Xeon server), where the hull workloads peak at 14
 HULL_ROWS = 200
 
 
@@ -225,12 +230,10 @@ def _echelon(rows):
 
 
 def _primitive_ineq(row, rhs):
-    """Primitive form of the integer row a.x <= b; None when the row is trivial."""
+    """Primitive form of the integer row a.x <= b; a zero row raises ConsistencyError."""
     g = math.gcd(*row)
     if g == 0:
-        if rhs < 0:
-            raise ConsistencyError("derived an infeasible constraint; this is a bug")
-        return None
+        raise ConsistencyError(f"derived the trivial row 0 <= {rhs}; this is a bug")
     g = math.gcd(g, rhs)
     return tuple(v // g for v in row), rhs // g
 
@@ -278,19 +281,6 @@ def _affine_rank(points) -> int:
     return len(_echelon([[a - b for a, b in zip(p, base)] for p in points[1:]])[1])
 
 
-def _tidy(cons):
-    """Primitive rows without tautologies, the tightest rhs per normal, sorted."""
-    best = {}
-    for row, rhs in cons:
-        prim = _primitive_ineq(row, rhs)
-        if prim is None:
-            continue
-        key, val = prim
-        if key not in best or val < best[key]:
-            best[key] = val
-    return sorted(best.items())
-
-
 def _check_facets(P, rows):
     """Raise ConsistencyError unless the rows are the distinct facets of P.
 
@@ -301,7 +291,7 @@ def _check_facets(P, rows):
     for row, rhs in rows:
         tight = []
         for v in P.vertices:
-            value = sum(c * x for c, x in zip(row, v))
+            value = sum(map(mul, row, v))
             if value > rhs:
                 raise ConsistencyError(f"facet row {row} <= {rhs} is violated by vertex {v}")
             if value == rhs:
@@ -322,7 +312,8 @@ def _facet_inequalities(P):
     P projects one-to-one onto the columns that are not pivots of the
     hull equations' echelon form, and a row that is zero on the pivot
     columns is the canonical representative of its class modulo those
-    equations. More than HULL_ROWS rows after a point raise
+    equations. Each row carries its tight set as a bitmask over the
+    points added so far. More than HULL_ROWS rows after a point raise
     EnumerationLimitError.
     """
     if P.dim == 0:
@@ -332,37 +323,43 @@ def _facet_inequalities(P):
     points = list(dict.fromkeys(tuple(v[j] for j in free) for v in P.vertices))
     d = len(free)
 
-    # start from d + 1 affinely independent points, the first point and those whose
-    # differences from it are pivot columns; seen holds the points added so far
+    # start from the first point and the p_i whose differences from it are pivot
+    # columns of [D | I], D's columns all the differences: the appended block is then
+    # the last pivot times D_c^-1, so its row i is normal to the facet opposite p_i
+    # and minus the rows' sum to the one opposite base, each signed to have its apex
+    # inside; seen holds the points added so far, apex i at i
     base = points[0]
-    _, cols = _echelon([[q[j] - base[j] for q in points[1:]] for j in range(d)])
-    seen = [base] + [points[c + 1] for c in cols]
-    rows = []
-    for apex in seen:
-        # the one equation through the opposite face, oriented away from the apex
-        ((a, b),) = _affine_hull([q for q in seen if q != apex])
-        if sum(c * x for c, x in zip(a, apex)) > b:
-            a, b = tuple(-c for c in a), -b
-        rows.append((a, b))
+    ech, cols = _echelon([[q[j] - base[j] for q in points[1:]] + [int(i == j) for i in range(d)]
+                          for j in range(d)])
+    sign = -1 if ech[0][cols[0]] > 0 else 1
+    normals = [[sign * c for c in row[-d:]] for row in ech]
+    normals.append([-sum(col) for col in zip(*normals)])
+    seen = [points[c + 1] for c in cols] + [base]
+    full = (1 << (d + 1)) - 1
+    # seen[i - 1] is on every facet but the one opposite seen[i]
+    rows = [(*_primitive_ineq(a, sum(map(mul, a, seen[i - 1]))), full ^ (1 << i))
+            for i, a in enumerate(normals)]
 
     for q in points:
-        slack = [sum(c * x for c, x in zip(a, q)) - b for a, b in rows]
+        slack = [sum(map(mul, a, q)) - b for a, b, _ in rows]
         if max(slack) <= 0:
             continue
-        tight = [
-            {i for i, p in enumerate(seen) if sum(c * x for c, x in zip(a, p)) == b}
-            for a, b in rows
-        ]
-        kept = [r for r, u in zip(rows, slack) if u <= 0]
-        for (a, b), u, tu in zip(rows, slack, tight):
+        bit = 1 << len(seen)
+        seen.append(q)
+        masks = [t for _, _, t in rows]
+        kept = [(a, b, t | bit if u == 0 else t) for (a, b, t), u in zip(rows, slack) if u <= 0]
+        for (a, b, tu), u in zip(rows, slack):
             if u <= 0:
                 continue
-            for (a2, b2), w, tw in zip(rows, slack, tight):
-                # the two rows meet in a ridge iff no third row is tight wherever both are
-                if w < 0 and sum(tu & tw <= t for t in tight) == 2:
-                    kept.append(([-w * x + u * y for x, y in zip(a, a2)], -w * b + u * b2))
-        seen.append(q)
-        rows = _tidy(kept)
+            for (a2, b2, tw), w in zip(rows, slack):
+                # the two rows meet in a ridge iff no third row is tight wherever both
+                # are, and a ridge holds at least d - 1 points
+                common = tu & tw
+                if w < 0 and common.bit_count() >= d - 1 and sum(
+                        common & t == common for t in masks) == 2:
+                    row = [-w * x + u * y for x, y in zip(a, a2)]
+                    kept.append((*_primitive_ineq(row, -w * b + u * b2), common | bit))
+        rows = kept
         if len(rows) > HULL_ROWS:
             raise EnumerationLimitError(
                 f"facet computation of {len(points)} points in dimension {d} reached "
@@ -371,14 +368,14 @@ def _facet_inequalities(P):
             )
 
     lifted = []
-    for a, b in rows:
+    for a, b, _ in rows:
         row = [0] * P.ambient_dim
         for j, c in zip(free, a):
             row[j] = c
-        lifted.append((row, b))
-    rows = _tidy(lifted)
-    _check_facets(P, rows)
-    return tuple(rows)
+        lifted.append((tuple(row), b))
+    lifted.sort()
+    _check_facets(P, lifted)
+    return tuple(lifted)
 
 
 def _enumeration_cap() -> int:

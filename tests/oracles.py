@@ -8,7 +8,9 @@ method over Fractions, where ``contains`` tests the library's facet
 rows. The library's former membership LP, phase 1 on an integer tableau
 with the hull's fraction-free step, is kept here as a second
 vertex-only route. Lattice point sets are found by scanning bounding
-boxes, facets by trying every hyperplane through vertices, and Eulerian
+boxes, facets by trying every hyperplane through vertices and by a
+double description that recomputes every row's tight set after each
+point, where the library carries them as bitmasks, and Eulerian
 numbers by the classical recurrence. Affine hulls and ranks
 come from Gauss-Jordan elimination over Fractions, where the library
 eliminates fraction-free on integers. Series of polynomials come from
@@ -395,6 +397,85 @@ def brute_force_facets(vertices):
         elif min(values) >= b:
             rows.add((tuple(-c for c in normal), -b))
     return rows
+
+
+def _tidy(cons):
+    """Rows a.x <= b made primitive, tautologies dropped, the tightest rhs per normal, sorted."""
+    best = {}
+    for row, rhs in cons:
+        g = gcd(*row)
+        if g == 0:
+            assert rhs >= 0, "an infeasible trivial row"
+            continue
+        g = gcd(g, rhs)
+        key, val = tuple(v // g for v in row), rhs // g
+        if key not in best or val < best[key]:
+            best[key] = val
+    return sorted(best.items())
+
+
+def recomputed_incidence_facets(vertices):
+    """Facet rows of the hull of an integer point list by a double description
+    that recomputes every row's tight set over the points added so far.
+
+    The same insertion order and row cap (geometry.HULL_ROWS, read per call)
+    as the library, which carries the tight sets as bitmasks from row to
+    row instead and takes its starting simplex from one elimination, where
+    this route takes each simplex facet from the hull equation of the
+    opposite face. Free coordinates and the simplex come from the RREF over
+    Fractions; duplicates and tautologies are merged away after each point.
+    """
+    eqs = hull_equations(vertices)
+    s = len(vertices[0])
+    if len(eqs) == s:
+        return ()
+    pivots = _rref([a for a, _ in eqs])[1]
+    free = [j for j in range(s) if j not in pivots]
+    points = list(dict.fromkeys(tuple(v[j] for j in free) for v in vertices))
+    d = len(free)
+
+    base = points[0]
+    cols = _rref([[q[j] - base[j] for q in points[1:]] for j in range(d)])[1]
+    seen = [base] + [points[c + 1] for c in cols]
+    rows = []
+    for apex in seen:
+        ((a, b),) = hull_equations([q for q in seen if q != apex])
+        if sum(c * x for c, x in zip(a, apex)) > b:
+            a, b = tuple(-c for c in a), -b
+        rows.append((a, b))
+
+    for q in points:
+        slack = [sum(c * x for c, x in zip(a, q)) - b for a, b in rows]
+        if max(slack) <= 0:
+            continue
+        tight = [
+            {i for i, p in enumerate(seen) if sum(c * x for c, x in zip(a, p)) == b}
+            for a, b in rows
+        ]
+        kept = [r for r, u in zip(rows, slack) if u <= 0]
+        for (a, b), u, tu in zip(rows, slack, tight):
+            if u <= 0:
+                continue
+            for (a2, b2), w, tw in zip(rows, slack, tight):
+                # the two rows meet in a ridge iff no third row is tight wherever both are
+                if w < 0 and sum(tu & tw <= t for t in tight) == 2:
+                    kept.append(([-w * x + u * y for x, y in zip(a, a2)], -w * b + u * b2))
+        seen.append(q)
+        rows = _tidy(kept)
+        if len(rows) > geometry.HULL_ROWS:
+            raise EnumerationLimitError(
+                f"facet computation of {len(points)} points in dimension {d} reached "
+                f"{len(rows)} double-description rows after {len(seen)} points, over "
+                f"the cap of {geometry.HULL_ROWS}"
+            )
+
+    lifted = []
+    for a, b in rows:
+        row = [0] * s
+        for j, c in zip(free, a):
+            row[j] = c
+        lifted.append((row, b))
+    return tuple(_tidy(lifted))
 
 
 def _dilated(vertices, n):

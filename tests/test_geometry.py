@@ -33,6 +33,7 @@ from ehrwt.geometry import (
     _frame,
     _lattice_coordinates,
     _points,
+    _primitive_ineq,
     _walk,
     _walk_frame,
     _walk_sum,
@@ -53,6 +54,7 @@ from oracles import (
     phase_one_feasible,
     pointwise_sum,
     random_vertices,
+    recomputed_incidence_facets,
     recursive_fibers,
     simplex_maximize,
 )
@@ -293,6 +295,25 @@ def test_facets_of_degenerate_point_sets_match_brute_force():
         for points in (verts, rng.sample(verts, len(verts))):
             P = LatticePolytope(points)
             assert P.facet_inequalities == tuple(sorted(brute_force_facets(points))), points
+            _assert_facet_routes_agree(points)
+
+
+def _facets_or_cap_message(compute):
+    try:
+        return compute()
+    except EnumerationLimitError as exc:
+        return str(exc)
+
+
+def _assert_facet_routes_agree(points, caps=(4, 6, 9)):
+    """The carried incidences give the recomputed-incidence oracle's rows, and
+    under a lowered row cap both routes stop after the same point, or neither does."""
+    assert LatticePolytope(points).facet_inequalities == recomputed_incidence_facets(points)
+    for cap in caps:
+        with patch.object(geometry, "HULL_ROWS", cap):
+            carried = _facets_or_cap_message(lambda: LatticePolytope(points).facet_inequalities)
+            recomputed = _facets_or_cap_message(lambda: recomputed_incidence_facets(points))
+        assert carried == recomputed, (points, cap)
 
 
 def test_facet_invariant_check_rejects_bad_rows():
@@ -304,6 +325,13 @@ def test_facet_invariant_check_rejects_bad_rows():
         _check_facets(SQUARE, rows + [((1, 1), 2)])
     with pytest.raises(ConsistencyError, match="more than one row"):
         _check_facets(SQUARE, rows + rows[:1])
+    # a trivial row is never dropped: the double description refuses to
+    # make one primitive, and the check finds it tight nowhere or everywhere
+    with pytest.raises(ConsistencyError, match="trivial row 0 <= 1"):
+        _primitive_ineq([0, 0], 1)
+    for rhs in (0, 1):
+        with pytest.raises(ConsistencyError, match="not a facet"):
+            _check_facets(SQUARE, rows + [((0, 0), rhs)])
     # in a lower-dimensional hull a facet's tight set is one dimension down
     _check_facets(SEGMENT, list(SEGMENT.facet_inequalities))
     with pytest.raises(ConsistencyError, match="not a facet"):
@@ -412,6 +440,55 @@ def small_affine_images(draw):
 permuted_criterion3 = st.permutations(range(7)).map(
     lambda perm: [tuple(v[j] for j in perm) for v in CRITERION3]
 )
+
+
+@st.composite
+def full_dimensional_sets(draw):
+    """d + 1 to d + 5 points of {-2..2}^d, d = 2..5, spanning R^d, with up to
+    two of them repeated."""
+    d = draw(st.integers(2, 5))
+    points = draw(st.lists(st.tuples(*[st.integers(-2, 2)] * d), min_size=d + 1, max_size=d + 5))
+    assume(affine_rank(points) == d)
+    return points + draw(st.lists(st.sampled_from(points), max_size=2))
+
+
+@settings(max_examples=200)
+@given(full_dimensional_sets() | small_affine_images())
+@example(list(product((0, 1), repeat=4)))
+@example([(t, t * t, t ** 3) for t in range(12)] + [(3, 9, 27), (0, 0, 0)])
+@example([(0, 0), (2, 2), (1, 1), (4, 0), (0, 4), (2, 2)])
+@example([(2, 4, 0), (0, 2, 4), (1, 3, 2), (2, 4, 0)])
+def test_facets_match_the_recomputed_incidence_oracle(points):
+    _assert_facet_routes_agree(points)
+    if affine_rank(points) == len(points[0]):
+        assert LatticePolytope(points).facet_inequalities == tuple(
+            sorted(brute_force_facets(points))), points
+
+
+def test_facets_of_nonsimplicial_polytopes_match_the_recomputed_incidence_oracle():
+    # in dimension 4 and up two rows can share d - 1 points without meeting
+    # in a ridge, so here the combinatorial test, not the point count, decides
+    rng = random.Random(1618)
+    sets = [
+        list(product((0, 1), repeat=5)),
+        [p for p in product(range(3), repeat=4) if 0 in p or 2 in p],
+        [a + b + c for a in product((0, 1), repeat=2) for b in product((0, 2), repeat=2)
+         for c in [(0,), (3,)]],
+    ]
+    # the last one again in a hyperplane of Z^6, so its rows are lifted
+    sets.append([(*p, sum(p) - p[0]) for p in sets[-1]])
+    for verts in sets:
+        for points in [verts] + [rng.sample(verts, len(verts)) for _ in range(3)]:
+            _assert_facet_routes_agree(points, caps=(9, 16))
+
+
+def test_moment_curve_facets():
+    # every simplicial 3-polytope with m vertices has 2m - 4 facets, whatever
+    # the order the double description meets them in
+    curve = [(t, t * t, t ** 3) for t in range(80)]
+    assert len(facets(LatticePolytope(curve))[1]) == 2 * 80 - 4
+    curve = [(t, t * t, t ** 3, t ** 4) for t in range(20)]
+    assert LatticePolytope(curve).facet_inequalities == recomputed_incidence_facets(curve)
 
 
 def _outcome(walk, frame, n, strict, cap):
