@@ -487,7 +487,8 @@ def run(argv=None) -> int:
         with warnings.catch_warnings(record=True) as caught:
             warnings.simplefilter("always")
             try:
-                result = _HANDLERS[args.command](args)
+                # built here, so an integer past Python's str digit limit is an input error
+                text = write_output(_HANDLERS[args.command](args), args.fmt)
             finally:
                 for message in dict.fromkeys(str(w.message) for w in caught):
                     print(f"warning: {message}", file=sys.stderr)
@@ -497,7 +498,7 @@ def run(argv=None) -> int:
     except (EhrwtError, ValueError, TypeError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
-    print(write_output(result, args.fmt))
+    print(text)
     return 0
 
 

@@ -616,14 +616,16 @@ def _walk(P: LatticePolytope, n: int, strict: bool):
 
 
 def _walk_sum(P: LatticePolytope, n: int, strict: bool, terms) -> int:
-    """Sum of the terms c * prod(a_i^k), given as (c, ((i, k), ...)), over the points a
-    of nP (of its relative interior if strict), one fiber at a time: a coordinate
-    e leaves alone is read once from the base, the others run along their ranges.
+    """Sum of the terms c * prod(a_i^k), given as (exponents k, int c) pairs, over
+    the points a of nP (of its relative interior if strict), one fiber at a time: a
+    coordinate e leaves alone is read once from the base, the others run along
+    their ranges.
     """
     e, fibers = _walk_fibers(P, n, strict)
     moving = [i for i, c in enumerate(e) if c]
-    split = [(c, [i for i, k in p if not e[i] for _ in range(k)],
-              [moving.index(i) for i, k in p if e[i] for _ in range(k)]) for c, p in terms]
+    split = [(c, [i for i, k in enumerate(x) if not e[i] for _ in range(k)],
+              [moving.index(i) for i, k in enumerate(x) if e[i] for _ in range(k)])
+             for x, c in terms]
     total = 0
     for base, low, high in fibers:
         ranges = [range(base[i] + low * e[i], base[i] + (high + 1) * e[i], e[i]) for i in moving]

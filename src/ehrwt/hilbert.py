@@ -203,7 +203,7 @@ def image_gap_report(P: LatticePolytope, W: LinearWeightTuple, n: int) -> ImageG
     gap can be strict.
     """
     count = hilbert_value(P, W, n)
-    hull_count = _walk_sum(image_polytope(P, W), n, False, ((1, ()),))
+    hull_count = _walk_sum(image_polytope(P, W), n, False, [((), 1)])
     if count > hull_count:
         raise ConsistencyError("image count exceeded the lattice count of the image hull")
     return ImageGapReport(count, hull_count)

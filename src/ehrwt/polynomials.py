@@ -1,11 +1,13 @@
 """Exact polynomial algebra and rational generating functions.
 
 Univariate polynomials carry exact rational coefficients in ascending
-order. Weights are sparse multivariate polynomials keyed by exponent
-vectors. Generating functions are kept in the canonical rational form
-h(x) / (1 - x)^D with h(1) != 0 (or h = 0), which is the shape every
-counting series here reduces to. No floating point is allowed anywhere.
-Series come from values by one integer difference transform (Stanley, EC I,
+order, weights are sparse multivariate polynomials keyed by exponent
+vectors; both store integer numerators over one positive denominator in
+lowest terms and compute on them, with Fractions only where a coefficient
+or a value is read. Generating functions are kept in the canonical form
+h(x) / (1 - x)^D with h(1) != 0 (or h = 0), the shape every counting
+series here reduces to. No floating point is allowed anywhere. Series
+come from values by one integer difference transform (Stanley, EC I,
 Cor. 4.3.1): v(n), a polynomial of degree <= r from n = m - r on, has the series
 h/(1-x)^(r+1), h_i = sum_{j <= min(i, r+1)} (-1)^j C(r+1, j) v(i-j), i = 0..m.
 """
@@ -15,6 +17,7 @@ from __future__ import annotations
 import math
 import re
 from fractions import Fraction
+from itertools import accumulate, zip_longest
 from operator import add
 from typing import Iterable, Mapping, Sequence, Union
 
@@ -65,18 +68,31 @@ def _power(base, exponent: int, one):
 class UniPoly:
     """Univariate polynomial with exact rational coefficients.
 
-    Coefficients are stored ascending with no trailing zeros. The zero
-    polynomial has an empty coefficient tuple and degree -infinity.
-    Instances are immutable and hashable.
+    Stored as integer numerators, ascending with no trailing zeros, over
+    one positive denominator, the two in lowest terms; the coefficients
+    become Fractions only when read. The zero polynomial has no
+    numerators, denominator 1 and degree -infinity. Instances are
+    immutable and hashable.
     """
 
-    __slots__ = ("_coeffs",)
+    __slots__ = ("_num", "_den")
 
     def __init__(self, coeffs: Iterable[Rational] = ()):
         cs = [_exact(c) for c in coeffs]
-        while cs and cs[-1] == 0:
-            cs.pop()
-        self._coeffs: tuple[Fraction, ...] = tuple(cs)
+        den = math.lcm(*(c.denominator for c in cs))
+        self._store([c.numerator * (den // c.denominator) for c in cs], den)
+
+    def _store(self, num: list[int], den: int) -> "UniPoly":
+        """Keep num/den in lowest terms, trailing zeros dropped."""
+        while num and not num[-1]:
+            num.pop()
+        g = math.gcd(den, *num)
+        self._num, self._den = tuple(c // g for c in num), den // g
+        return self
+
+    @classmethod
+    def _of(cls, num: list[int], den: int) -> "UniPoly":
+        return object.__new__(cls)._store(num, den)
 
     @classmethod
     def monomial(cls, power: int, coeff: Rational = 1) -> "UniPoly":
@@ -86,54 +102,48 @@ class UniPoly:
 
     @property
     def coeffs(self) -> tuple[Fraction, ...]:
-        return self._coeffs
+        return tuple(Fraction(c, self._den) for c in self._num)
 
     @property
     def degree(self):
         """Degree of the polynomial; float('-inf') for the zero polynomial."""
-        return len(self._coeffs) - 1 if self._coeffs else float("-inf")
+        return len(self._num) - 1 if self._num else float("-inf")
 
     def coefficient(self, power: int) -> Fraction:
         """Coefficient of x**power (zero when power exceeds the degree)."""
-        if 0 <= power < len(self._coeffs):
-            return self._coeffs[power]
-        return Fraction(0)
+        return Fraction(self._num[power] if 0 <= power < len(self._num) else 0, self._den)
 
     def __bool__(self) -> bool:
-        return bool(self._coeffs)
+        return bool(self._num)
 
     def __call__(self, value: Rational) -> Fraction:
-        # Horner on integer numerators over den * q^deg for the argument p/q
+        # Horner on the numerators over den * q^deg for the argument p/q
         x = _exact(value, "evaluation point")
         p, q = x.numerator, x.denominator
-        den = math.lcm(*(c.denominator for c in self._coeffs))
         acc, scale = 0, 1
-        for c in reversed(self._coeffs):
-            acc = acc * p + c.numerator * (den // c.denominator) * scale
+        for c in reversed(self._num):
+            acc = acc * p + c * scale
             scale *= q
-        return Fraction(acc * q, den * scale)
+        return Fraction(acc * q, self._den * scale)
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, UniPoly):
             return NotImplemented
-        return self._coeffs == other._coeffs
+        return self._den == other._den and self._num == other._num
 
     def __hash__(self) -> int:
-        return hash(("UniPoly", self._coeffs))
+        return hash(("UniPoly", self._num, self._den))
 
     def __neg__(self) -> "UniPoly":
-        return UniPoly([-c for c in self._coeffs])
+        return UniPoly._of([-c for c in self._num], self._den)
 
     def __add__(self, other) -> "UniPoly":
         if not isinstance(other, UniPoly):
             return NotImplemented
-        a, b = self._coeffs, other._coeffs
-        if len(a) < len(b):
-            a, b = b, a
-        out = list(a)
-        for i, c in enumerate(b):
-            out[i] += c
-        return UniPoly(out)
+        den = math.lcm(self._den, other._den)
+        a, b = den // self._den, den // other._den
+        num = [a * c + b * d for c, d in zip_longest(self._num, other._num, fillvalue=0)]
+        return UniPoly._of(num, den)
 
     def __sub__(self, other) -> "UniPoly":
         if not isinstance(other, UniPoly):
@@ -142,18 +152,14 @@ class UniPoly:
 
     def __mul__(self, other):
         if isinstance(other, UniPoly):
-            if not self._coeffs or not other._coeffs:
-                return UniPoly()
-            out = [Fraction(0)] * (len(self._coeffs) + len(other._coeffs) - 1)
-            for i, a in enumerate(self._coeffs):
-                if a == 0:
-                    continue
-                for j, b in enumerate(other._coeffs):
+            out = [0] * (len(self._num) + len(other._num) - 1)
+            for i, a in enumerate(self._num):
+                for j, b in enumerate(other._num):
                     out[i + j] += a * b
-            return UniPoly(out)
+            return UniPoly._of(out, self._den * other._den)
         if isinstance(other, (int, Fraction)):
-            f = _exact(other)
-            return UniPoly([c * f for c in self._coeffs])
+            num = [c * other.numerator for c in self._num]
+            return UniPoly._of(num, self._den * other.denominator)
         return NotImplemented
 
     __rmul__ = __mul__
@@ -163,52 +169,56 @@ class UniPoly:
 
     def div_one_minus_x(self) -> "UniPoly":
         """Exact quotient by (1 - x); requires the value at x = 1 to be 0."""
-        if not self._coeffs:
-            return self
-        running = Fraction(0)
-        out = []
-        for c in self._coeffs[:-1]:
-            running += c
-            out.append(running)
-        if running + self._coeffs[-1] != 0:
+        out = list(accumulate(self._num))
+        if out and out.pop():
             raise ValueError("polynomial is not divisible by (1 - x)")
-        return UniPoly(out)
+        return UniPoly._of(out, self._den)
 
     def __repr__(self) -> str:
-        return f"UniPoly({[str(c) for c in self._coeffs]})"
+        return f"UniPoly({[str(c) for c in self.coeffs]})"
 
 
 class WeightPoly:
     """Sparse multivariate polynomial weight on a fixed number of variables.
 
     Terms map exponent vectors (tuples of nonnegative ints of length
-    ``nvars``) to nonzero rational coefficients. Variables are 1-based
-    when addressed through :meth:`variable`, matching the t1, t2, ...
-    naming used by the expression parser. Immutable and hashable.
+    ``nvars``) to nonzero rational coefficients, stored as integer
+    numerators, sorted by exponent vector, over one positive denominator,
+    the two in lowest terms; the coefficients become Fractions only when
+    read. Variables are 1-based when addressed through :meth:`variable`,
+    matching the t1, t2, ... naming used by the expression parser.
+    Immutable and hashable.
     """
 
-    __slots__ = ("_nvars", "_terms", "_den", "_scaled_terms")
+    __slots__ = ("_nvars", "_num", "_den")
 
     def __init__(self, nvars: int, terms: Mapping[tuple[int, ...], Rational] = {}):
         if not isinstance(nvars, int) or nvars < 1:
             raise ValueError("nvars must be a positive integer")
-        clean: dict[tuple[int, ...], Fraction] = {}
+        pairs = []
         for exps, coeff in terms.items():
             exps = tuple(exps)
             if len(exps) != nvars:
                 raise ValueError(f"exponent vector {exps} does not have length {nvars}")
             if any((not isinstance(e, int)) or e < 0 for e in exps):
                 raise ValueError(f"exponent vector {exps} must contain nonnegative integers")
-            c = coeff if type(coeff) is Fraction else _exact(coeff)
-            if c != 0:
-                clean[exps] = clean[exps] + c if exps in clean else c
-        self._nvars = nvars
-        self._terms = {e: c for e, c in sorted(clean.items()) if c != 0}
-        self._den = den = math.lcm(*(c.denominator for c in self._terms.values()))
-        self._scaled_terms = tuple(
-            (c.numerator * (den // c.denominator), tuple((i, k) for i, k in enumerate(e) if k))
-            for e, c in self._terms.items()
-        )
+            pairs.append((exps, _exact(coeff)))
+        den = math.lcm(*(c.denominator for _, c in pairs))
+        num: dict[tuple[int, ...], int] = {}
+        for exps, c in pairs:
+            num[exps] = num.get(exps, 0) + c.numerator * (den // c.denominator)
+        self._store(nvars, num, den)
+
+    def _store(self, nvars: int, num: dict, den: int) -> "WeightPoly":
+        """Keep num/den in lowest terms, zero terms dropped, exponent vectors sorted."""
+        g = math.gcd(den, *num.values())
+        self._nvars, self._den = nvars, den // g
+        self._num = {e: c // g for e, c in sorted(num.items()) if c}
+        return self
+
+    @classmethod
+    def _of(cls, nvars: int, num: dict, den: int) -> "WeightPoly":
+        return object.__new__(cls)._store(nvars, num, den)
 
     @classmethod
     def constant(cls, nvars: int, value: Rational) -> "WeightPoly":
@@ -233,44 +243,42 @@ class WeightPoly:
 
     @property
     def terms(self) -> dict[tuple[int, ...], Fraction]:
-        return dict(self._terms)
+        return {e: Fraction(c, self._den) for e, c in self._num.items()}
 
     @property
     def degree(self):
         """Total degree; float('-inf') for the zero weight."""
-        if not self._terms:
+        if not self._num:
             return float("-inf")
-        return max(sum(e) for e in self._terms)
+        return max(sum(e) for e in self._num)
 
     @property
     def constant_term(self) -> Fraction:
-        return self._terms.get((0,) * self._nvars, Fraction(0))
+        return self.coefficient((0,) * self._nvars)
 
     def coefficient(self, exponents: Sequence[int]) -> Fraction:
-        return self._terms.get(tuple(exponents), Fraction(0))
+        return Fraction(self._num.get(tuple(exponents), 0), self._den)
 
     @property
     def is_zero(self) -> bool:
-        return not self._terms
+        return not self._num
 
     @property
     def is_monomial(self) -> bool:
-        return len(self._terms) == 1
+        return len(self._num) == 1
 
     @property
     def is_homogeneous(self) -> bool:
         """True when all terms share one total degree (vacuously for zero)."""
-        return len({sum(e) for e in self._terms}) <= 1
+        return len({sum(e) for e in self._num}) <= 1
 
     def affine_parts(self) -> tuple[tuple[Fraction, ...], Fraction]:
         """Split a weight of total degree <= 1 into (linear row, constant)."""
-        if self._terms and self.degree > 1:
+        if self._num and self.degree > 1:
             raise ValueError("weight is not affine (total degree exceeds 1)")
-        row = []
-        for i in range(self._nvars):
-            exps = tuple(1 if j == i else 0 for j in range(self._nvars))
-            row.append(self._terms.get(exps, Fraction(0)))
-        return tuple(row), self.constant_term
+        n = self._nvars
+        row = tuple(self.coefficient([int(i == j) for j in range(n)]) for i in range(n))
+        return row, self.constant_term
 
     def eval(self, point: Sequence[Rational]) -> Fraction:
         if len(point) != self._nvars:
@@ -279,24 +287,19 @@ class WeightPoly:
         return Fraction(self._scaled(vals), self._den)
 
     def _scaled(self, point) -> Rational:
-        """w(point) times the positive common denominator: an int at an integer point."""
-        total = 0
-        for coeff, powers in self._scaled_terms:
-            for i, k in powers:
-                coeff *= point[i] ** k
-            total += coeff
-        return total
+        """w(point) times the denominator: an int at an integer point."""
+        return sum(c * math.prod(map(pow, point, e)) for e, c in self._num.items())
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, WeightPoly):
             return NotImplemented
-        return self._nvars == other._nvars and self._terms == other._terms
+        return (self._nvars, self._den, self._num) == (other._nvars, other._den, other._num)
 
     def __hash__(self) -> int:
-        return hash(("WeightPoly", self._nvars, tuple(self._terms.items())))
+        return hash(("WeightPoly", self._nvars, self._den, tuple(self._num.items())))
 
     def __neg__(self) -> "WeightPoly":
-        return WeightPoly(self._nvars, {e: -c for e, c in self._terms.items()})
+        return WeightPoly._of(self._nvars, {e: -c for e, c in self._num.items()}, self._den)
 
     def _check_same_space(self, other: "WeightPoly") -> None:
         if self._nvars != other._nvars:
@@ -305,10 +308,12 @@ class WeightPoly:
     def __add__(self, other):
         if isinstance(other, WeightPoly):
             self._check_same_space(other)
-            merged = dict(self._terms)
-            for e, c in other._terms.items():
-                merged[e] = merged.get(e, Fraction(0)) + c
-            return WeightPoly(self._nvars, merged)
+            den = math.lcm(self._den, other._den)
+            a, b = den // self._den, den // other._den
+            merged = {e: a * c for e, c in self._num.items()}
+            for e, c in other._num.items():
+                merged[e] = merged.get(e, 0) + b * c
+            return WeightPoly._of(self._nvars, merged, den)
         if isinstance(other, (int, Fraction)):
             return self + WeightPoly.constant(self._nvars, other)
         return NotImplemented
@@ -317,27 +322,21 @@ class WeightPoly:
 
     def __sub__(self, other):
         if isinstance(other, (WeightPoly, int, Fraction)):
-            return self + (-other if isinstance(other, WeightPoly) else -_exact(other))
+            return self + (-other)
         return NotImplemented
 
     def __mul__(self, other):
         if isinstance(other, WeightPoly):
             self._check_same_space(other)
-            # integer numerators over each factor's common denominator
-            left, right = (
-                [(e, c.numerator * (p._den // c.denominator)) for e, c in p._terms.items()]
-                for p in (self, other)
-            )
             out: dict[tuple[int, ...], int] = {}
-            for e1, c1 in left:
-                for e2, c2 in right:
+            for e1, c1 in self._num.items():
+                for e2, c2 in other._num.items():
                     key = tuple(map(add, e1, e2))
                     out[key] = out.get(key, 0) + c1 * c2
-            den = self._den * other._den
-            return WeightPoly(self._nvars, {e: Fraction(c, den) for e, c in out.items()})
+            return WeightPoly._of(self._nvars, out, self._den * other._den)
         if isinstance(other, (int, Fraction)):
-            f = _exact(other)
-            return WeightPoly(self._nvars, {e: c * f for e, c in self._terms.items()})
+            num = {e: c * other.numerator for e, c in self._num.items()}
+            return WeightPoly._of(self._nvars, num, self._den * other.denominator)
         return NotImplemented
 
     __rmul__ = __mul__
@@ -346,7 +345,7 @@ class WeightPoly:
         return _power(self, exponent, WeightPoly.constant(self._nvars, 1))
 
     def __repr__(self) -> str:
-        body = ", ".join(f"{e}: {c}" for e, c in self._terms.items())
+        body = ", ".join(f"{e}: {c}" for e, c in self.terms.items())
         return f"WeightPoly({self._nvars}, {{{body}}})"
 
 
@@ -421,21 +420,13 @@ class RationalGF:
         """First ``count`` + 1 power-series coefficients, orders 0..count."""
         if not isinstance(count, int) or count < 0:
             raise ValueError("count must be a nonnegative integer")
-        h = self._num.coeffs
-        d = self._dpow
-        out = []
-        for n in range(count + 1):
-            if d == 0:
-                out.append(self._num.coefficient(n))
-                continue
-            # 1/(1-x)^d has coefficient C(n+d-1, d-1) at x^n
-            total = Fraction(0)
-            for k, c in enumerate(h):
-                if k > n:
-                    break
-                total += c * math.comb(n - k + d - 1, d - 1)
-            out.append(total)
-        return out
+        h, d = self._num._num, self._dpow
+        if d == 0:
+            return [self._num.coefficient(n) for n in range(count + 1)]
+        # 1/(1-x)^d has coefficient C(n+d-1, d-1) at x^n
+        sums = (sum(c * math.comb(n - k + d - 1, d - 1) for k, c in enumerate(h[: n + 1]))
+                for n in range(count + 1))
+        return [Fraction(s, self._num._den) for s in sums]
 
     def __repr__(self) -> str:
         return f"RationalGF({[str(c) for c in self._num.coeffs]}, {self._dpow})"
@@ -477,7 +468,7 @@ def _series_of_values(values: Sequence[Rational], r: int) -> RationalGF:
     scaled = [v.numerator * (den // v.denominator) for v in values]
     signed = [(-1) ** j * math.comb(r + 1, j) for j in range(r + 2)]
     h = [sum(c * scaled[i - j] for j, c in enumerate(signed[: i + 1])) for i in range(len(scaled))]
-    return RationalGF([Fraction(c, den) for c in h], r + 1)
+    return RationalGF(UniPoly._of(h, den), r + 1)
 
 
 def gf_of_polynomial(g: UniPoly) -> RationalGF:
@@ -539,6 +530,14 @@ def _tokenize(text: str):
 def _check_cap(what: str, value, pos: int) -> None:
     if value > MAX_WEIGHT_EXPONENT:
         raise WeightParseError(f"{what} {value} exceeds the cap {MAX_WEIGHT_EXPONENT}", pos)
+
+
+def _check_bits(value: WeightPoly, exponent: int, pos: int) -> None:
+    # value^k has numerators at most ||numerators||_1^k and denominator den^k
+    size = max(sum(map(abs, value._num.values())), value._den).bit_length() * exponent
+    if size > MAX_WEIGHT_EXPONENT**2:
+        raise WeightParseError(
+            f"coefficient size {size} bits exceeds the cap {MAX_WEIGHT_EXPONENT**2} bits", pos)
 
 
 class _WeightParser:
@@ -615,6 +614,7 @@ class _WeightParser:
             exponent = int(text)
             _check_cap("exponent", exponent, pos)
             _check_cap("total degree", max(value.degree, 0) * exponent, op[1])
+            _check_bits(value, exponent, op[1])
             value = value**exponent
         return value if sign == 1 else -value
 

@@ -71,7 +71,7 @@ def _check_space(P: LatticePolytope, w: WeightPoly) -> None:
 
 
 def _sum(P: LatticePolytope, w: WeightPoly, n: int, strict: bool) -> Fraction:
-    return Fraction(_walk_sum(P, n, strict, w._scaled_terms), w._den)
+    return Fraction(_walk_sum(P, n, strict, w._num.items()), w._den)
 
 
 def weighted_sum(P: LatticePolytope, w: WeightPoly, n: int) -> Fraction:
@@ -88,7 +88,8 @@ def _interpolated(P: LatticePolytope, w: WeightPoly, nodes) -> UniPoly:
     """The counting polynomial of a nonzero w through nodes n >= 1 (closed
     walks) and n <= -1 (by reciprocity), then probed by closed walks.
     """
-    reflected = WeightPoly(w.nvars, {e: (-1) ** sum(e) * c for e, c in w._terms.items()})
+    signed = {e: (-1) ** sum(e) * c for e, c in w._num.items()}
+    reflected = WeightPoly._of(w.nvars, signed, w._den)
     samples = [
         (n, _sum(P, w, n, False) if n > 0 else (-1) ** P.dim * _sum(P, reflected, -n, True))
         for n in nodes

@@ -18,8 +18,9 @@ the paper's assembly out of cube series, where the library takes one
 difference transform of values. Lattice points of a dilation come
 from a walk over every ambient coordinate with the hull equations as
 inequality pairs, where the library walks a lattice basis of the hull;
-products of weights are multiplied out term by term in Fractions, where
-the library multiplies integer numerators; polynomials are evaluated by
+sums and products of weights and of coefficient lists are taken term by
+term in Fractions, where the library adds and multiplies integer
+numerators; polynomials are evaluated by
 Horner's rule in Fractions and weights normalised in Fractions, where the
 library works on integer numerators over one denominator. Counting
 polynomials come from closed walks at every node, where the library
@@ -54,7 +55,7 @@ from ehrwt.errors import (
 )
 from ehrwt.geometry import _enumeration_cap, _walk
 from ehrwt.hilbert import FIT_MARGIN, _check_input, hilbert_value, image_polytope
-from ehrwt.polynomials import WeightPoly, _check_cap, _series_of_values
+from ehrwt.polynomials import WeightPoly, _check_bits, _check_cap, _series_of_values
 from ehrwt.weighted import _check_space
 
 
@@ -689,6 +690,14 @@ def term_product(left, right):
     return {e: c for e, c in sorted(out.items()) if c != 0}
 
 
+def term_sum(left, right):
+    """Terms of the sum of two weights, added term by term in Fractions."""
+    out = dict(left.terms)
+    for e, c in right.terms.items():
+        out[e] = out.get(e, Fraction(0)) + c
+    return {e: c for e, c in sorted(out.items()) if c != 0}
+
+
 def term_value(weight, point):
     """Value of the weight at a point, multiplied out term by term in Fractions."""
     total = Fraction(0)
@@ -741,11 +750,28 @@ def fraction_horner(poly, value):
     return acc
 
 
+def fraction_list(coeffs):
+    """Coefficients as a tuple of Fractions, trailing zeros dropped."""
+    out = [Fraction(c) for c in coeffs]
+    while out and out[-1] == 0:
+        out.pop()
+    return tuple(out)
+
+
+def fraction_list_product(a, b):
+    """Coefficients of the product of two coefficient lists, multiplied out in Fractions."""
+    out = [Fraction(0)] * max(len(a) + len(b) - 1, 0)
+    for i, x in enumerate(a):
+        for j, y in enumerate(b):
+            out[i + j] += Fraction(x) * y
+    return fraction_list(out)
+
+
 def fraction_weight_parts(pairs):
-    """Terms, common denominator and scaled terms of a weight given as
-    (exponents, coefficient) pairs that may repeat an exponent vector:
+    """Terms, common denominator and integer numerators of a weight given
+    as (exponents, coefficient) pairs that may repeat an exponent vector:
     each coefficient is added to a fresh Fraction(0) and scaled by
-    int(c * den)."""
+    int(c * den), den the lcm of the summed coefficients' denominators."""
     clean = {}
     for exps, coeff in pairs:
         c = Fraction(coeff)
@@ -753,9 +779,7 @@ def fraction_weight_parts(pairs):
             clean[tuple(exps)] = clean.get(tuple(exps), Fraction(0)) + c
     terms = {e: c for e, c in sorted(clean.items()) if c != 0}
     den = lcm(*(c.denominator for c in terms.values()))
-    scaled = tuple(
-        (int(c * den), tuple((i, k) for i, k in enumerate(e) if k)) for e, c in terms.items()
-    )
+    scaled = {e: int(c * den) for e, c in terms.items()}
     return terms, den, scaled
 
 
@@ -968,6 +992,7 @@ class _WeightParser:
             exponent = int(text)
             _check_cap("exponent", exponent, pos)
             _check_cap("total degree", max(value.degree, 0) * exponent, op_pos)
+            _check_bits(value, exponent, op_pos)
             value = value**exponent
         return value if sign == 1 else -value
 

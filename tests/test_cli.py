@@ -490,6 +490,19 @@ def test_weight_over_the_degree_cap_is_an_input_error():
     assert proc.stderr == "error: total degree 80 exceeds the cap 64 (position 5)\n"
 
 
+@pytest.mark.parametrize("vertices, weight, message", [
+    # the polynomial 10^4400 * n^2 is built, but its text has over 4,300 digits
+    (str(10**2200), "t1^2", "error: Exceeds the limit (4300"),
+    # 99^4096 is refused by the parser before it is built
+    ("0 0", "(99^64)^64", "error: coefficient size 27200 bits exceeds the cap 4096 bits"),
+], ids=["digit-limit", "constant-power"])
+def test_unprintable_result_is_an_input_error(vertices, weight, message):
+    proc = cli_subprocess("weighted", "--vertices", vertices, "--weight", weight)
+    assert proc.returncode == 1
+    assert proc.stdout == ""
+    assert proc.stderr.startswith(message) and proc.stderr.count("\n") == 1, proc.stderr
+
+
 def test_import_loads_neither_dataclasses_nor_inspect():
     # both are slow to import, and inspect pulls in ast, dis and tokenize
     code = ("import ehrwt, ehrwt.cli, sys; "

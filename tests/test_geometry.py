@@ -676,7 +676,7 @@ def images_and_weights(draw):
 def test_walk_sum_matches_the_pointwise_sum(case, n, strict):
     points, w = case
     P = LatticePolytope(points)
-    assert _walk_sum(P, n, strict, w._scaled_terms) == pointwise_sum(P, w, n, strict)
+    assert _walk_sum(P, n, strict, w._num.items()) == pointwise_sum(P, w, n, strict)
 
 
 @pytest.mark.parametrize("N, points", [
@@ -693,10 +693,10 @@ def test_walk_sum_memory_does_not_grow_with_a_fiber_or_a_width(N, points):
     S1, S2 = N * (N + 1) // 2, N * (N + 1) * (2 * N + 1) // 6
     w = WeightPoly(2, {(1, 1): 1, (0, 2): -3, (0, 0): Fraction(1, 2)})
     P = LatticePolytope(points)
-    first = _walk_sum(P, 1, False, w._scaled_terms)
+    first = _walk_sum(P, 1, False, w._num.items())
     tracemalloc.start()
     try:
-        total = _walk_sum(P, 1, False, w._scaled_terms)
+        total = _walk_sum(P, 1, False, w._num.items())
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()

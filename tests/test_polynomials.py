@@ -4,6 +4,7 @@ generating functions, interpolation, the weight grammar, and text canon."""
 import math
 import random
 from fractions import Fraction as F
+from itertools import zip_longest
 
 import pytest
 from hypothesis import example, given, settings
@@ -29,11 +30,32 @@ from ehrwt.polynomials import MAX_WEIGHT_EXPONENT
 from oracles import (
     eulerian_row,
     fraction_horner,
+    fraction_list,
+    fraction_list_product,
     fraction_weight_parts,
     oracle_parse_weight,
     series_by_cube_assembly,
     term_product,
+    term_sum,
+    term_value,
 )
+
+
+def assert_unipoly_form(p, coeffs):
+    """p equals the Fraction list coeffs and stores it as integer numerators,
+    no trailing zero, over the lcm of its denominators."""
+    coeffs = fraction_list(coeffs)
+    den = math.lcm(*(c.denominator for c in coeffs))
+    assert p.coeffs == coeffs and all(type(c) is F for c in p.coeffs)
+    assert (p._den, p._num) == (den, tuple(int(c * den) for c in coeffs))
+
+
+def assert_weight_form(w, terms):
+    """w has the Fraction terms and stores them as sorted integer numerators
+    over the lcm of their denominators."""
+    terms, den, scaled = fraction_weight_parts(terms.items())
+    assert w.terms == terms and all(type(c) is F for c in w.terms.values())
+    assert (w._den, list(w._num.items())) == (den, list(scaled.items()))
 
 
 # ---------------------------------------------------------------- UniPoly
@@ -122,6 +144,52 @@ def test_unipoly_monomial():
     assert UniPoly.monomial(3, 5).coeffs == (F(0), F(0), F(0), F(5))
     with pytest.raises(ValueError):
         UniPoly.monomial(-1)
+
+
+_unipoly_coefficient = st.integers(-9, 9) | st.fractions(
+    min_value=-40, max_value=40, max_denominator=12)
+
+
+@settings(max_examples=200)
+@given(st.lists(_unipoly_coefficient, max_size=8), st.lists(_unipoly_coefficient, max_size=8),
+       _unipoly_coefficient, st.integers(0, 4))
+def test_unipoly_operators_match_fraction_lists(a, b, scalar, k):
+    # every operator leaves the stored form the Fraction list's, in lowest terms
+    p, q = UniPoly(a), UniPoly(b)
+    assert_unipoly_form(p, a)
+    assert_unipoly_form(-p, [-c for c in a])
+    assert_unipoly_form(p + q, [x + y for x, y in zip_longest(a, b, fillvalue=0)])
+    assert_unipoly_form(p - q, [x - y for x, y in zip_longest(a, b, fillvalue=0)])
+    assert_unipoly_form(p * q, fraction_list_product(a, b))
+    assert_unipoly_form(p * scalar, [F(c) * scalar for c in a])
+    assert_unipoly_form(scalar * p, [F(c) * scalar for c in a])
+    power = [1]
+    for _ in range(k):
+        power = fraction_list_product(power, a)
+    assert_unipoly_form(p**k, power)
+    # times (1 - x) and back; a polynomial with p(1) != 0 has no such quotient
+    assert_unipoly_form(UniPoly(fraction_list_product(a, [1, -1])).div_one_minus_x(), a)
+    if fraction_horner(p, 1) != 0:
+        with pytest.raises(ValueError):
+            p.div_one_minus_x()
+    for x in (scalar, k):
+        assert (p * q)(x) == fraction_horner(p, x) * fraction_horner(q, x)
+
+
+def test_equal_unipolys_compare_and_hash_equal_whatever_the_route():
+    routes = [
+        (UniPoly([F(1, 2), F(1, 3)]) * 6, UniPoly([3, 2])),
+        (UniPoly([F(1, 2), F(1, 6)]) + UniPoly([F(1, 2), F(1, 6)]), UniPoly([1, F(1, 3)])),
+        (UniPoly([F(3, 4), F(-1, 4)]) - UniPoly([F(1, 4), F(-1, 4)]), UniPoly([F(1, 2)])),
+        (UniPoly([F(1, 3), 7]) - UniPoly([F(1, 3), 7]), UniPoly()),
+        (UniPoly([F(2, 3), F(-4, 3), F(2, 3)]).div_one_minus_x(), UniPoly([F(2, 3), F(-2, 3)])),
+        (UniPoly([F(5, 6), 1]) * F(6, 5), UniPoly([1, F(6, 5)])),
+    ]
+    for built, direct in routes:
+        assert built == direct and hash(built) == hash(direct), (built, direct)
+        assert (built._num, built._den) == (direct._num, direct._den)
+    assert RationalGF(UniPoly([F(1, 2)]) * 2, 1) == RationalGF(UniPoly([1]), 1)
+    assert hash(RationalGF(UniPoly([F(1, 2)]) * 2, 1)) == hash(RationalGF(UniPoly([1]), 1))
 
 
 # ---------------------------------------------------------------- Eulerian numbers
@@ -377,6 +445,30 @@ def test_parse_weight_caps_total_degree():
     assert parse_weight("(0*t1)^64*t1^64", 1).is_zero
 
 
+def test_parse_weight_caps_coefficient_size():
+    # a power's size bound, exponent * bit length of the larger of the
+    # numerators' l1 norm and the denominator, is checked at the '^'
+    cap = MAX_WEIGHT_EXPONENT**2
+    for text, bits, position in (
+        ("(99^64)^64", 27200, 7),
+        ("((9^64)^64)^64", 12992, 7),
+        ("(((9^64)^64)^64)^64", 12992, 8),
+        ("(2^64)^64", 4160, 6),
+        ("((1/2)^64)^64", 4160, 10),
+        ("(t1 + 2^64)^64", 4160, 11),
+    ):
+        message = f"coefficient size {bits} bits exceeds the cap {cap} bits"
+        with pytest.raises(WeightParseError, match=message) as info:
+            parse_weight(text, 1)
+        assert info.value.position == position, text
+    # the largest powers under the bound fit in it
+    for text in ("(2^63)^64", "((1/2)^63)^64", "(t1 + 2^63)^64", "(-1 - 2^63*t1)^64"):
+        w = parse_weight(text, 1)
+        assert max(map(abs, w._num.values())).bit_length() <= cap, text
+        assert w._den.bit_length() <= cap, text
+    assert parse_weight("((2^63)^64)^0", 1) == parse_weight("1", 1)
+
+
 def test_parse_weight_rejects_bad_nvars():
     with pytest.raises(ValueError):
         parse_weight("t1", 0)
@@ -508,7 +600,58 @@ def test_weightpoly_normalises_like_fractions(pairs):
     assert all(type(c) is F for c in w.terms.values())
     body = ", ".join(f"{e}: {c}" for e, c in terms.items())
     assert repr(w) == f"WeightPoly({nvars}, {{{body}}})"
-    assert (w._den, w._scaled_terms) == (den, scaled)
+    assert (w._den, list(w._num.items())) == (den, list(scaled.items()))
+
+
+@settings(max_examples=100)
+@given(st.integers(1, 3).flatmap(lambda s: st.tuples(
+    rational_weights(s), rational_weights(s),
+    st.integers(-9, 9) | st.fractions(min_value=-9, max_value=9, max_denominator=9),
+    st.lists(st.integers(-5, 5), min_size=s, max_size=s))), st.integers(0, 3))
+def test_weightpoly_operators_match_term_by_term_fractions(case, k):
+    left, right, scalar, point = case
+    negated = {e: -c for e, c in right.terms.items()}
+    assert_weight_form(-right, negated)
+    assert_weight_form(left + right, term_sum(left, right))
+    assert_weight_form(left - right, term_sum(left, WeightPoly(left.nvars, negated)))
+    assert_weight_form(left * right, term_product(left, right))
+    scaled = {e: c * scalar for e, c in left.terms.items()}
+    assert_weight_form(left * scalar, scaled)
+    assert_weight_form(scalar * left, scaled)
+    assert_weight_form(left + scalar, term_sum(left, WeightPoly.constant(left.nvars, scalar)))
+    power = WeightPoly.constant(left.nvars, 1)
+    for _ in range(k):
+        power = WeightPoly(left.nvars, term_product(power, left))
+    assert_weight_form(left**k, power.terms)
+    for w in (left, left * right, left**k):
+        assert w.eval(point) == term_value(w, point)
+        assert type(w.eval(point)) is F
+
+
+@settings(max_examples=100)
+@given(st.integers(1, 2).flatmap(rational_weights), st.integers(0, 8))
+def test_power_size_bound_holds(w, k):
+    # the bound the parser checks is a true bound on the power it lets
+    # through; w^0 = 1 takes one bit
+    bits = max(k * max(sum(map(abs, w._num.values())), w._den).bit_length(), 1)
+    power = w**k
+    assert max(map(abs, power._num.values()), default=0).bit_length() <= bits
+    assert power._den.bit_length() <= bits
+
+
+def test_equal_weights_compare_and_hash_equal_whatever_the_route():
+    t1 = parse_weight("t1", 1)
+    routes = [
+        (parse_weight("(1/2*t1 + 1/2) + (1/2*t1 - 1/2)", 1), t1),
+        (parse_weight("2/4*t1*2", 1), t1),
+        (WeightPoly(1, {(1,): F(1, 3)}) * 3, t1),
+        (parse_weight("(t1 + 1/3)^2 - 2/3*t1 - 1/9", 1), parse_weight("t1^2", 1)),
+        (parse_weight("1/6*t1 - 1/6*t1", 1), WeightPoly(1)),
+        (-(-parse_weight("t1 + 5/10", 1)), WeightPoly(1, {(1,): 1, (0,): F(1, 2)})),
+    ]
+    for built, direct in routes:
+        assert built == direct and hash(built) == hash(direct), (built, direct)
+        assert (built._num, built._den) == (direct._num, direct._den)
 
 
 def test_weightpoly_space_mismatch():
