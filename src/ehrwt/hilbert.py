@@ -174,11 +174,11 @@ def _fit(
             counts,
         )
     fit = lagrange_interpolate([(n, counts[n]) for n in range(onset, onset + degree + 1)])
-    series = _series_of_values([count(n) for n in range(onset + degree + 1)], degree)
+    series = _series_of_values([count(n) for n in range(onset + degree + 1)], 1, degree)
     numerator = series.numerator
-    if any(c.denominator != 1 for c in numerator.coeffs):
+    if numerator._den != 1:
         raise ConsistencyError("series numerator has non-integer coefficients")
-    if numerator and numerator(1) == 0:
+    if numerator and not sum(numerator._num):
         raise ConsistencyError("series numerator vanishes at 1 after reduction")
     return counts, fit, onset, series
 

@@ -3,13 +3,13 @@
 Univariate polynomials carry exact rational coefficients in ascending
 order, weights are sparse multivariate polynomials keyed by exponent
 vectors; both store integer numerators over one positive denominator in
-lowest terms and compute on them, with Fractions only where a coefficient
-or a value is read. Generating functions are kept in the canonical form
-h(x) / (1 - x)^D with h(1) != 0 (or h = 0), the shape every counting
-series here reduces to. No floating point is allowed anywhere. Series
-come from values by one integer difference transform (Stanley, EC I,
-Cor. 4.3.1): v(n), a polynomial of degree <= r from n = m - r on, has the series
-h/(1-x)^(r+1), h_i = sum_{j <= min(i, r+1)} (-1)^j C(r+1, j) v(i-j), i = 0..m.
+lowest terms and compute on them, as do interpolation (Lagrange's form over
+common denominators) and the series transform, with Fractions only where a
+coefficient or a value is passed in or read. Generating functions are kept
+as h(x) / (1 - x)^D with h(1) != 0 (or h = 0). No floating point is allowed
+anywhere. Series come from values by one integer difference transform (Stanley,
+EC I, Cor. 4.3.1): v(n), a polynomial of degree <= r from n = m - r on, has the
+series h/(1-x)^(r+1), h_i = sum_{j <= min(i, r+1)} (-1)^j C(r+1, j) v(i-j), i = 0..m.
 """
 
 from __future__ import annotations
@@ -366,7 +366,7 @@ class RationalGF:
         d = denom_power
         if d < 0:
             raise ValueError("denominator power must be nonnegative")
-        while num and d > 0 and num(1) == 0:
+        while num and d > 0 and not sum(num._num):
             num = num.div_one_minus_x()
             d -= 1
         if not num:
@@ -462,12 +462,10 @@ def cube_series(d: int) -> RationalGF:
     return RationalGF(UniPoly([eulerian(d, k) for k in range(1, d + 1)]), d + 1)
 
 
-def _series_of_values(values: Sequence[Rational], r: int) -> RationalGF:
-    """Series of v(0..m), a polynomial of degree <= r from n = m - r on: the module's transform."""
-    den = math.lcm(*(v.denominator for v in values))
-    scaled = [v.numerator * (den // v.denominator) for v in values]
+def _series_of_values(values: Sequence[int], den: int, r: int) -> RationalGF:
+    """Series of v(0..m)/den, of degree <= r from n = m - r on: the module's transform."""
     signed = [(-1) ** j * math.comb(r + 1, j) for j in range(r + 2)]
-    h = [sum(c * scaled[i - j] for j, c in enumerate(signed[: i + 1])) for i in range(len(scaled))]
+    h = [sum(c * values[i - j] for j, c in enumerate(signed[: i + 1])) for i in range(len(values))]
     return RationalGF(UniPoly._of(h, den), r + 1)
 
 
@@ -479,31 +477,35 @@ def gf_of_polynomial(g: UniPoly) -> RationalGF:
     """
     if not g:
         return RationalGF(UniPoly(), 0)
-    return _series_of_values([g(n) for n in range(g.degree + 1)], g.degree)
+    values = [sum(c * n**k for k, c in enumerate(g._num)) for n in range(g.degree + 1)]
+    return _series_of_values(values, g._den, g.degree)
 
 
 def lagrange_interpolate(samples: Sequence[tuple[Rational, Rational]]) -> UniPoly:
     """Unique polynomial of degree < len(samples) through the given points.
 
-    Exact rational Newton divided differences, expanded by Horner's rule;
-    abscissae must be pairwise distinct.
+    Lagrange's form in integers: for abscissae t_i/q and values y_i/den it is
+    sum_i (L/s_i) y_i M(t)/(t - t_i) / (L den) at t = qx, M(t) = prod_j (t - t_j),
+    s_i = prod_{j != i} (t_i - t_j), L = lcm(s_i). Abscissae must be distinct.
     """
     pts = [(_exact(a, "abscissa"), _exact(y, "value")) for a, y in samples]
     if not pts:
         raise ValueError("at least one sample is required")
     if len({a for a, _ in pts}) != len(pts):
         raise ValueError("sample abscissae must be pairwise distinct")
-    xs = [a for a, _ in pts]
-    diffs = [y for _, y in pts]
-    for k in range(1, len(xs)):
-        for i in range(len(xs) - 1, k - 1, -1):
-            diffs[i] = (diffs[i] - diffs[i - 1]) / (xs[i] - xs[i - k])
-    # c_0 + (n - x_0)(c_1 + (n - x_1)(c_2 + ...)), innermost first
-    coeffs = [diffs[-1]]
-    for c, x in zip(reversed(diffs[:-1]), reversed(xs[:-1])):
-        inner = [a - x * b for a, b in zip(coeffs, coeffs[1:])]
-        coeffs = [c - x * coeffs[0]] + inner + [coeffs[-1]]
-    return UniPoly(coeffs)
+    q = math.lcm(*(a.denominator for a, _ in pts))
+    den = math.lcm(*(y.denominator for _, y in pts))
+    ts = [a.numerator * (q // a.denominator) for a, _ in pts]
+    ss = [math.prod(t - u for u in ts if u != t) for t in ts]
+    lcm, m, acc = math.lcm(*ss), [1], [0] * len(ts)
+    for t in ts:  # M, highest power first
+        m = [a - t * b for a, b in zip(m + [0], [0] + m)]
+    for t, (_, y), s in zip(ts, pts, ss):
+        w, b = lcm // s * y.numerator * (den // y.denominator), 0
+        for k, c in enumerate(m[:-1]):
+            b = b * t + c
+            acc[k] += w * b
+    return UniPoly._of([c * q**k for k, c in enumerate(reversed(acc))], lcm * den)
 
 
 def expand(series: RationalGF, count: int) -> list[Fraction]:
@@ -532,9 +534,10 @@ def _check_cap(what: str, value, pos: int) -> None:
         raise WeightParseError(f"{what} {value} exceeds the cap {MAX_WEIGHT_EXPONENT}", pos)
 
 
-def _check_bits(value: WeightPoly, exponent: int, pos: int) -> None:
-    # value^k has numerators at most ||numerators||_1^k and denominator den^k
-    size = max(sum(map(abs, value._num.values())), value._den).bit_length() * exponent
+def _check_bits(pos: int, *powers: tuple[WeightPoly, int]) -> None:
+    # w^k has numerators at most ||numerators||_1^k and denominator den^k, and
+    # the sizes of a product's factors add up the same way
+    size = sum(max(sum(map(abs, w._num.values())), w._den).bit_length() * k for w, k in powers)
     if size > MAX_WEIGHT_EXPONENT**2:
         raise WeightParseError(
             f"coefficient size {size} bits exceeds the cap {MAX_WEIGHT_EXPONENT**2} bits", pos)
@@ -599,6 +602,7 @@ class _WeightParser:
             rhs = self._factor()
             # checked before multiplying, so an over-cap product is never built
             _check_cap("total degree", value.degree + rhs.degree, op[1])
+            _check_bits(op[1], (value, 1), (rhs, 1))
             value = value * rhs
         return value
 
@@ -614,7 +618,7 @@ class _WeightParser:
             exponent = int(text)
             _check_cap("exponent", exponent, pos)
             _check_cap("total degree", max(value.degree, 0) * exponent, op[1])
-            _check_bits(value, exponent, op[1])
+            _check_bits(op[1], (value, exponent))
             value = value**exponent
         return value if sign == 1 else -value
 

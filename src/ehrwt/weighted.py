@@ -88,12 +88,9 @@ def _interpolated(P: LatticePolytope, w: WeightPoly, nodes) -> UniPoly:
     """The counting polynomial of a nonzero w through nodes n >= 1 (closed
     walks) and n <= -1 (by reciprocity), then probed by closed walks.
     """
-    signed = {e: (-1) ** sum(e) * c for e, c in w._num.items()}
-    reflected = WeightPoly._of(w.nvars, signed, w._den)
-    samples = [
-        (n, _sum(P, w, n, False) if n > 0 else (-1) ** P.dim * _sum(P, reflected, -n, True))
-        for n in nodes
-    ]
+    reflected = [(e, (-1) ** (P.dim + sum(e)) * c) for e, c in w._num.items()]
+    samples = [(n, _sum(P, w, n, False) if n > 0 else
+                Fraction(_walk_sum(P, -n, True, reflected), w._den)) for n in nodes]
     poly = lagrange_interpolate(samples)
     for probe in (0, P.dim + w.degree + 2):
         value, enumerated = poly(probe), _sum(P, w, probe, False)

@@ -22,7 +22,9 @@ sums and products of weights and of coefficient lists are taken term by
 term in Fractions, where the library adds and multiplies integer
 numerators; polynomials are evaluated by
 Horner's rule in Fractions and weights normalised in Fractions, where the
-library works on integer numerators over one denominator. Counting
+library works on integer numerators over one denominator, and interpolated
+by Newton divided differences in Fractions, where the library takes
+Lagrange's form in integers. Counting
 polynomials come from closed walks at every node, where the library
 takes half of its nodes from interior walks by reciprocity. Fibers of a
 walk frame come from a recursive descent of nested generators, where the
@@ -750,6 +752,23 @@ def fraction_horner(poly, value):
     return acc
 
 
+def newton_interpolate(samples):
+    """Coefficients of the polynomial of degree < len(samples) through the
+    given points, by Newton divided differences in Fractions expanded by
+    Horner's rule; abscissae must be pairwise distinct."""
+    xs = [Fraction(a) for a, _ in samples]
+    diffs = [Fraction(y) for _, y in samples]
+    for k in range(1, len(xs)):
+        for i in range(len(xs) - 1, k - 1, -1):
+            diffs[i] = (diffs[i] - diffs[i - 1]) / (xs[i] - xs[i - k])
+    # c_0 + (n - x_0)(c_1 + (n - x_1)(c_2 + ...)), innermost first
+    coeffs = [diffs[-1]]
+    for c, x in zip(reversed(diffs[:-1]), reversed(xs[:-1])):
+        inner = [a - x * b for a, b in zip(coeffs, coeffs[1:])]
+        coeffs = [c - x * coeffs[0]] + inner + [coeffs[-1]]
+    return coeffs
+
+
 def fraction_list(coeffs):
     """Coefficients as a tuple of Fractions, trailing zeros dropped."""
     out = [Fraction(c) for c in coeffs]
@@ -854,7 +873,7 @@ def _series_of_fit(counts, fit, onset):
     _fit checked counts[n] == fit(n) from the onset through its window, so
     the difference transform of counts[0 .. onset + deg fit] is the series.
     """
-    series = _series_of_values([counts[n] for n in range(onset + fit.degree + 1)], fit.degree)
+    series = _series_of_values([counts[n] for n in range(onset + fit.degree + 1)], 1, fit.degree)
     numerator = series.numerator
     if any(c.denominator != 1 for c in numerator.coeffs):
         raise ConsistencyError("series numerator has non-integer coefficients")
@@ -992,7 +1011,7 @@ class _WeightParser:
             exponent = int(text)
             _check_cap("exponent", exponent, pos)
             _check_cap("total degree", max(value.degree, 0) * exponent, op_pos)
-            _check_bits(value, exponent, op_pos)
+            _check_bits(op_pos, (value, exponent))
             value = value**exponent
         return value if sign == 1 else -value
 

@@ -503,6 +503,17 @@ def test_unprintable_result_is_an_input_error(vertices, weight, message):
     assert proc.stderr.startswith(message) and proc.stderr.count("\n") == 1, proc.stderr
 
 
+def test_long_product_of_constants_is_an_input_error():
+    # every factor passes the power bound, but the product's size bound is
+    # checked at the first '*', before an 8 KB weight builds a huge constant
+    weight = "*".join(["(99^64)^9"] * 800)
+    proc = cli_subprocess("weighted", "--vertices", "0 0; 1 0; 0 1", "--weight", weight)
+    assert proc.returncode == 1
+    assert proc.stdout == ""
+    assert proc.stderr == ("error: coefficient size 7638 bits exceeds the cap 4096 bits "
+                           "(position 9)\n")
+
+
 def test_import_loads_neither_dataclasses_nor_inspect():
     # both are slow to import, and inspect pulls in ast, dis and tokenize
     code = ("import ehrwt, ehrwt.cli, sys; "

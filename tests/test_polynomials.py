@@ -33,6 +33,7 @@ from oracles import (
     fraction_list,
     fraction_list_product,
     fraction_weight_parts,
+    newton_interpolate,
     oracle_parse_weight,
     series_by_cube_assembly,
     term_product,
@@ -350,6 +351,30 @@ def test_lagrange_reproduces_samples_random():
             assert fit(x) == y
 
 
+def _weighted_nodes(count):
+    # the nodes of weighted_ehrhart_polynomial: 1..floor(N/2), -1..-ceil(N/2)
+    return [*range(1, count // 2 + 1), *range(-1, count // 2 - count - 1, -1)]
+
+
+_abscissae = st.one_of(
+    st.lists(st.fractions(-40, 40, max_denominator=12), min_size=1, max_size=70, unique=True),
+    st.lists(st.integers(-100, 100), min_size=1, max_size=70, unique=True),
+    st.integers(1, 70).map(_weighted_nodes),
+)
+
+
+@settings(max_examples=50, deadline=None)
+@given(_abscissae, st.lists(st.fractions(-10**6, 10**6, max_denominator=100),
+                            min_size=70, max_size=70))
+@example(_weighted_nodes(70), [F(k**64) for k in range(70)])
+@example([F(1, 2), F(-1, 3), F(5, 7)], [F(1), F(2, 5), F(-3)])
+def test_lagrange_matches_newton_divided_differences(xs, ys):
+    samples = list(zip(xs, ys))
+    fit, oracle = lagrange_interpolate(samples), UniPoly(newton_interpolate(samples))
+    assert fit == oracle and hash(fit) == hash(oracle)
+    assert fit._den > 0 and math.gcd(fit._den, *fit._num) == 1
+
+
 # ---------------------------------------------------------------- weight grammar
 
 def test_parse_weight_monomial():
@@ -467,6 +492,27 @@ def test_parse_weight_caps_coefficient_size():
         assert max(map(abs, w._num.values())).bit_length() <= cap, text
         assert w._den.bit_length() <= cap, text
     assert parse_weight("((2^63)^64)^0", 1) == parse_weight("1", 1)
+
+
+def test_parse_weight_caps_product_size():
+    # a product's size bound, the sum of its factors' bounds, is checked at
+    # the '*' before the product is built, so the input's length cannot grow it
+    cap = MAX_WEIGHT_EXPONENT**2
+    for text, bits, position in (
+        ("*".join(["(99^64)^9"] * 800), 7638, 9),
+        ("(2^63)^64*2^63", 4097, 9),
+        ("2^63*(2^63)^64", 4097, 4),
+        ("(t1 + 2^63)^64*(1/2)^63", 4097, 14),
+    ):
+        message = f"coefficient size {bits} bits exceeds the cap {cap} bits"
+        with pytest.raises(WeightParseError, match=message) as info:
+            parse_weight(text, 1)
+        assert info.value.position == position, text
+    # products whose factors' bounds add up to at most the cap pass
+    for text in ("(2^63)^64*2^62", "(1/2)^64*((1/2)^64)^62", "t1*(t1 + 2^63)^63*2^63"):
+        w = parse_weight(text, 1)
+        assert max(map(abs, w._num.values())).bit_length() <= cap, text
+        assert w._den.bit_length() <= cap, text
 
 
 def test_parse_weight_rejects_bad_nvars():
@@ -637,6 +683,17 @@ def test_power_size_bound_holds(w, k):
     power = w**k
     assert max(map(abs, power._num.values()), default=0).bit_length() <= bits
     assert power._den.bit_length() <= bits
+
+
+@settings(max_examples=100)
+@given(st.integers(1, 2).flatmap(lambda s: st.tuples(rational_weights(s), rational_weights(s))))
+def test_product_size_bound_holds(pair):
+    # the bound the parser checks at '*' is a true bound on the product
+    left, right = pair
+    bits = sum(max(sum(map(abs, w._num.values())), w._den).bit_length() for w in pair)
+    product = left * right
+    assert max(map(abs, product._num.values()), default=0).bit_length() <= bits
+    assert product._den.bit_length() <= bits
 
 
 def test_equal_weights_compare_and_hash_equal_whatever_the_route():

@@ -35,6 +35,7 @@ from ehrwt import (
     weighted_sum,
 )
 from ehrwt.errors import EnumerationLimitError
+from ehrwt.polynomials import MAX_WEIGHT_EXPONENT
 from ehrwt.weighted import _interpolated, affine_lift_polytope
 
 from oracles import (
@@ -272,6 +273,15 @@ def test_reciprocity_nodes_match_closed_nodes_at_high_degree(case):
     points, w = case
     P = LatticePolytope(points)
     assert weighted_ehrhart_polynomial(P, w) == closed_node_polynomial(P, w)
+
+
+def test_counting_polynomial_at_the_degree_cap():
+    # t1^64 on [0, 1]: 66 nodes, and the sums of k^64 over k = 0..n
+    w = parse_weight(f"t1^{MAX_WEIGHT_EXPONENT}", 1)
+    poly = weighted_ehrhart_polynomial(LatticePolytope([(0,), (1,)]), w)
+    assert poly.degree == MAX_WEIGHT_EXPONENT + 1
+    for n in (0, 1, 2, 7, 33, 66, 67, 100):
+        assert poly(n) == sum(k**MAX_WEIGHT_EXPONENT for k in range(n + 1)), n
 
 
 def test_checks_do_not_read_the_interior_nodes(monkeypatch):
