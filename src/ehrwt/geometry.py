@@ -16,9 +16,9 @@ with no third row tight wherever both are (Fukuda and Prodon's
 combinatorial test, valid as the rows are exactly the facets of the hull
 so far). Each row carries the points tight at it as a bitmask, so a new
 row's tight set is its parents' common one plus the new point, and no
-tight set is recomputed. An integer invariant check on the final rows,
-with the tight sets taken afresh from the vertices, raises
-ConsistencyError if that ever fails.
+tight set is recomputed. An integer invariant check with the tight sets
+taken afresh from the vertices raises ConsistencyError unless each final
+row is a distinct facet; a missing facet goes unnoticed.
 
 The lattice points of a dilation come from one walk in a lattice basis
 of the affine hull: with v0 a vertex and the columns of B a reduced
@@ -51,7 +51,7 @@ from operator import mul
 from typing import Iterable, Sequence
 
 from .errors import ConsistencyError, EnumerationLimitError
-from .polynomials import _exact
+from .polynomials import _check_int, _cleared, _exact, _is_int
 
 __all__ = [
     "LatticePolytope",
@@ -93,7 +93,7 @@ class LatticePolytope:
         for v in vertices:
             row = []
             for c in v:
-                if not isinstance(c, int) or isinstance(c, bool):
+                if not _is_int(c):
                     raise ValueError(f"vertex coordinate {c!r} is not an integer")
                 row.append(c)
             rows.append(tuple(row))
@@ -154,12 +154,11 @@ class Graph:
     __slots__ = ("_n", "_edges")
 
     def __init__(self, vertex_count: int, edges: Iterable[tuple[int, int]]):
-        if not isinstance(vertex_count, int) or vertex_count < 1:
-            raise ValueError("vertex_count must be a positive integer")
+        _check_int(vertex_count, 1, "vertex_count must be a positive integer")
         seen = set()
         for e in edges:
             i, j = e
-            if not isinstance(i, int) or not isinstance(j, int):
+            if not _is_int(i) or not _is_int(j):
                 raise ValueError(f"edge {e!r} must be a pair of integers")
             if not (1 <= i <= vertex_count and 1 <= j <= vertex_count):
                 raise ValueError(f"edge {e!r} leaves the vertex range 1..{vertex_count}")
@@ -230,24 +229,13 @@ def _echelon(rows):
 
 
 def _primitive_ineq(row, rhs):
-    """Primitive form of the integer row a.x <= b; a zero row raises ConsistencyError."""
+    """Primitive form of the integer row a.x <= b (or a.x = b): both divided by
+    their positive gcd; a zero row raises ConsistencyError.
+    """
     g = math.gcd(*row)
     if g == 0:
         raise ConsistencyError(f"derived the trivial row 0 <= {rhs}; this is a bug")
     g = math.gcd(g, rhs)
-    return tuple(v // g for v in row), rhs // g
-
-
-def _primitive_eq(row, rhs):
-    """Primitive sign-normalized form of the integer row a.x = b; None when trivial."""
-    lead = next((v for v in row if v != 0), 0)
-    if lead == 0:
-        if rhs != 0:
-            raise ConsistencyError("derived an inconsistent equation; this is a bug")
-        return None
-    g = math.gcd(*row, rhs)
-    if lead < 0:
-        g = -g
     return tuple(v // g for v in row), rhs // g
 
 
@@ -256,7 +244,8 @@ def _affine_hull(vertices):
     the vertex differences' echelon form.
 
     Each column f that is not a pivot gives one normal, with the last
-    pivot on f and minus row r's entry in column f on row r's pivot.
+    pivot on f and minus row r's entry in column f on row r's pivot; it
+    is made primitive with its first nonzero entry positive.
     """
     base = vertices[0]
     rows, pivots = _echelon([[a - b for a, b in zip(v, base)] for v in vertices[1:]])
@@ -269,7 +258,9 @@ def _affine_hull(vertices):
         normal[f] = last
         for row, p in zip(rows, pivots):
             normal[p] = -row[f]
-        eqs.append(_primitive_eq(normal, sum(c * b for c, b in zip(normal, base))))
+        a, b = _primitive_ineq(normal, sum(map(mul, normal, base)))
+        sign = 1 if next(filter(None, a)) > 0 else -1
+        eqs.append((tuple(sign * v for v in a), sign * b))
     return tuple(sorted(eqs))
 
 
@@ -282,10 +273,11 @@ def _affine_rank(points) -> int:
 
 
 def _check_facets(P, rows):
-    """Raise ConsistencyError unless the rows are the distinct facets of P.
+    """Raise ConsistencyError unless each row is a distinct facet of P.
 
     Every vertex must satisfy every row, the vertices tight at a row
-    must span dim(P) - 1 dimensions, and no normal may occur twice.
+    must span dim(P) - 1 dimensions, and no normal may occur twice; a
+    facet of P with no row is not detected.
     """
     normals = set()
     for row, rhs in rows:
@@ -657,8 +649,7 @@ def lattice_points(P: LatticePolytope, n: int) -> list[tuple[int, ...]]:
     cells, counted in the lattice coordinates of the affine hull);
     beyond the cap an EnumerationLimitError is raised.
     """
-    if not isinstance(n, int) or n < 0:
-        raise ValueError("dilation factor must be a nonnegative integer")
+    _check_int(n, 0, "dilation factor must be a nonnegative integer")
     return sorted(_walk(P, n, False))
 
 
@@ -668,8 +659,7 @@ def interior_lattice_points(P: LatticePolytope, n: int) -> list[tuple[int, ...]]
     For a 0-dimensional polytope the relative interior is the point
     itself. Requires n >= 1.
     """
-    if not isinstance(n, int) or n < 1:
-        raise ValueError("dilation factor must be a positive integer")
+    _check_int(n, 1, "dilation factor must be a positive integer")
     return sorted(_walk(P, n, True))
 
 
@@ -685,12 +675,10 @@ def contains(P: LatticePolytope, point: Sequence, n=1) -> bool:
     scale = _exact(n, "dilation factor")
     if scale <= 0:
         raise ValueError("dilation factor must be positive")
-    coords = [c if isinstance(c, int) else _exact(c, "coordinate") for c in point]
-    if len(coords) != P.ambient_dim:
-        raise ValueError(f"point has length {len(coords)}, expected {P.ambient_dim}")
+    xs, den = _cleared(point, "coordinate")
+    if len(xs) != P.ambient_dim:
+        raise ValueError(f"point has length {len(xs)}, expected {P.ambient_dim}")
     equations, inequalities = P.affine_hull, P.facet_inequalities
-    den = math.lcm(*(x.denominator for x in coords))
-    xs = [x.numerator * (den // x.denominator) for x in coords]
     q, rhs = scale.denominator, scale.numerator * den
     return (all(q * sum(map(mul, a, xs)) == rhs * b for a, b in equations)
             and all(q * sum(map(mul, a, xs)) <= rhs * b for a, b in inequalities))

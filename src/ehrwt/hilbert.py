@@ -20,7 +20,8 @@ from typing import Iterable, NamedTuple, Sequence
 from .errors import ConsistencyError, UndeterminedFitError
 from .geometry import LatticePolytope, _points, _walk_fibers, _walk_sum
 from .geometry import require_nonnegative_vertices
-from .polynomials import RationalGF, UniPoly, _series_of_values, lagrange_interpolate
+from .polynomials import RationalGF, UniPoly, _check_int, _is_int, _series_of_values
+from .polynomials import lagrange_interpolate
 
 __all__ = [
     "LinearWeightTuple",
@@ -45,7 +46,7 @@ class LinearWeightTuple:
         clean = []
         for row in rows:
             r = tuple(row)
-            if any((not isinstance(c, int)) or isinstance(c, bool) or c < 0 for c in r):
+            if any(not _is_int(c) or c < 0 for c in r):
                 raise ValueError(f"row {r} must contain nonnegative integers")
             clean.append(r)
         if not clean:
@@ -96,8 +97,7 @@ def _check_input(P: LatticePolytope, W: LinearWeightTuple) -> None:
 def hilbert_value(P: LatticePolytope, W: LinearWeightTuple, n: int) -> int:
     """Number of distinct image vectors of the n-th dilation's lattice points."""
     _check_input(P, W)
-    if not isinstance(n, int) or n < 0:
-        raise ValueError("dilation factor must be a nonnegative integer")
+    _check_int(n, 0, "dilation factor must be a nonnegative integer")
     e, fibers = _walk_fibers(P, n, False)
     # W(base + x*e) = W(base) + x*W(e): each fiber's images step along W(e)
     return len(set(_points(W.apply(e), ((W.apply(b), low, high) for b, low, high in fibers))))
@@ -147,8 +147,7 @@ def _fit(
     it already has, and every count read here is added to it.
     """
     _check_input(P, W)
-    if not isinstance(max_onset, int) or max_onset < 0:
-        raise ValueError("max_onset must be a nonnegative integer")
+    _check_int(max_onset, 0, "max_onset must be a nonnegative integer")
     degree = image_polytope(P, W).dim
     signs = [(-1) ** (degree + 1 - j) * comb(degree + 1, j) for j in range(degree + 2)]
 

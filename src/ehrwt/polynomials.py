@@ -51,10 +51,27 @@ def _exact(value: Rational, what: str = "coefficient") -> Fraction:
     return Fraction(value)
 
 
+def _is_int(value) -> bool:
+    """True for an int that is not a bool: the rule for every integer argument."""
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
+def _check_int(value, low: int, message: str) -> None:
+    """Raise ValueError(message) unless value is an int, not a bool, of at least low."""
+    if not _is_int(value) or value < low:
+        raise ValueError(message)
+
+
+def _cleared(values: Iterable[Rational], what: str = "coefficient") -> tuple[list[int], int]:
+    """(numerators, den) with values = numerators / den, den the lcm of their denominators."""
+    xs = [v if isinstance(v, int) else _exact(v, what) for v in values]
+    den = math.lcm(*(x.denominator for x in xs))
+    return [x.numerator * (den // x.denominator) for x in xs], den
+
+
 def _power(base, exponent: int, one):
     """base**exponent by square-and-multiply; no square past the top bit."""
-    if not isinstance(exponent, int) or exponent < 0:
-        raise ValueError("exponent must be a nonnegative integer")
+    _check_int(exponent, 0, "exponent must be a nonnegative integer")
     result = one
     while exponent:
         if exponent & 1:
@@ -78,9 +95,7 @@ class UniPoly:
     __slots__ = ("_num", "_den")
 
     def __init__(self, coeffs: Iterable[Rational] = ()):
-        cs = [_exact(c) for c in coeffs]
-        den = math.lcm(*(c.denominator for c in cs))
-        self._store([c.numerator * (den // c.denominator) for c in cs], den)
+        self._store(*_cleared(coeffs))
 
     def _store(self, num: list[int], den: int) -> "UniPoly":
         """Keep num/den in lowest terms, trailing zeros dropped."""
@@ -96,8 +111,7 @@ class UniPoly:
 
     @classmethod
     def monomial(cls, power: int, coeff: Rational = 1) -> "UniPoly":
-        if power < 0:
-            raise ValueError("power must be nonnegative")
+        _check_int(power, 0, "power must be nonnegative")
         return cls([0] * power + [coeff])
 
     @property
@@ -118,8 +132,7 @@ class UniPoly:
 
     def __call__(self, value: Rational) -> Fraction:
         # Horner on the numerators over den * q^deg for the argument p/q
-        x = _exact(value, "evaluation point")
-        p, q = x.numerator, x.denominator
+        (p,), q = _cleared((value,), "evaluation point")
         acc, scale = 0, 1
         for c in reversed(self._num):
             acc = acc * p + c * scale
@@ -193,20 +206,17 @@ class WeightPoly:
     __slots__ = ("_nvars", "_num", "_den")
 
     def __init__(self, nvars: int, terms: Mapping[tuple[int, ...], Rational] = {}):
-        if not isinstance(nvars, int) or nvars < 1:
-            raise ValueError("nvars must be a positive integer")
-        pairs = []
-        for exps, coeff in terms.items():
-            exps = tuple(exps)
+        _check_int(nvars, 1, "nvars must be a positive integer")
+        pairs = [(tuple(exps), coeff) for exps, coeff in terms.items()]
+        for exps, _ in pairs:
             if len(exps) != nvars:
                 raise ValueError(f"exponent vector {exps} does not have length {nvars}")
-            if any((not isinstance(e, int)) or e < 0 for e in exps):
+            if any(not _is_int(e) or e < 0 for e in exps):
                 raise ValueError(f"exponent vector {exps} must contain nonnegative integers")
-            pairs.append((exps, _exact(coeff)))
-        den = math.lcm(*(c.denominator for _, c in pairs))
+        coeffs, den = _cleared(c for _, c in pairs)
         num: dict[tuple[int, ...], int] = {}
-        for exps, c in pairs:
-            num[exps] = num.get(exps, 0) + c.numerator * (den // c.denominator)
+        for (exps, _), c in zip(pairs, coeffs):
+            num[exps] = num.get(exps, 0) + c
         self._store(nvars, num, den)
 
     def _store(self, nvars: int, num: dict, den: int) -> "WeightPoly":
@@ -227,7 +237,7 @@ class WeightPoly:
     @classmethod
     def variable(cls, index: int, nvars: int) -> "WeightPoly":
         """The weight t_index (1-based) on nvars variables."""
-        if not 1 <= index <= nvars:
+        if not _is_int(index) or not 1 <= index <= nvars:
             raise ValueError(f"variable index {index} out of range 1..{nvars}")
         exps = tuple(1 if i == index - 1 else 0 for i in range(nvars))
         return cls(nvars, {exps: 1})
@@ -361,7 +371,7 @@ class RationalGF:
 
     def __init__(self, numerator, denom_power: int):
         num = numerator if isinstance(numerator, UniPoly) else UniPoly(numerator)
-        if not isinstance(denom_power, int):
+        if not _is_int(denom_power):
             raise TypeError(f"denominator power {denom_power!r} is not an integer")
         d = denom_power
         if d < 0:
@@ -418,8 +428,7 @@ class RationalGF:
 
     def expand(self, count: int) -> list[Fraction]:
         """First ``count`` + 1 power-series coefficients, orders 0..count."""
-        if not isinstance(count, int) or count < 0:
-            raise ValueError("count must be a nonnegative integer")
+        _check_int(count, 0, "count must be a nonnegative integer")
         h, d = self._num._num, self._dpow
         if d == 0:
             return [self._num.coefficient(n) for n in range(count + 1)]
@@ -440,8 +449,8 @@ def eulerian(d: int, k: int) -> int:
     A(0, 0) = 1 and A(d, k) = 0 for k > d. Any d is taken: the caller
     chooses d directly, and the CLI caps its row at EULERIAN_ROW_CAP.
     """
-    if not isinstance(d, int) or not isinstance(k, int) or d < 0 or k < 0:
-        raise ValueError("eulerian arguments must be nonnegative integers")
+    for arg in (d, k):
+        _check_int(arg, 0, "eulerian arguments must be nonnegative integers")
     if k > d:
         return 0
     if d == 0:
@@ -455,8 +464,7 @@ def cube_series(d: int) -> RationalGF:
     Equal to (sum_{k=1..d} A(d, k) x^(k-1)) / (1-x)^(d+1); the d = 0 case
     is 1/(1-x). Like eulerian(), it takes any d the caller chooses.
     """
-    if not isinstance(d, int) or d < 0:
-        raise ValueError("cube dimension must be a nonnegative integer")
+    _check_int(d, 0, "cube dimension must be a nonnegative integer")
     if d == 0:
         return RationalGF(UniPoly([1]), 1)
     return RationalGF(UniPoly([eulerian(d, k) for k in range(1, d + 1)]), d + 1)
@@ -488,20 +496,18 @@ def lagrange_interpolate(samples: Sequence[tuple[Rational, Rational]]) -> UniPol
     sum_i (L/s_i) y_i M(t)/(t - t_i) / (L den) at t = qx, M(t) = prod_j (t - t_j),
     s_i = prod_{j != i} (t_i - t_j), L = lcm(s_i). Abscissae must be distinct.
     """
-    pts = [(_exact(a, "abscissa"), _exact(y, "value")) for a, y in samples]
-    if not pts:
+    ts, q = _cleared((a for a, _ in samples), "abscissa")
+    ys, den = _cleared((y for _, y in samples), "value")
+    if not ts:
         raise ValueError("at least one sample is required")
-    if len({a for a, _ in pts}) != len(pts):
+    if len(set(ts)) != len(ts):
         raise ValueError("sample abscissae must be pairwise distinct")
-    q = math.lcm(*(a.denominator for a, _ in pts))
-    den = math.lcm(*(y.denominator for _, y in pts))
-    ts = [a.numerator * (q // a.denominator) for a, _ in pts]
     ss = [math.prod(t - u for u in ts if u != t) for t in ts]
     lcm, m, acc = math.lcm(*ss), [1], [0] * len(ts)
     for t in ts:  # M, highest power first
         m = [a - t * b for a, b in zip(m + [0], [0] + m)]
-    for t, (_, y), s in zip(ts, pts, ss):
-        w, b = lcm // s * y.numerator * (den // y.denominator), 0
+    for t, y, s in zip(ts, ys, ss):
+        w, b = lcm // s * y, 0
         for k, c in enumerate(m[:-1]):
             b = b * t + c
             acc[k] += w * b
@@ -658,8 +664,7 @@ def parse_weight(text: str, nvars: int) -> WeightPoly:
     constants like 2/5, and exponents, e.g. "t1^2*t2^2 - 1/3*(t1+1)".
     Raises :class:`WeightParseError` with the offending position.
     """
-    if not isinstance(nvars, int) or nvars < 1:
-        raise ValueError("nvars must be a positive integer")
+    _check_int(nvars, 1, "nvars must be a positive integer")
     # normalize the unicode minus so pasted formulas survive
     return _WeightParser(text.replace("−", "-"), nvars).parse()
 
@@ -677,7 +682,7 @@ def format_polynomial(poly: UniPoly, var: str = "n", compact: bool = False) -> s
     if not poly:
         return "0"
     pieces = []
-    for power in range(len(poly.coeffs) - 1, -1, -1):
+    for power in range(poly.degree, -1, -1):
         c = poly.coefficient(power)
         if c == 0:
             continue
@@ -702,8 +707,7 @@ def format_series(series: RationalGF, var: str = "x") -> str:
     d = series.denom_power
     if d == 0:
         return num
-    terms = sum(1 for c in series.numerator.coeffs if c != 0)
-    if terms > 1:
+    if sum(map(bool, series.numerator._num)) > 1:
         num = f"({num})"
     denom = f"(1-{var})" if d == 1 else f"(1-{var})^{d}"
     return f"{num}/{denom}"

@@ -39,6 +39,7 @@ from .polynomials import (
     RationalGF,
     UniPoly,
     WeightPoly,
+    _check_int,
     _exact,
     gf_of_polynomial,
     lagrange_interpolate,
@@ -77,8 +78,7 @@ def _sum(P: LatticePolytope, w: WeightPoly, n: int, strict: bool) -> Fraction:
 def weighted_sum(P: LatticePolytope, w: WeightPoly, n: int) -> Fraction:
     """Sum of w over the lattice points of the n-th dilation (n >= 0)."""
     _check_space(P, w)
-    if not isinstance(n, int) or n < 0:
-        raise ValueError("dilation factor must be a nonnegative integer")
+    _check_int(n, 0, "dilation factor must be a nonnegative integer")
     if w.is_zero:
         return Fraction(0)
     return _sum(P, w, n, False)
@@ -337,8 +337,7 @@ def reciprocity_check(
     independent.
     """
     _check_full_dim_homogeneous(P, w, "reciprocity_check")
-    if not isinstance(n_max, int) or n_max < 1:
-        raise ValueError("n_max must be a positive integer")
+    _check_int(n_max, 1, "n_max must be a positive integer")
     if spot_check:
         _spot_check_nonnegative(P, w)
     sign = (-1) ** (P.dim + w.degree)

@@ -1,0 +1,169 @@
+"""Input rules shared by every module.
+
+An integer argument is an int, not a bool, of at least some bound; a
+rational input is cleared to integer numerators over one denominator and
+a float in it is refused by name. Each rule lives in one place in
+ehrwt.polynomials, so these tables pin the exception type and the text at
+every entry point that applies it.
+"""
+
+import re
+from fractions import Fraction as F
+
+import pytest
+
+from ehrwt import (
+    Graph,
+    LatticePolytope,
+    LinearWeightTuple,
+    RationalGF,
+    UniPoly,
+    WeightPoly,
+    contains,
+    cube_series,
+    eulerian,
+    expand,
+    hilbert_polynomial,
+    hilbert_series,
+    hilbert_value,
+    interior_lattice_points,
+    lagrange_interpolate,
+    lattice_points,
+    parse_weight,
+    reciprocity_check,
+    weighted_sum,
+)
+
+SQUARE = LatticePolytope([(0, 0), (1, 0), (0, 1), (1, 1)])
+FORM = LinearWeightTuple([[1, 2]])
+T1 = WeightPoly.variable(1, 2)
+GF = RationalGF([1], 1)
+
+DILATION = "dilation factor must be a nonnegative integer"
+EXPONENT = "exponent must be a nonnegative integer"
+EULERIAN = "eulerian arguments must be nonnegative integers"
+
+# (call with the flag b, exception type, message with {b} for the flag)
+BOOL_CASES = {
+    "vertex coordinate": (lambda b: LatticePolytope([(b, 0)]),
+                          ValueError, "vertex coordinate {b} is not an integer"),
+    "graph vertex_count": (lambda b: Graph(b, []),
+                           ValueError, "vertex_count must be a positive integer"),
+    "graph edge, first end": (lambda b: Graph(2, [(b, 2)]),
+                              ValueError, "edge ({b}, 2) must be a pair of integers"),
+    "graph edge, second end": (lambda b: Graph(2, [(1, b)]),
+                               ValueError, "edge (1, {b}) must be a pair of integers"),
+    "lattice_points n": (lambda b: lattice_points(SQUARE, b), ValueError, DILATION),
+    "interior_lattice_points n": (lambda b: interior_lattice_points(SQUARE, b),
+                                  ValueError, "dilation factor must be a positive integer"),
+    "linear form entry": (lambda b: LinearWeightTuple([(b, 0)]),
+                          ValueError, "row ({b}, 0) must contain nonnegative integers"),
+    "hilbert_value n": (lambda b: hilbert_value(SQUARE, FORM, b), ValueError, DILATION),
+    "hilbert_polynomial max_onset": (lambda b: hilbert_polynomial(SQUARE, FORM, b),
+                                     ValueError, "max_onset must be a nonnegative integer"),
+    "hilbert_series max_onset": (lambda b: hilbert_series(SQUARE, FORM, b),
+                                 ValueError, "max_onset must be a nonnegative integer"),
+    "UniPoly exponent": (lambda b: UniPoly([1, 1]) ** b, ValueError, EXPONENT),
+    "WeightPoly exponent": (lambda b: T1**b, ValueError, EXPONENT),
+    "UniPoly.monomial power": (lambda b: UniPoly.monomial(b),
+                               ValueError, "power must be nonnegative"),
+    "WeightPoly nvars": (lambda b: WeightPoly(b, {}),
+                         ValueError, "nvars must be a positive integer"),
+    "WeightPoly exponent vector": (
+        lambda b: WeightPoly(2, {(b, 0): 1}),
+        ValueError, "exponent vector ({b}, 0) must contain nonnegative integers"),
+    "WeightPoly.variable index": (lambda b: WeightPoly.variable(b, 2),
+                                  ValueError, "variable index {b} out of range 1..2"),
+    "RationalGF denom_power": (lambda b: RationalGF([1], b),
+                               TypeError, "denominator power {b} is not an integer"),
+    "RationalGF.expand count": (lambda b: GF.expand(b),
+                                ValueError, "count must be a nonnegative integer"),
+    "expand count": (lambda b: expand(GF, b), ValueError, "count must be a nonnegative integer"),
+    "eulerian d": (lambda b: eulerian(b, 0), ValueError, EULERIAN),
+    "eulerian k": (lambda b: eulerian(2, b), ValueError, EULERIAN),
+    "cube_series d": (lambda b: cube_series(b),
+                      ValueError, "cube dimension must be a nonnegative integer"),
+    "parse_weight nvars": (lambda b: parse_weight("t1", b),
+                           ValueError, "nvars must be a positive integer"),
+    "weighted_sum n": (lambda b: weighted_sum(SQUARE, T1, b), ValueError, DILATION),
+    "reciprocity_check n_max": (lambda b: reciprocity_check(SQUARE, T1, b),
+                                ValueError, "n_max must be a positive integer"),
+}
+
+
+@pytest.mark.parametrize("flag", [True, False])
+@pytest.mark.parametrize("case", BOOL_CASES)
+def test_bool_is_not_an_integer_argument(case, flag):
+    call, error, message = BOOL_CASES[case]
+    with pytest.raises(error, match="^" + re.escape(message.format(b=flag)) + "$"):
+        call(flag)
+
+
+# (call, exception type, full message): the float refusals at every entry point
+# of the rational clearing, then the integer-argument rule with non-bool values
+MESSAGE_CASES = {
+    "UniPoly coefficient": (lambda: UniPoly([1, 0.5]),
+                            TypeError, "floating point coefficient 0.5 is not allowed"),
+    "WeightPoly coefficient": (lambda: WeightPoly(1, {(0,): 1, (1,): 0.25}),
+                               TypeError, "floating point coefficient 0.25 is not allowed"),
+    "UniPoly evaluation point": (lambda: UniPoly([1, 1])(0.5),
+                                 TypeError, "floating point evaluation point 0.5 is not allowed"),
+    "lagrange abscissa": (lambda: lagrange_interpolate([(0, 1), (1.5, 2)]),
+                          TypeError, "floating point abscissa 1.5 is not allowed"),
+    "lagrange value": (lambda: lagrange_interpolate([(0, 1), (1, 2.0)]),
+                       TypeError, "floating point value 2.0 is not allowed"),
+    "contains coordinate": (lambda: contains(SQUARE, (F(1, 2), 0.5)),
+                            TypeError, "floating point coordinate 0.5 is not allowed"),
+    "contains dilation": (lambda: contains(SQUARE, (0, 0), 0.5),
+                          TypeError, "floating point dilation factor 0.5 is not allowed"),
+    "vertex coordinate": (lambda: LatticePolytope([(0, 1.0)]),
+                          ValueError, "vertex coordinate 1.0 is not an integer"),
+    "graph vertex_count": (lambda: Graph(0, []),
+                           ValueError, "vertex_count must be a positive integer"),
+    "graph edge": (lambda: Graph(2, [(1, 2.0)]),
+                   ValueError, "edge (1, 2.0) must be a pair of integers"),
+    "lattice_points n": (lambda: lattice_points(SQUARE, -1), ValueError, DILATION),
+    "interior_lattice_points n": (lambda: interior_lattice_points(SQUARE, 0),
+                                  ValueError, "dilation factor must be a positive integer"),
+    "linear form entry": (lambda: LinearWeightTuple([(1, -1)]),
+                          ValueError, "row (1, -1) must contain nonnegative integers"),
+    "hilbert_value n": (lambda: hilbert_value(SQUARE, FORM, 1.0), ValueError, DILATION),
+    "hilbert max_onset": (lambda: hilbert_series(SQUARE, FORM, -1),
+                          ValueError, "max_onset must be a nonnegative integer"),
+    "UniPoly exponent": (lambda: UniPoly([1, 1]) ** -1, ValueError, EXPONENT),
+    "WeightPoly exponent": (lambda: T1 ** F(2), ValueError, EXPONENT),
+    "UniPoly.monomial power": (lambda: UniPoly.monomial(-1),
+                               ValueError, "power must be nonnegative"),
+    "WeightPoly nvars": (lambda: WeightPoly(0, {}),
+                         ValueError, "nvars must be a positive integer"),
+    "WeightPoly exponent vector": (
+        lambda: WeightPoly(2, {(1, -1): 1}),
+        ValueError, "exponent vector (1, -1) must contain nonnegative integers"),
+    "WeightPoly exponent vector length": (
+        lambda: WeightPoly(2, {(1,): 1}),
+        ValueError, "exponent vector (1,) does not have length 2"),
+    "WeightPoly.variable index": (lambda: WeightPoly.variable(3, 2),
+                                  ValueError, "variable index 3 out of range 1..2"),
+    "RationalGF denom_power type": (
+        lambda: RationalGF([1], F(2)),
+        TypeError, "denominator power Fraction(2, 1) is not an integer"),
+    "RationalGF denom_power sign": (lambda: RationalGF([1], -1),
+                                    ValueError, "denominator power must be nonnegative"),
+    "expand count": (lambda: expand(GF, -1), ValueError, "count must be a nonnegative integer"),
+    "eulerian": (lambda: eulerian(2, 1.0), ValueError, EULERIAN),
+    "cube_series d": (lambda: cube_series(-1),
+                      ValueError, "cube dimension must be a nonnegative integer"),
+    "parse_weight nvars": (lambda: parse_weight("t1", 0),
+                           ValueError, "nvars must be a positive integer"),
+    "weighted_sum n": (lambda: weighted_sum(SQUARE, T1, -1), ValueError, DILATION),
+    "reciprocity_check n_max": (lambda: reciprocity_check(SQUARE, T1, 0),
+                                ValueError, "n_max must be a positive integer"),
+}
+
+
+@pytest.mark.parametrize("case", MESSAGE_CASES)
+def test_refusal_messages(case):
+    call, error, message = MESSAGE_CASES[case]
+    with pytest.raises(error, match="^" + re.escape(message) + "$"):
+        call()
+
