@@ -44,10 +44,6 @@ EULERIAN_ROW_CAP = 512
 MAX_N_CAP = 64
 
 
-class _UsageError(Exception):
-    pass
-
-
 # ---------------------------------------------------------------- input
 
 
@@ -234,20 +230,11 @@ def _check_reports(P: LatticePolytope, w, n_max: int) -> dict:
     }
 
 
-def _cmd_points(args: argparse.Namespace) -> dict:
-    P = _load_polytope(args)
+def _cmd_points(args: argparse.Namespace, P: LatticePolytope, w) -> dict:
     return {"points": [list(p) for p in lattice_points(P, args.n)]}
 
 
-def _cmd_ehrhart(args: argparse.Namespace) -> dict:
-    P = _load_polytope(args)
-    poly = weighted.ehrhart_polynomial(P)
-    return {"polynomial": poly, "series": gf_of_polynomial(poly)}
-
-
-def _cmd_weighted(args: argparse.Namespace) -> dict:
-    P = _load_polytope(args)
-    w = parse_weight(args.weight, P.ambient_dim)
+def _cmd_weighted(args: argparse.Namespace, P: LatticePolytope, w) -> dict:
     n_max = _max_n(args, 4, 1)
     poly = weighted.weighted_ehrhart_polynomial(P, w)
     result = {"polynomial": poly, "series": gf_of_polynomial(poly)}
@@ -256,9 +243,7 @@ def _cmd_weighted(args: argparse.Namespace) -> dict:
     return result
 
 
-def _cmd_lift(args: argparse.Namespace) -> dict:
-    P = _load_polytope(args)
-    w = parse_weight(args.weight, P.ambient_dim)
+def _cmd_lift(args: argparse.Namespace, P: LatticePolytope, w) -> dict:
     try:
         row, offset = w.affine_parts()
     except ValueError:
@@ -278,20 +263,15 @@ def _cmd_lift(args: argparse.Namespace) -> dict:
     }
 
 
-def _cmd_integral(args: argparse.Namespace) -> dict:
-    P = _load_polytope(args)
-    w = parse_weight(args.weight, P.ambient_dim)
+def _cmd_integral(args: argparse.Namespace, P: LatticePolytope, w) -> dict:
     return {"integral": weighted.integral_leading(P, w)}
 
 
-def _cmd_check(args: argparse.Namespace) -> dict:
-    P = _load_polytope(args)
-    w = parse_weight(args.weight, P.ambient_dim)
+def _cmd_check(args: argparse.Namespace, P: LatticePolytope, w) -> dict:
     return _check_reports(P, w, _max_n(args, 4, 1))
 
 
-def _cmd_hilbert(args: argparse.Namespace) -> dict:
-    P = _load_polytope(args)
+def _cmd_hilbert(args: argparse.Namespace, P: LatticePolytope, w) -> dict:
     W = hilbert.LinearWeightTuple(_parse_rows(args.wrows, "weight-tuple"))
     table_max = _max_n(args, 8, 0)
     counts = {n: hilbert.hilbert_value(P, W, n) for n in range(table_max + 1)}
@@ -301,7 +281,7 @@ def _cmd_hilbert(args: argparse.Namespace) -> dict:
     return {"values": values, "polynomial": fit, "onset": onset, "series": series}
 
 
-def _cmd_eulerian(args: argparse.Namespace) -> dict:
+def _cmd_eulerian(args: argparse.Namespace, P: None, w: None) -> dict:
     d = args.n
     if d < 0:
         raise ValueError("--n must give a nonnegative row index")
@@ -312,7 +292,7 @@ def _cmd_eulerian(args: argparse.Namespace) -> dict:
 
 _HANDLERS = {
     "points": _cmd_points,
-    "ehrhart": _cmd_ehrhart,
+    "ehrhart": _cmd_weighted,
     "weighted": _cmd_weighted,
     "lift": _cmd_lift,
     "integral": _cmd_integral,
@@ -414,7 +394,7 @@ def write_output(result: dict, fmt: str) -> str:
 
 class _Parser(argparse.ArgumentParser):
     def error(self, message):
-        raise _UsageError(message)
+        raise ValueError(message)
 
 
 @functools.lru_cache(maxsize=1)
@@ -444,7 +424,9 @@ def _build_parser() -> _Parser:
     p = new_command("points", "lattice points of the n-th dilation")
     p.add_argument("--n", type=int, required=True, help="dilation factor (>= 0)")
 
-    new_command("ehrhart", "counting polynomial and series (weight 1)")
+    # the weighted handler at weight 1, with neither --weight nor --check
+    new_command("ehrhart", "counting polynomial and series (weight 1)").set_defaults(
+        weight="1", check=False, max_n=None)
 
     p = new_command("weighted", "weighted counting polynomial and series")
     add_weight(p)
@@ -473,25 +455,24 @@ def _build_parser() -> _Parser:
 
 def run(argv=None) -> int:
     """Execute one CLI invocation; returns the process exit code."""
-    parser = _build_parser()
-    try:
-        args = parser.parse_args(argv)
-    except _UsageError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
-    except SystemExit as exc:
-        # argparse exits directly for --help; keep its code
-        return 0 if not exc.code else int(exc.code)
     try:
         # library warnings reach stderr as plain lines, each distinct one once
         with warnings.catch_warnings(record=True) as caught:
             warnings.simplefilter("always")
             try:
+                args = _build_parser().parse_args(argv)
+                # the inputs are read in one order: polytope, weight, then the
+                # handler's own arguments
+                P = _load_polytope(args) if "file" in args else None
+                w = parse_weight(args.weight, P.ambient_dim) if "weight" in args else None
                 # built here, so an integer past Python's str digit limit is an input error
-                text = write_output(_HANDLERS[args.command](args), args.fmt)
+                text = write_output(_HANDLERS[args.command](args, P, w), args.fmt)
             finally:
-                for message in dict.fromkeys(str(w.message) for w in caught):
+                for message in dict.fromkeys(str(m.message) for m in caught):
                     print(f"warning: {message}", file=sys.stderr)
+    except SystemExit as exc:
+        # argparse exits directly for --help; keep its code
+        return 0 if not exc.code else int(exc.code)
     except ConsistencyError as exc:
         print(f"internal error: {exc}", file=sys.stderr)
         return 2

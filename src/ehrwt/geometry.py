@@ -436,32 +436,42 @@ def _lll(b, inv):
         k = max(1, k - 1)
 
 
-def _lattice_coordinates(P):
-    """Q = {y in Z^d : v0 + B y in P} for v0 = P's first vertex.
+def _reduced_kernel(eqs, s):
+    """(columns of U, U^-1) for a unimodular U whose first s - r columns are
+    a reduced basis of ker A & Z^s, A the r independent integer rows eqs.
 
-    B is a reduced basis of ker A & Z^s for the r hull equations A: the
-    first d of the s columns [N*A e_j ; e_j] after one integral LLL
-    (Cohen, A Course in Computational Algebraic Number Theory, Sec. 2.7),
-    N = 1 + 2^(s-1) (r+1) prod |a_i|^2. A's d Cramer kernel vectors are
-    independent with squared norms at most (r+1) prod |a_i|^2 (Hadamard),
-    so the first d reduced columns have squared norm below N (Lenstra,
-    Lenstra and Lovasz, Math. Ann. 261, 1982, Prop. 1.12), where A x != 0
-    costs N^2: their A-parts are 0, they span ker A & Z^s, and they are
-    reduced in the plain norm, so Q is not skewed whatever the coordinate
-    order. Returns (v0, B's columns, Q's facet rows (a.B, b - a.v0), Q's
-    box as (lo, hi)).
+    U's columns are the lower parts of the columns [N*A e_j ; e_j] after
+    one integral LLL (Cohen, A Course in Computational Algebraic Number
+    Theory, Sec. 2.7), N = 1 + 2^(s-1) (r+1) prod |a_i|^2. A's s - r
+    Cramer kernel vectors are independent with squared norms at most
+    (r+1) prod |a_i|^2 (Hadamard), so the first s - r reduced columns
+    have squared norm below N (Lenstra, Lenstra and Lovasz, Math. Ann.
+    261, 1982, Prop. 1.12), where A x != 0 costs N^2: their A-parts are
+    0, they span ker A & Z^s, and they are reduced in the plain norm. The
+    rows of U^-1 past the first s - r map Z^s onto Z^r with kernel ker A.
     """
-    s, v0 = P.ambient_dim, P.vertices[0]
-    eqs = [a for a, _ in P.affine_hull]
-    r, d = len(eqs), P.dim
+    r = len(eqs)
     N = 1 + 2 ** (s - 1) * (r + 1) * math.prod(sum(c * c for c in a) for a in eqs)
     # each column stacks N*A's column over U's; inv is U^-1, updated row-wise
     cols = [[N * a[j] for a in eqs] + [int(i == j) for i in range(s)] for j in range(s)]
     inv = [[int(i == j) for j in range(s)] for i in range(s)]
     _lll(cols, inv)
-    if any(any(c[:r]) for c in cols[:d]):
-        raise ConsistencyError(f"the reduced basis leaves the hull of {list(P.vertices)}")
-    basis = [tuple(c[r:]) for c in cols[:d]]
+    if any(any(c[:r]) for c in cols[:s - r]):
+        raise ConsistencyError(f"the reduced basis leaves the kernel of the rows {list(eqs)}")
+    return [tuple(c[r:]) for c in cols], inv
+
+
+def _lattice_coordinates(P):
+    """Q = {y in Z^d : v0 + B y in P} for v0 = P's first vertex.
+
+    B is the reduced basis of ker A & Z^s that _reduced_kernel gives for
+    the r hull equations A, so Q is not skewed whatever the coordinate
+    order. Returns (v0, B's columns, Q's facet rows (a.B, b - a.v0), Q's
+    box as (lo, hi)).
+    """
+    s, v0, d = P.ambient_dim, P.vertices[0], P.dim
+    cols, inv = _reduced_kernel([a for a, _ in P.affine_hull], s)
+    basis = cols[:d]
     ys = [[sum(c * (x - o) for c, x, o in zip(row, v, v0)) for row in inv[:d]]
           for v in P.vertices]
     rows = [

@@ -7,21 +7,25 @@ image polytope, for n large enough. This module samples that count and
 decides the fit, its least onset and the series by one integer test:
 c(n..n+D+1) lie on one polynomial of degree at most D exactly when
 their (D+1)-th difference sum_j (-1)^(D+1-j) C(D+1, j) c(n+j) vanishes.
-The series is then the difference transform of the sampled counts. The
-image count can lag strictly behind the lattice-point count of the
-image polytope, which is what image_gap_report makes visible.
+A fit must also lead with the coefficient that the image polytope and
+P's lattice fix in advance (_leading_coefficient). The series is then
+the difference transform of the sampled counts. The image count can lag
+strictly behind the lattice-point count of the image polytope, which is
+what image_gap_report makes visible.
 """
 
 from __future__ import annotations
 
-from math import comb
+from fractions import Fraction
+from math import comb, gcd
 from typing import Iterable, NamedTuple, Sequence
 
 from .errors import ConsistencyError, UndeterminedFitError
-from .geometry import LatticePolytope, _points, _walk_fibers, _walk_sum
-from .geometry import require_nonnegative_vertices
+from .geometry import LatticePolytope, _echelon, _points, _reduced_kernel, _walk_fibers
+from .geometry import _walk_sum, require_nonnegative_vertices
 from .polynomials import RationalGF, UniPoly, _check_int, _is_int, _series_of_values
 from .polynomials import lagrange_interpolate
+from .weighted import ehrhart_polynomial
 
 __all__ = [
     "LinearWeightTuple",
@@ -117,10 +121,15 @@ def hilbert_polynomial(
     The fit degree is at most D, the dimension of the image polytope, so
     counts c(n..n+D+1) lie on one polynomial exactly when their (D+1)-th
     difference vanishes. A start s in 1..max_onset is accepted when that
-    difference vanishes at s..s+FIT_MARGIN-1, the onset then walks back
-    toward 0 while it still vanishes one step lower, and the fit is the
-    interpolant of c(onset..onset+D). Raises UndeterminedFitError
-    (carrying the samples) when no start is accepted.
+    difference vanishes at s..s+FIT_MARGIN-1 and the interpolant of
+    c(s..s+D) leads with the certified coefficient lead(E_{W(P)}) / idx
+    at degree D; the onset then walks back toward 0 while the difference
+    still vanishes one step lower. Raises UndeterminedFitError (carrying
+    the samples) when no start is accepted.
+
+    The onset is found by search and checked only on the window of
+    counts read. The certificate is necessary, not sufficient: a wrong
+    constant term under the right leading coefficient would pass it.
     """
     return _fit(P, W, max_onset, {})[1:3]
 
@@ -160,19 +169,23 @@ def _fit(
         # the (D+1)-th difference of c(n..n+D+1), read in increasing n
         return sum(sign * count(n + j) for j, sign in enumerate(signs)) == 0
 
+    lead = None
     for start in range(1, max_onset + 1):
         if all(on_one_polynomial(s) for s in range(start, start + FIT_MARGIN)):
-            onset = start
-            while onset > 0 and on_one_polynomial(onset - 1):
-                onset -= 1
-            break
+            fit = lagrange_interpolate([(n, counts[n]) for n in range(start, start + degree + 1)])
+            # the certificate is built once, for the first start the difference test passes
+            lead = _leading_coefficient(P, W, degree) if lead is None else lead
+            if fit.coefficient(degree) == lead:
+                break
     else:
         raise UndeterminedFitError(
             f"image count did not stabilize on any window with onset <= {max_onset}; "
             "raise max_onset to keep searching",
             counts,
         )
-    fit = lagrange_interpolate([(n, counts[n]) for n in range(onset, onset + degree + 1)])
+    onset = start
+    while onset > 0 and on_one_polynomial(onset - 1):
+        onset -= 1
     series = _series_of_values([count(n) for n in range(onset + degree + 1)], 1, degree)
     numerator = series.numerator
     if numerator._den != 1:
@@ -180,6 +193,33 @@ def _fit(
     if numerator and not sum(numerator._num):
         raise ConsistencyError("series numerator vanishes at 1 after reduction")
     return counts, fit, onset, series
+
+
+def _leading_coefficient(P: LatticePolytope, W: LinearWeightTuple, degree: int) -> Fraction:
+    """The degree-D coefficient of the image count: lead(E_{W(P)}) / idx.
+
+    Let L be the lattice of aff(P) - v0. Deep inside nW(P) every point of
+    the coset nWv0 + W(L) is an image, since its fiber in nP holds a
+    lattice point once its inradius passes the covering radius; so c(n)
+    is that coset's count in nW(P), less O(n^(D-1)). The count is the
+    Ehrhart polynomial of P - v0 pushed onto L / (L & ker W) = W(L) by
+    the rows of U^-1 that vanish on ker A & ker W, A the hull equations.
+    Its lead is lead(E_{W(P)}) / idx, idx the gcd of the D x D minors of
+    W B for a basis B of L (Cauchy-Binet), and it is read without walking
+    the Z^k points of nW(P), which can outnumber the images by idx.
+    """
+    if degree == 0:
+        return Fraction(1)
+    s, v0 = P.ambient_dim, P.vertices[0]
+    # independent integer rows with the kernel of the hull equations and the forms
+    eqs = _echelon([a for a, _ in P.affine_hull] + list(W.rows))[0]
+    push = _reduced_kernel(eqs, s)[1][s - len(eqs):]
+    pushed = [tuple(sum(c * (x - o) for c, x, o in zip(row, v, v0)) for row in push)
+              for v in P.vertices]
+    if degree == 1:
+        # a segment's lattice length, its lead, is the gcd of its coordinate spans
+        return Fraction(gcd(*(max(c) - min(c) for c in zip(*pushed))))
+    return ehrhart_polynomial(LatticePolytope(pushed)).coefficient(degree)
 
 
 class ImageGapReport(NamedTuple):

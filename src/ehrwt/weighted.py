@@ -168,11 +168,12 @@ def affine_lift_polytope(P: LatticePolytope, coeffs: Sequence) -> LatticePolytop
     row = [_exact(c) for c in coeffs]
     if len(row) != P.ambient_dim:
         raise ValueError("coefficient row length must match the ambient dimension")
+    # integral Fractions pass, as WeightPoly.affine_parts gives them; a bool does not
+    for i, (c, given) in enumerate(zip(row, coeffs)):
+        if c.denominator != 1 or c < 0 or isinstance(given, bool):
+            raise ValueError(f"coefficient of t{i + 1} must be a nonnegative integer, got {given}")
     if all(c == 0 for c in row):
         raise ValueError("linear part must be nonzero")
-    for i, c in enumerate(row):
-        if c.denominator != 1 or c < 0:
-            raise ValueError(f"coefficient of t{i + 1} must be a nonnegative integer, got {c}")
     raised = [v + (int(sum(c * x for c, x in zip(row, v))),) for v in P.vertices]
     return LatticePolytope(dict.fromkeys([v + (0,) for v in P.vertices] + raised))
 

@@ -34,10 +34,12 @@ lattice basis of a hull comes from Euclid's column steps alone, and its
 reduction is checked by Gram-Schmidt over Fractions, where the library
 takes a reduced basis from one integral LLL on weighted columns. Hilbert
 fits come from a rational interpolant of each candidate window, checked
-at later samples and walked back by evaluation, where the library
-decides the window, the onset and the series by one integer difference
-test. Weights are parsed by a scanner that tests each character and a
-grammar that takes a leading minus in two rules, where the library
+at later samples and against a leading coefficient from closed nodes,
+Laplace minors and a Euclid basis, and walked back by evaluation, where
+the library decides the window, the onset and the series by one integer
+difference test and certifies the lead from the walk's basis. Weights
+are parsed by a scanner that tests each character and a grammar that
+takes a leading minus in two rules, where the library
 tokenizes with one regex and takes every prefix minus in one rule. JSON
 output is converted to plain data and indented by json.dumps, where the
 library writes the indented text itself.
@@ -850,12 +852,14 @@ def _fit(counts, max_onset, margin):
         raise ValueError("max_onset must be a nonnegative integer")
     if not isinstance(margin, int) or margin < 1:
         raise ValueError("margin must be a positive integer")
-    degree = image_polytope(P, W).dim
+    image = image_polytope(P, W)
+    degree = image.dim
     for start in range(1, max_onset + 1):
         window = [(n, counts[n]) for n in range(start, start + degree + 1)]
         fit = lagrange_interpolate(window)
         probes = range(start + degree + 1, start + degree + 1 + margin)
-        if all(fit(n) == counts[n] for n in probes):
+        if all(fit(n) == counts[n] for n in probes) and (
+                fit.coefficient(degree) == _image_count_lead(P, W, image)):
             onset = start
             while onset > 0 and fit(onset - 1) == counts[onset - 1]:
                 onset -= 1
@@ -865,6 +869,20 @@ def _fit(counts, max_onset, margin):
         "raise max_onset to keep searching",
         counts,
     )
+
+
+def _image_count_lead(P, W, image):
+    """The degree-D coefficient of the image count: the lead of W(P)'s
+    counting polynomial from closed nodes, over the gcd of the D x D minors
+    of W B by Laplace expansion, B the Euclid basis of P's lattice."""
+    degree = image.dim
+    basis = euclid_coordinates(P)[1]
+    WB = [[sum(a * b for a, b in zip(row, col)) for col in basis] for row in W.rows]
+    idx = gcd(*(_det([[WB[i][j] for j in cols] for i in rows])
+                for rows in combinations(range(len(WB)), degree)
+                for cols in combinations(range(len(basis)), degree)))
+    counting = closed_node_polynomial(image, WeightPoly.constant(image.ambient_dim, 1))
+    return counting.coefficient(degree) / idx
 
 
 def _series_of_fit(counts, fit, onset):
@@ -886,9 +904,10 @@ def window_fit(P, W, max_onset):
     """(counts, fit, onset, series) of the image count by interpolated windows.
 
     Each start's window of deg + 1 counts is interpolated over Fractions,
-    accepted when the interpolant matches the next FIT_MARGIN counts, and
-    walked back by evaluating it; the series is the difference transform
-    of the counts up to the onset plus the fit's own degree. ``counts``
+    accepted when the interpolant matches the next FIT_MARGIN counts and
+    leads with _image_count_lead, and walked back by evaluating it; the
+    series is the difference transform of the counts up to the onset plus
+    the fit's own degree. ``counts``
     holds every dilation read, in the order first read; on failure the
     UndeterminedFitError carries the same table as its samples.
     """

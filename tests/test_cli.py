@@ -118,6 +118,24 @@ def test_ehrhart_command_single_point(capsys):
     assert out_lines(capsys) == ["polynomial: 1", "series: 1/(1-x)"]
 
 
+@pytest.mark.parametrize("fmt", ["text", "json"])
+@pytest.mark.parametrize("vertices", ["5 7", "0 0 0; 1 1 1; 2 2 2", "0 0; 2 0; 0 1"])
+def test_ehrhart_is_weighted_at_its_default_weight(vertices, fmt, capsys):
+    outputs = []
+    for command in ("ehrhart", "weighted"):
+        assert run([command, "--vertices", vertices, "--format", fmt]) == 0
+        outputs.append(capsys.readouterr())
+    assert outputs[0] == outputs[1]
+
+
+def test_ehrhart_takes_no_weight_check_or_max_n(capsys):
+    for extra in (["--weight", "t1"], ["--check"], ["--max-n", "3"]):
+        assert run(["ehrhart", "--vertices", "0 0", *extra]) == 1
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err == f"error: unrecognized arguments: {' '.join(extra)}\n"
+
+
 def test_weighted_command_text(capsys):
     code = run(["weighted", "--vertices", "0 0; 1 0; 0 1; 1 1", "--weight", "t1*t2"])
     assert code == 0
@@ -269,6 +287,15 @@ def test_hilbert_command_fits_once(monkeypatch, capsys):
     assert 0 in values and set(values.values()) == {1}
 
 
+def test_hilbert_command_certifies_the_fit(capsys):
+    # the difference test alone printed fit: 28*n - 18 (n >= 3) here
+    assert run(["hilbert", "--vertices", "0 0 3; 1 1 0; 1 3 2; 3 0 2; 0 0 2",
+                "--wrows", "9 3 1"]) == 0
+    lines = out_lines(capsys)
+    assert lines[10:] == ["fit: 27*n - 10 (n >= 8)",
+                          "series: (-x^9-x^4+3*x^3+16*x^2+9*x+1)/(1-x)^2"]
+
+
 def test_hilbert_command_rejects_negative_table(capsys):
     assert run(["hilbert", "--vertices", "0 0; 1 0", "--wrows", "1 0",
                 "--max-n", "-1"]) == 1
@@ -387,6 +414,22 @@ def test_input_errors_exit_one(capsys):
     assert run(["points", "--vertices", "0 0", "--n", "-3"]) == 1
     assert run(["weighted", "--vertices", "0 0", "--weight", "t9"]) == 1
     capsys.readouterr()
+
+
+def test_inputs_are_refused_polytope_then_weight_then_options(capsys):
+    cases = [
+        (["weighted", "--vertices", "0 x; 1 0", "--weight", "t9", "--check", "--max-n", "0"],
+         "inline vertex row '0 x' must contain whitespace-separated integers"),
+        (["check", "--vertices", "0 0; 1 0", "--weight", "t9", "--max-n", "0"],
+         "variable t9 out of range (expected t1..t2) (position 0)"),
+        (["check", "--vertices", "0 0; 1 0", "--weight", "t1", "--max-n", "0"],
+         "--max-n must be at least 1, got 0"),
+        (["hilbert", "--vertices", "0 0; 1 0", "--wrows", "1 x", "--max-n", "-1"],
+         "weight-tuple row '1 x' must contain whitespace-separated integers"),
+    ]
+    for argv, message in cases:
+        assert run(argv) == 1
+        assert capsys.readouterr() == ("", f"error: {message}\n")
 
 
 def test_help_exits_zero(capsys):

@@ -32,6 +32,10 @@ UNIT_SQUARE = LatticePolytope([(0, 0), (1, 0), (0, 1), (1, 1)])
 IDENTITY2 = LinearWeightTuple([[1, 0], [0, 1]])
 UNIT_INTERVAL = LatticePolytope([(0,), (1,)])
 DOUBLER = LinearWeightTuple([[2]])
+# the difference test alone accepts 28*n - 18 from n = 3 here; the counts
+# 206, 233, 260, ... follow 27*n - 10 only from n = 8 on
+FALSE_FIT_P = LatticePolytope([(0, 0, 3), (1, 1, 0), (1, 3, 2), (3, 0, 2), (0, 0, 2)])
+FALSE_FIT_W = LinearWeightTuple([[9, 3, 1]])
 
 
 # ---------------------------------------------------------------- tuples
@@ -129,6 +133,50 @@ def test_fit_undetermined_carries_samples():
     assert isinstance(info.value.samples, dict)
 
 
+def test_fit_passes_the_leading_coefficient_certificate():
+    assert hilbert_polynomial(FALSE_FIT_P, FALSE_FIT_W) == (UniPoly([-10, 27]), 8)
+    coeffs = expand(hilbert_series(FALSE_FIT_P, FALSE_FIT_W), 20)
+    assert coeffs == [hilbert_value(FALSE_FIT_P, FALSE_FIT_W, n) for n in range(21)]
+    # the false start at n = 3 is passed over, not accepted when the search ends
+    with pytest.raises(UndeterminedFitError):
+        hilbert_polynomial(FALSE_FIT_P, FALSE_FIT_W, max_onset=7)
+
+
+def test_certificate_walks_no_lattice_of_the_image_hull():
+    # W is injective on Z^3, so the images are the points of nP; the image
+    # hull holds about 10^12 n^3 / 6 points of Z^3, past the enumeration cap
+    P = LatticePolytope([(0, 0, 0), (1, 0, 0), (0, 1, 0), (0, 0, 1)])
+    W = LinearWeightTuple([[10**4, 1, 0], [3, 10**4, 1], [0, 2, 10**4]])
+    assert hilbert_polynomial(P, W) == (ehrhart_polynomial(P), 0)
+
+
+@st.composite
+def small_image_inputs(draw):
+    """(P, W): 1-4 points of [0, 4]^s for s = 1, 2, or of [0, 2]^3, and 1-2
+    forms with entries 0..3, so 20 dilations past an onset stay cheap."""
+    s = draw(st.integers(1, 3))
+    hi = 4 if s < 3 else 2
+    m = draw(st.integers(1, min(4, (hi + 1) ** s)))
+    points = st.lists(st.tuples(*[st.integers(0, hi)] * s), min_size=m, max_size=m, unique=True)
+    form = st.lists(st.integers(0, 3), min_size=s, max_size=s)
+    return LatticePolytope(draw(points)), LinearWeightTuple(draw(st.lists(form, min_size=1,
+                                                                          max_size=2)))
+
+
+@settings(max_examples=150)
+@given(small_image_inputs())
+@example((WEDGE, FORM))
+@example((FALSE_FIT_P, FALSE_FIT_W))
+def test_fit_matches_the_counts_twenty_past_its_onset(case):
+    P, W = case
+    try:
+        fit, onset = hilbert_polynomial(P, W)
+    except UndeterminedFitError:
+        return
+    assert [fit(n) for n in range(onset, onset + 21)] == [
+        hilbert_value(P, W, n) for n in range(onset, onset + 21)]
+
+
 @st.composite
 def image_count_inputs(draw):
     """(P, W, max_onset): 1-5 points of [0, 4]^s with s = 1..3, so P is often
@@ -157,6 +205,7 @@ def _fit_outcome(route, P, W, max_onset):
 @example((WEDGE, FORM, 64))
 @example((WEDGE, FORM, 0))
 @example((UNIT_SQUARE, LinearWeightTuple([[0, 0]]), 12))
+@example((FALSE_FIT_P, FALSE_FIT_W, 12))
 def test_difference_test_fit_matches_interpolated_windows(case):
     P, W, max_onset = case
     ours = _fit_outcome(lambda P, W, m: _fit(P, W, m, {}), P, W, max_onset)

@@ -31,8 +31,10 @@ from ehrwt import (
     lattice_points,
     parse_weight,
     reciprocity_check,
+    weighted_by_affine_lift,
     weighted_sum,
 )
+from ehrwt.weighted import affine_lift_polytope
 
 SQUARE = LatticePolytope([(0, 0), (1, 0), (0, 1), (1, 1)])
 FORM = LinearWeightTuple([[1, 2]])
@@ -88,6 +90,12 @@ BOOL_CASES = {
     "weighted_sum n": (lambda b: weighted_sum(SQUARE, T1, b), ValueError, DILATION),
     "reciprocity_check n_max": (lambda b: reciprocity_check(SQUARE, T1, b),
                                 ValueError, "n_max must be a positive integer"),
+    "affine_lift_polytope coefficient": (
+        lambda b: affine_lift_polytope(SQUARE, [b, 0]),
+        ValueError, "coefficient of t1 must be a nonnegative integer, got {b}"),
+    "weighted_by_affine_lift coefficient": (
+        lambda b: weighted_by_affine_lift(SQUARE, [b, 0], 0),
+        ValueError, "coefficient of t1 must be a nonnegative integer, got {b}"),
 }
 
 
