@@ -27,15 +27,15 @@ n*v0 + B y over the lattice points y of nQ, Q = {y : v0 + B y in P}.
 B comes from one integral LLL on the unit columns with the hull
 equations stacked on top, weighted by an N that LLL's bound on the
 reduced lengths (Prop. 1.12) makes larger than any short kernel
-vector, so the first d columns are a reduced kernel basis. Q is
-full-dimensional, so the hull equations never reach the walk, and the
-reduced basis keeps Q from being skewed whatever the coordinate order.
-One loop walks Q depth first on an explicit stack of lazy cursors, one
-per coordinate open, fixing the coordinates one by one with exact
-interval propagation in a column order chosen once per polytope by
-pilot counts on 2Q; each innermost fiber goes out as its base and the
-interval of its last coordinate, so sums, counts and images are taken
-per fiber in C-level loops over ranges, and no point list is kept.
+vector, so the first d columns are a reduced kernel basis. A second
+LLL on the coordinate rows of P's vertices, centered, changes the basis
+so that Q is narrow in every coordinate, and Q is walked in that order.
+Q is full-dimensional, so the hull equations never reach the walk. One
+loop walks Q depth first on an explicit stack of lazy cursors, one per
+coordinate open, fixing the coordinates one by one with exact interval
+propagation; each innermost fiber goes out as its base and the interval
+of its last coordinate, so sums, counts and images are taken per fiber
+in C-level loops over ranges, and no point list is kept.
 
 Membership reads the same cached rows: with the point's and the
 dilation's denominators cleared once, it is one integer dot product per
@@ -67,9 +67,6 @@ __all__ = [
 ]
 
 DEFAULT_ENUMERATION_CAP = 10**8
-# most cells one pilot walk of 2Q may visit while it ranks column orders;
-# it bounds the set-up cost of a polytope's first walk
-PILOT_CELLS = 4096
 # most rows the facets' double description may hold after a point: a
 # point costs up to cubic time in the rows: points on the moment curve of
 # R^3 reach this cap after 103 points in 0.15 s (CPython 3.11, a shared
@@ -389,9 +386,10 @@ def _lll(b, inv):
     Cohen's integral LLL (A Course in Computational Algebraic Number
     Theory, Alg. 2.6.7; Lenstra, Lenstra and Lovasz, Math. Ann. 261,
     1982): d[i] is the Gram determinant of b[:i] and lam[k][j] the
-    Gram-Schmidt coefficient of b[k] on b[j] times d[j + 1]. The b are
-    the columns of [N*A ; U] for a unimodular U and inv the matching rows
-    of U^-1, which every step keeps in step.
+    Gram-Schmidt coefficient of b[k] on b[j] times d[j + 1]. Each step
+    changes inv inversely to the b, keeping sum_i inv[i] b[i]^T: inv
+    holds the rows of U^-1 when the b are the columns of [N*A ; U], and
+    B's columns when the b are Q's coordinate rows.
     """
     n = len(b)
     d, lam = [1] * (n + 1), [[0] * n for _ in range(n)]
@@ -464,22 +462,31 @@ def _reduced_kernel(eqs, s):
 def _lattice_coordinates(P):
     """Q = {y in Z^d : v0 + B y in P} for v0 = P's first vertex.
 
-    B is the reduced basis of ker A & Z^s that _reduced_kernel gives for
-    the r hull equations A, so Q is not skewed whatever the coordinate
-    order. Returns (v0, B's columns, Q's facet rows (a.B, b - a.v0), Q's
-    box as (lo, hi)).
+    B starts as _reduced_kernel's basis of ker A & Z^s, A the hull
+    equations. A second LLL on Q's coordinate rows over P's m vertices,
+    centered as m*y_i(v) - sum_v y_i(v), applies a unimodular R that
+    takes y to R y and B to B R^-1, so Q is narrow in each coordinate;
+    uncentered rows would leave the parallelogram (0,0), (1,0), (N,N),
+    (N+1,N) a coordinate 1.5N wide, not N. Returns (v0, B's columns, Q's
+    facet rows (a.B, b - a.v0), Q's box as (lo, hi)).
     """
-    s, v0, d = P.ambient_dim, P.vertices[0], P.dim
+    s, v0, d, m = P.ambient_dim, P.vertices[0], P.dim, len(P.vertices)
     cols, inv = _reduced_kernel([a for a, _ in P.affine_hull], s)
-    basis = cols[:d]
-    ys = [[sum(c * (x - o) for c, x, o in zip(row, v, v0)) for row in inv[:d]]
-          for v in P.vertices]
+    basis, centered = cols[:d], []
+    for row in inv[:d]:
+        y = [sum(c * (x - o) for c, x, o in zip(row, v, v0)) for v in P.vertices]
+        total = sum(y)
+        centered.append([m * c - total for c in y])
+    _lll(centered, basis)
+    basis = [tuple(col) for col in basis]
+    # y(v0) = 0, so a centered row's first entry is minus its coordinate's sum
+    ys = [[(c - row[0]) // m for c in row] for row in centered]
     rows = [
         (tuple(sum(c * e for c, e in zip(a, col)) for col in basis),
          b - sum(c * o for c, o in zip(a, v0)))
         for a, b in P.facet_inequalities
     ]
-    return v0, basis, rows, ([min(y) for y in zip(*ys)], [max(y) for y in zip(*ys)])
+    return v0, basis, rows, (list(map(min, ys)), list(map(max, ys)))
 
 
 def _frame(coords, order):
@@ -562,36 +569,6 @@ def _fibers(frame, n, strict, cap):
     return visited
 
 
-def _walk_frame(P):
-    """Q's frame in a column order chosen greedily from the innermost position out.
-
-    Each position keeps the candidate whose order, with the coordinates
-    still open outside it in index order, visits the fewest cells when
-    walking 2Q. A candidate's pilot stops once it passes the best count
-    so far or PILOT_CELLS, not the cap, so the cached frame does not
-    depend on the cap; when every candidate stops, the position keeps
-    the last one, so a large Q is walked in index order.
-    """
-    coords = _lattice_coordinates(P)
-    chosen, rest = [], list(range(len(coords[1])))
-    while len(rest) > 1:
-        best, fewest = rest[-1], None
-        for c in rest:
-            order = [j for j in rest if j != c] + [c] + chosen
-            limit = PILOT_CELLS if fewest is None else fewest - 1
-            pilot = _fibers(_frame(coords, order), 2, False, limit)
-            try:
-                while True:
-                    next(pilot)
-            except StopIteration as done:
-                best, fewest = c, done.value
-            except EnumerationLimitError:
-                pass
-        chosen.insert(0, best)
-        rest.remove(best)
-    return _frame(coords, rest + chosen)
-
-
 def _walk_fibers(P: LatticePolytope, n: int, strict: bool):
     """(e, fibers) of nP (of its relative interior if strict) as _fibers yields
     them, in the order of Q's walk; the cap counts the cells visited in Q.
@@ -601,7 +578,7 @@ def _walk_fibers(P: LatticePolytope, n: int, strict: bool):
         # 0P is the origin, answered without facets or the cap; a point is one fiber
         return (0,) * P.ambient_dim, iter([([n * c for c in P.vertices[0]], 0, 0)])
     if P._frame is None:
-        P._frame = _walk_frame(P)
+        P._frame = _frame(_lattice_coordinates(P), range(P.dim))
     return P._frame[1][-1], _fibers(P._frame, n, strict, cap)
 
 

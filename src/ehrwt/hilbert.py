@@ -169,7 +169,7 @@ def _fit(
         # the (D+1)-th difference of c(n..n+D+1), read in increasing n
         return sum(sign * count(n + j) for j, sign in enumerate(signs)) == 0
 
-    lead = None
+    lead = refused = None
     for start in range(1, max_onset + 1):
         if all(on_one_polynomial(s) for s in range(start, start + FIT_MARGIN)):
             fit = lagrange_interpolate([(n, counts[n]) for n in range(start, start + degree + 1)])
@@ -177,10 +177,13 @@ def _fit(
             lead = _leading_coefficient(P, W, degree) if lead is None else lead
             if fit.coefficient(degree) == lead:
                 break
+            refused = refused or (start, fit.coefficient(degree))
     else:
+        why = "did not stabilize on any window" if refused is None else (
+            f"stabilized from n = {refused[0]} on a fit leading with {refused[1]}, where the "
+            f"certificate gives {lead}, but passed both tests on no window")
         raise UndeterminedFitError(
-            f"image count did not stabilize on any window with onset <= {max_onset}; "
-            "raise max_onset to keep searching",
+            f"image count {why} with onset <= {max_onset}; raise max_onset to keep searching",
             counts,
         )
     onset = start

@@ -137,8 +137,11 @@ def test_fit_passes_the_leading_coefficient_certificate():
     assert hilbert_polynomial(FALSE_FIT_P, FALSE_FIT_W) == (UniPoly([-10, 27]), 8)
     coeffs = expand(hilbert_series(FALSE_FIT_P, FALSE_FIT_W), 20)
     assert coeffs == [hilbert_value(FALSE_FIT_P, FALSE_FIT_W, n) for n in range(21)]
-    # the false start at n = 3 is passed over, not accepted when the search ends
-    with pytest.raises(UndeterminedFitError):
+    # the false start at n = 3 is passed over, not accepted when the search
+    # ends, and the message names it and both leading coefficients
+    with pytest.raises(UndeterminedFitError, match=(
+            r"^image count stabilized from n = 3 on a fit leading with 28, where the "
+            r"certificate gives 27, but passed both tests on no window with onset <= 7; ")):
         hilbert_polynomial(FALSE_FIT_P, FALSE_FIT_W, max_onset=7)
 
 

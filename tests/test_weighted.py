@@ -323,8 +323,7 @@ def test_criterion_three_walks_stay_small(monkeypatch):
     # points walked per polynomial: closed nodes 1..6 (1..3 for the plain
     # count), interior nodes of 1P..7P (1P..3P) and the two closed probes;
     # closed walks at every node took 65,892 and 2,640. The cells the walk
-    # core visits pin its order and the pilot's choice: the first count
-    # includes the completed pilot walks of 2Q
+    # core visits pin its order and Q's reduced coordinates
     from ehrwt import geometry
 
     walk_fibers, fibers = geometry._walk_fibers, geometry._fibers
@@ -349,7 +348,7 @@ def test_criterion_three_walks_stay_small(monkeypatch):
     P = edge_polytope(squares)
     weighted_ehrhart_polynomial.cache_clear()
     weighted_ehrhart_polynomial(P, parse_weight("t1*t2*t3*t4*t5*t6*t7", 7))
-    assert (walked, cells) == (21_617, 26_638)
+    assert (walked, cells) == (21_617, 26_383)
     walked = cells = 0
     ehrhart_polynomial(P)
     assert (walked, cells) == (1_366, 1_980)
