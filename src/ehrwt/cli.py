@@ -207,23 +207,12 @@ def _check_reports(P: LatticePolytope, w, n_max: int) -> dict:
     return {
         "reciprocity": {
             "sign": rec.sign,
-            "entries": [
-                {
-                    "n": e.n,
-                    "interior_sum": e.interior_sum,
-                    "signed_value": e.signed_value,
-                    "equal": e.equal,
-                }
-                for e in rec.entries
-            ],
+            "entries": [{**e._asdict(), "equal": e.equal} for e in rec.entries],
             "all_equal": rec.all_equal,
         },
         "vanishing": {
             "roots": list(van.roots),
-            "entries": [
-                {"root": e.root, "value": e.value, "vanishes": e.vanishes}
-                for e in van.entries
-            ],
+            "entries": [{**e._asdict(), "vanishes": e.vanishes} for e in van.entries],
             "all_vanish": van.all_vanish,
         },
         "ok": rec.all_equal and van.all_vanish,

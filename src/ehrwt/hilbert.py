@@ -153,11 +153,14 @@ def _fit(
     """(counts, fit, onset, series) of hilbert_polynomial and hilbert_series.
 
     ``counts`` maps dilations to image counts; the caller may pass values
-    it already has, and every count read here is added to it.
+    it already has, and every count read here is added to it. D is the rank
+    the forms add to the hull equations, on the rows the certificate reads.
     """
     _check_input(P, W)
     _check_int(max_onset, 0, "max_onset must be a nonnegative integer")
-    degree = image_polytope(P, W).dim
+    # independent integer rows with the kernel of the hull equations and the forms
+    eqs = _echelon([a for a, _ in P.affine_hull] + list(W.rows))[0]
+    degree = len(eqs) - len(P.affine_hull)
     signs = [(-1) ** (degree + 1 - j) * comb(degree + 1, j) for j in range(degree + 2)]
 
     def count(n: int) -> int:
@@ -174,7 +177,7 @@ def _fit(
         if all(on_one_polynomial(s) for s in range(start, start + FIT_MARGIN)):
             fit = lagrange_interpolate([(n, counts[n]) for n in range(start, start + degree + 1)])
             # the certificate is built once, for the first start the difference test passes
-            lead = _leading_coefficient(P, W, degree) if lead is None else lead
+            lead = _leading_coefficient(P, eqs, degree) if lead is None else lead
             if fit.coefficient(degree) == lead:
                 break
             refused = refused or (start, fit.coefficient(degree))
@@ -198,7 +201,7 @@ def _fit(
     return counts, fit, onset, series
 
 
-def _leading_coefficient(P: LatticePolytope, W: LinearWeightTuple, degree: int) -> Fraction:
+def _leading_coefficient(P: LatticePolytope, eqs: list, degree: int) -> Fraction:
     """The degree-D coefficient of the image count: lead(E_{W(P)}) / idx.
 
     Let L be the lattice of aff(P) - v0. Deep inside nW(P) every point of
@@ -209,13 +212,12 @@ def _leading_coefficient(P: LatticePolytope, W: LinearWeightTuple, degree: int) 
     the rows of U^-1 that vanish on ker A & ker W, A the hull equations.
     Its lead is lead(E_{W(P)}) / idx, idx the gcd of the D x D minors of
     W B for a basis B of L (Cauchy-Binet), and it is read without walking
-    the Z^k points of nW(P), which can outnumber the images by idx.
+    the Z^k points of nW(P), which can outnumber the images by idx. ``eqs``
+    holds the independent rows of A over W, the rows _fit reads D from.
     """
     if degree == 0:
         return Fraction(1)
     s, v0 = P.ambient_dim, P.vertices[0]
-    # independent integer rows with the kernel of the hull equations and the forms
-    eqs = _echelon([a for a, _ in P.affine_hull] + list(W.rows))[0]
     push = _reduced_kernel(eqs, s)[1][s - len(eqs):]
     pushed = [tuple(sum(c * (x - o) for c, x, o in zip(row, v, v0)) for row in push)
               for v in P.vertices]
@@ -245,7 +247,7 @@ def image_gap_report(P: LatticePolytope, W: LinearWeightTuple, n: int) -> ImageG
     gap can be strict.
     """
     count = hilbert_value(P, W, n)
-    hull_count = _walk_sum(image_polytope(P, W), n, False, [((), 1)])
+    hull_count = _walk_sum(image_polytope(P, W), n, False, [((0,) * W.nforms, 1)])
     if count > hull_count:
         raise ConsistencyError("image count exceeded the lattice count of the image hull")
     return ImageGapReport(count, hull_count)

@@ -445,16 +445,14 @@ def eulerian(d: int, k: int) -> int:
     """Eulerian number A(d, k) counting permutations of d letters by descents.
 
     Computed by the alternating binomial sum
-    A(d, k) = sum_{j=0..k} (-1)^j C(d+1, j) (k-j)^d for d >= 1, with
-    A(0, 0) = 1 and A(d, k) = 0 for k > d. Any d is taken: the caller
+    A(d, k) = sum_{j=0..k} (-1)^j C(d+1, j) (k-j)^d, where 0^0 = 1 gives
+    A(0, 0) = 1, and A(d, k) = 0 for k > d. Any d is taken: the caller
     chooses d directly, and the CLI caps its row at EULERIAN_ROW_CAP.
     """
     for arg in (d, k):
         _check_int(arg, 0, "eulerian arguments must be nonnegative integers")
     if k > d:
         return 0
-    if d == 0:
-        return 1
     return sum((-1) ** j * math.comb(d + 1, j) * (k - j) ** d for j in range(k + 1))
 
 

@@ -86,16 +86,17 @@ def weighted_sum(P: LatticePolytope, w: WeightPoly, n: int) -> Fraction:
 
 def _interpolated(P: LatticePolytope, w: WeightPoly, nodes) -> UniPoly:
     """The counting polynomial of a nonzero w through nodes n >= 1 (closed
-    walks) and n <= -1 (by reciprocity), then probed by closed walks.
+    walks) and n <= -1 (by reciprocity), then probed by closed walks. Node
+    sums are interpolated as integers over w's denominator, divided once.
     """
-    reflected = [(e, (-1) ** (P.dim + sum(e)) * c) for e, c in w._num.items()]
-    samples = [(n, _sum(P, w, n, False) if n > 0 else
-                Fraction(_walk_sum(P, -n, True, reflected), w._den)) for n in nodes]
-    poly = lagrange_interpolate(samples)
+    terms = w._num.items()
+    reflected = [(e, (-1) ** (P.dim + sum(e)) * c) for e, c in terms]
+    samples = [(n, _walk_sum(P, abs(n), n < 0, terms if n > 0 else reflected)) for n in nodes]
+    poly = lagrange_interpolate(samples) * Fraction(1, w._den)
     for probe in (0, P.dim + w.degree + 2):
         value, enumerated = poly(probe), _sum(P, w, probe, False)
         if value != enumerated:
-            table = ", ".join(f"({n}, {v})" for n, v in samples)
+            table = ", ".join(f"({n}, {Fraction(v, w._den)})" for n, v in samples)
             raise ConsistencyError(
                 f"interpolated counting polynomial fails at n={probe}; "
                 f"degree bound or enumeration is wrong: vertices {list(P.vertices)}, "

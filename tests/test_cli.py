@@ -352,6 +352,23 @@ def test_weighted_with_check_flag(capsys):
     assert text.count("n=") == 2
 
 
+@pytest.mark.parametrize("command, top", [
+    (["check"], ["reciprocity", "vanishing", "ok"]),
+    (["weighted", "--check"], ["polynomial", "series", "reciprocity", "vanishing", "ok"]),
+])
+def test_check_json_key_order(command, top, capsys):
+    argv = [*command, "--vertices", "0 0; 1 0; 0 1; 1 1", "--weight", "t1*t2", "--format", "json"]
+    assert run(argv) == 0
+    data = json.loads(capsys.readouterr().out)
+    assert list(data) == top
+    assert list(data["reciprocity"]) == ["sign", "entries", "all_equal"]
+    assert list(data["vanishing"]) == ["roots", "entries", "all_vanish"]
+    assert list(data["reciprocity"]["entries"][1].items()) == [
+        ("n", 2), ("interior_sum", "1"), ("signed_value", "1"), ("equal", True)]
+    assert [list(e.items()) for e in data["vanishing"]["entries"]] == [
+        [("root", -1), ("value", "0"), ("vanishes", True)]]
+
+
 def test_walks_and_runs_leave_no_cyclic_garbage(capsys):
     from ehrwt import interior_lattice_points, lattice_points, parse_weight
     from ehrwt import weighted_ehrhart_polynomial
@@ -558,12 +575,16 @@ def test_long_product_of_constants_is_an_input_error():
 
 
 def test_import_loads_neither_dataclasses_nor_inspect():
-    # both are slow to import, and inspect pulls in ast, dis and tokenize
+    # both are slow to import, and inspect pulls in ast, dis and tokenize;
+    # the package also loads no top-level module outside the standard library
+    # (__main__ is the -c program itself)
     code = ("import ehrwt, ehrwt.cli, sys; "
-            "print(sorted({'dataclasses', 'inspect'} & sys.modules.keys()))")
+            "print(sorted({'dataclasses', 'inspect'} & sys.modules.keys())); "
+            "print(sorted({m.partition('.')[0] for m in sys.modules} "
+            "- sys.stdlib_module_names - {'ehrwt', '__main__'}))")
     proc = subprocess.run([sys.executable, "-S", "-c", code], capture_output=True, text=True)
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout == "[]\n"
+    assert proc.stdout == "[]\n[]\n"
 
 
 def test_lift_far_from_the_origin_matches_interpolation():
