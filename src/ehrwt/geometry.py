@@ -35,7 +35,10 @@ loop walks Q depth first on an explicit stack of lazy cursors, one per
 coordinate open, fixing the coordinates one by one with exact interval
 propagation; each innermost fiber goes out as its base and the interval
 of its last coordinate, so sums, counts and images are taken per fiber
-in C-level loops over ranges, and no point list is kept.
+in C-level loops over ranges, and no point list is kept. Completed
+walks of up to WALK_STORE_FIBERS fibers in all are kept, least recently
+used first out, keyed by P's vertices, n and strict, so a dilation that
+an equal polytope walked before is not walked again.
 
 Membership reads the same cached rows: with the point's and the
 dilation's denominators cleared once, it is one integer dot product per
@@ -46,7 +49,9 @@ from __future__ import annotations
 
 import math
 import os
-from itertools import chain, repeat
+import threading
+from collections import OrderedDict
+from itertools import chain, islice, repeat
 from operator import mul
 from typing import Iterable, Sequence
 
@@ -72,6 +77,14 @@ DEFAULT_ENUMERATION_CAP = 10**8
 # R^3 reach this cap after 103 points in 0.15 s (CPython 3.11, a shared
 # Xeon server), where the hull workloads peak at 14
 HULL_ROWS = 200
+# most units the walk store holds, a unit being one stored fiber or one
+# entry's own key, value and links: on 64-bit CPython 3.11 a fiber of nP in
+# Z^s takes 112 + 8s bytes, plus 28 for each of its s + 2 integers outside
+# -5..256 and under 2^30, and an entry under 320, so the store holds under
+# 160 KiB for s <= 3 and 210 KiB for s = 7; a few hundred units already take
+# most repeats, as one polytope's nodes, probes and checks walk the same
+# small dilations
+WALK_STORE_FIBERS = 512
 
 
 class LatticePolytope:
@@ -569,17 +582,85 @@ def _fibers(frame, n, strict, cap):
     return visited
 
 
+class _WalkStore(OrderedDict):
+    """Completed walks, (vertices, n, strict) -> (e, fibers, visited), least
+    recently used first; size counts their fibers plus one per entry, so
+    empty walks count too, and stays at most WALK_STORE_FIBERS. One lock
+    keeps size and the entries in step when threads walk at once.
+    """
+
+    size = 0
+    lock = threading.Lock()
+
+    def read(self, key, cap):
+        """The stored walk of key if its cells are within cap, as most recent."""
+        with self.lock:
+            stored = self.get(key)
+            if stored is None or stored[2] > cap:
+                return None
+            self.move_to_end(key)
+            return stored
+
+    def keep(self, key, entry):
+        with self.lock:
+            if key in self:
+                self.size -= len(self.pop(key)[1]) + 1
+            self[key] = entry
+            self.size += len(entry[1]) + 1
+            while self.size > WALK_STORE_FIBERS:
+                self.size -= len(self.popitem(last=False)[1][1]) + 1
+
+    def clear(self):
+        with self.lock:
+            super().clear()
+            self.size = 0
+
+
+_walk_store = _WalkStore()
+
+
+def _tupled(fibers, out):
+    """Yield the fibers with tuple bases, then append the walk's cells to out.
+
+    It does not delegate to the walk, so dropping it leaves the walk open.
+    """
+    while True:
+        try:
+            base, low, high = next(fibers)
+        except StopIteration as stop:
+            out.append(stop.value)
+            return
+        yield tuple(base), low, high
+
+
 def _walk_fibers(P: LatticePolytope, n: int, strict: bool):
     """(e, fibers) of nP (of its relative interior if strict) as _fibers yields
     them, in the order of Q's walk; the cap counts the cells visited in Q.
+
+    A dilation that P, or an equal polytope, walked to the end before comes
+    from the walk store with the cells it visited; when those pass the cap
+    as read now, it is walked again, so the cap raises as on a first walk.
+    Otherwise the walk's first WALK_STORE_FIBERS fibers are taken at once:
+    a walk that ends within them is stored, one that raises stores nothing,
+    and one that goes on streams the rest and is not stored.
     """
     cap = None if n == 0 and not strict else _enumeration_cap()  # read per call
     if cap is None or P.dim == 0:
         # 0P is the origin, answered without facets or the cap; a point is one fiber
         return (0,) * P.ambient_dim, iter([([n * c for c in P.vertices[0]], 0, 0)])
+    key = (P.vertices, n, strict)
+    stored = _walk_store.read(key, cap)
+    if stored is not None:
+        return stored[0], iter(stored[1])
     if P._frame is None:
         P._frame = _frame(_lattice_coordinates(P), range(P.dim))
-    return P._frame[1][-1], _fibers(P._frame, n, strict, cap)
+    e, visited = P._frame[1][-1], []
+    fibers = _fibers(P._frame, n, strict, cap)
+    head = tuple(islice(_tupled(fibers, visited), WALK_STORE_FIBERS))
+    if not visited:  # the walk goes on past the budget: stream the rest from it
+        return e, chain(head, fibers)
+    _walk_store.keep(key, (e, head, visited[0]))
+    return e, iter(head)
 
 
 def _points(e, fibers):

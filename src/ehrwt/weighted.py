@@ -15,7 +15,10 @@ degree at most one. The checks read the polynomial at negative integers.
 The reciprocity check interpolates from closed nodes only; the
 root-vanishing check does so for the plain count, while its weighted count
 is the reciprocity-node polynomial, validated by its closed probes. Each
-sum is taken per fiber of the walk, in integers over w's denominator.
+sum is taken per fiber of the walk, in integers over w's denominator. The
+walks come through geometry's bounded walk store, so the other weights,
+the plain count and the checks on one polytope read the small dilations
+that an earlier request walked, rather than walking them again.
 """
 
 from __future__ import annotations

@@ -3,6 +3,8 @@ dilation lattice points, membership, and edge polytopes of graphs."""
 
 import math
 import random
+import sys
+import threading
 import tracemalloc
 from fractions import Fraction
 from itertools import chain, islice, permutations, product
@@ -15,12 +17,14 @@ from hypothesis import strategies as st
 from ehrwt import (
     Graph,
     LatticePolytope,
+    LinearWeightTuple,
     WeightPoly,
     bipartite_components,
     contains,
     dimension,
     edge_polytope,
     facets,
+    hilbert_value,
     interior_lattice_points,
     lattice_points,
 )
@@ -692,11 +696,13 @@ def test_walk_sum_memory_does_not_grow_with_a_fiber_or_a_width(N, points):
     # w = t1*t2 - 3*t2^2 + 1/2 over 1P against a closed form, S1 and S2 the
     # sums of t and t^2 for t = 0..N. The untraced first sum caches the frame
     # and fills the interpreter's tuple free lists, about 170 KiB held once
-    # per process; the traced sum then holds a few kilobytes
+    # per process; the traced sum walks again, as the walk store is emptied,
+    # and then holds a few kilobytes
     S1, S2 = N * (N + 1) // 2, N * (N + 1) * (2 * N + 1) // 6
     w = WeightPoly(2, {(1, 1): 1, (0, 2): -3, (0, 0): Fraction(1, 2)})
     P = LatticePolytope(points)
     first = _walk_sum(P, 1, False, w._num.items())
+    geometry._walk_store.clear()
     tracemalloc.start()
     try:
         total = _walk_sum(P, 1, False, w._num.items())
@@ -705,6 +711,124 @@ def test_walk_sum_memory_does_not_grow_with_a_fiber_or_a_width(N, points):
         tracemalloc.stop()
     closed = (2 * S2 + S1 if points[2][0] else S1) - 6 * S2 + N + 1
     assert first == total and Fraction(total, w._den) == closed and peak < 64 * 1024
+
+
+@settings(max_examples=100)
+@given(images_and_weights(), st.integers(0, 4), st.booleans())
+@example(([(4, -1, 2)], WeightPoly(3, {(6, 0, 1): Fraction(-7, 3), (0, 0, 0): 1})), 3, True)
+@example(([(2, 5), (2, 5)], WeightPoly(2, {(0, 6): Fraction(1, 2), (3, 0): -1})), 0, False)
+def test_stored_walks_equal_fresh_ones(case, n, strict):
+    # the walk store is keyed by value: an equal polytope built anew reads
+    # what the first one walked, and reads the same as a walk from scratch
+    points, w = case
+    terms = w._num.items()
+    P = LatticePolytope(points)
+    geometry._walk_store.clear()
+    cold = _walk_sum(P, n, strict, terms)
+    if (n or strict) and P.dim:
+        fibers = sum(1 for _ in _fibers(P._frame, n, strict, math.inf))
+        assert ((P.vertices, n, strict) in geometry._walk_store) \
+            == (fibers < geometry.WALK_STORE_FIBERS)
+    warm = _walk_sum(LatticePolytope(points), n, strict, terms)
+    geometry._walk_store.clear()
+    assert cold == warm == pointwise_sum(P, w, n, strict)
+
+    # vertices shifted into the orthant, for the image count
+    shifted = [tuple(c - m for c, m in zip(v, map(min, zip(*points)))) for v in points]
+    W = LinearWeightTuple([e for e, _ in terms])
+    for vertices, read in [
+        (points, lambda Q: lattice_points(Q, n)),
+        (points, lambda Q: interior_lattice_points(Q, max(n, 1))),
+        (shifted, lambda Q: hilbert_value(Q, W, n)),
+    ]:
+        geometry._walk_store.clear()
+        assert read(LatticePolytope(vertices)) == read(LatticePolytope(vertices))
+
+
+def test_stored_walk_keeps_the_cap(monkeypatch):
+    # 3P of criterion 3 visits 146 cells for 35 fibers. Stored under the
+    # default cap, it is read again under a cap of 146 and walked again under
+    # a lower one, raising as a first walk does; a walk that raised stores
+    # nothing, nor does one past the budget, read partway or to the end
+    P = LatticePolytope(CRITERION3)
+    key = (P.vertices, 3, False)
+    points = lattice_points(P, 3)
+    _, fibers, visited = geometry._walk_store[key]
+    assert (len(fibers), visited) == (35, 146)
+    monkeypatch.setenv("EHRWT_MAX_POINTS", "146")
+    assert lattice_points(LatticePolytope(CRITERION3), 3) == points
+    monkeypatch.setenv("EHRWT_MAX_POINTS", "60")
+    with pytest.raises(EnumerationLimitError) as warm:
+        lattice_points(LatticePolytope(CRITERION3), 3)
+    geometry._walk_store.clear()
+    with pytest.raises(EnumerationLimitError) as cold:
+        lattice_points(LatticePolytope(CRITERION3), 3)
+    assert str(warm.value) == str(cold.value)
+    assert "closed dilation n=3 counted 62 candidate cells" in str(cold.value)
+    assert key not in geometry._walk_store
+    monkeypatch.delenv("EHRWT_MAX_POINTS")
+    wide = LatticePolytope([(0, 0), (600, 0), (0, 600)])
+    fibers = geometry._walk_fibers(wide, 1, False)[1]
+    next(fibers)
+    del fibers
+    assert sum(1 for _ in geometry._walk_fibers(wide, 1, False)[1]) == 601
+    assert not geometry._walk_store
+
+
+def test_walk_store_holds_at_most_its_budget():
+    # 400 segments of Z^2, each walked closed and strictly at n = 1..3: 2,400
+    # entries of at most one fiber fill 4,400 of the store's units, each a
+    # fiber or an entry's own key, value and link, and under 320 bytes here.
+    # The frames are computed untraced first; the store then keeps its budget
+    segments = [LatticePolytope([(a, 0), (a + 1, 1)]) for a in range(400)]
+    for P in segments:
+        lattice_points(P, 1)
+    geometry._walk_store.clear()
+    tracemalloc.start()
+    try:
+        for P in segments:
+            for n in (1, 2, 3):
+                lattice_points(P, n)
+                interior_lattice_points(P, n)
+        retained = tracemalloc.get_traced_memory()[0]
+    finally:
+        tracemalloc.stop()
+    assert geometry._walk_store.size <= geometry.WALK_STORE_FIBERS
+    assert retained < 320 * geometry.WALK_STORE_FIBERS
+
+
+def test_walk_store_keeps_its_count_under_threads():
+    # eight threads walk the small dilations of 100 segments, 800 units
+    # against the budget of 512, switching every microsecond: every walk
+    # stays right, and the store's size still counts exactly its entries
+    segments = [LatticePolytope([(a, 0), (a + 1, 1)]) for a in range(100)]
+    for P in segments:
+        lattice_points(P, 1)
+    failures = []
+
+    def work(seed):
+        rng = random.Random(seed)
+        try:
+            for _ in range(3000):
+                a, n = rng.randrange(100), rng.randint(1, 4)
+                assert lattice_points(segments[a], n) == [(n * a + i, i) for i in range(n + 1)]
+        except Exception as exc:  # reported below, from the main thread
+            failures.append(exc)
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=work, args=(i,)) for i in range(8)]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(t.is_alive() for t in threads) and not failures
+    store = geometry._walk_store
+    assert store.size == sum(len(f) + 1 for _, f, _ in store.values())
+    assert store.size <= geometry.WALK_STORE_FIBERS
 
 
 def test_cached_frame_does_not_depend_on_the_first_cap(monkeypatch):

@@ -323,7 +323,9 @@ def test_criterion_three_walks_stay_small(monkeypatch):
     # points walked per polynomial: closed nodes 1..6 (1..3 for the plain
     # count), interior nodes of 1P..7P (1P..3P) and the two closed probes;
     # closed walks at every node took 65,892 and 2,640. The cells the walk
-    # core visits pin its order and Q's reduced coordinates
+    # core visits from an empty walk store pin its order and Q's reduced
+    # coordinates; after the weighted polynomial, the plain count finds its
+    # nodes stored and walks only its probe 7P
     from ehrwt import geometry
 
     walk_fibers, fibers = geometry._walk_fibers, geometry._fibers
@@ -342,16 +344,24 @@ def test_criterion_three_walks_stay_small(monkeypatch):
         cells += c
         return c
 
+    def measured(call, *args, warm=False):
+        nonlocal walked, cells
+        weighted_ehrhart_polynomial.cache_clear()
+        if not warm:
+            geometry._walk_store.clear()
+        walked = cells = 0
+        call(*args)
+        return walked, cells
+
     monkeypatch.setattr(geometry, "_walk_fibers", counted)
     monkeypatch.setattr(geometry, "_fibers", counted_fibers)
     squares = Graph(7, [(1, 2), (1, 4), (2, 3), (3, 4), (5, 6), (5, 7), (6, 7)])
     P = edge_polytope(squares)
-    weighted_ehrhart_polynomial.cache_clear()
-    weighted_ehrhart_polynomial(P, parse_weight("t1*t2*t3*t4*t5*t6*t7", 7))
-    assert (walked, cells) == (21_617, 26_383)
-    walked = cells = 0
-    ehrhart_polynomial(P)
-    assert (walked, cells) == (1_366, 1_980)
+    w = parse_weight("t1*t2*t3*t4*t5*t6*t7", 7)
+    assert measured(weighted_ehrhart_polynomial, P, w) == (21_617, 26_383)
+    assert measured(ehrhart_polynomial, P) == (1_366, 1_980)
+    measured(weighted_ehrhart_polynomial, P, w)
+    assert measured(ehrhart_polynomial, P, warm=True) == (1_366, 1_748)
 
 
 # ---------------------------------------------------------------- series
