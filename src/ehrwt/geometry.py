@@ -32,10 +32,14 @@ LLL on the coordinate rows of P's vertices, centered, changes the basis
 so that Q is narrow in every coordinate, and Q is walked in that order.
 Q is full-dimensional, so the hull equations never reach the walk. One
 loop walks Q depth first on an explicit stack of lazy cursors, one per
-coordinate open, fixing the coordinates one by one with exact interval
-propagation; each innermost fiber goes out as its base and the interval
-of its last coordinate, so sums, counts and images are taken per fiber
-in C-level loops over ranges, and no point list is kept. Completed
+coordinate open above the last two, fixing the coordinates one by one
+with exact interval propagation; a tight loop over the values of the
+second-to-last coordinate then gives one fiber per value, as its base
+and the interval of its last coordinate. Sums, counts and images are
+taken per fiber and no point list is kept: a weight's terms with at most
+two factors moving along the fiber in closed form from the fiber's
+length and its sums of x and x^2, the rest in C-level loops over
+ranges. Completed
 walks of up to WALK_STORE_FIBERS fibers in all are kept, least recently
 used first out, keyed by P's vertices, n and strict, so a dilation that
 an equal polytope walked before is not walked again.
@@ -525,12 +529,15 @@ def _fibers(frame, n, strict, cap):
     """Stream the lattice points of nQ (of its interior if strict) as fibers.
 
     A fiber (base, low, high) stands for the points n*v0 + B y = base + x * e
-    for low <= x <= high, e = B's last column. One depth-first loop keeps
-    one (depth, ambient base, row sums, cursor) entry per depth open, the
-    cursor a lazy range over that coordinate's values, so the stack never
-    outgrows d + 1 entries. A cell is one value a coordinate can take
-    after interval propagation; the generator returns the number of cells
-    it visited and raises EnumerationLimitError once that passes cap.
+    for low <= x <= high, e = B's last column, base a tuple. One depth-first
+    loop keeps one (depth, ambient base, row sums, cursor) entry per depth
+    open above the last two, the cursor a lazy range over that coordinate's
+    values, so the stack never outgrows d entries. Each cell of the
+    second-to-last coordinate yields its fiber from one tight loop, the
+    last coordinate's bounds read from row residuals taken once per parent
+    cell. A cell is one value a coordinate can take after interval
+    propagation; the generator returns the number of cells it visited and
+    raises EnumerationLimitError once that passes cap.
     """
     v0, cols, rows, lo, hi = frame
     last = len(cols) - 1
@@ -544,6 +551,9 @@ def _fibers(frame, n, strict, cap):
     ]
     steps = [[c[k] for c, _, _ in rows] for k in range(last + 1)]
     visited = 0
+    message = (f"lattice-point enumeration of the {'interior' if strict else 'closed'} "
+               f"dilation n={n} counted {{}} candidate cells, over EHRWT_MAX_POINTS={cap}; "
+               f"raise the cap to allow larger jobs")
     # the root is the one child of a seed at depth -1 whose cursor holds only 0,
     # so the column it reads, cols[-1], never moves it
     stack = [(-1, [n * v for v in v0], [0] * len(rows), iter((0,)))]
@@ -570,15 +580,35 @@ def _fibers(frame, n, strict, cap):
             continue
         visited += high - low + 1
         if visited > cap:
-            raise EnumerationLimitError(
-                f"lattice-point enumeration of the {'interior' if strict else 'closed'} "
-                f"dilation n={n} counted {visited} candidate cells, over "
-                f"EHRWT_MAX_POINTS={cap}; raise the cap to allow larger jobs"
-            )
-        if k == last:
-            yield base, low, high
-        else:
+            raise EnumerationLimitError(message.format(visited))
+        if k < last - 1:
             stack.append((k, base, sums, iter(range(low, high + 1))))
+            continue
+        if k == last:  # d = 1: the root is the one fiber
+            yield tuple(base), low, high
+            continue
+        # each cell x of the second-to-last depth gives one fiber, its y bounded by
+        # the rows c*y <= r - x*s, r a row's residual here; where c < 0 the tuple
+        # holds -r and -s, and -((-r + x*s) // c) = ceil((r - x*s) / c)
+        col, step = cols[k], steps[k]
+        upper = [(rhs - sums[i], step[i], c) for i, c, rhs in bounds[last] if c > 0]
+        lower = [(sums[i] - rhs, -step[i], c) for i, c, rhs in bounds[last] if c < 0]
+        for x in range(low, high + 1):
+            first, end = lo[last], hi[last]
+            for r, s, c in upper:
+                bound = (r - x * s) // c
+                if bound < end:
+                    end = bound
+            for r, s, c in lower:
+                bound = -((r - x * s) // c)
+                if bound > first:
+                    first = bound
+            if first > end:
+                continue
+            visited += end - first + 1
+            if visited > cap:
+                raise EnumerationLimitError(message.format(visited))
+            yield tuple([b + x * e for b, e in zip(base, col)]), first, end
     return visited
 
 
@@ -619,18 +649,9 @@ class _WalkStore(OrderedDict):
 _walk_store = _WalkStore()
 
 
-def _tupled(fibers, out):
-    """Yield the fibers with tuple bases, then append the walk's cells to out.
-
-    It does not delegate to the walk, so dropping it leaves the walk open.
-    """
-    while True:
-        try:
-            base, low, high = next(fibers)
-        except StopIteration as stop:
-            out.append(stop.value)
-            return
-        yield tuple(base), low, high
+def _counted(fibers, out):
+    """Yield the walk's fibers, then append the cells it visited to out."""
+    out.append((yield from fibers))
 
 
 def _walk_fibers(P: LatticePolytope, n: int, strict: bool):
@@ -655,9 +676,9 @@ def _walk_fibers(P: LatticePolytope, n: int, strict: bool):
     if P._frame is None:
         P._frame = _frame(_lattice_coordinates(P), range(P.dim))
     e, visited = P._frame[1][-1], []
-    fibers = _fibers(P._frame, n, strict, cap)
-    head = tuple(islice(_tupled(fibers, visited), WALK_STORE_FIBERS))
-    if not visited:  # the walk goes on past the budget: stream the rest from it
+    fibers = _counted(_fibers(P._frame, n, strict, cap), visited)
+    head = tuple(islice(fibers, WALK_STORE_FIBERS))
+    if not visited:  # the walk goes on past the budget: stream the rest
         return e, chain(head, fibers)
     _walk_store.keep(key, (e, head, visited[0]))
     return e, iter(head)
@@ -677,21 +698,39 @@ def _walk(P: LatticePolytope, n: int, strict: bool):
 
 def _walk_sum(P: LatticePolytope, n: int, strict: bool, terms) -> int:
     """Sum of the terms c * prod(a_i^k), given as (exponents k, int c) pairs, over
-    the points a of nP (of its relative interior if strict), one fiber at a time: a
-    coordinate e leaves alone is read once from the base, the others run along
-    their ranges.
+    the points a of nP (of its relative interior if strict), one fiber at a time.
+
+    Along a fiber a_i = b_i + x * e_i for low <= x <= high, so a coordinate e
+    leaves alone is read once from the base. A term with at most two factors
+    that move is summed in closed form from the fiber's length, S1 = sum x and
+    S2 = sum x^2 = F(high) - F(low - 1), F(m) = m(m+1)(2m+1)/6 an integer for
+    every integer m; a term with more runs along the ranges.
     """
     e, fibers = _walk_fibers(P, n, strict)
-    moving = [i for i, c in enumerate(e) if c]
-    split = [(c, [i for i, k in enumerate(x) if not e[i] for _ in range(k)],
-              [moving.index(i) for i, k in enumerate(x) if e[i] for _ in range(k)])
-             for x, c in terms]
+    const, linear, quadratic, rest = [], [], [], []
+    for x, c in terms:
+        factors = [i for i, k in enumerate(x) for _ in range(k)]
+        fixed, run = [i for i in factors if not e[i]], [i for i in factors if e[i]]
+        if len(run) > 2:
+            rest.append((c, fixed, run))
+        else:
+            (const, linear, quadratic)[len(run)].append((c, fixed, *run, *(e[i] for i in run)))
     total = 0
     for base, low, high in fibers:
-        ranges = [range(base[i] + low * e[i], base[i] + (high + 1) * e[i], e[i]) for i in moving]
-        for c, fixed, run in split:
+        count = high - low + 1
+        s1 = (low + high) * count // 2
+        s2 = (high * (high + 1) * (2 * high + 1) - (low - 1) * low * (2 * low - 1)) // 6
+        for c, fixed in const:
+            total += c * math.prod(map(base.__getitem__, fixed)) * count
+        for c, fixed, i, ei in linear:
+            total += c * math.prod(map(base.__getitem__, fixed)) * (count * base[i] + ei * s1)
+        for c, fixed, i, j, ei, ej in quadratic:
+            bi, bj = base[i], base[j]
             total += c * math.prod(map(base.__getitem__, fixed)) * (
-                sum(map(math.prod, zip(*map(ranges.__getitem__, run)))) if run else high - low + 1)
+                count * bi * bj + (bi * ej + bj * ei) * s1 + ei * ej * s2)
+        for c, fixed, run in rest:
+            total += c * math.prod(map(base.__getitem__, fixed)) * sum(map(math.prod, zip(*[
+                range(base[i] + low * e[i], base[i] + (high + 1) * e[i], e[i]) for i in run])))
     return total
 
 

@@ -630,21 +630,23 @@ class _WeightParser:
         kind, text, pos = self._take()
         if kind == "num":
             numerator = int(text)
-            if not self._accept("/"):
-                return WeightPoly.constant(self._nvars, numerator)
-            dk, dt, dpos = self._take()
-            if dk != "num":
-                raise WeightParseError("expected an integer denominator", dpos)
-            if int(dt) == 0:
-                raise WeightParseError("division by zero", dpos)
-            return WeightPoly.constant(self._nvars, Fraction(numerator, int(dt)))
+            den = 1
+            if self._accept("/"):
+                dk, dt, dpos = self._take()
+                if dk != "num":
+                    raise WeightParseError("expected an integer denominator", dpos)
+                den = int(dt)
+                if den == 0:
+                    raise WeightParseError("division by zero", dpos)
+            return WeightPoly._of(self._nvars, {(0,) * self._nvars: numerator}, den)
         if kind == "var":
             index = int(text[1:])
             if not 1 <= index <= self._nvars:
                 raise WeightParseError(
                     f"variable {text} out of range (expected t1..t{self._nvars})", pos
                 )
-            return WeightPoly.variable(index, self._nvars)
+            exps = (0,) * (index - 1) + (1,) + (0,) * (self._nvars - index)
+            return WeightPoly._of(self._nvars, {exps: 1}, 1)
         if kind == "op" and text == "(":
             value = self._expr()
             if not self._accept(")"):

@@ -48,6 +48,7 @@ from oracles import (
     ambient_walk,
     barycentric_member,
     box_points,
+    box_weighted_sum,
     brute_force_facets,
     euclid_coordinates,
     hull_equations,
@@ -88,6 +89,13 @@ SKEWED = ((7, -2, 4, -1, 5, 3), (2, -8, -1, 0, -2, 0), (7, -2, 6, -3, 3, 5), (4,
 # of their 24 orders, the walk of 2P visits 5,258 cells for 16 points
 THIN_SIMPLEX = ((-5, 0, -11, 3), (-2, -6, -8, -1), (3, -2, 6, -5), (4, -9, -1, -3),
                 (-2, 1, -2, -1))
+# walks with negative steps and ranges: the segment's 2P is one fiber along
+# e = (-1, 1), x = -22..0; the triangle's 2P is three fibers along (-1, 1, 0)
+# with x from -10 up to -6, -3 and 0, and its interior one fiber, x = -7..-4;
+# the right triangle's interior of 2P is twelve fibers along (0, 1), x = 1..12
+SEGMENT_NEGATIVE = [(-7, 5), (4, -6)]
+TRIANGLE_IN_PLANE = [(-3, 2, 1), (2, -3, 1), (-1, -1, 4)]
+RIGHT_TRIANGLE = [(-4, -2), (3, -2), (3, 5)]
 
 
 # ---------------------------------------------------------------- construction
@@ -628,6 +636,12 @@ def test_every_column_order_walks_the_same_points(points):
 @example(INDEX_TWO_PLANE, 3, False)
 @example([(0, 0), (2, 1)], 3, True)
 @example(SKEWED, 2, False)
+# d = 1: the root is the one fiber, and every cap lands on its cells
+@example(SEGMENT_NEGATIVE, 2, False)
+# d = 2: the root's 15 cells come first, so a cap of 1 lands there and half
+# the 135 cells on a fiber; the interior of 3P has a root cell with no fiber
+@example(RIGHT_TRIANGLE, 2, False)
+@example(RIGHT_TRIANGLE, 3, True)
 def test_loop_walk_matches_the_recursive_walk(points, n, strict):
     P = LatticePolytope(points)
     if P.dim == 0:
@@ -711,6 +725,36 @@ def test_walk_sum_memory_does_not_grow_with_a_fiber_or_a_width(N, points):
         tracemalloc.stop()
     closed = (2 * S2 + S1 if points[2][0] else S1) - 6 * S2 + N + 1
     assert first == total and Fraction(total, w._den) == closed and peak < 64 * 1024
+
+
+@pytest.mark.parametrize("points, n, strict, e, weight, store", [
+    # moving degree 2: one coordinate squared along e
+    (SEGMENT_NEGATIVE, 2, False, (-1, 1), {(2, 0): 1}, None),
+    # moving degree 1 exactly
+    (SEGMENT_NEGATIVE, 2, False, (-1, 1), {(0, 1): -3}, None),
+    # a mixed product of degree 2, degree 1 and a constant
+    (SEGMENT_NEGATIVE, 2, False, (-1, 1), {(1, 1): 2, (0, 1): -3, (0, 0): 4}, None),
+    # t3 is fixed: degrees 2, 1 and 0 along e times fixed factors, and a constant
+    (TRIANGLE_IN_PLANE, 2, False, (-1, 1, 0),
+     {(1, 1, 2): 2, (1, 0, 1): -5, (0, 0, 3): Fraction(1, 3), (0, 0, 0): 7}, None),
+    # degree 3 along e goes down the range route, next to a degree-2 term
+    (TRIANGLE_IN_PLANE, 2, True, (-1, 1, 0), {(2, 1, 0): -1, (0, 2, 1): 1}, None),
+    # a streamed walk: twelve fibers, over a store budget of four
+    (RIGHT_TRIANGLE, 2, True, (0, 1), {(2, 1): 1, (0, 2): -2, (1, 0): 1, (0, 0): -1}, 4),
+])
+def test_closed_form_fiber_sums_match_the_box_scan(points, n, strict, e, weight, store,
+                                                   monkeypatch):
+    # each fiber sum of moving degree <= 2 is taken from count, S1 and S2; the
+    # box scan sums the weight point by point, independently of the walk
+    if store is not None:
+        monkeypatch.setattr(geometry, "WALK_STORE_FIBERS", store)
+    P, w = LatticePolytope(points), WeightPoly(len(points[0]), weight)
+    walked, fibers = geometry._walk_fibers(P, n, strict)
+    assert walked == e and (store is None or len(list(fibers)) > store)
+    geometry._walk_store.clear()
+    total = _walk_sum(P, n, strict, w._num.items())
+    assert ((P.vertices, n, strict) in geometry._walk_store) == (store is None)
+    assert Fraction(total, w._den) == box_weighted_sum(points, w, n, interior=strict)
 
 
 @settings(max_examples=100)
