@@ -5,112 +5,19 @@ vertex lists, weights as multivariate polynomials, and the package
 returns the counting polynomials, their rational generating functions,
 lift constructions, reciprocity and root-vanishing checks, and the
 Hilbert-type counts of distinct linear-weight images.
+
+Each module's ``__all__`` declares its public names; the package
+re-exports them all.
 """
 
-from .errors import (
-    ConsistencyError,
-    EhrwtError,
-    EnumerationLimitError,
-    PolytopeFormatError,
-    UndeterminedFitError,
-    WeightParseError,
-)
-from .geometry import (
-    Graph,
-    LatticePolytope,
-    bipartite_components,
-    contains,
-    dimension,
-    edge_polytope,
-    facets,
-    interior_lattice_points,
-    lattice_points,
-)
-from .hilbert import (
-    ImageGapReport,
-    LinearWeightTuple,
-    hilbert_polynomial,
-    hilbert_series,
-    hilbert_value,
-    image_gap_report,
-    image_polytope,
-)
-from .polynomials import (
-    RationalGF,
-    UniPoly,
-    WeightPoly,
-    cube_series,
-    eulerian,
-    eval_weight,
-    expand,
-    format_polynomial,
-    format_series,
-    gf_of_polynomial,
-    lagrange_interpolate,
-    parse_weight,
-)
-from .weighted import (
-    ReciprocityReport,
-    VanishingReport,
-    check_negative_root_vanishing,
-    ehrhart_polynomial,
-    integral_leading,
-    linear_lift,
-    predicted_degree,
-    reciprocity_check,
-    weighted_by_affine_lift,
-    weighted_ehrhart_polynomial,
-    weighted_series,
-    weighted_sum,
-)
+from . import errors, geometry, hilbert, polynomials, weighted
+from .errors import *
+from .geometry import *
+from .hilbert import *
+from .polynomials import *
+from .weighted import *
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "ConsistencyError",
-    "EhrwtError",
-    "EnumerationLimitError",
-    "PolytopeFormatError",
-    "UndeterminedFitError",
-    "WeightParseError",
-    "Graph",
-    "LatticePolytope",
-    "bipartite_components",
-    "contains",
-    "dimension",
-    "edge_polytope",
-    "facets",
-    "interior_lattice_points",
-    "lattice_points",
-    "ImageGapReport",
-    "LinearWeightTuple",
-    "hilbert_polynomial",
-    "hilbert_series",
-    "hilbert_value",
-    "image_gap_report",
-    "image_polytope",
-    "RationalGF",
-    "UniPoly",
-    "WeightPoly",
-    "cube_series",
-    "eulerian",
-    "eval_weight",
-    "expand",
-    "format_polynomial",
-    "format_series",
-    "gf_of_polynomial",
-    "lagrange_interpolate",
-    "parse_weight",
-    "ReciprocityReport",
-    "VanishingReport",
-    "check_negative_root_vanishing",
-    "ehrhart_polynomial",
-    "integral_leading",
-    "linear_lift",
-    "predicted_degree",
-    "reciprocity_check",
-    "weighted_by_affine_lift",
-    "weighted_ehrhart_polynomial",
-    "weighted_series",
-    "weighted_sum",
-]
+__all__ = [*errors.__all__, *geometry.__all__, *hilbert.__all__, *polynomials.__all__,
+           *weighted.__all__]

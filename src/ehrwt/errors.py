@@ -1,5 +1,14 @@
 """Exception types shared across the package."""
 
+__all__ = [
+    "EhrwtError",
+    "ConsistencyError",
+    "EnumerationLimitError",
+    "WeightParseError",
+    "PolytopeFormatError",
+    "UndeterminedFitError",
+]
+
 
 class EhrwtError(Exception):
     """Base class for errors raised by this package."""

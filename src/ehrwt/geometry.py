@@ -41,8 +41,9 @@ two factors moving along the fiber in closed form from the fiber's
 length and its sums of x and x^2, the rest in C-level loops over
 ranges. Completed
 walks of up to WALK_STORE_FIBERS fibers in all are kept, least recently
-used first out, keyed by P's vertices, n and strict, so a dilation that
-an equal polytope walked before is not walked again.
+used first out, keyed by P's vertices, n, strict and the enumeration cap,
+so a dilation that an equal polytope walked before under the same cap is
+not walked again.
 
 Membership reads the same cached rows: with the point's and the
 dilation's denominators cleared once, it is one integer dot product per
@@ -171,7 +172,10 @@ class Graph:
         _check_int(vertex_count, 1, "vertex_count must be a positive integer")
         seen = set()
         for e in edges:
-            i, j = e
+            try:
+                i, j = e
+            except (TypeError, ValueError):  # not a pair: refused as one below
+                i = j = None
             if not _is_int(i) or not _is_int(j):
                 raise ValueError(f"edge {e!r} must be a pair of integers")
             if not (1 <= i <= vertex_count and 1 <= j <= vertex_count):
@@ -613,7 +617,7 @@ def _fibers(frame, n, strict, cap):
 
 
 class _WalkStore(OrderedDict):
-    """Completed walks, (vertices, n, strict) -> (e, fibers, visited), least
+    """Completed walks, (vertices, n, strict, cap) -> (e, fibers), least
     recently used first; size counts their fibers plus one per entry, so
     empty walks count too, and stays at most WALK_STORE_FIBERS. One lock
     keeps size and the entries in step when threads walk at once.
@@ -622,13 +626,12 @@ class _WalkStore(OrderedDict):
     size = 0
     lock = threading.Lock()
 
-    def read(self, key, cap):
-        """The stored walk of key if its cells are within cap, as most recent."""
+    def read(self, key):
+        """The stored walk of key, as most recent, or None."""
         with self.lock:
             stored = self.get(key)
-            if stored is None or stored[2] > cap:
-                return None
-            self.move_to_end(key)
+            if stored is not None:
+                self.move_to_end(key)
             return stored
 
     def keep(self, key, entry):
@@ -649,38 +652,32 @@ class _WalkStore(OrderedDict):
 _walk_store = _WalkStore()
 
 
-def _counted(fibers, out):
-    """Yield the walk's fibers, then append the cells it visited to out."""
-    out.append((yield from fibers))
-
-
 def _walk_fibers(P: LatticePolytope, n: int, strict: bool):
     """(e, fibers) of nP (of its relative interior if strict) as _fibers yields
     them, in the order of Q's walk; the cap counts the cells visited in Q.
 
-    A dilation that P, or an equal polytope, walked to the end before comes
-    from the walk store with the cells it visited; when those pass the cap
-    as read now, it is walked again, so the cap raises as on a first walk.
-    Otherwise the walk's first WALK_STORE_FIBERS fibers are taken at once:
-    a walk that ends within them is stored, one that raises stores nothing,
-    and one that goes on streams the rest and is not stored.
+    A dilation that P, or an equal polytope, walked to the end before under
+    the same cap comes from the walk store; under another cap it is walked
+    again, so a lowered cap raises as on a first walk. Otherwise the walk's
+    first WALK_STORE_FIBERS fibers are taken at once: a walk that ends short
+    of them is stored, one that raises stores nothing, and one that reaches
+    them streams the rest and is not stored.
     """
     cap = None if n == 0 and not strict else _enumeration_cap()  # read per call
     if cap is None or P.dim == 0:
         # 0P is the origin, answered without facets or the cap; a point is one fiber
-        return (0,) * P.ambient_dim, iter([([n * c for c in P.vertices[0]], 0, 0)])
-    key = (P.vertices, n, strict)
-    stored = _walk_store.read(key, cap)
+        return (0,) * P.ambient_dim, iter([(tuple(n * c for c in P.vertices[0]), 0, 0)])
+    key = (P.vertices, n, strict, cap)
+    stored = _walk_store.read(key)
     if stored is not None:
         return stored[0], iter(stored[1])
     if P._frame is None:
         P._frame = _frame(_lattice_coordinates(P), range(P.dim))
-    e, visited = P._frame[1][-1], []
-    fibers = _counted(_fibers(P._frame, n, strict, cap), visited)
+    e, fibers = P._frame[1][-1], _fibers(P._frame, n, strict, cap)
     head = tuple(islice(fibers, WALK_STORE_FIBERS))
-    if not visited:  # the walk goes on past the budget: stream the rest
+    if len(head) == WALK_STORE_FIBERS:  # the budget is reached: stream the rest
         return e, chain(head, fibers)
-    _walk_store.keep(key, (e, head, visited[0]))
+    _walk_store.keep(key, (e, head))
     return e, iter(head)
 
 

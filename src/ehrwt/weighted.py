@@ -215,7 +215,17 @@ def predicted_degree(G: Graph, w: WeightPoly) -> int:
     return G.vertex_count - bipartite_components(G) - 1 + w.degree
 
 
-def _spot_check_nonnegative(P: LatticePolytope, w: WeightPoly) -> None:
+def _check_hypotheses(P: LatticePolytope, w: WeightPoly, op: str, spot_check: bool) -> None:
+    """Refuse P unless full-dimensional and w unless nonzero homogeneous in
+    P's space; with spot_check, warn at op's caller where w is negative on 3P.
+    """
+    if P.dim != P.ambient_dim:
+        raise ValueError(f"{op} needs a full-dimensional polytope")
+    _check_space(P, w)
+    if w.is_zero or not w.is_homogeneous:
+        raise ValueError(f"{op} needs a nonzero homogeneous weight")
+    if not spot_check:
+        return
     # hypothesis w >= 0 on P is the caller's responsibility; probe 3P only
     # and name its lex-first negative point, whatever order the walk takes
     a = min((a for a in _walk(P, 3, False) if w._scaled(a) < 0), default=None)
@@ -227,14 +237,6 @@ def _spot_check_nonnegative(P: LatticePolytope, w: WeightPoly) -> None:
         )
 
 
-def _check_full_dim_homogeneous(P: LatticePolytope, w: WeightPoly, op: str) -> None:
-    if P.dim != P.ambient_dim:
-        raise ValueError(f"{op} needs a full-dimensional polytope")
-    _check_space(P, w)
-    if w.is_zero or not w.is_homogeneous:
-        raise ValueError(f"{op} needs a nonzero homogeneous weight")
-
-
 def integral_leading(P: LatticePolytope, w: WeightPoly, spot_check: bool = True) -> Fraction:
     """Leading coefficient of the weighted count, the normalized integral of w.
 
@@ -242,9 +244,7 @@ def integral_leading(P: LatticePolytope, w: WeightPoly, spot_check: bool = True)
     sits at degree dim + deg w. Nonnegativity of w on P is assumed, not
     enforced (a sample check warns).
     """
-    _check_full_dim_homogeneous(P, w, "integral_leading")
-    if spot_check:
-        _spot_check_nonnegative(P, w)
+    _check_hypotheses(P, w, "integral_leading", spot_check)
     poly = weighted_ehrhart_polynomial(P, w)
     top = poly.coefficient(P.dim + w.degree)
     if top == 0:
@@ -296,9 +296,7 @@ def check_negative_root_vanishing(
     count is weighted_ehrhart_polynomial, whose interior nodes its closed
     probes at n = 0 and n = dim+deg+2 validate.
     """
-    _check_full_dim_homogeneous(P, w, "check_negative_root_vanishing")
-    if spot_check:
-        _spot_check_nonnegative(P, w)
+    _check_hypotheses(P, w, "check_negative_root_vanishing", spot_check)
     plain = _interpolated(P, WeightPoly.constant(P.ambient_dim, 1), range(1, P.dim + 2))
     weighted = weighted_ehrhart_polynomial(P, w)
     window = range(-(P.dim + w.degree), 0)
@@ -341,10 +339,8 @@ def reciprocity_check(
     with both probes, not from interior walks, so the two sides are
     independent.
     """
-    _check_full_dim_homogeneous(P, w, "reciprocity_check")
     _check_int(n_max, 1, "n_max must be a positive integer")
-    if spot_check:
-        _spot_check_nonnegative(P, w)
+    _check_hypotheses(P, w, "reciprocity_check", spot_check)
     sign = (-1) ** (P.dim + w.degree)
     poly = _interpolated(P, w, range(1, P.dim + w.degree + 2))
     entries = (ReciprocityEntry(n, _sum(P, w, n, True), sign * poly(-n))

@@ -753,7 +753,8 @@ def test_closed_form_fiber_sums_match_the_box_scan(points, n, strict, e, weight,
     assert walked == e and (store is None or len(list(fibers)) > store)
     geometry._walk_store.clear()
     total = _walk_sum(P, n, strict, w._num.items())
-    assert ((P.vertices, n, strict) in geometry._walk_store) == (store is None)
+    assert ((P.vertices, n, strict, geometry._enumeration_cap()) in geometry._walk_store) \
+        == (store is None)
     assert Fraction(total, w._den) == box_weighted_sum(points, w, n, interior=strict)
 
 
@@ -771,7 +772,7 @@ def test_stored_walks_equal_fresh_ones(case, n, strict):
     cold = _walk_sum(P, n, strict, terms)
     if (n or strict) and P.dim:
         fibers = sum(1 for _ in _fibers(P._frame, n, strict, math.inf))
-        assert ((P.vertices, n, strict) in geometry._walk_store) \
+        assert ((P.vertices, n, strict, geometry._enumeration_cap()) in geometry._walk_store) \
             == (fibers < geometry.WALK_STORE_FIBERS)
     warm = _walk_sum(LatticePolytope(points), n, strict, terms)
     geometry._walk_store.clear()
@@ -791,16 +792,20 @@ def test_stored_walks_equal_fresh_ones(case, n, strict):
 
 def test_stored_walk_keeps_the_cap(monkeypatch):
     # 3P of criterion 3 visits 146 cells for 35 fibers. Stored under the
-    # default cap, it is read again under a cap of 146 and walked again under
-    # a lower one, raising as a first walk does; a walk that raised stores
-    # nothing, nor does one past the budget, read partway or to the end
+    # default cap, it is stored again under a cap of 146, which it meets,
+    # and walked again under a lower one, raising as a first walk does; a
+    # walk that raised stores nothing, nor does one past the budget, read
+    # partway or to the end
     P = LatticePolytope(CRITERION3)
-    key = (P.vertices, 3, False)
+    key = (P.vertices, 3, False, geometry._enumeration_cap())
     points = lattice_points(P, 3)
-    _, fibers, visited = geometry._walk_store[key]
-    assert (len(fibers), visited) == (35, 146)
+    e, fibers = geometry._walk_store[key]
+    walked, cells = _outcome(_fibers, P._frame, 3, False, math.inf)
+    assert (len(fibers), cells) == (35, 146)
+    assert walked == [list(_points(e, [fiber])) for fiber in fibers]
     monkeypatch.setenv("EHRWT_MAX_POINTS", "146")
     assert lattice_points(LatticePolytope(CRITERION3), 3) == points
+    assert geometry._walk_store[key[:3] + (146,)] == (e, fibers)
     monkeypatch.setenv("EHRWT_MAX_POINTS", "60")
     with pytest.raises(EnumerationLimitError) as warm:
         lattice_points(LatticePolytope(CRITERION3), 3)
@@ -809,7 +814,7 @@ def test_stored_walk_keeps_the_cap(monkeypatch):
         lattice_points(LatticePolytope(CRITERION3), 3)
     assert str(warm.value) == str(cold.value)
     assert "closed dilation n=3 counted 62 candidate cells" in str(cold.value)
-    assert key not in geometry._walk_store
+    assert key[:3] + (60,) not in geometry._walk_store
     monkeypatch.delenv("EHRWT_MAX_POINTS")
     wide = LatticePolytope([(0, 0), (600, 0), (0, 600)])
     fibers = geometry._walk_fibers(wide, 1, False)[1]
@@ -817,6 +822,20 @@ def test_stored_walk_keeps_the_cap(monkeypatch):
     del fibers
     assert sum(1 for _ in geometry._walk_fibers(wide, 1, False)[1]) == 601
     assert not geometry._walk_store
+
+
+@pytest.mark.parametrize("points, n, strict", [
+    (CRITERION3, 0, False),  # 0P: the origin, one fiber
+    ([(2, -1, 5)], 3, False),  # a point: one fiber
+    ([(2, -1, 5)], 2, True),
+    (CRITERION3, 3, False),  # stored: 35 fibers
+    ([(0, 0), (600, 0), (0, 600)], 1, False),  # streamed: 601 fibers
+])
+def test_every_fiber_base_is_a_tuple(points, n, strict):
+    # on a first walk and on a second, read from the store where it was kept
+    for _ in range(2):
+        fibers = list(geometry._walk_fibers(LatticePolytope(points), n, strict)[1])
+        assert fibers and all(type(base) is tuple for base, _, _ in fibers)
 
 
 def test_walk_store_holds_at_most_its_budget():
@@ -871,7 +890,7 @@ def test_walk_store_keeps_its_count_under_threads():
         sys.setswitchinterval(interval)
     assert not any(t.is_alive() for t in threads) and not failures
     store = geometry._walk_store
-    assert store.size == sum(len(f) + 1 for _, f, _ in store.values())
+    assert store.size == sum(len(f) + 1 for _, f in store.values())
     assert store.size <= geometry.WALK_STORE_FIBERS
 
 

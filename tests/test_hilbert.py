@@ -128,9 +128,16 @@ def test_fit_parameter_validation():
 
 
 def test_fit_undetermined_carries_samples():
+    # an onset cap of 0 samples no count; the false fit's cap of 7 samples
+    # n = 1..9, each the count hilbert_value gives
     with pytest.raises(UndeterminedFitError) as info:
         hilbert_polynomial(WEDGE, FORM, max_onset=0)
-    assert isinstance(info.value.samples, dict)
+    assert info.value.samples == {}
+    with pytest.raises(UndeterminedFitError) as info:
+        hilbert_polynomial(FALSE_FIT_P, FALSE_FIT_W, max_onset=7)
+    samples = info.value.samples
+    assert sorted(samples) == list(range(1, 10))
+    assert all(v == hilbert_value(FALSE_FIT_P, FALSE_FIT_W, n) for n, v in samples.items())
 
 
 def test_fit_passes_the_leading_coefficient_certificate():

@@ -130,6 +130,10 @@ MESSAGE_CASES = {
                            ValueError, "vertex_count must be a positive integer"),
     "graph edge": (lambda: Graph(2, [(1, 2.0)]),
                    ValueError, "edge (1, 2.0) must be a pair of integers"),
+    "graph edge of three ends": (lambda: Graph(3, [(1, 2, 3)]),
+                                 ValueError, "edge (1, 2, 3) must be a pair of integers"),
+    "graph edge of one end": (lambda: Graph(3, [(1,)]),
+                              ValueError, "edge (1,) must be a pair of integers"),
     "lattice_points n": (lambda: lattice_points(SQUARE, -1), ValueError, DILATION),
     "interior_lattice_points n": (lambda: interior_lattice_points(SQUARE, 0),
                                   ValueError, "dilation factor must be a positive integer"),

@@ -686,8 +686,9 @@ def test_integral_warns_on_cancelling_weight():
 def test_integral_spot_check_warns_on_negative_weight():
     with pytest.warns(RuntimeWarning) as caught:
         integral_leading(SQUARE, parse_weight("t1-t2", 2))
-    texts = [str(w.message) for w in caught]
-    assert any("negative at" in t for t in texts)
+    negative = [w for w in caught if "negative at" in str(w.message)]
+    # the warning points at the caller's line, not into the package
+    assert negative and all(w.filename == __file__ for w in negative)
 
 
 # ---------------------------------------------------------------- reciprocity
@@ -719,9 +720,9 @@ def test_reciprocity_validation_and_warning():
         reciprocity_check(SQUARE, parse_weight("t1", 2), n_max=0)
     with pytest.raises(ValueError):
         reciprocity_check(SQUARE, parse_weight("t1+1", 2), n_max=2)
-    with pytest.warns(RuntimeWarning, match="negative at"):
+    with pytest.warns(RuntimeWarning, match="negative at") as caught:
         report = reciprocity_check(SQUARE, parse_weight("-t1", 2), n_max=3)
-    assert report.all_equal
+    assert report.all_equal and [w.filename for w in caught] == [__file__]
 
 
 # ---------------------------------------------------------------- root vanishing
@@ -748,6 +749,9 @@ def test_vanishing_validation():
         check_negative_root_vanishing(SEG2, parse_weight("t1", 2))
     with pytest.raises(ValueError):
         check_negative_root_vanishing(SQUARE, parse_weight("t1+1", 2))
+    with pytest.warns(RuntimeWarning, match="negative at") as caught:
+        check_negative_root_vanishing(SQUARE, parse_weight("-t1", 2))
+    assert [w.filename for w in caught] == [__file__]
 
 
 def test_weighted_polynomial_cache_is_consistent():
