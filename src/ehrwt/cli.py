@@ -68,11 +68,12 @@ def _meaningful_lines(text: str) -> list[tuple[int, str]]:
     return lines
 
 
-def _parse_int(token: str, lineno: int) -> int:
-    try:
-        return int(token)
-    except ValueError:
-        raise PolytopeFormatError(f"{token!r} is not an integer", lineno) from None
+def _int(token: str, lineno: int = 0) -> int:
+    """An integer token of the CLI: an optional sign and ASCII digits, where int() also
+    reads 1_0 and other scripts' digits. Inline rows and flags reword the ValueError."""
+    if not re.fullmatch(r"[-+]?[0-9]+", token):
+        raise PolytopeFormatError(f"{token!r} is not an integer", lineno)
+    return int(token)
 
 
 _NORMALIZ_GUIDANCE = {"inequalities", "polynomial", "WeightedEhrhartSeries", "Integral"}
@@ -103,7 +104,7 @@ def _read_rows(lines, m: int, s: int, header_line: int):
             raise PolytopeFormatError(
                 f"expected {s} integers per row, found {len(parts)}", lineno
             )
-        rows.append(tuple(_parse_int(p, lineno) for p in parts))
+        rows.append(tuple(_int(p, lineno) for p in parts))
     return rows
 
 
@@ -122,15 +123,15 @@ def read_polytope(text: str) -> LatticePolytope:
     if fields[0] == "vertices":
         if len(fields) != 3:
             raise PolytopeFormatError("native header must be 'vertices m s'", lineno)
-        m = _parse_int(fields[1], lineno)
-        s = _parse_int(fields[2], lineno)
+        m = _int(fields[1], lineno)
+        s = _int(fields[2], lineno)
         if m < 1 or s < 1:
             raise PolytopeFormatError("vertex and coordinate counts must be positive", lineno)
         return LatticePolytope(_read_rows(lines[1:], m, s, lineno))
     if fields[0] == "amb_space":
         if len(fields) != 2:
             raise PolytopeFormatError("expected 'amb_space N'", lineno)
-        amb = _parse_int(fields[1], lineno)
+        amb = _int(fields[1], lineno)
         if amb < 2:
             raise PolytopeFormatError(
                 "amb_space must be at least 2 (vertex rows use N-1 coordinates)", lineno
@@ -144,7 +145,7 @@ def read_polytope(text: str) -> LatticePolytope:
             raise PolytopeFormatError(
                 f"unsupported block {header2!r}; expected 'polytope m'", lineno2
             )
-        m = _parse_int(fields2[1], lineno2)
+        m = _int(fields2[1], lineno2)
         if m < 1:
             raise PolytopeFormatError("vertex count must be positive", lineno2)
         return LatticePolytope(_read_rows(lines[2:], m, amb - 1, lineno2))
@@ -170,7 +171,7 @@ def _parse_rows(text: str, what: str) -> list[tuple[int, ...]]:
         if not chunk:
             continue
         try:
-            rows.append(tuple(int(tok) for tok in chunk.split()))
+            rows.append(tuple(_int(tok) for tok in chunk.split()))
         except ValueError:
             raise ValueError(
                 f"{what} row {chunk!r} must contain whitespace-separated integers"
@@ -266,7 +267,7 @@ def _cmd_hilbert(args: argparse.Namespace, P: LatticePolytope, w) -> dict:
     counts = {n: hilbert.hilbert_value(P, W, n) for n in range(table_max + 1)}
     values = [[n, h] for n, h in counts.items()]
     cap = max(hilbert.DEFAULT_MAX_ONSET, table_max)
-    _, fit, onset, series = hilbert._fit(P, W, cap, counts)
+    fit, onset, series = hilbert._fit(P, W, cap, counts)
     return {"values": values, "polynomial": fit, "onset": onset, "series": series}
 
 
@@ -411,7 +412,7 @@ def _build_parser() -> _Parser:
         p.add_argument("--weight", default="1", help="weight expression in t1..ts (default '1')")
 
     p = new_command("points", "lattice points of the n-th dilation")
-    p.add_argument("--n", type=int, required=True, help="dilation factor (>= 0)")
+    p.add_argument("--n", type=_int, required=True, help="dilation factor (>= 0)")
 
     # the weighted handler at weight 1, with neither --weight nor --check
     new_command("ehrhart", "counting polynomial and series (weight 1)").set_defaults(
@@ -420,7 +421,7 @@ def _build_parser() -> _Parser:
     p = new_command("weighted", "weighted counting polynomial and series")
     add_weight(p)
     p.add_argument("--check", action="store_true", help="also run reciprocity/vanishing checks")
-    p.add_argument("--max-n", type=int, dest="max_n", help="dilations probed by --check (default 4)")
+    p.add_argument("--max-n", type=_int, dest="max_n", help="dilations probed by --check (default 4)")
 
     p = new_command("lift", "counting polynomial via the lift route, cross-checked")
     add_weight(p)
@@ -430,14 +431,14 @@ def _build_parser() -> _Parser:
 
     p = new_command("check", "reciprocity and negative-root vanishing reports")
     add_weight(p)
-    p.add_argument("--max-n", type=int, dest="max_n", help="dilations probed (default 4)")
+    p.add_argument("--max-n", type=_int, dest="max_n", help="dilations probed (default 4)")
 
     p = new_command("hilbert", "distinct-image counts: table, fitted polynomial, series")
     p.add_argument("--wrows", required=True, help="linear form rows, e.g. '1 2' or '1 0; 0 1'")
-    p.add_argument("--max-n", type=int, dest="max_n", help="largest n in the table (default 8)")
+    p.add_argument("--max-n", type=_int, dest="max_n", help="largest n in the table (default 8)")
 
     p = new_command("eulerian", "one row of the Eulerian triangle", polytope=False)
-    p.add_argument("--n", type=int, required=True, help="row index d (>= 0)")
+    p.add_argument("--n", type=_int, required=True, help="row index d (>= 0)")
 
     return parser
 

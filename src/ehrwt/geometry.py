@@ -29,7 +29,7 @@ equations stacked on top, weighted by an N that LLL's bound on the
 reduced lengths (Prop. 1.12) makes larger than any short kernel
 vector, so the first d columns are a reduced kernel basis. A second
 LLL on the coordinate rows of P's vertices, centered, changes the basis
-so that Q is narrow in every coordinate, and Q is walked in that order.
+so that Q is narrow in every coordinate, and Q is walked in index order.
 Q is full-dimensional, so the hull equations never reach the walk. One
 loop walks Q depth first on an explicit stack of lazy cursors, one per
 coordinate open above the last two, fixing the coordinates one by one
@@ -510,23 +510,21 @@ def _lattice_coordinates(P):
     return v0, basis, rows, (list(map(min, ys)), list(map(max, ys)))
 
 
-def _frame(coords, order):
-    """The walk's data for Q with its coordinates walked in the given order.
+def _frame(coords):
+    """The walk's data for Q, its coordinates walked in index order.
 
     Each row carries, per depth k, the least value coordinates k..d-1 can
     add to it over Q's box, so a prefix whose best completion already
     breaks the row is cut at once.
     """
     v0, basis, rows, (lo, hi) = coords
-    lo, hi = [lo[j] for j in order], [hi[j] for j in order]
     framed = []
     for c, beta in rows:
-        c = [c[j] for j in order]
         tail = [0] * (len(c) + 1)
         for k in range(len(c) - 1, -1, -1):
             tail[k] = tail[k + 1] + min(c[k] * lo[k], c[k] * hi[k])
         framed.append((c, beta, tail))
-    return v0, [basis[j] for j in order], framed, lo, hi
+    return v0, basis, framed, lo, hi
 
 
 def _fibers(frame, n, strict, cap):
@@ -672,7 +670,7 @@ def _walk_fibers(P: LatticePolytope, n: int, strict: bool):
     if stored is not None:
         return stored[0], iter(stored[1])
     if P._frame is None:
-        P._frame = _frame(_lattice_coordinates(P), range(P.dim))
+        P._frame = _frame(_lattice_coordinates(P))
     e, fibers = P._frame[1][-1], _fibers(P._frame, n, strict, cap)
     head = tuple(islice(fibers, WALK_STORE_FIBERS))
     if len(head) == WALK_STORE_FIBERS:  # the budget is reached: stream the rest
@@ -850,3 +848,10 @@ def require_nonnegative_vertices(P: LatticePolytope, operation: str) -> None:
             raise ValueError(
                 f"{operation} requires vertices in the nonnegative orthant, got {v}"
             )
+
+
+def _check_space(P: LatticePolytope, w, what: str = "weight has") -> None:
+    """Refuse a weight or a form tuple w whose variables are not P's coordinates."""
+    if w.nvars != P.ambient_dim:
+        raise ValueError(
+            f"{what} {w.nvars} variables but the polytope lives in dimension {P.ambient_dim}")

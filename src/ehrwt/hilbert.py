@@ -22,7 +22,7 @@ from typing import Iterable, NamedTuple, Sequence
 
 from .errors import ConsistencyError, UndeterminedFitError
 from .geometry import LatticePolytope, _echelon, _points, _reduced_kernel, _walk_fibers
-from .geometry import _walk_sum, require_nonnegative_vertices
+from .geometry import _check_space, _walk_sum, require_nonnegative_vertices
 from .polynomials import RationalGF, UniPoly, _check_int, _is_int, _series_of_values
 from .polynomials import lagrange_interpolate
 from .weighted import ehrhart_polynomial
@@ -92,10 +92,7 @@ class LinearWeightTuple:
 
 def _check_input(P: LatticePolytope, W: LinearWeightTuple) -> None:
     require_nonnegative_vertices(P, "image counting")
-    if W.nvars != P.ambient_dim:
-        raise ValueError(
-            f"forms have {W.nvars} variables but the polytope lives in dimension {P.ambient_dim}"
-        )
+    _check_space(P, W, "forms have")
 
 
 def hilbert_value(P: LatticePolytope, W: LinearWeightTuple, n: int) -> int:
@@ -131,7 +128,7 @@ def hilbert_polynomial(
     counts read. The certificate is necessary, not sufficient: a wrong
     constant term under the right leading coefficient would pass it.
     """
-    return _fit(P, W, max_onset, {})[1:3]
+    return _fit(P, W, max_onset, {})[:2]
 
 
 def hilbert_series(
@@ -144,13 +141,13 @@ def hilbert_series(
     series. The numerator must come out with integer coefficients and a
     nonzero value at 1; anything else is an internal inconsistency.
     """
-    return _fit(P, W, max_onset, {})[3]
+    return _fit(P, W, max_onset, {})[2]
 
 
 def _fit(
     P: LatticePolytope, W: LinearWeightTuple, max_onset: int, counts: dict[int, int]
-) -> tuple[dict[int, int], UniPoly, int, RationalGF]:
-    """(counts, fit, onset, series) of hilbert_polynomial and hilbert_series.
+) -> tuple[UniPoly, int, RationalGF]:
+    """(fit, onset, series) of hilbert_polynomial and hilbert_series.
 
     ``counts`` maps dilations to image counts; the caller may pass values
     it already has, and every count read here is added to it. D is the rank
@@ -198,7 +195,7 @@ def _fit(
         raise ConsistencyError("series numerator has non-integer coefficients")
     if numerator and not sum(numerator._num):
         raise ConsistencyError("series numerator vanishes at 1 after reduction")
-    return counts, fit, onset, series
+    return fit, onset, series
 
 
 def _leading_coefficient(P: LatticePolytope, eqs: list, degree: int) -> Fraction:

@@ -45,9 +45,10 @@ __all__ = [
 
 
 def _exact(value: Rational, what: str = "coefficient") -> Fraction:
-    # floats would silently poison exactness; refuse them outright
-    if isinstance(value, float):
-        raise TypeError(f"floating point {what} {value!r} is not allowed")
+    # floats would silently poison exactness, and a bool is no number: refuse both
+    if isinstance(value, (bool, float)):
+        kind = "boolean" if isinstance(value, bool) else "floating point"
+        raise TypeError(f"{kind} {what} {value!r} is not allowed")
     return Fraction(value)
 
 
@@ -64,7 +65,7 @@ def _check_int(value, low: int, message: str) -> None:
 
 def _cleared(values: Iterable[Rational], what: str = "coefficient") -> tuple[list[int], int]:
     """(numerators, den) with values = numerators / den, den the lcm of their denominators."""
-    xs = [v if isinstance(v, int) else _exact(v, what) for v in values]
+    xs = [v if type(v) is int else _exact(v, what) for v in values]
     den = math.lcm(*(x.denominator for x in xs))
     return [x.numerator * (den // x.denominator) for x in xs], den
 
@@ -421,7 +422,7 @@ class RationalGF:
 
     def __mul__(self, other):
         if isinstance(other, (int, Fraction)):
-            return RationalGF(self._num * _exact(other), self._dpow)
+            return RationalGF(self._num * other, self._dpow)
         return NotImplemented
 
     __rmul__ = __mul__
@@ -518,7 +519,7 @@ def expand(series: RationalGF, count: int) -> list[Fraction]:
 
 
 # whitespace, then one token; the last alternative catches any other character
-_TOKEN_RE = re.compile(r"\s*(?:(?P<var>t\d+)|(?P<num>\d+)|(?P<op>[-+*/^()])|(?P<bad>\S))")
+_TOKEN_RE = re.compile(r"\s*(?:(?P<var>t[0-9]+)|(?P<num>[0-9]+)|(?P<op>[-+*/^()])|(?P<bad>\S))")
 
 
 def _tokenize(text: str):

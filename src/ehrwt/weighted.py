@@ -32,6 +32,7 @@ from .errors import ConsistencyError
 from .geometry import (
     Graph,
     LatticePolytope,
+    _check_space,
     _require_edge_cover,
     _walk,
     _walk_sum,
@@ -65,13 +66,6 @@ __all__ = [
     "ReciprocityReport",
     "ReciprocityEntry",
 ]
-
-
-def _check_space(P: LatticePolytope, w: WeightPoly) -> None:
-    if w.nvars != P.ambient_dim:
-        raise ValueError(
-            f"weight has {w.nvars} variables but the polytope lives in dimension {P.ambient_dim}"
-        )
 
 
 def _sum(P: LatticePolytope, w: WeightPoly, n: int, strict: bool) -> Fraction:
@@ -172,9 +166,8 @@ def affine_lift_polytope(P: LatticePolytope, coeffs: Sequence) -> LatticePolytop
     row = [_exact(c) for c in coeffs]
     if len(row) != P.ambient_dim:
         raise ValueError("coefficient row length must match the ambient dimension")
-    # integral Fractions pass, as WeightPoly.affine_parts gives them; a bool does not
     for i, (c, given) in enumerate(zip(row, coeffs)):
-        if c.denominator != 1 or c < 0 or isinstance(given, bool):
+        if c.denominator != 1 or c < 0:
             raise ValueError(f"coefficient of t{i + 1} must be a nonnegative integer, got {given}")
     if all(c == 0 for c in row):
         raise ValueError("linear part must be nonzero")

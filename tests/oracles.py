@@ -57,10 +57,9 @@ from ehrwt.errors import (
     UndeterminedFitError,
     WeightParseError,
 )
-from ehrwt.geometry import _enumeration_cap, _walk
+from ehrwt.geometry import _check_space, _enumeration_cap, _walk
 from ehrwt.hilbert import FIT_MARGIN, _check_input, hilbert_value, image_polytope
 from ehrwt.polynomials import WeightPoly, _check_bits, _check_cap, _series_of_values
-from ehrwt.weighted import _check_space
 
 
 def eulerian_row(d):
@@ -683,6 +682,15 @@ def euclid_coordinates(P):
     return v0, basis, rows, ([min(y) for y in zip(*ys)], [max(y) for y in zip(*ys)])
 
 
+def permuted_coordinates(coords, order):
+    """Q's coordinates (v0, B, rows, box) with y_order[0], y_order[1], ...
+    taken as the first, second, ...: a walk of these in index order walks
+    the given ones in that order."""
+    v0, basis, rows, (lo, hi) = coords
+    return (v0, [basis[j] for j in order], [([c[j] for j in order], b) for c, b in rows],
+            ([lo[j] for j in order], [hi[j] for j in order]))
+
+
 def term_product(left, right):
     """Terms of the product of two weights, multiplied out term pair by
     term pair in Fractions."""
@@ -916,7 +924,7 @@ def window_fit(P, W, max_onset):
     return counts, fit, onset, _series_of_fit(counts, fit, onset)
 
 
-_TOKEN_RE = re.compile(r"t\d+|\d+|[-+*/^()]")
+_TOKEN_RE = re.compile(r"t[0-9]+|[0-9]+|[-+*/^()]")
 
 
 def _tokenize(text: str):

@@ -449,6 +449,59 @@ def test_inputs_are_refused_polytope_then_weight_then_options(capsys):
         assert capsys.readouterr() == ("", f"error: {message}\n")
 
 
+# an integer token is an optional sign and ASCII digits, where int() alone
+# reads 1_0 as 10 and the Arabic-Indic digit three as 3
+THREE, ONE = "\u0663", "\u0661"
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["points", "--vertices", "1_0 0; 0 1", "--n", "1"],
+     "inline vertex row '1_0 0' must contain whitespace-separated integers"),
+    (["points", "--vertices", f"0 {THREE}", "--n", "1"],
+     f"inline vertex row '0 {THREE}' must contain whitespace-separated integers"),
+    (["hilbert", "--vertices", "0 0; 1 0", "--wrows", "1 1_0"],
+     "weight-tuple row '1 1_0' must contain whitespace-separated integers"),
+    (["points", "--vertices", "0 0; 0 1", "--n", "1_0"], "argument --n: invalid _int value: '1_0'"),
+    (["points", "--vertices", "0 0", "--n", THREE], f"argument --n: invalid _int value: '{THREE}'"),
+    (["eulerian", "--n", "1_0"], "argument --n: invalid _int value: '1_0'"),
+    (["check", "--vertices", "0 0; 1 0", "--max-n", "1_0"],
+     "argument --max-n: invalid _int value: '1_0'"),
+    (["hilbert", "--vertices", "0 0; 1 0", "--wrows", "1 1", "--max-n", THREE],
+     f"argument --max-n: invalid _int value: '{THREE}'"),
+    (["weighted", "--vertices", "0 0; 1 0", "--weight", f"t{ONE}"],
+     "unexpected character 't' (position 0)"),
+    (["weighted", "--vertices", "0 0; 1 0", "--weight", f"t1 + {THREE}"],
+     f"unexpected character '{THREE}' (position 5)"),
+    (["weighted", "--vertices", "0 0; 1 0", "--weight", "1_0"],
+     "unexpected character '_' (position 1)"),
+])
+def test_integer_tokens_are_ascii_digits(argv, message, capsys):
+    assert run(argv) == 1
+    assert capsys.readouterr() == ("", f"error: {message}\n")
+
+
+@pytest.mark.parametrize("text, message", [
+    ("vertices 2 2\n1_0 0\n0 1\n", "line 2: '1_0' is not an integer"),
+    (f"vertices 2 2\n0 0\n{THREE} 1\n", f"line 3: '{THREE}' is not an integer"),
+    ("vertices 1_0 2\n0 0\n", "line 1: '1_0' is not an integer"),
+    (f"amb_space {THREE}\npolytope 1\n0 0\n", f"line 1: '{THREE}' is not an integer"),
+    ("amb_space 3\npolytope 1_0\n0 0\n", "line 2: '1_0' is not an integer"),
+])
+def test_file_integer_tokens_are_ascii_digits(text, message, tmp_path, capsys):
+    path = tmp_path / "polytope.in"
+    path.write_text(text, encoding="utf-8")
+    assert run(["points", "--file", str(path), "--n", "1"]) == 1
+    assert capsys.readouterr() == ("", f"error: {message}\n")
+
+
+def test_integer_tokens_take_a_sign(tmp_path, capsys):
+    path = tmp_path / "point.in"
+    path.write_text("vertices +1 2\n-1 +1\n", encoding="utf-8")
+    assert run(["points", "--file", str(path), "--n", "+2"]) == 0
+    assert run(["points", "--vertices", "+1 -1", "--n", "2"]) == 0
+    assert out_lines(capsys) == ["-2 2", "2 -2"]
+
+
 def test_help_exits_zero(capsys):
     assert run(["--help"]) == 0
     assert run(["weighted", "--help"]) == 0

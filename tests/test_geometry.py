@@ -56,6 +56,7 @@ from oracles import (
     in_relative_interior,
     lattice_coefficients,
     lll_reduced,
+    permuted_coordinates,
     phase_one_feasible,
     pointwise_sum,
     random_vertices,
@@ -553,8 +554,7 @@ def test_reduced_basis_spans_the_euclid_lattice_and_walks_the_same_points(points
     assert sorted(_walk(P, n, strict)) == expected
     # some Euclid bases are skewed enough to visit 10^6 cells: compare
     # those up to the cap, where every point walked must still be in nP
-    fibers, cells = _outcome(_fibers, _frame(euclid_coordinates(P), range(P.dim)), n, strict,
-                             100_000)
+    fibers, cells = _outcome(_fibers, _frame(euclid_coordinates(P)), n, strict, 100_000)
     walked = sorted(chain.from_iterable(fibers))
     if isinstance(cells, int):
         assert walked == expected
@@ -594,8 +594,7 @@ def test_one_lll_gives_a_reduced_basis_of_the_hull_lattice(points):
 def test_reduced_basis_walks_the_skewed_image_in_few_cells():
     P = LatticePolytope(SKEWED)
     expected = sorted(ambient_walk(P, 3, False))
-    fibers, cells = _outcome(_fibers, _frame(_lattice_coordinates(P), range(P.dim)), 3, False,
-                             1_000)
+    fibers, cells = _outcome(_fibers, _frame(_lattice_coordinates(P)), 3, False, 1_000)
     assert isinstance(cells, int) and sorted(chain.from_iterable(fibers)) == expected
 
 
@@ -612,8 +611,7 @@ def test_walk_visits_few_cells_per_point(points):
     if P.dim == 0:
         return
     count = sum(1 for _ in ambient_walk(P, 2, False))
-    fibers, cells = _outcome(_fibers, _frame(_lattice_coordinates(P), range(P.dim)), 2, False,
-                             16 * count)
+    fibers, cells = _outcome(_fibers, _frame(_lattice_coordinates(P)), 2, False, 16 * count)
     assert isinstance(cells, int), cells
 
 
@@ -626,7 +624,7 @@ def test_every_column_order_walks_the_same_points(points):
     for n, strict in ((3, False), (2, True)):
         expected = sorted(ambient_walk(P, n, strict))
         for order in permutations(range(P.dim)):
-            frame = _frame(coords, order)
+            frame = _frame(permuted_coordinates(coords, order))
             fibers = _fibers(frame, n, strict, math.inf)
             assert sorted(_points(frame[1][-1], fibers)) == expected, order
 
@@ -646,7 +644,7 @@ def test_loop_walk_matches_the_recursive_walk(points, n, strict):
     P = LatticePolytope(points)
     if P.dim == 0:
         return
-    frame = _frame(_lattice_coordinates(P), range(P.dim))
+    frame = _frame(_lattice_coordinates(P))
     # 2,000 plain draws visited at most 11,293 cells; a draw over 100,000
     # is compared up to the cap message and at the caps below it
     expected = _outcome(recursive_fibers, frame, n, strict, 100_000)
@@ -663,8 +661,8 @@ def test_walk_memory_does_not_grow_with_a_coordinate_width():
     # first thousand fibers cost a few kilobytes (34 MB with the siblings)
     N = 10**5
     # Q's second coordinate is the wide one: walked outermost
-    frame = _frame(_lattice_coordinates(LatticePolytope([(0, 0), (1, 0), (N, N), (N + 1, N)])),
-                   (1, 0))
+    frame = _frame(permuted_coordinates(
+        _lattice_coordinates(LatticePolytope([(0, 0), (1, 0), (N, N), (N + 1, N)])), (1, 0)))
     tracemalloc.start()
     try:
         walk = _fibers(frame, 1, False, 10**8)

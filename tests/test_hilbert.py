@@ -7,6 +7,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+import ehrwt.hilbert
 from ehrwt import (
     LatticePolytope,
     LinearWeightTuple,
@@ -140,6 +141,26 @@ def test_fit_undetermined_carries_samples():
     assert all(v == hilbert_value(FALSE_FIT_P, FALSE_FIT_W, n) for n, v in samples.items())
 
 
+@pytest.mark.parametrize("max_onset", [12, 7])
+def test_fit_leaves_every_count_it_read_in_the_callers_dict(max_onset, monkeypatch):
+    # the false fit's cap of 12 fits from n = 8 and its cap of 7 raises; either
+    # way each count read is in the caller's dict, and no given count is read
+    value, read = hilbert_value, {}
+
+    def recorded(P, W, n):
+        read[n] = value(P, W, n)
+        return read[n]
+
+    counts = {n: value(FALSE_FIT_P, FALSE_FIT_W, n) for n in (1, 2)}
+    monkeypatch.setattr(ehrwt.hilbert, "hilbert_value", recorded)
+    try:
+        assert _fit(FALSE_FIT_P, FALSE_FIT_W, max_onset, counts)[:2] == (UniPoly([-10, 27]), 8)
+    except UndeterminedFitError as exc:
+        assert max_onset == 7 and exc.samples == counts
+    assert read and not {1, 2} & set(read)
+    assert all(counts[n] == c for n, c in read.items())
+
+
 def test_fit_passes_the_leading_coefficient_certificate():
     assert hilbert_polynomial(FALSE_FIT_P, FALSE_FIT_W) == (UniPoly([-10, 27]), 8)
     coeffs = expand(hilbert_series(FALSE_FIT_P, FALSE_FIT_W), 20)
@@ -201,6 +222,12 @@ def image_count_inputs(draw):
     return P, W, draw(st.sampled_from([12, 64, 2, 1, 0]))
 
 
+def _fit_with_counts(P, W, max_onset):
+    """_fit's (fit, onset, series) after the counts it read, as window_fit returns."""
+    counts = {}
+    return (counts, *_fit(P, W, max_onset, counts))
+
+
 def _fit_outcome(route, P, W, max_onset):
     """Dilations read with their counts, in the order read, and the result."""
     try:
@@ -218,7 +245,7 @@ def _fit_outcome(route, P, W, max_onset):
 @example((FALSE_FIT_P, FALSE_FIT_W, 12))
 def test_difference_test_fit_matches_interpolated_windows(case):
     P, W, max_onset = case
-    ours = _fit_outcome(lambda P, W, m: _fit(P, W, m, {}), P, W, max_onset)
+    ours = _fit_outcome(_fit_with_counts, P, W, max_onset)
     assert ours == _fit_outcome(window_fit, P, W, max_onset)
 
 

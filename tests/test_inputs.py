@@ -1,8 +1,9 @@
 """Input rules shared by every module.
 
 An integer argument is an int, not a bool, of at least some bound; a
-rational input is cleared to integer numerators over one denominator and
-a float in it is refused by name. Each rule lives in one place in
+rational input is cleared to integer numerators over one denominator,
+and a float or a bool in it is refused by name with a TypeError. A
+weight's integer tokens are ASCII digits. Each rule lives in one place in
 ehrwt.polynomials, so these tables pin the exception type and the text at
 every entry point that applies it.
 """
@@ -18,6 +19,7 @@ from ehrwt import (
     LinearWeightTuple,
     RationalGF,
     UniPoly,
+    WeightParseError,
     WeightPoly,
     contains,
     cube_series,
@@ -90,12 +92,32 @@ BOOL_CASES = {
     "weighted_sum n": (lambda b: weighted_sum(SQUARE, T1, b), ValueError, DILATION),
     "reciprocity_check n_max": (lambda b: reciprocity_check(SQUARE, T1, b),
                                 ValueError, "n_max must be a positive integer"),
-    "affine_lift_polytope coefficient": (
-        lambda b: affine_lift_polytope(SQUARE, [b, 0]),
-        ValueError, "coefficient of t1 must be a nonnegative integer, got {b}"),
+    # the rational rule: a bool is refused as a float is, by name
+    "affine_lift_polytope coefficient": (lambda b: affine_lift_polytope(SQUARE, [b, 0]),
+                                         TypeError, "boolean coefficient {b} is not allowed"),
     "weighted_by_affine_lift coefficient": (
         lambda b: weighted_by_affine_lift(SQUARE, [b, 0], 0),
-        ValueError, "coefficient of t1 must be a nonnegative integer, got {b}"),
+        TypeError, "boolean coefficient {b} is not allowed"),
+    "weighted_by_affine_lift offset": (lambda b: weighted_by_affine_lift(SQUARE, [1, 0], b),
+                                       TypeError, "boolean offset {b} is not allowed"),
+    "contains dilation": (lambda b: contains(SQUARE, (0, 0), b),
+                          TypeError, "boolean dilation factor {b} is not allowed"),
+    "contains coordinate": (lambda b: contains(SQUARE, (b, 0)),
+                            TypeError, "boolean coordinate {b} is not allowed"),
+    "UniPoly coefficient": (lambda b: UniPoly([1, b]),
+                            TypeError, "boolean coefficient {b} is not allowed"),
+    "UniPoly evaluation point": (lambda b: UniPoly([1, 1])(b),
+                                 TypeError, "boolean evaluation point {b} is not allowed"),
+    "WeightPoly coefficient": (lambda b: WeightPoly(1, {(0,): 1, (1,): b}),
+                               TypeError, "boolean coefficient {b} is not allowed"),
+    "WeightPoly.eval coordinate": (lambda b: T1.eval((1, b)),
+                                   TypeError, "boolean coordinate {b} is not allowed"),
+    "lagrange abscissa": (lambda b: lagrange_interpolate([(2, 1), (b, 2)]),
+                          TypeError, "boolean abscissa {b} is not allowed"),
+    "lagrange value": (lambda b: lagrange_interpolate([(0, 1), (1, b)]),
+                       TypeError, "boolean value {b} is not allowed"),
+    "RationalGF numerator": (lambda b: RationalGF([1, b], 1),
+                             TypeError, "boolean coefficient {b} is not allowed"),
 }
 
 
@@ -124,6 +146,13 @@ MESSAGE_CASES = {
                             TypeError, "floating point coordinate 0.5 is not allowed"),
     "contains dilation": (lambda: contains(SQUARE, (0, 0), 0.5),
                           TypeError, "floating point dilation factor 0.5 is not allowed"),
+    # a weight's integer tokens are ASCII digits: not 1_0, nor another script's
+    "weight digit group": (lambda: parse_weight("1_0", 1),
+                           WeightParseError, "unexpected character '_' (position 1)"),
+    "weight digit": (lambda: parse_weight("\u0663", 1),
+                     WeightParseError, "unexpected character '\u0663' (position 0)"),
+    "weight variable digit": (lambda: parse_weight("t\u0661", 1),
+                              WeightParseError, "unexpected character 't' (position 0)"),
     "vertex coordinate": (lambda: LatticePolytope([(0, 1.0)]),
                           ValueError, "vertex coordinate 1.0 is not an integer"),
     "graph vertex_count": (lambda: Graph(0, []),
