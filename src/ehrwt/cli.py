@@ -25,6 +25,7 @@ from .geometry import LatticePolytope, lattice_points
 from .polynomials import (
     RationalGF,
     UniPoly,
+    _is_int_token,
     eulerian,
     format_polynomial,
     format_series,
@@ -69,9 +70,8 @@ def _meaningful_lines(text: str) -> list[tuple[int, str]]:
 
 
 def _int(token: str, lineno: int = 0) -> int:
-    """An integer token of the CLI: an optional sign and ASCII digits, where int() also
-    reads 1_0 and other scripts' digits. Inline rows and flags reword the ValueError."""
-    if not re.fullmatch(r"[-+]?[0-9]+", token):
+    """An integer token of the CLI; inline rows and flags reword the ValueError."""
+    if not _is_int_token(token):
         raise PolytopeFormatError(f"{token!r} is not an integer", lineno)
     return int(token)
 
@@ -123,8 +123,7 @@ def read_polytope(text: str) -> LatticePolytope:
     if fields[0] == "vertices":
         if len(fields) != 3:
             raise PolytopeFormatError("native header must be 'vertices m s'", lineno)
-        m = _int(fields[1], lineno)
-        s = _int(fields[2], lineno)
+        m, s = (_int(f, lineno) for f in fields[1:])
         if m < 1 or s < 1:
             raise PolytopeFormatError("vertex and coordinate counts must be positive", lineno)
         return LatticePolytope(_read_rows(lines[1:], m, s, lineno))
@@ -166,16 +165,12 @@ def write_polytope(P: LatticePolytope) -> str:
 def _parse_rows(text: str, what: str) -> list[tuple[int, ...]]:
     """Integer rows separated by ';', e.g. '0 0; 1 0'; empty chunks are skipped."""
     rows = []
-    for chunk in text.split(";"):
-        chunk = chunk.strip()
-        if not chunk:
-            continue
+    for chunk in filter(None, map(str.strip, text.split(";"))):
         try:
             rows.append(tuple(_int(tok) for tok in chunk.split()))
         except ValueError:
-            raise ValueError(
-                f"{what} row {chunk!r} must contain whitespace-separated integers"
-            ) from None
+            message = f"{what} row {chunk!r} must contain whitespace-separated integers"
+            raise ValueError(message) from None
     return rows
 
 
@@ -339,8 +334,7 @@ def _text_lines(result: dict) -> list[str]:
         lines.append("H(n) values:")
         lines += [f"  H({n}) = {h}" for n, h in result["values"]]
     if "polynomial" in result and "onset" in result:
-        fit = format_polynomial(result["polynomial"])
-        lines.append(f"fit: {fit} (n >= {result['onset']})")
+        lines.append(f"fit: {format_polynomial(result['polynomial'])} (n >= {result['onset']})")
     elif "polynomial" in result:
         lines.append(f"polynomial: {format_polynomial(result['polynomial'])}")
     if "integral" in result:

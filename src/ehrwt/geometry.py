@@ -61,7 +61,7 @@ from operator import mul
 from typing import Iterable, Sequence
 
 from .errors import ConsistencyError, EnumerationLimitError
-from .polynomials import _check_int, _cleared, _exact, _is_int
+from .polynomials import _check_int, _check_length, _cleared, _exact, _is_int, _is_int_token
 
 __all__ = [
     "LatticePolytope",
@@ -104,14 +104,10 @@ class LatticePolytope:
     __slots__ = ("_vertices", "_hull", "_facets", "_frame")
 
     def __init__(self, vertices: Iterable[Sequence[int]]):
-        rows = []
-        for v in vertices:
-            row = []
-            for c in v:
-                if not _is_int(c):
-                    raise ValueError(f"vertex coordinate {c!r} is not an integer")
-                row.append(c)
-            rows.append(tuple(row))
+        rows = [tuple(v) for v in vertices]
+        for c in chain.from_iterable(rows):
+            if not _is_int(c):
+                raise ValueError(f"vertex coordinate {c!r} is not an integer")
         if not rows:
             raise ValueError("a polytope needs at least one vertex")
         s = len(rows[0])
@@ -392,10 +388,9 @@ def _enumeration_cap() -> int:
     raw = os.environ.get("EHRWT_MAX_POINTS")
     if raw is None:
         return DEFAULT_ENUMERATION_CAP
-    try:
-        cap = int(raw)
-    except ValueError:
-        raise ValueError(f"EHRWT_MAX_POINTS must be an integer, got {raw!r}") from None
+    if not _is_int_token(raw):
+        raise ValueError(f"EHRWT_MAX_POINTS must be an integer, got {raw!r}")
+    cap = int(raw)
     if cap <= 0:
         raise ValueError("EHRWT_MAX_POINTS must be positive")
     return cap
@@ -502,11 +497,8 @@ def _lattice_coordinates(P):
     basis = [tuple(col) for col in basis]
     # y(v0) = 0, so a centered row's first entry is minus its coordinate's sum
     ys = [[(c - row[0]) // m for c in row] for row in centered]
-    rows = [
-        (tuple(sum(c * e for c, e in zip(a, col)) for col in basis),
-         b - sum(c * o for c, o in zip(a, v0)))
-        for a, b in P.facet_inequalities
-    ]
+    rows = [(tuple(sum(map(mul, a, col)) for col in basis), b - sum(map(mul, a, v0)))
+            for a, b in P.facet_inequalities]
     return v0, basis, rows, (list(map(min, ys)), list(map(max, ys)))
 
 
@@ -686,6 +678,13 @@ def _points(e, fibers):
               for b, c in zip(base, e)]) for base, low, high in fibers)
 
 
+def _walk_images(P: LatticePolytope, n: int, image) -> int:
+    """The number of distinct values of the linear map image over nP's lattice points."""
+    e, fibers = _walk_fibers(P, n, False)
+    # image(base + x*e) = image(base) + x*image(e): each fiber's images step along image(e)
+    return len(set(_points(image(e), ((image(b), low, high) for b, low, high in fibers))))
+
+
 def _walk(P: LatticePolytope, n: int, strict: bool):
     """Iterate over the lattice points of nP (of its relative interior if strict)."""
     return _points(*_walk_fibers(P, n, strict))
@@ -778,8 +777,7 @@ def contains(P: LatticePolytope, point: Sequence, n=1) -> bool:
     if scale <= 0:
         raise ValueError("dilation factor must be positive")
     xs, den = _cleared(point, "coordinate")
-    if len(xs) != P.ambient_dim:
-        raise ValueError(f"point has length {len(xs)}, expected {P.ambient_dim}")
+    _check_length(xs, P.ambient_dim)
     equations, inequalities = P.affine_hull, P.facet_inequalities
     q, rhs = scale.denominator, scale.numerator * den
     return (all(q * sum(map(mul, a, xs)) == rhs * b for a, b in equations)

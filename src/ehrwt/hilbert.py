@@ -21,10 +21,10 @@ from math import comb, gcd
 from typing import Iterable, NamedTuple, Sequence
 
 from .errors import ConsistencyError, UndeterminedFitError
-from .geometry import LatticePolytope, _echelon, _points, _reduced_kernel, _walk_fibers
-from .geometry import _check_space, _walk_sum, require_nonnegative_vertices
-from .polynomials import RationalGF, UniPoly, _check_int, _is_int, _series_of_values
-from .polynomials import lagrange_interpolate
+from .geometry import LatticePolytope, _echelon, _reduced_kernel, _walk_images, _walk_sum
+from .geometry import _check_space, require_nonnegative_vertices
+from .polynomials import RationalGF, UniPoly, _check_int, _check_length, _is_int
+from .polynomials import _series_of_values, lagrange_interpolate
 from .weighted import ehrhart_polynomial
 
 __all__ = [
@@ -47,12 +47,10 @@ class LinearWeightTuple:
     __slots__ = ("_rows",)
 
     def __init__(self, rows: Iterable[Sequence[int]]):
-        clean = []
-        for row in rows:
-            r = tuple(row)
+        clean = [tuple(row) for row in rows]
+        for r in clean:
             if any(not _is_int(c) or c < 0 for c in r):
                 raise ValueError(f"row {r} must contain nonnegative integers")
-            clean.append(r)
         if not clean:
             raise ValueError("at least one linear form is required")
         width = len(clean[0])
@@ -74,8 +72,7 @@ class LinearWeightTuple:
 
     def apply(self, point: Sequence[int]) -> tuple[int, ...]:
         """Image vector of a lattice point under all forms."""
-        if len(point) != self.nvars:
-            raise ValueError(f"point has length {len(point)}, expected {self.nvars}")
+        _check_length(point, self.nvars)
         return tuple(sum(c * x for c, x in zip(row, point)) for row in self._rows)
 
     def __eq__(self, other) -> bool:
@@ -99,9 +96,7 @@ def hilbert_value(P: LatticePolytope, W: LinearWeightTuple, n: int) -> int:
     """Number of distinct image vectors of the n-th dilation's lattice points."""
     _check_input(P, W)
     _check_int(n, 0, "dilation factor must be a nonnegative integer")
-    e, fibers = _walk_fibers(P, n, False)
-    # W(base + x*e) = W(base) + x*W(e): each fiber's images step along W(e)
-    return len(set(_points(W.apply(e), ((W.apply(b), low, high) for b, low, high in fibers))))
+    return _walk_images(P, n, W.apply)
 
 
 def image_polytope(P: LatticePolytope, W: LinearWeightTuple) -> LatticePolytope:

@@ -6,10 +6,12 @@ vectors; both store integer numerators over one positive denominator in
 lowest terms and compute on them, as do interpolation (Lagrange's form over
 common denominators) and the series transform, with Fractions only where a
 coefficient or a value is passed in or read. Generating functions are kept
-as h(x) / (1 - x)^D with h(1) != 0 (or h = 0). No floating point is allowed
-anywhere. Series come from values by one integer difference transform (Stanley,
-EC I, Cor. 4.3.1): v(n), a polynomial of degree <= r from n = m - r on, has the
-series h/(1-x)^(r+1), h_i = sum_{j <= min(i, r+1)} (-1)^j C(r+1, j) v(i-j), i = 0..m.
+as h(x) / (1 - x)^D with h(1) != 0 (or h = 0). Each input rule of the package is
+one test here: _exact for rationals, _is_int and _check_int for integer arguments,
+_is_int_token for integers in text, _check_length for points. Series come from
+values by one integer difference transform (Stanley, EC I, Cor. 4.3.1): v(n), a
+polynomial of degree <= r from n = m - r on, has the series h/(1-x)^(r+1),
+h_i = sum_{j <= min(i, r+1)} (-1)^j C(r+1, j) v(i-j), i = 0..m.
 """
 
 from __future__ import annotations
@@ -18,12 +20,11 @@ import math
 import re
 from fractions import Fraction
 from itertools import accumulate, zip_longest
+from numbers import Rational
 from operator import add
-from typing import Iterable, Mapping, Sequence, Union
+from typing import Iterable, Mapping, Sequence
 
 from .errors import WeightParseError
-
-Rational = Union[int, Fraction]
 
 # an exponent or total degree above this is almost certainly a typo in a weight
 MAX_WEIGHT_EXPONENT = 64
@@ -45,11 +46,12 @@ __all__ = [
 
 
 def _exact(value: Rational, what: str = "coefficient") -> Fraction:
-    # floats would silently poison exactness, and a bool is no number: refuse both
-    if isinstance(value, (bool, float)):
-        kind = "boolean" if isinstance(value, bool) else "floating point"
-        raise TypeError(f"{kind} {what} {value!r} is not allowed")
-    return Fraction(value)
+    # the rational rule: a float would poison exactness, and Fraction() would parse a str
+    if isinstance(value, Rational) and not isinstance(value, bool):
+        return Fraction(value)
+    kind = ("boolean" if isinstance(value, bool) else
+            "floating point" if isinstance(value, float) else type(value).__name__)
+    raise TypeError(f"{kind} {what} {value!r} is not allowed")
 
 
 def _is_int(value) -> bool:
@@ -61,6 +63,16 @@ def _check_int(value, low: int, message: str) -> None:
     """Raise ValueError(message) unless value is an int, not a bool, of at least low."""
     if not _is_int(value) or value < low:
         raise ValueError(message)
+
+
+def _is_int_token(token: str) -> bool:
+    """The rule for an integer in text: an optional sign and ASCII digits, not 1_0 or ٣."""
+    return re.fullmatch(r"[-+]?[0-9]+", token) is not None
+
+
+def _check_length(point: Sequence, length: int) -> None:
+    if len(point) != length:
+        raise ValueError(f"point has length {len(point)}, expected {length}")
 
 
 def _cleared(values: Iterable[Rational], what: str = "coefficient") -> tuple[list[int], int]:
@@ -292,8 +304,7 @@ class WeightPoly:
         return row, self.constant_term
 
     def eval(self, point: Sequence[Rational]) -> Fraction:
-        if len(point) != self._nvars:
-            raise ValueError(f"point has length {len(point)}, expected {self._nvars}")
+        _check_length(point, self._nvars)
         vals = [p if type(p) is int else _exact(p, "coordinate") for p in point]
         return Fraction(self._scaled(vals), self._den)
 

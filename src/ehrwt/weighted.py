@@ -4,21 +4,22 @@ The central object is the polynomial that agrees with
 
     n  |->  sum of w(a) over the lattice points a of the n-th dilation
 
-for every nonnegative integer n; its degree is at most dim(P) + deg(w).
-It is interpolated exactly at N = dim+deg+1 nodes: closed walks of nP at
-n = 1..floor(N/2), and at n = -1..-ceil(N/2) the reciprocity value
-(-1)^dim * sum of w(-x) over relint(|n|P) (Stanley, Adv. Math. 14, 1974;
-Beck-Robins, ch. 4). Closed walks at the reserved points n = 0 and
-n = dim+deg+2 validate it, so a silent enumeration or degree-bound failure
+for every nonnegative integer n; its degree is at most dim(P) + deg(w). It is
+interpolated exactly at N = dim+deg+1 nodes, built in _interpolated alone:
+closed walks of nP at n = 1..floor(N/2), and at n = -1..-ceil(N/2) the
+reciprocity value (-1)^dim * sum of w(-x) over relint(|n|P) (Stanley, Adv.
+Math. 14, 1974; Beck-Robins, ch. 4). Closed walks at the reserved points n = 0
+and n = dim+deg+2 validate it, so a silent enumeration or degree-bound failure
 cannot slip through. Lifts give a second, independent route for weights of
-degree at most one. The checks read the polynomial at negative integers.
-The reciprocity check interpolates from closed nodes only; the
-root-vanishing check does so for the plain count, while its weighted count
-is the reciprocity-node polynomial, validated by its closed probes. Each
-sum is taken per fiber of the walk, in integers over w's denominator. The
-walks come through geometry's bounded walk store, so the other weights,
-the plain count and the checks on one polytope read the small dilations
-that an earlier request walked, rather than walking them again.
+degree at most one; their coefficients and offsets follow polynomials' rational
+rule. The checks read the polynomial at negative integers: the reciprocity
+check interpolates from the closed nodes n = 1..N only; the root-vanishing
+check does so for the plain count, while its weighted count is the
+reciprocity-node polynomial, validated by its closed probes. Each sum is taken
+per fiber of the walk, in integers over w's denominator. The walks come through
+geometry's bounded walk store, so the other weights, the plain count and the
+checks on one polytope read the small dilations that an earlier request
+walked, rather than walking them again.
 """
 
 from __future__ import annotations
@@ -81,11 +82,14 @@ def weighted_sum(P: LatticePolytope, w: WeightPoly, n: int) -> Fraction:
     return _sum(P, w, n, False)
 
 
-def _interpolated(P: LatticePolytope, w: WeightPoly, nodes) -> UniPoly:
-    """The counting polynomial of a nonzero w through nodes n >= 1 (closed
-    walks) and n <= -1 (by reciprocity), then probed by closed walks. Node
-    sums are interpolated as integers over w's denominator, divided once.
-    """
+def _interpolated(P: LatticePolytope, w: WeightPoly, reciprocal: bool) -> UniPoly:
+    """The counting polynomial of a nonzero w through N = dim+deg+1 nodes: closed
+    walks at n = 1..N, or if reciprocal at n = 1..N//2 and interior walks at
+    n = -1..-(N - N//2); then probed by closed walks. Node sums are interpolated
+    as integers over w's denominator, divided once."""
+    count = P.dim + w.degree + 1
+    closed = count // 2 if reciprocal else count
+    nodes = [*range(1, closed + 1), *range(-1, closed - count - 1, -1)]
     terms = w._num.items()
     reflected = [(e, (-1) ** (P.dim + sum(e)) * c) for e, c in terms]
     samples = [(n, _walk_sum(P, abs(n), n < 0, terms if n > 0 else reflected)) for n in nodes]
@@ -116,9 +120,7 @@ def weighted_ehrhart_polynomial(P: LatticePolytope, w: WeightPoly) -> UniPoly:
     _check_space(P, w)
     if w.is_zero:
         return UniPoly()
-    count = P.dim + w.degree + 1
-    closed = count // 2
-    return _interpolated(P, w, [*range(1, closed + 1), *range(-1, closed - count - 1, -1)])
+    return _interpolated(P, w, True)
 
 
 def ehrhart_polynomial(P: LatticePolytope) -> UniPoly:
@@ -290,7 +292,7 @@ def check_negative_root_vanishing(
     probes at n = 0 and n = dim+deg+2 validate.
     """
     _check_hypotheses(P, w, "check_negative_root_vanishing", spot_check)
-    plain = _interpolated(P, WeightPoly.constant(P.ambient_dim, 1), range(1, P.dim + 2))
+    plain = _interpolated(P, WeightPoly.constant(P.ambient_dim, 1), False)
     weighted = weighted_ehrhart_polynomial(P, w)
     window = range(-(P.dim + w.degree), 0)
     entries = tuple(RootEntry(r, weighted(r)) for r in window if plain(r) == 0)
@@ -335,7 +337,7 @@ def reciprocity_check(
     _check_int(n_max, 1, "n_max must be a positive integer")
     _check_hypotheses(P, w, "reciprocity_check", spot_check)
     sign = (-1) ** (P.dim + w.degree)
-    poly = _interpolated(P, w, range(1, P.dim + w.degree + 2))
+    poly = _interpolated(P, w, False)
     entries = (ReciprocityEntry(n, _sum(P, w, n, True), sign * poly(-n))
                for n in range(1, n_max + 1))
     return ReciprocityReport(sign, tuple(entries))

@@ -524,6 +524,12 @@ def test_enumeration_cap_reports_input_error(monkeypatch, capsys):
         assert out == ""
         assert err.startswith("error: lattice-point enumeration of the closed dilation " + dilation)
         assert "EHRWT_MAX_POINTS=5" in err
+    # the cap follows the CLI's integer-token rule
+    for raw in ["1_0", "\u0663", " 5"]:
+        monkeypatch.setenv("EHRWT_MAX_POINTS", raw)
+        assert run(["points", "--vertices", "0 0; 9 0; 0 9; 9 9", "--n", "1"]) == 1
+        out, err = capsys.readouterr()
+        assert (out, err) == ("", f"error: EHRWT_MAX_POINTS must be an integer, got {raw!r}\n")
 
 
 def test_facet_row_cap_reports_input_error(monkeypatch, capsys):

@@ -3,6 +3,7 @@ dilation lattice points, membership, and edge polytopes of graphs."""
 
 import math
 import random
+import re
 import sys
 import threading
 import tracemalloc
@@ -436,6 +437,12 @@ def test_enumeration_cap(monkeypatch):
     monkeypatch.setenv("EHRWT_MAX_POINTS", "frogs")
     with pytest.raises(ValueError):
         lattice_points(LatticePolytope([(0, 0), (3, 5)]), 1)
+    # the cap is an integer token as the CLI reads one: int() would take each of these
+    for raw in ["1_0", "\u0663", " 5"]:
+        monkeypatch.setenv("EHRWT_MAX_POINTS", raw)
+        message = f"EHRWT_MAX_POINTS must be an integer, got {raw!r}"
+        with pytest.raises(ValueError, match="^" + re.escape(message) + "$"):
+            lattice_points(big, 1)
 
 
 @st.composite

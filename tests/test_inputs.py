@@ -1,14 +1,16 @@
 """Input rules shared by every module.
 
 An integer argument is an int, not a bool, of at least some bound; a
-rational input is cleared to integer numerators over one denominator,
-and a float or a bool in it is refused by name with a TypeError. A
-weight's integer tokens are ASCII digits. Each rule lives in one place in
-ehrwt.polynomials, so these tables pin the exception type and the text at
-every entry point that applies it.
+rational input is a numbers.Rational that is not a bool, cleared to integer
+numerators over one denominator, and anything else in it (a float, a bool,
+a str, a Decimal) is refused by name with a TypeError. A weight's integer
+tokens are ASCII digits, and a point's length must match. Each rule lives
+in one place in ehrwt.polynomials, so these tables pin the exception type
+and the text at every entry point that applies it.
 """
 
 import re
+from decimal import Decimal
 from fractions import Fraction as F
 
 import pytest
@@ -129,8 +131,24 @@ def test_bool_is_not_an_integer_argument(case, flag):
         call(flag)
 
 
-# (call, exception type, full message): the float refusals at every entry point
-# of the rational clearing, then the integer-argument rule with non-bool values
+# the rational entry points of BOOL_CASES, whose refusal names the value's kind
+RATIONAL_CASES = {case: entry for case, entry in BOOL_CASES.items()
+                  if entry[2].startswith("boolean ")}
+
+
+@pytest.mark.parametrize("value", ["1", Decimal("1"), 0.5], ids=["str", "Decimal", "float"])
+@pytest.mark.parametrize("case", RATIONAL_CASES)
+def test_only_a_rational_enters(case, value):
+    call, error, message = RATIONAL_CASES[case]
+    kind = "floating point" if isinstance(value, float) else type(value).__name__
+    expected = message.replace("boolean", kind, 1).format(b=repr(value))
+    with pytest.raises(error, match="^" + re.escape(expected) + "$"):
+        call(value)
+
+
+# (call, exception type, full message): the float, text and Decimal refusals of
+# the rational rule, the point-length check, then the integer-argument rule with
+# non-bool values
 MESSAGE_CASES = {
     "UniPoly coefficient": (lambda: UniPoly([1, 0.5]),
                             TypeError, "floating point coefficient 0.5 is not allowed"),
@@ -146,6 +164,32 @@ MESSAGE_CASES = {
                             TypeError, "floating point coordinate 0.5 is not allowed"),
     "contains dilation": (lambda: contains(SQUARE, (0, 0), 0.5),
                           TypeError, "floating point dilation factor 0.5 is not allowed"),
+    # text is not a rational, though Fraction() would parse it: "123" is no
+    # coefficient list, nor "10" a point, and 1_0, ٣ and 1e1 are no numbers here
+    "UniPoly coefficients as text": (lambda: UniPoly("123"),
+                                     TypeError, "str coefficient '1' is not allowed"),
+    "contains point as text": (lambda: contains(SQUARE, "10"),
+                               TypeError, "str coordinate '1' is not allowed"),
+    "contains coordinate as text": (lambda: contains(SQUARE, ("1_0", 0)),
+                                    TypeError, "str coordinate '1_0' is not allowed"),
+    "UniPoly evaluation point as text": (
+        lambda: UniPoly([1, 1])("\u0663"),
+        TypeError, "str evaluation point '\u0663' is not allowed"),
+    "lagrange abscissa as text": (lambda: lagrange_interpolate([(0, 1), ("1e1", 2)]),
+                                  TypeError, "str abscissa '1e1' is not allowed"),
+    "weighted_by_affine_lift offset as text": (
+        lambda: weighted_by_affine_lift(SQUARE, [1, 0], "1"),
+        TypeError, "str offset '1' is not allowed"),
+    "UniPoly Decimal coefficient": (
+        lambda: UniPoly([1, Decimal("0.5")]),
+        TypeError, "Decimal coefficient Decimal('0.5') is not allowed"),
+    # a point's length, checked by one helper
+    "contains point length": (lambda: contains(SQUARE, (0, 0, 0)),
+                              ValueError, "point has length 3, expected 2"),
+    "WeightPoly.eval point length": (lambda: T1.eval((1,)),
+                                     ValueError, "point has length 1, expected 2"),
+    "LinearWeightTuple.apply point length": (lambda: FORM.apply((1, 2, 3)),
+                                             ValueError, "point has length 3, expected 2"),
     # a weight's integer tokens are ASCII digits: not 1_0, nor another script's
     "weight digit group": (lambda: parse_weight("1_0", 1),
                            WeightParseError, "unexpected character '_' (position 1)"),
