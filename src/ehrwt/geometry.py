@@ -33,17 +33,17 @@ so that Q is narrow in every coordinate, and Q is walked in index order.
 Q is full-dimensional, so the hull equations never reach the walk. One
 loop walks Q depth first on an explicit stack of lazy cursors, one per
 coordinate open above the last two, fixing the coordinates one by one
-with exact interval propagation; a tight loop over the values of the
-second-to-last coordinate then gives one fiber per value, as its base
-and the interval of its last coordinate. Sums, counts and images are
-taken per fiber and no point list is kept: a weight's terms with at most
-two factors moving along the fiber in closed form from the fiber's
-length and its sums of x and x^2, the rest in C-level loops over
-ranges. Completed
-walks of up to WALK_STORE_FIBERS fibers in all are kept, least recently
-used first out, keyed by P's vertices, n, strict and the enumeration cap,
-so a dilation that an equal polytope walked before under the same cap is
-not walked again.
+with exact interval propagation. A slab of the last two coordinates, x
+and y, is one block, a base and an interval for each, when no facet row
+bounds both; otherwise each x gives one block, a fiber: its base and y's
+interval. Sums, counts and images are taken per block and no point list
+is kept: a weight's terms with at most two factors moving along y in
+closed form from the fiber's length and its sums of y and y^2, on a slab
+a term with at most two along each axis as a product of two such forms,
+the rest per column and in C-level loops over ranges. Completed walks of
+up to WALK_STORE_BLOCKS blocks in all are kept, least recently used first
+out, keyed by P's vertices, n, strict and the enumeration cap, so a
+dilation an equal polytope walked before under the same cap is not walked again.
 
 Membership reads the same cached rows: with the point's and the
 dilation's denominators cleared once, it is one integer dot product per
@@ -82,14 +82,14 @@ DEFAULT_ENUMERATION_CAP = 10**8
 # R^3 reach this cap after 103 points in 0.15 s (CPython 3.11, a shared
 # Xeon server), where the hull workloads peak at 14
 HULL_ROWS = 200
-# most units the walk store holds, a unit being one stored fiber or one
-# entry's own key, value and links: on 64-bit CPython 3.11 a fiber of nP in
-# Z^s takes 112 + 8s bytes, plus 28 for each of its s + 2 integers outside
+# most units the walk store holds, a unit being one stored block or one
+# entry's own key, value and links: on 64-bit CPython 3.11 a block of nP in
+# Z^s takes 128 + 8s bytes, plus 28 for each of its s + 4 integers outside
 # -5..256 and under 2^30, and an entry under 320, so the store holds under
-# 160 KiB for s <= 3 and 210 KiB for s = 7; a few hundred units already take
+# 180 KiB for s <= 3 and 250 KiB for s = 7; a few hundred units already take
 # most repeats, as one polytope's nodes, probes and checks walk the same
 # small dilations
-WALK_STORE_FIBERS = 512
+WALK_STORE_BLOCKS = 512
 
 
 class LatticePolytope:
@@ -503,11 +503,12 @@ def _lattice_coordinates(P):
 
 
 def _frame(coords):
-    """The walk's data for Q, its coordinates walked in index order.
+    """The walk's data for Q, its coordinates walked in index order, and col.
 
     Each row carries, per depth k, the least value coordinates k..d-1 can
     add to it over Q's box, so a prefix whose best completion already
-    breaks the row is cut at once.
+    breaks the row is cut at once. Q is rectangular when no row bounds both
+    of its last two coordinates; col is then B's second-to-last column, else 0.
     """
     v0, basis, rows, (lo, hi) = coords
     framed = []
@@ -516,25 +517,40 @@ def _frame(coords):
         for k in range(len(c) - 1, -1, -1):
             tail[k] = tail[k + 1] + min(c[k] * lo[k], c[k] * hi[k])
         framed.append((c, beta, tail))
-    return v0, basis, framed, lo, hi
+    rectangular = len(basis) > 1 and not any(c[-1] and c[-2] for c, _ in rows)
+    return v0, basis, framed, lo, hi, basis[-2] if rectangular else (0,) * len(v0)
+
+
+def _interval(low, high, rows, sums):
+    """low..high cut to the values y with c*y <= rhs - sums[i] for the rows (i, c, rhs)."""
+    for i, c, rhs in rows:
+        if c > 0:
+            bound = (rhs - sums[i]) // c
+            if bound < high:
+                high = bound
+        else:
+            bound = -((rhs - sums[i]) // -c)
+            if bound > low:
+                low = bound
+    return low, high
 
 
 def _fibers(frame, n, strict, cap):
-    """Stream the lattice points of nQ (of its interior if strict) as fibers.
+    """Stream the lattice points of nQ (of its interior if strict) as blocks.
 
-    A fiber (base, low, high) stands for the points n*v0 + B y = base + x * e
-    for low <= x <= high, e = B's last column, base a tuple. One depth-first
-    loop keeps one (depth, ambient base, row sums, cursor) entry per depth
-    open above the last two, the cursor a lazy range over that coordinate's
-    values, so the stack never outgrows d entries. Each cell of the
-    second-to-last coordinate yields its fiber from one tight loop, the
-    last coordinate's bounds read from row residuals taken once per parent
-    cell. A cell is one value a coordinate can take after interval
-    propagation; the generator returns the number of cells it visited and
-    raises EnumerationLimitError once that passes cap.
+    A block (base, xl, xh, yl, yh) stands for the points n*v0 + B y =
+    base + x * col + y * e, xl <= x <= xh and yl <= y <= yh, e B's last
+    column and col the frame's, base a tuple. One depth-first loop keeps one
+    (depth, ambient base, row sums, lazy cursor) entry per depth open above
+    the last two, so the stack never outgrows d entries. If Q is rectangular,
+    each slab is one block; otherwise a tight loop over x yields one fiber
+    (base at x, 0, 0, yl, yh) per x. A cell is one value a coordinate can take
+    after interval propagation; the generator returns the number of cells it
+    visited and raises EnumerationLimitError once that passes cap, at the
+    count where a walk fiber by fiber would.
     """
-    v0, cols, rows, lo, hi = frame
-    last = len(cols) - 1
+    v0, cols, rows, lo, hi, col = frame
+    last, rectangular = len(cols) - 1, any(col)
     lo, hi = [n * v for v in lo], [n * v for v in hi]
     # per depth, the rows that bound it with their rhs less the tail past
     # it; integer rows make "< rhs" the same as "<= rhs - 1"
@@ -560,16 +576,7 @@ def _fibers(frame, n, strict, cap):
         base = [b + x * e for b, e in zip(base, cols[k])]
         sums = [p + x * c for p, c in zip(sums, steps[k])]
         k += 1
-        low, high = lo[k], hi[k]
-        for i, c, rhs in bounds[k]:
-            if c > 0:
-                bound = (rhs - sums[i]) // c
-                if bound < high:
-                    high = bound
-            else:
-                bound = -((rhs - sums[i]) // -c)
-                if bound > low:
-                    low = bound
+        low, high = _interval(lo[k], hi[k], bounds[k], sums)
         if low > high:
             continue
         visited += high - low + 1
@@ -579,12 +586,22 @@ def _fibers(frame, n, strict, cap):
             stack.append((k, base, sums, iter(range(low, high + 1))))
             continue
         if k == last:  # d = 1: the root is the one fiber
-            yield tuple(base), low, high
+            yield tuple(base), 0, 0, low, high
+            continue
+        if rectangular:  # no row on the last depth reads x: one block
+            first, end = _interval(lo[last], hi[last], bounds[last], sums)
+            width = end - first + 1
+            if width > 0:
+                if visited + (high - low + 1) * width > cap:
+                    raise EnumerationLimitError(
+                        message.format(visited + ((cap - visited) // width + 1) * width))
+                visited += (high - low + 1) * width
+                yield tuple(base), low, high, first, end
             continue
         # each cell x of the second-to-last depth gives one fiber, its y bounded by
         # the rows c*y <= r - x*s, r a row's residual here; where c < 0 the tuple
         # holds -r and -s, and -((-r + x*s) // c) = ceil((r - x*s) / c)
-        col, step = cols[k], steps[k]
+        axis, step = cols[k], steps[k]
         upper = [(rhs - sums[i], step[i], c) for i, c, rhs in bounds[last] if c > 0]
         lower = [(sums[i] - rhs, -step[i], c) for i, c, rhs in bounds[last] if c < 0]
         for x in range(low, high + 1):
@@ -602,14 +619,14 @@ def _fibers(frame, n, strict, cap):
             visited += end - first + 1
             if visited > cap:
                 raise EnumerationLimitError(message.format(visited))
-            yield tuple([b + x * e for b, e in zip(base, col)]), first, end
+            yield tuple([b + x * e for b, e in zip(base, axis)]), 0, 0, first, end
     return visited
 
 
 class _WalkStore(OrderedDict):
-    """Completed walks, (vertices, n, strict, cap) -> (e, fibers), least
-    recently used first; size counts their fibers plus one per entry, so
-    empty walks count too, and stays at most WALK_STORE_FIBERS. One lock
+    """Completed walks, (vertices, n, strict, cap) -> (col, e, blocks), least
+    recently used first; size counts their blocks plus one per entry, so
+    empty walks count too, and stays at most WALK_STORE_BLOCKS. One lock
     keeps size and the entries in step when threads walk at once.
     """
 
@@ -627,11 +644,11 @@ class _WalkStore(OrderedDict):
     def keep(self, key, entry):
         with self.lock:
             if key in self:
-                self.size -= len(self.pop(key)[1]) + 1
+                self.size -= len(self.pop(key)[2]) + 1
             self[key] = entry
-            self.size += len(entry[1]) + 1
-            while self.size > WALK_STORE_FIBERS:
-                self.size -= len(self.popitem(last=False)[1][1]) + 1
+            self.size += len(entry[2]) + 1
+            while self.size > WALK_STORE_BLOCKS:
+                self.size -= len(self.popitem(last=False)[1][2]) + 1
 
     def clear(self):
         with self.lock:
@@ -643,46 +660,55 @@ _walk_store = _WalkStore()
 
 
 def _walk_fibers(P: LatticePolytope, n: int, strict: bool):
-    """(e, fibers) of nP (of its relative interior if strict) as _fibers yields
-    them, in the order of Q's walk; the cap counts the cells visited in Q.
+    """(col, e, blocks) of nP (of its relative interior if strict) as _fibers
+    yields them, in the order of Q's walk; the cap counts the cells visited in Q.
 
     A dilation that P, or an equal polytope, walked to the end before under
     the same cap comes from the walk store; under another cap it is walked
     again, so a lowered cap raises as on a first walk. Otherwise the walk's
-    first WALK_STORE_FIBERS fibers are taken at once: a walk that ends short
+    first WALK_STORE_BLOCKS blocks are taken at once: a walk that ends short
     of them is stored, one that raises stores nothing, and one that reaches
     them streams the rest and is not stored.
     """
     cap = None if n == 0 and not strict else _enumeration_cap()  # read per call
     if cap is None or P.dim == 0:
-        # 0P is the origin, answered without facets or the cap; a point is one fiber
-        return (0,) * P.ambient_dim, iter([(tuple(n * c for c in P.vertices[0]), 0, 0)])
+        # 0P is the origin, answered without facets or the cap; a point is one block
+        return (0,) * P.ambient_dim, (0,) * P.ambient_dim, iter([
+            (tuple(n * c for c in P.vertices[0]), 0, 0, 0, 0)])
     key = (P.vertices, n, strict, cap)
     stored = _walk_store.read(key)
     if stored is not None:
-        return stored[0], iter(stored[1])
+        return stored[0], stored[1], iter(stored[2])
     if P._frame is None:
         P._frame = _frame(_lattice_coordinates(P))
-    e, fibers = P._frame[1][-1], _fibers(P._frame, n, strict, cap)
-    head = tuple(islice(fibers, WALK_STORE_FIBERS))
-    if len(head) == WALK_STORE_FIBERS:  # the budget is reached: stream the rest
-        return e, chain(head, fibers)
-    _walk_store.keep(key, (e, head))
-    return e, iter(head)
+    col, e, blocks = P._frame[5], P._frame[1][-1], _fibers(P._frame, n, strict, cap)
+    head = tuple(islice(blocks, WALK_STORE_BLOCKS))
+    if len(head) == WALK_STORE_BLOCKS:  # the budget is reached: stream the rest
+        return col, e, chain(head, blocks)
+    _walk_store.keep(key, (col, e, head))
+    return col, e, iter(head)
 
 
-def _points(e, fibers):
-    """The points base + x * e, low <= x <= high, of the fibers (base, low, high)."""
+def _columns(col, blocks):
+    """The fibers (base + x * col, 0, 0, yl, yh), xl <= x <= xh, of the blocks."""
+    return ((tuple([b + x * a for b, a in zip(base, col)]), 0, 0, yl, yh)
+            for base, xl, xh, yl, yh in blocks for x in range(xl, xh + 1))
+
+
+def _points(col, e, blocks):
+    """The points base + x * col + y * e of the blocks (base, xl, xh, yl, yh), x outer."""
+    blocks = _columns(col, blocks) if any(col) else blocks
     return chain.from_iterable(
-        zip(*[range(b + low * c, b + (high + 1) * c, c) if c else repeat(b, high - low + 1)
-              for b, c in zip(base, e)]) for base, low, high in fibers)
+        zip(*[range(b + yl * c, b + (yh + 1) * c, c) if c else repeat(b, yh - yl + 1)
+              for b, c in zip(base, e)]) for base, _, _, yl, yh in blocks)
 
 
 def _walk_images(P: LatticePolytope, n: int, image) -> int:
     """The number of distinct values of the linear map image over nP's lattice points."""
-    e, fibers = _walk_fibers(P, n, False)
-    # image(base + x*e) = image(base) + x*image(e): each fiber's images step along image(e)
-    return len(set(_points(image(e), ((image(b), low, high) for b, low, high in fibers))))
+    col, e, blocks = _walk_fibers(P, n, False)
+    # image is linear, so a block's images step along image(col) and image(e)
+    return len(set(_points(image(col), image(e), (
+        (image(b), xl, xh, yl, yh) for b, xl, xh, yl, yh in blocks))))
 
 
 def _walk(P: LatticePolytope, n: int, strict: bool):
@@ -690,9 +716,17 @@ def _walk(P: LatticePolytope, n: int, strict: bool):
     return _points(*_walk_fibers(P, n, strict))
 
 
-def _walk_sum(P: LatticePolytope, n: int, strict: bool, terms) -> int:
+def _line(base, run, low, high):
+    """Sum over low <= x <= high of prod(base[i] + x * a), (i, a) in run, at most two."""
+    (bi, ai), (bj, aj) = [(base[i], a) for i, a in run] + [(1, 0)] * (2 - len(run))
+    count = high - low + 1
+    return (count * bi * bj + (bi * aj + bj * ai) * (low + high) * count // 2 + ai * aj * (
+        high * (high + 1) * (2 * high + 1) - (low - 1) * low * (2 * low - 1)) // 6)
+
+
+def _fiber_sum(terms, e, fibers) -> int:
     """Sum of the terms c * prod(a_i^k), given as (exponents k, int c) pairs, over
-    the points a of nP (of its relative interior if strict), one fiber at a time.
+    the points of the fibers (base, 0, 0, low, high) along e.
 
     Along a fiber a_i = b_i + x * e_i for low <= x <= high, so a coordinate e
     leaves alone is read once from the base. A term with at most two factors
@@ -700,7 +734,6 @@ def _walk_sum(P: LatticePolytope, n: int, strict: bool, terms) -> int:
     S2 = sum x^2 = F(high) - F(low - 1), F(m) = m(m+1)(2m+1)/6 an integer for
     every integer m; a term with more runs along the ranges.
     """
-    e, fibers = _walk_fibers(P, n, strict)
     const, linear, quadratic, rest = [], [], [], []
     for x, c in terms:
         factors = [i for i, k in enumerate(x) for _ in range(k)]
@@ -710,7 +743,7 @@ def _walk_sum(P: LatticePolytope, n: int, strict: bool, terms) -> int:
         else:
             (const, linear, quadratic)[len(run)].append((c, fixed, *run, *(e[i] for i in run)))
     total = 0
-    for base, low, high in fibers:
+    for base, _, _, low, high in fibers:
         count = high - low + 1
         s1 = (low + high) * count // 2
         s2 = (high * (high + 1) * (2 * high + 1) - (low - 1) * low * (2 * low - 1)) // 6
@@ -725,6 +758,32 @@ def _walk_sum(P: LatticePolytope, n: int, strict: bool, terms) -> int:
         for c, fixed, run in rest:
             total += c * math.prod(map(base.__getitem__, fixed)) * sum(map(math.prod, zip(*[
                 range(base[i] + low * e[i], base[i] + (high + 1) * e[i], e[i]) for i in run])))
+    return total
+
+
+def _walk_sum(P: LatticePolytope, n: int, strict: bool, terms) -> int:
+    """Sum of the terms, as _fiber_sum takes them, over the points of nP (of its
+    relative interior if strict). On a rectangular walk's blocks a term whose
+    factors move along col or e alone, at most two each, sums as a product of
+    two closed forms (_line), and the other terms sum column by column."""
+    col, e, blocks = _walk_fibers(P, n, strict)
+    if not any(col):
+        return _fiber_sum(terms, e, blocks)
+    slab, others, total = [], [], 0
+    for x, c in terms:
+        fixed, xs, ys, both = parts = [], [], [], []
+        for i, k in enumerate(x):
+            parts[(col[i] != 0) + 2 * (e[i] != 0)].extend([i] * k)
+        if both or len(xs) > 2 or len(ys) > 2:
+            others.append((x, c))
+        else:
+            slab.append((c, fixed, [(i, col[i]) for i in xs], [(i, e[i]) for i in ys]))
+    for base, xl, xh, yl, yh in blocks:
+        for c, fixed, xs, ys in slab:
+            total += c * math.prod(map(base.__getitem__, fixed)) * _line(
+                base, xs, xl, xh) * _line(base, ys, yl, yh)
+        if others:
+            total += _fiber_sum(others, e, _columns(col, [(base, xl, xh, yl, yh)]))
     return total
 
 

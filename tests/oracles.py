@@ -28,8 +28,9 @@ Lagrange's form in integers. Counting
 polynomials come from closed walks at every node, where the library
 takes half of its nodes from interior walks by reciprocity. Fibers of a
 walk frame come from a recursive descent of nested generators, where the
-library runs one loop on an explicit stack. Weighted sums of a walk
-evaluate the weight at each point, where the library sums per fiber. The
+library runs one loop on an explicit stack and yields a rectangular slab of
+fibers as one block. Weighted sums of a walk evaluate the weight at each
+point, where the library sums per fiber or per block. The
 lattice basis of a hull comes from Euclid's column steps alone, and its
 reduction is checked by Gram-Schmidt over Fractions, where the library
 takes a reduced basis from one integral LLL on weighted columns. Hilbert
@@ -585,7 +586,7 @@ def recursive_fibers(frame, n, strict, cap):
     returns the number of cells it visited and raises
     EnumerationLimitError once that passes cap.
     """
-    v0, cols, rows, lo, hi = frame
+    v0, cols, rows, lo, hi, _ = frame
     last = len(cols) - 1
     lo, hi = [n * v for v in lo], [n * v for v in hi]
     # per depth, the rows that bound it with their rhs less the tail past

@@ -98,6 +98,14 @@ THIN_SIMPLEX = ((-5, 0, -11, 3), (-2, -6, -8, -1), (3, -2, 6, -5), (4, -9, -1, -
 SEGMENT_NEGATIVE = [(-7, 5), (4, -6)]
 TRIANGLE_IN_PLANE = [(-3, 2, 1), (2, -3, 1), (-1, -1, 4)]
 RIGHT_TRIANGLE = [(-4, -2), (3, -2), (3, 5)]
+# rectangular frames: no facet row bounds both of the last two coordinates,
+# so a walk yields one block per slab. The box [0,2]x[0,3]x[0,1] walks
+# along col = (1, 0, 0) and e = (0, 1, 0); the sheared square's col and e
+# share their third coordinate; the prism over a triangle has a slab of
+# one column at x = 1 in 1P
+BOX = [(0, 0, 0), (2, 0, 0), (0, 3, 0), (2, 3, 0), (0, 0, 1), (2, 0, 1), (0, 3, 1), (2, 3, 1)]
+SHEARED_SQUARE = [(0, 0, 0), (1, 0, 1), (0, 1, 1), (1, 1, 2)]
+PRISM = [(0, 0, 0), (1, 0, 0), (1, 1, 0), (0, 0, 1), (1, 0, 1), (1, 1, 1)]
 
 
 # ---------------------------------------------------------------- construction
@@ -515,17 +523,27 @@ def test_moment_curve_facets():
     assert LatticePolytope(curve).facet_inequalities == recomputed_incidence_facets(curve)
 
 
+def _axes(frame):
+    """(col, e): the frame's block column and its last basis column."""
+    return frame[5], frame[1][-1]
+
+
 def _outcome(walk, frame, n, strict, cap):
-    """The fibers a walk yields, as point lists, and its cell count or cap message."""
-    fibers = []
+    """The points a walk yields, in order, and its cell count or cap message;
+    the oracle's fibers (base, low, high) are read as blocks (base, 0, 0, low, high)."""
+    points = []
     walker = walk(frame, n, strict, cap)
     try:
         while True:
-            fibers.append(list(_points(frame[1][-1], [next(walker)])))
+            item = next(walker)
+            if len(item) == 3:  # an oracle fiber
+                base, low, high = item
+                item = base, 0, 0, low, high
+            points += _points(*_axes(frame), [item])
     except StopIteration as done:
-        return fibers, done.value
+        return points, done.value
     except EnumerationLimitError as exc:
-        return fibers, str(exc)
+        return points, str(exc)
 
 
 @settings(max_examples=250)
@@ -561,8 +579,8 @@ def test_reduced_basis_spans_the_euclid_lattice_and_walks_the_same_points(points
     assert sorted(_walk(P, n, strict)) == expected
     # some Euclid bases are skewed enough to visit 10^6 cells: compare
     # those up to the cap, where every point walked must still be in nP
-    fibers, cells = _outcome(_fibers, _frame(euclid_coordinates(P)), n, strict, 100_000)
-    walked = sorted(chain.from_iterable(fibers))
+    points, cells = _outcome(_fibers, _frame(euclid_coordinates(P)), n, strict, 100_000)
+    walked = sorted(points)
     if isinstance(cells, int):
         assert walked == expected
     else:
@@ -601,8 +619,8 @@ def test_one_lll_gives_a_reduced_basis_of_the_hull_lattice(points):
 def test_reduced_basis_walks_the_skewed_image_in_few_cells():
     P = LatticePolytope(SKEWED)
     expected = sorted(ambient_walk(P, 3, False))
-    fibers, cells = _outcome(_fibers, _frame(_lattice_coordinates(P)), 3, False, 1_000)
-    assert isinstance(cells, int) and sorted(chain.from_iterable(fibers)) == expected
+    points, cells = _outcome(_fibers, _frame(_lattice_coordinates(P)), 3, False, 1_000)
+    assert isinstance(cells, int) and sorted(points) == expected
 
 
 @settings(max_examples=200)
@@ -618,7 +636,7 @@ def test_walk_visits_few_cells_per_point(points):
     if P.dim == 0:
         return
     count = sum(1 for _ in ambient_walk(P, 2, False))
-    fibers, cells = _outcome(_fibers, _frame(_lattice_coordinates(P)), 2, False, 16 * count)
+    _, cells = _outcome(_fibers, _frame(_lattice_coordinates(P)), 2, False, 16 * count)
     assert isinstance(cells, int), cells
 
 
@@ -632,8 +650,8 @@ def test_every_column_order_walks_the_same_points(points):
         expected = sorted(ambient_walk(P, n, strict))
         for order in permutations(range(P.dim)):
             frame = _frame(permuted_coordinates(coords, order))
-            fibers = _fibers(frame, n, strict, math.inf)
-            assert sorted(_points(frame[1][-1], fibers)) == expected, order
+            blocks = _fibers(frame, n, strict, math.inf)
+            assert sorted(_points(*_axes(frame), blocks)) == expected, order
 
 
 @settings(max_examples=100)
@@ -651,33 +669,62 @@ def test_loop_walk_matches_the_recursive_walk(points, n, strict):
     P = LatticePolytope(points)
     if P.dim == 0:
         return
-    frame = _frame(_lattice_coordinates(P))
     # 2,000 plain draws visited at most 11,293 cells; a draw over 100,000
     # is compared up to the cap message and at the caps below it
-    expected = _outcome(recursive_fibers, frame, n, strict, 100_000)
-    assert _outcome(_fibers, frame, n, strict, 100_000) == expected
-    count = expected[1] if isinstance(expected[1], int) else 100_000
-    for cap in (1, count // 2, count - 1):
-        assert _outcome(_fibers, frame, n, strict, cap) \
-            == _outcome(recursive_fibers, frame, n, strict, cap)
+    _assert_walk_matches_the_recursive_walk(
+        _frame(_lattice_coordinates(P)), n, strict, lambda count: (1, count // 2, count - 1))
+
+
+def _assert_walk_matches_the_recursive_walk(frame, n, strict, caps):
+    """The blocks expand to the recursive walk's points, in its order, with its
+    cell count. At each of caps(count) below the count both raise the same
+    message, and a block raises before its first fiber, so the points yielded
+    before it are a prefix of those the recursive walk yielded."""
+    walked = _outcome(_fibers, frame, n, strict, 100_000)
+    assert walked == _outcome(recursive_fibers, frame, n, strict, 100_000)
+    for cap in caps(walked[1] if isinstance(walked[1], int) else 100_000):
+        points, message = _outcome(_fibers, frame, n, strict, cap)
+        expected, oracle = _outcome(recursive_fibers, frame, n, strict, cap)
+        assert message == oracle and points == expected[:len(points)], cap
+
+
+@pytest.mark.parametrize("points, n, strict, rectangular", [
+    (CRITERION3, 3, False, True),
+    (list(product((0, 1), repeat=3)), 2, False, True),
+    (BOX, 2, False, True),
+    (BOX, 3, True, True),
+    (TRIANGLE_IN_PLANE, 2, False, False),
+    (RIGHT_TRIANGLE, 2, True, False),
+])
+def test_blocks_match_the_recursive_walk_at_every_cap(points, n, strict, rectangular):
+    # a rectangular frame yields blocks of several columns, any other one fiber
+    # per block; every cap from 1 up to the cell count is compared
+    frame = _frame(_lattice_coordinates(LatticePolytope(points)))
+    blocks = list(_fibers(frame, n, strict, math.inf))
+    assert any(xl < xh for _, xl, xh, _, _ in blocks) == rectangular
+    assert rectangular or all(xl == xh == 0 for _, xl, xh, _, _ in blocks)
+    _assert_walk_matches_the_recursive_walk(frame, n, strict, lambda count: range(1, count + 1))
 
 
 def test_walk_memory_does_not_grow_with_a_coordinate_width():
-    # a thin parallelogram whose outer coordinate spans 10^5 + 2 values: the
-    # walk keeps one lazy cursor per depth, never a level's siblings, so its
-    # first thousand fibers cost a few kilobytes (34 MB with the siblings)
+    # a thin parallelogram and a thin trapezoid whose outer coordinate spans
+    # over 10^5 values: the walk keeps one lazy cursor per depth and a lazy
+    # range over x, never a level's siblings, so the parallelogram's one
+    # block and the trapezoid's first thousand fibers, of one point each,
+    # cost a few kilobytes (34 MB with the siblings)
     N = 10**5
-    # Q's second coordinate is the wide one: walked outermost
-    frame = _frame(permuted_coordinates(
-        _lattice_coordinates(LatticePolytope([(0, 0), (1, 0), (N, N), (N + 1, N)])), (1, 0)))
-    tracemalloc.start()
-    try:
-        walk = _fibers(frame, 1, False, 10**8)
-        points = sum(1 for _ in _points(frame[1][-1], islice(walk, 1000)))
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert points == 2000 and peak < 64 * 1024
+    for top, count in [(N + 1, 2 * (N + 1)), (N + 2, 1000)]:
+        # Q's second coordinate is the wide one: walked outermost
+        frame = _frame(permuted_coordinates(
+            _lattice_coordinates(LatticePolytope([(0, 0), (1, 0), (N, N), (top, N)])), (1, 0)))
+        tracemalloc.start()
+        try:
+            walk = _fibers(frame, 1, False, 10**8)
+            points = sum(1 for _ in _points(*_axes(frame), islice(walk, 1000)))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert points == count and peak < 64 * 1024, top
 
 
 @st.composite
@@ -699,6 +746,13 @@ def images_and_weights(draw):
 @example(([(2, 5), (2, 5)], WeightPoly(2, {(0, 6): Fraction(1, 2), (3, 0): -1})), 0, False)
 @example(([(0, 0), (1, 0), (0, 5), (1, 5)],
           WeightPoly(2, {(1, 6): 3, (2, 0): Fraction(-1, 4)})), 4, False)
+# blocks: two factors along each axis make a product of two closed forms;
+# three along col, or along e, run column by column; t3 moves with both col
+# and e in the sheared square; the prism's one-column slab at x = 1
+@example((BOX, WeightPoly(3, {(2, 2, 1): 3, (1, 0, 0): Fraction(-1, 2)})), 2, False)
+@example((BOX, WeightPoly(3, {(3, 1, 0): 1, (0, 3, 1): -2, (0, 0, 0): 5})), 2, True)
+@example((SHEARED_SQUARE, WeightPoly(3, {(0, 0, 2): 1, (1, 1, 0): 2})), 2, False)
+@example((PRISM, WeightPoly(3, {(1, 1, 1): 1, (0, 2, 0): Fraction(1, 3)})), 1, False)
 def test_walk_sum_matches_the_pointwise_sum(case, n, strict):
     points, w = case
     P = LatticePolytope(points)
@@ -706,9 +760,10 @@ def test_walk_sum_matches_the_pointwise_sum(case, n, strict):
 
 
 @pytest.mark.parametrize("N, points", [
-    # the parallelogram of the memory test, narrower: 10^4 + 1 fibers of at most two points
+    # the parallelogram of the memory test, narrower, a rectangle in Q: one
+    # block of two columns of 10^4 + 1 points each
     (10**4, [(0, 0), (1, 0), (10**4, 10**4), (10**4 + 1, 10**4)]),
-    # two fibers of 10^5 + 1 points each
+    # a rectangle: one block of two columns of 10^5 + 1 points each
     (10**5, [(0, 0), (1, 0), (0, 10**5), (1, 10**5)]),
 ])
 def test_walk_sum_memory_does_not_grow_with_a_fiber_or_a_width(N, points):
@@ -732,6 +787,24 @@ def test_walk_sum_memory_does_not_grow_with_a_fiber_or_a_width(N, points):
     assert first == total and Fraction(total, w._den) == closed and peak < 64 * 1024
 
 
+def test_column_by_column_sums_keep_no_column_list():
+    # the square [0, N]^2 is one block of N + 1 columns along col = (1, 0);
+    # t1^3 has three factors moving along col, so it runs column by column,
+    # and the columns are made one at a time
+    N = 5000
+    P, terms = LatticePolytope([(0, 0), (N, 0), (0, N), (N, N)]), [((3, 0), 1), ((0, 1), 1)]
+    col, _, blocks = geometry._walk_fibers(P, 1, False)
+    assert col == (1, 0) and [block[1:3] for block in blocks] == [(0, N)]
+    geometry._walk_store.clear()
+    tracemalloc.start()
+    try:
+        total = _walk_sum(P, 1, False, terms)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert total == (N + 1) * ((N * (N + 1) // 2) ** 2 + N * (N + 1) // 2) and peak < 64 * 1024
+
+
 @pytest.mark.parametrize("points, n, strict, e, weight, store", [
     # moving degree 2: one coordinate squared along e
     (SEGMENT_NEGATIVE, 2, False, (-1, 1), {(2, 0): 1}, None),
@@ -752,10 +825,10 @@ def test_closed_form_fiber_sums_match_the_box_scan(points, n, strict, e, weight,
     # each fiber sum of moving degree <= 2 is taken from count, S1 and S2; the
     # box scan sums the weight point by point, independently of the walk
     if store is not None:
-        monkeypatch.setattr(geometry, "WALK_STORE_FIBERS", store)
+        monkeypatch.setattr(geometry, "WALK_STORE_BLOCKS", store)
     P, w = LatticePolytope(points), WeightPoly(len(points[0]), weight)
-    walked, fibers = geometry._walk_fibers(P, n, strict)
-    assert walked == e and (store is None or len(list(fibers)) > store)
+    _, walked, blocks = geometry._walk_fibers(P, n, strict)
+    assert walked == e and (store is None or len(list(blocks)) > store)
     geometry._walk_store.clear()
     total = _walk_sum(P, n, strict, w._num.items())
     assert ((P.vertices, n, strict, geometry._enumeration_cap()) in geometry._walk_store) \
@@ -776,9 +849,9 @@ def test_stored_walks_equal_fresh_ones(case, n, strict):
     geometry._walk_store.clear()
     cold = _walk_sum(P, n, strict, terms)
     if (n or strict) and P.dim:
-        fibers = sum(1 for _ in _fibers(P._frame, n, strict, math.inf))
+        blocks = sum(1 for _ in _fibers(P._frame, n, strict, math.inf))
         assert ((P.vertices, n, strict, geometry._enumeration_cap()) in geometry._walk_store) \
-            == (fibers < geometry.WALK_STORE_FIBERS)
+            == (blocks < geometry.WALK_STORE_BLOCKS)
     warm = _walk_sum(LatticePolytope(points), n, strict, terms)
     geometry._walk_store.clear()
     assert cold == warm == pointwise_sum(P, w, n, strict)
@@ -796,7 +869,7 @@ def test_stored_walks_equal_fresh_ones(case, n, strict):
 
 
 def test_stored_walk_keeps_the_cap(monkeypatch):
-    # 3P of criterion 3 visits 146 cells for 35 fibers. Stored under the
+    # 3P of criterion 3 visits 146 cells in 20 blocks. Stored under the
     # default cap, it is stored again under a cap of 146, which it meets,
     # and walked again under a lower one, raising as a first walk does; a
     # walk that raised stores nothing, nor does one past the budget, read
@@ -804,13 +877,13 @@ def test_stored_walk_keeps_the_cap(monkeypatch):
     P = LatticePolytope(CRITERION3)
     key = (P.vertices, 3, False, geometry._enumeration_cap())
     points = lattice_points(P, 3)
-    e, fibers = geometry._walk_store[key]
+    col, e, blocks = geometry._walk_store[key]
     walked, cells = _outcome(_fibers, P._frame, 3, False, math.inf)
-    assert (len(fibers), cells) == (35, 146)
-    assert walked == [list(_points(e, [fiber])) for fiber in fibers]
+    assert (len(blocks), cells) == (20, 146)
+    assert walked == list(_points(col, e, blocks))
     monkeypatch.setenv("EHRWT_MAX_POINTS", "146")
     assert lattice_points(LatticePolytope(CRITERION3), 3) == points
-    assert geometry._walk_store[key[:3] + (146,)] == (e, fibers)
+    assert geometry._walk_store[key[:3] + (146,)] == (col, e, blocks)
     monkeypatch.setenv("EHRWT_MAX_POINTS", "60")
     with pytest.raises(EnumerationLimitError) as warm:
         lattice_points(LatticePolytope(CRITERION3), 3)
@@ -822,31 +895,31 @@ def test_stored_walk_keeps_the_cap(monkeypatch):
     assert key[:3] + (60,) not in geometry._walk_store
     monkeypatch.delenv("EHRWT_MAX_POINTS")
     wide = LatticePolytope([(0, 0), (600, 0), (0, 600)])
-    fibers = geometry._walk_fibers(wide, 1, False)[1]
-    next(fibers)
-    del fibers
-    assert sum(1 for _ in geometry._walk_fibers(wide, 1, False)[1]) == 601
+    blocks = geometry._walk_fibers(wide, 1, False)[2]
+    next(blocks)
+    del blocks
+    assert sum(1 for _ in geometry._walk_fibers(wide, 1, False)[2]) == 601
     assert not geometry._walk_store
 
 
 @pytest.mark.parametrize("points, n, strict", [
-    (CRITERION3, 0, False),  # 0P: the origin, one fiber
-    ([(2, -1, 5)], 3, False),  # a point: one fiber
+    (CRITERION3, 0, False),  # 0P: the origin, one block
+    ([(2, -1, 5)], 3, False),  # a point: one block
     ([(2, -1, 5)], 2, True),
-    (CRITERION3, 3, False),  # stored: 35 fibers
+    (CRITERION3, 3, False),  # stored: 20 blocks
     ([(0, 0), (600, 0), (0, 600)], 1, False),  # streamed: 601 fibers
 ])
 def test_every_fiber_base_is_a_tuple(points, n, strict):
     # on a first walk and on a second, read from the store where it was kept
     for _ in range(2):
-        fibers = list(geometry._walk_fibers(LatticePolytope(points), n, strict)[1])
-        assert fibers and all(type(base) is tuple for base, _, _ in fibers)
+        blocks = list(geometry._walk_fibers(LatticePolytope(points), n, strict)[2])
+        assert blocks and all(type(base) is tuple for base, *_ in blocks)
 
 
 def test_walk_store_holds_at_most_its_budget():
     # 400 segments of Z^2, each walked closed and strictly at n = 1..3: 2,400
-    # entries of at most one fiber fill 4,400 of the store's units, each a
-    # fiber or an entry's own key, value and link, and under 320 bytes here.
+    # entries of at most one block fill 4,400 of the store's units, each a
+    # block or an entry's own key, value and link, and under 320 bytes here.
     # The frames are computed untraced first; the store then keeps its budget
     segments = [LatticePolytope([(a, 0), (a + 1, 1)]) for a in range(400)]
     for P in segments:
@@ -861,8 +934,8 @@ def test_walk_store_holds_at_most_its_budget():
         retained = tracemalloc.get_traced_memory()[0]
     finally:
         tracemalloc.stop()
-    assert geometry._walk_store.size <= geometry.WALK_STORE_FIBERS
-    assert retained < 320 * geometry.WALK_STORE_FIBERS
+    assert geometry._walk_store.size <= geometry.WALK_STORE_BLOCKS
+    assert retained < 320 * geometry.WALK_STORE_BLOCKS
 
 
 def test_walk_store_keeps_its_count_under_threads():
@@ -895,8 +968,8 @@ def test_walk_store_keeps_its_count_under_threads():
         sys.setswitchinterval(interval)
     assert not any(t.is_alive() for t in threads) and not failures
     store = geometry._walk_store
-    assert store.size == sum(len(f) + 1 for _, f in store.values())
-    assert store.size <= geometry.WALK_STORE_FIBERS
+    assert store.size == sum(len(blocks) + 1 for *_, blocks in store.values())
+    assert store.size <= geometry.WALK_STORE_BLOCKS
 
 
 def test_cached_frame_does_not_depend_on_the_first_cap(monkeypatch):

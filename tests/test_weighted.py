@@ -297,12 +297,12 @@ def test_checks_do_not_read_the_interior_nodes(monkeypatch):
 
     def lossy(P, n, strict):
         calls.append((n, strict))
-        e, fibers = walk_fibers(P, n, strict)
+        col, e, blocks = walk_fibers(P, n, strict)
         if strict:
-            # the first fiber loses its first point
-            base, low, high = next(fibers)
-            fibers = chain([(base, low + 1, high)], fibers)
-        return e, fibers
+            # the first block loses its first row of points
+            base, xl, xh, yl, yh = next(blocks)
+            blocks = chain([(base, xl, xh, yl + 1, yh)], blocks)
+        return col, e, blocks
 
     P = LatticePolytope([(0, 0), (3, 0), (0, 3)])
     w = parse_weight("t1 + t2", 2)
@@ -333,10 +333,10 @@ def test_criterion_three_walks_stay_small(monkeypatch):
 
     def counted(P, n, strict):
         nonlocal walked
-        e, each = walk_fibers(P, n, strict)
+        col, e, each = walk_fibers(P, n, strict)
         each = list(each)
-        walked += sum(1 for _ in geometry._points(e, each))
-        return e, iter(each)
+        walked += sum(1 for _ in geometry._points(col, e, each))
+        return col, e, iter(each)
 
     def counted_fibers(*args):
         nonlocal cells
