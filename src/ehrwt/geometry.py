@@ -31,19 +31,24 @@ vector, so the first d columns are a reduced kernel basis. A second
 LLL on the coordinate rows of P's vertices, centered, changes the basis
 so that Q is narrow in every coordinate, and Q is walked in index order.
 Q is full-dimensional, so the hull equations never reach the walk. One
-loop walks Q depth first on an explicit stack of lazy cursors, one per
-coordinate open above the last two, fixing the coordinates one by one
-with exact interval propagation. A slab of the last two coordinates, x
-and y, is one block, a base and an interval for each, when no facet row
-bounds both; otherwise each x gives one block, a fiber: its base and y's
-interval. Sums, counts and images are taken per block and no point list
-is kept: a weight's terms with at most two factors moving along y in
-closed form from the fiber's length and its sums of y and y^2, on a slab
-a term with at most two along each axis as a product of two such forms,
-the rest per column and in C-level loops over ranges. Completed walks of
-up to WALK_STORE_BLOCKS blocks in all are kept, least recently used first
-out, keyed by P's vertices, n, strict and the enumeration cap, so a
-dilation an equal polytope walked before under the same cap is not walked again.
+loop walks Q depth first on an explicit stack of lazy cursors, fixing the
+coordinates one by one with exact interval propagation. A slab of the
+last two coordinates, x and y, is one block, a base and an interval for
+each, when no facet row bounds both; otherwise each x gives one block, a
+fiber: its base and y's interval. The cells of the coordinate above the
+slab, or of x, run in one tight loop, the slab kernel on a slab: the rows
+that do not move with the cell cut once per loop, the others per cell
+from their residuals, and the blocks' bases are built at C speed. Sums,
+counts and images are taken per block and no point list is kept: a
+weight's terms with at most two factors moving along y in closed form
+from the fiber's length and its sums of y and y^2; on a slab the count
+and both sums along each axis are taken once per block, and every term
+with at most two factors moving along each axis is a product of two such
+forms; the rest run per column and in C-level loops over ranges.
+Completed walks of up to WALK_STORE_BLOCKS blocks in all are kept, least
+recently used first out, keyed by P's vertices, n, strict and the
+enumeration cap, so a dilation an equal polytope walked before under the
+same cap is not walked again.
 
 Membership reads the same cached rows: with the point's and the
 dilation's denominators cleared once, it is one integer dot product per
@@ -541,13 +546,14 @@ def _fibers(frame, n, strict, cap):
     A block (base, xl, xh, yl, yh) stands for the points n*v0 + B y =
     base + x * col + y * e, xl <= x <= xh and yl <= y <= yh, e B's last
     column and col the frame's, base a tuple. One depth-first loop keeps one
-    (depth, ambient base, row sums, lazy cursor) entry per depth open above
-    the last two, so the stack never outgrows d entries. If Q is rectangular,
-    each slab is one block; otherwise a tight loop over x yields one fiber
-    (base at x, 0, 0, yl, yh) per x. A cell is one value a coordinate can take
-    after interval propagation; the generator returns the number of cells it
-    visited and raises EnumerationLimitError once that passes cap, at the
-    count where a walk fiber by fiber would.
+    (depth, ambient base, row sums, cursor) entry per open depth, so the
+    stack never outgrows d entries. The cells t of the last depth it opens
+    run in one tight loop, one block per t: if Q is rectangular, t is the
+    coordinate above x and each t one slab, the slab kernel; otherwise t is x
+    and each t one fiber (base at x, 0, 0, yl, yh). A cell is one value a
+    coordinate can take after interval propagation; the generator returns
+    the number of cells it visited and raises EnumerationLimitError once
+    that passes cap, at the count where a walk fiber by fiber would.
     """
     v0, cols, rows, lo, hi, col = frame
     last, rectangular = len(cols) - 1, any(col)
@@ -560,15 +566,79 @@ def _fibers(frame, n, strict, cap):
         for k in range(last + 1)
     ]
     steps = [[c[k] for c, _, _ in rows] for k in range(last + 1)]
+    # the tight loop runs over the cells t of depth tight; at d = 1, and at d = 2
+    # on a slab, tight is -1 and its one cell t = 0 moves nothing. Of x's rows
+    # and y's, those t leaves alone cut once per loop; the others are kept as
+    # (i, rhs, s, c), s the row's step along t, upper, then lower with -rhs and
+    # -s, as -((-rhs + sum + t*s) // c) = ceil((rhs - sum - t*s) / c) for c < 0,
+    # sum the row's value at t = 0
+    tight = last - 1 - rectangular
+    step = steps[tight]
+    cuts = []
+    for axis in (bounds[last - 1] if rectangular else [], bounds[last]):
+        still, up, down = cut = [], [], []
+        for i, c, r in axis:
+            s = step[i]
+            if not s:
+                still.append((i, c, r))
+            elif c > 0:
+                up.append((i, r, s, c))
+            else:
+                down.append((i, -r, -s, c))
+        cuts.append(cut)
+    (xstill, xup, xdown), (ystill, yup, ydown) = cuts
     visited = 0
-    message = (f"lattice-point enumeration of the {'interior' if strict else 'closed'} "
-               f"dilation n={n} counted {{}} candidate cells, over EHRWT_MAX_POINTS={cap}; "
-               f"raise the cap to allow larger jobs")
-    # the root is the one child of a seed at depth -1 whose cursor holds only 0,
-    # so the column it reads, cols[-1], never moves it
-    stack = [(-1, [n * v for v in v0], [0] * len(rows), iter((0,)))]
+
+    def over(count):
+        return EnumerationLimitError(
+            f"lattice-point enumeration of the {'interior' if strict else 'closed'} "
+            f"dilation n={n} counted {count} candidate cells, over EHRWT_MAX_POINTS={cap}; "
+            f"raise the cap to allow larger jobs")
+
+    # the root is the one child of a seed at depth -1 whose cells hold only 0,
+    # so the column it reads, cols[-1], never moves it; the tight depth's
+    # entry holds the range of its cells, every other one a lazy cursor
+    stack = [(-1, [n * v for v in v0], [0] * len(rows), range(1) if tight < 0 else iter((0,)))]
     while stack:
         k, base, sums, xs = stack[-1]
+        if k == tight:  # off a slab x = 0, and it has no cells
+            stack.pop()
+            xl = xh = 0
+            if rectangular:
+                xf, xe = _interval(lo[last - 1], hi[last - 1], xstill, sums)
+            yf, ye = _interval(lo[last], hi[last], ystill, sums)
+            for t, block in zip(xs, _run(base, cols[k], xs.start, xs.stop - 1)):
+                if rectangular:
+                    xl, xh = xf, xe
+                    for i, r, s, c in xup:
+                        bound = (r - sums[i] - t * s) // c
+                        if bound < xh:
+                            xh = bound
+                    for i, r, s, c in xdown:
+                        bound = -((r + sums[i] - t * s) // c)
+                        if bound > xl:
+                            xl = bound
+                    if xl > xh:
+                        continue
+                    visited += xh - xl + 1
+                    if visited > cap:
+                        raise over(visited)
+                yl, yh = yf, ye
+                for i, r, s, c in yup:
+                    bound = (r - sums[i] - t * s) // c
+                    if bound < yh:
+                        yh = bound
+                for i, r, s, c in ydown:
+                    bound = -((r + sums[i] - t * s) // c)
+                    if bound > yl:
+                        yl = bound
+                width = yh - yl + 1
+                if width > 0:
+                    if visited + (xh - xl + 1) * width > cap:
+                        raise over(visited + ((cap - visited) // width + 1) * width)
+                    visited += (xh - xl + 1) * width
+                    yield block, xl, xh, yl, yh
+            continue
         x = next(xs, None)
         if x is None:
             stack.pop()
@@ -581,45 +651,9 @@ def _fibers(frame, n, strict, cap):
             continue
         visited += high - low + 1
         if visited > cap:
-            raise EnumerationLimitError(message.format(visited))
-        if k < last - 1:
-            stack.append((k, base, sums, iter(range(low, high + 1))))
-            continue
-        if k == last:  # d = 1: the root is the one fiber
-            yield tuple(base), 0, 0, low, high
-            continue
-        if rectangular:  # no row on the last depth reads x: one block
-            first, end = _interval(lo[last], hi[last], bounds[last], sums)
-            width = end - first + 1
-            if width > 0:
-                if visited + (high - low + 1) * width > cap:
-                    raise EnumerationLimitError(
-                        message.format(visited + ((cap - visited) // width + 1) * width))
-                visited += (high - low + 1) * width
-                yield tuple(base), low, high, first, end
-            continue
-        # each cell x of the second-to-last depth gives one fiber, its y bounded by
-        # the rows c*y <= r - x*s, r a row's residual here; where c < 0 the tuple
-        # holds -r and -s, and -((-r + x*s) // c) = ceil((r - x*s) / c)
-        axis, step = cols[k], steps[k]
-        upper = [(rhs - sums[i], step[i], c) for i, c, rhs in bounds[last] if c > 0]
-        lower = [(sums[i] - rhs, -step[i], c) for i, c, rhs in bounds[last] if c < 0]
-        for x in range(low, high + 1):
-            first, end = lo[last], hi[last]
-            for r, s, c in upper:
-                bound = (r - x * s) // c
-                if bound < end:
-                    end = bound
-            for r, s, c in lower:
-                bound = -((r - x * s) // c)
-                if bound > first:
-                    first = bound
-            if first > end:
-                continue
-            visited += end - first + 1
-            if visited > cap:
-                raise EnumerationLimitError(message.format(visited))
-            yield tuple([b + x * e for b, e in zip(base, axis)]), 0, 0, first, end
+            raise over(visited)
+        cells = range(low, high + 1)
+        stack.append((k, base, sums, cells if k == tight else iter(cells)))
     return visited
 
 
@@ -689,18 +723,22 @@ def _walk_fibers(P: LatticePolytope, n: int, strict: bool):
     return col, e, iter(head)
 
 
+def _run(base, step, low, high):
+    """The tuples base + t * step, low <= t <= high, built at C speed."""
+    return zip(*[range(b + low * a, b + (high + 1) * a, a) if a else repeat(b, high - low + 1)
+                 for b, a in zip(base, step)])
+
+
 def _columns(col, blocks):
     """The fibers (base + x * col, 0, 0, yl, yh), xl <= x <= xh, of the blocks."""
-    return ((tuple([b + x * a for b, a in zip(base, col)]), 0, 0, yl, yh)
-            for base, xl, xh, yl, yh in blocks for x in range(xl, xh + 1))
+    return ((column, 0, 0, yl, yh)
+            for base, xl, xh, yl, yh in blocks for column in _run(base, col, xl, xh))
 
 
 def _points(col, e, blocks):
     """The points base + x * col + y * e of the blocks (base, xl, xh, yl, yh), x outer."""
     blocks = _columns(col, blocks) if any(col) else blocks
-    return chain.from_iterable(
-        zip(*[range(b + yl * c, b + (yh + 1) * c, c) if c else repeat(b, yh - yl + 1)
-              for b, c in zip(base, e)]) for base, _, _, yl, yh in blocks)
+    return chain.from_iterable(_run(base, e, yl, yh) for base, _, _, yl, yh in blocks)
 
 
 def _walk_images(P: LatticePolytope, n: int, image) -> int:
@@ -716,17 +754,10 @@ def _walk(P: LatticePolytope, n: int, strict: bool):
     return _points(*_walk_fibers(P, n, strict))
 
 
-def _line(base, run, low, high):
-    """Sum over low <= x <= high of prod(base[i] + x * a), (i, a) in run, at most two."""
-    (bi, ai), (bj, aj) = [(base[i], a) for i, a in run] + [(1, 0)] * (2 - len(run))
-    count = high - low + 1
-    return (count * bi * bj + (bi * aj + bj * ai) * (low + high) * count // 2 + ai * aj * (
-        high * (high + 1) * (2 * high + 1) - (low - 1) * low * (2 * low - 1)) // 6)
-
-
-def _fiber_sum(terms, e, fibers) -> int:
-    """Sum of the terms c * prod(a_i^k), given as (exponents k, int c) pairs, over
-    the points of the fibers (base, 0, 0, low, high) along e.
+def _fiber_sum(terms, e, fibers):
+    """(sum, fibers): the sum of the terms c * prod(a_i^k), given as (exponents k,
+    int c) pairs, over the points of the fibers (base, 0, 0, low, high) along e,
+    and the number of fibers.
 
     Along a fiber a_i = b_i + x * e_i for low <= x <= high, so a coordinate e
     leaves alone is read once from the base. A term with at most two factors
@@ -742,8 +773,9 @@ def _fiber_sum(terms, e, fibers) -> int:
             rest.append((c, fixed, run))
         else:
             (const, linear, quadratic)[len(run)].append((c, fixed, *run, *(e[i] for i in run)))
-    total = 0
+    total = seen = 0
     for base, _, _, low, high in fibers:
+        seen += 1
         count = high - low + 1
         s1 = (low + high) * count // 2
         s2 = (high * (high + 1) * (2 * high + 1) - (low - 1) * low * (2 * low - 1)) // 6
@@ -758,18 +790,23 @@ def _fiber_sum(terms, e, fibers) -> int:
         for c, fixed, run in rest:
             total += c * math.prod(map(base.__getitem__, fixed)) * sum(map(math.prod, zip(*[
                 range(base[i] + low * e[i], base[i] + (high + 1) * e[i], e[i]) for i in run])))
-    return total
+    return total, seen
 
 
-def _walk_sum(P: LatticePolytope, n: int, strict: bool, terms) -> int:
-    """Sum of the terms, as _fiber_sum takes them, over the points of nP (of its
-    relative interior if strict). On a rectangular walk's blocks a term whose
-    factors move along col or e alone, at most two each, sums as a product of
-    two closed forms (_line), and the other terms sum column by column."""
+def _walk_sum(P: LatticePolytope, n: int, strict: bool, terms):
+    """(sum, blocks): the sum of the terms, as _fiber_sum takes them, over the
+    points of nP (of its relative interior if strict), and the number of blocks
+    the walk yielded. On a rectangular walk a term whose factors move along col
+    or e alone, at most two each, sums per block as a product of two closed
+    forms from the block's power sums along each axis, its moving factors
+    padded to two by a factor 1 that no axis moves; the other terms sum column
+    by column, planned once per walk."""
     col, e, blocks = _walk_fibers(P, n, strict)
     if not any(col):
         return _fiber_sum(terms, e, blocks)
-    slab, others, total = [], [], 0
+    # a padded factor reads the 1 after each base, at index s, which no axis moves
+    one, cx, ex = len(col), (*col, 0), (*e, 0)
+    slab, others, total, seen = [], [], 0, 0
     for x, c in terms:
         fixed, xs, ys, both = parts = [], [], [], []
         for i, k in enumerate(x):
@@ -777,14 +814,31 @@ def _walk_sum(P: LatticePolytope, n: int, strict: bool, terms) -> int:
         if both or len(xs) > 2 or len(ys) > 2:
             others.append((x, c))
         else:
-            slab.append((c, fixed, [(i, col[i]) for i in xs], [(i, e[i]) for i in ys]))
-    for base, xl, xh, yl, yh in blocks:
-        for c, fixed, xs, ys in slab:
-            total += c * math.prod(map(base.__getitem__, fixed)) * _line(
-                base, xs, xl, xh) * _line(base, ys, yl, yh)
-        if others:
-            total += _fiber_sum(others, e, _columns(col, [(base, xl, xh, yl, yh)]))
-    return total
+            (i, j), (k, l) = xs + [one] * (2 - len(xs)), ys + [one] * (2 - len(ys))
+            slab.append((c, fixed, i, cx[i], j, cx[j], k, ex[k], l, ex[l]))
+
+    def columns():
+        # sums the slab terms as the blocks pass, and hands each block's columns
+        # on to the one _fiber_sum of the other terms
+        nonlocal total, seen
+        for base, xl, xh, yl, yh in blocks:
+            seen += 1
+            b = (*base, 1)
+            nx, ny = xh - xl + 1, yh - yl + 1
+            sx, sy = (xl + xh) * nx // 2, (yl + yh) * ny // 2
+            qx = (xh * (xh + 1) * (2 * xh + 1) - (xl - 1) * xl * (2 * xl - 1)) // 6
+            qy = (yh * (yh + 1) * (2 * yh + 1) - (yl - 1) * yl * (2 * yl - 1)) // 6
+            for c, fixed, i, ai, j, aj, k, ak, l, al in slab:
+                bi, bj, bk, bl = b[i], b[j], b[k], b[l]
+                total += c * math.prod(map(b.__getitem__, fixed)) * (
+                    nx * bi * bj + (bi * aj + bj * ai) * sx + ai * aj * qx) * (
+                    ny * bk * bl + (bk * al + bl * ak) * sy + ak * al * qy)
+            if others:
+                for column in _run(base, col, xl, xh):
+                    yield column, 0, 0, yl, yh
+
+    rest = _fiber_sum(others, e, columns())[0]
+    return total + rest, seen
 
 
 def dimension(P: LatticePolytope) -> int:

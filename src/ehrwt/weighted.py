@@ -6,9 +6,12 @@ The central object is the polynomial that agrees with
 
 for every nonnegative integer n; its degree is at most dim(P) + deg(w). It is
 interpolated exactly at N = dim+deg+1 nodes, built in _interpolated alone:
-closed walks of nP at n = 1..floor(N/2), and at n = -1..-ceil(N/2) the
-reciprocity value (-1)^dim * sum of w(-x) over relint(|n|P) (Stanley, Adv.
-Math. 14, 1974; Beck-Robins, ch. 4). Closed walks at the reserved points n = 0
+closed walks of nP at n = 1, 2, ..., and at n = -1, -2, ... the reciprocity
+value (-1)^dim * sum of w(-x) over relint(|n|P) (Stanley, Adv. Math. 14,
+1974; Beck-Robins, ch. 4). Closed n = 1 is walked first; each next node comes
+from the side, closed or interior, whose last walk yielded fewer blocks, the
+interior on a tie, so the nodes follow the cheaper walks: the interiors of
+small dilations are small or empty. Closed walks at the reserved points n = 0
 and n = dim+deg+2 validate it, so a silent enumeration or degree-bound failure
 cannot slip through. Lifts give a second, independent route for weights of
 degree at most one; their coefficients and offsets follow polynomials' rational
@@ -70,7 +73,7 @@ __all__ = [
 
 
 def _sum(P: LatticePolytope, w: WeightPoly, n: int, strict: bool) -> Fraction:
-    return Fraction(_walk_sum(P, n, strict, w._num.items()), w._den)
+    return Fraction(_walk_sum(P, n, strict, w._num.items())[0], w._den)
 
 
 def weighted_sum(P: LatticePolytope, w: WeightPoly, n: int) -> Fraction:
@@ -84,15 +87,20 @@ def weighted_sum(P: LatticePolytope, w: WeightPoly, n: int) -> Fraction:
 
 def _interpolated(P: LatticePolytope, w: WeightPoly, reciprocal: bool) -> UniPoly:
     """The counting polynomial of a nonzero w through N = dim+deg+1 nodes: closed
-    walks at n = 1..N, or if reciprocal at n = 1..N//2 and interior walks at
-    n = -1..-(N - N//2); then probed by closed walks. Node sums are interpolated
-    as integers over w's denominator, divided once."""
-    count = P.dim + w.degree + 1
-    closed = count // 2 if reciprocal else count
-    nodes = [*range(1, closed + 1), *range(-1, closed - count - 1, -1)]
+    walks at n = 1..N, or if reciprocal closed walks at n = 1, 2, ... and
+    interior walks at n = -1, -2, ..., one node at a time: closed n = 1 first,
+    then the next node of the side whose last walk yielded fewer blocks, the
+    interior side on a tie or before its first walk. Then probed by closed
+    walks. Node sums are interpolated as integers over w's denominator, divided once."""
     terms = w._num.items()
     reflected = [(e, (-1) ** (P.dim + sum(e)) * c) for e, c in terms]
-    samples = [(n, _walk_sum(P, abs(n), n < 0, terms if n > 0 else reflected)) for n in nodes]
+    walked, samples = {False: [0, 0], True: [0, 0]}, []  # per side: its last n, blocks
+    for _ in range(P.dim + w.degree + 1):
+        strict = reciprocal and bool(samples) and walked[True][1] <= walked[False][1]
+        side = walked[strict]
+        side[0] += 1
+        value, side[1] = _walk_sum(P, side[0], strict, reflected if strict else terms)
+        samples.append((-side[0] if strict else side[0], value))
     poly = lagrange_interpolate(samples) * Fraction(1, w._den)
     for probe in (0, P.dim + w.degree + 2):
         value, enumerated = poly(probe), _sum(P, w, probe, False)
@@ -111,9 +119,10 @@ def _interpolated(P: LatticePolytope, w: WeightPoly, reciprocal: bool) -> UniPol
 def weighted_ehrhart_polynomial(P: LatticePolytope, w: WeightPoly) -> UniPoly:
     """The polynomial matching n -> weighted_sum(P, w, n) on all n >= 0.
 
-    Of its N = dim+deg+1 nodes, n = 1..floor(N/2) are closed walks and
-    n = -1..-ceil(N/2) are interior walks of the small dilations |n|P,
-    by reciprocity. Cross-checked by closed walks at n = 0 and
+    Its N = dim+deg+1 nodes are closed walks of nP at n = 1, 2, ... and,
+    by reciprocity, interior walks of |n|P at n = -1, -2, ...: after closed
+    n = 1, each next node comes from the side whose last walk yielded fewer
+    blocks, the interior on a tie. Cross-checked by closed walks at n = 0 and
     n = dim+deg+2; a mismatch raises ConsistencyError because it can
     only mean a broken degree bound or a broken enumerator.
     """

@@ -9,6 +9,7 @@ import threading
 import tracemalloc
 from fractions import Fraction
 from itertools import chain, islice, permutations, product
+from operator import sub
 from unittest.mock import patch
 
 import pytest
@@ -688,6 +689,14 @@ def _assert_walk_matches_the_recursive_walk(frame, n, strict, caps):
         assert message == oracle and points == expected[:len(points)], cap
 
 
+# a permutation of criterion 3 whose rows read (-2, -2, -2, 0, 2) and
+# (-2, -2, -2, 2, 0) in Q: x's and y's rows that move with the slab kernel's
+# cells carry 2, and their step along the cells is -2
+CRITERION3_PERMUTED = [tuple(v[j] for j in (0, 1, 3, 2, 5, 6, 4)) for v in CRITERION3]
+# the prism [0,2] x the triangle (0,0), (3,0), (0,2), its interval last in Z^3
+PRISM_OVER_TRIANGLE = [(b, c, a) for a in (0, 2) for b, c in [(0, 0), (3, 0), (0, 2)]]
+
+
 @pytest.mark.parametrize("points, n, strict, rectangular", [
     (CRITERION3, 3, False, True),
     (list(product((0, 1), repeat=3)), 2, False, True),
@@ -695,14 +704,25 @@ def _assert_walk_matches_the_recursive_walk(frame, n, strict, caps):
     (BOX, 3, True, True),
     (TRIANGLE_IN_PLANE, 2, False, False),
     (RIGHT_TRIANGLE, 2, True, False),
+    (CRITERION3, 7, True, True),
+    (CRITERION3_PERMUTED, 3, False, True),
+    (CRITERION3_PERMUTED, 7, True, True),
+    (PRISM_OVER_TRIANGLE, 2, False, True),
+    (PRISM_OVER_TRIANGLE, 3, True, True),
 ])
 def test_blocks_match_the_recursive_walk_at_every_cap(points, n, strict, rectangular):
     # a rectangular frame yields blocks of several columns, any other one fiber
-    # per block; every cap from 1 up to the cell count is compared
+    # per block. Each rectangular frame here has d >= 3, and a range of the
+    # slab kernel's cells, the values of the third-to-last coordinate, holds
+    # more than one value, so two blocks in a row are one step of that
+    # coordinate's column apart. Every cap from 1 up to the cell count is compared
     frame = _frame(_lattice_coordinates(LatticePolytope(points)))
     blocks = list(_fibers(frame, n, strict, math.inf))
     assert any(xl < xh for _, xl, xh, _, _ in blocks) == rectangular
     assert rectangular or all(xl == xh == 0 for _, xl, xh, _, _ in blocks)
+    if rectangular:
+        above = frame[1][-3]
+        assert any(tuple(map(sub, b[0], a[0])) == above for a, b in zip(blocks, blocks[1:]))
     _assert_walk_matches_the_recursive_walk(frame, n, strict, lambda count: range(1, count + 1))
 
 
@@ -756,7 +776,9 @@ def images_and_weights(draw):
 def test_walk_sum_matches_the_pointwise_sum(case, n, strict):
     points, w = case
     P = LatticePolytope(points)
-    assert _walk_sum(P, n, strict, w._num.items()) == pointwise_sum(P, w, n, strict)
+    total, blocks = _walk_sum(P, n, strict, w._num.items())
+    assert total == pointwise_sum(P, w, n, strict)
+    assert blocks == sum(1 for _ in geometry._walk_fibers(P, n, strict)[2])  # the walk's own count
 
 
 @pytest.mark.parametrize("N, points", [
@@ -775,11 +797,11 @@ def test_walk_sum_memory_does_not_grow_with_a_fiber_or_a_width(N, points):
     S1, S2 = N * (N + 1) // 2, N * (N + 1) * (2 * N + 1) // 6
     w = WeightPoly(2, {(1, 1): 1, (0, 2): -3, (0, 0): Fraction(1, 2)})
     P = LatticePolytope(points)
-    first = _walk_sum(P, 1, False, w._num.items())
+    first = _walk_sum(P, 1, False, w._num.items())[0]
     geometry._walk_store.clear()
     tracemalloc.start()
     try:
-        total = _walk_sum(P, 1, False, w._num.items())
+        total = _walk_sum(P, 1, False, w._num.items())[0]
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -798,7 +820,7 @@ def test_column_by_column_sums_keep_no_column_list():
     geometry._walk_store.clear()
     tracemalloc.start()
     try:
-        total = _walk_sum(P, 1, False, terms)
+        total = _walk_sum(P, 1, False, terms)[0]
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -830,7 +852,7 @@ def test_closed_form_fiber_sums_match_the_box_scan(points, n, strict, e, weight,
     _, walked, blocks = geometry._walk_fibers(P, n, strict)
     assert walked == e and (store is None or len(list(blocks)) > store)
     geometry._walk_store.clear()
-    total = _walk_sum(P, n, strict, w._num.items())
+    total = _walk_sum(P, n, strict, w._num.items())[0]
     assert ((P.vertices, n, strict, geometry._enumeration_cap()) in geometry._walk_store) \
         == (store is None)
     assert Fraction(total, w._den) == box_weighted_sum(points, w, n, interior=strict)
@@ -854,7 +876,7 @@ def test_stored_walks_equal_fresh_ones(case, n, strict):
             == (blocks < geometry.WALK_STORE_BLOCKS)
     warm = _walk_sum(LatticePolytope(points), n, strict, terms)
     geometry._walk_store.clear()
-    assert cold == warm == pointwise_sum(P, w, n, strict)
+    assert cold == warm and cold[0] == pointwise_sum(P, w, n, strict)
 
     # vertices shifted into the orthant, for the image count
     shifted = [tuple(c - m for c, m in zip(v, map(min, zip(*points)))) for v in points]

@@ -351,22 +351,27 @@ def test_lagrange_reproduces_samples_random():
             assert fit(x) == y
 
 
-def _weighted_nodes(count):
-    # the nodes of weighted_ehrhart_polynomial: 1..floor(N/2), -1..-ceil(N/2)
-    return [*range(1, count // 2 + 1), *range(-1, count // 2 - count - 1, -1)]
+def _weighted_nodes(count, closed):
+    # nodes as weighted_ehrhart_polynomial takes them: closed walks at
+    # 1..closed, interior walks at -1..-(count - closed). The split follows
+    # the walks' block counts: on a segment, closed 1 and then interior walks
+    # of one fiber each; on criterion 3 under t1*...*t7, closed 1..4 of 13
+    return [*range(1, closed + 1), *range(-1, closed - count - 1, -1)]
 
 
 _abscissae = st.one_of(
     st.lists(st.fractions(-40, 40, max_denominator=12), min_size=1, max_size=70, unique=True),
     st.lists(st.integers(-100, 100), min_size=1, max_size=70, unique=True),
-    st.integers(1, 70).map(_weighted_nodes),
+    st.integers(1, 70).flatmap(
+        lambda count: st.integers(1, count).map(lambda closed: _weighted_nodes(count, closed))),
 )
 
 
 @settings(max_examples=50, deadline=None)
 @given(_abscissae, st.lists(st.fractions(-10**6, 10**6, max_denominator=100),
                             min_size=70, max_size=70))
-@example(_weighted_nodes(70), [F(k**64) for k in range(70)])
+@example(_weighted_nodes(70, 35), [F(k**64) for k in range(70)])
+@example(_weighted_nodes(70, 1), [F(k**64) for k in range(70)])
 @example([F(1, 2), F(-1, 3), F(5, 7)], [F(1), F(2, 5), F(-3)])
 def test_lagrange_matches_newton_divided_differences(xs, ys):
     samples = list(zip(xs, ys))

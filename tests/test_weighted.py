@@ -47,7 +47,7 @@ from oracles import (
     random_weight_terms,
     term_value,
 )
-from test_geometry import small_affine_images
+from test_geometry import CRITERION3, small_affine_images
 
 SQUARE = LatticePolytope([(0, 0), (1, 0), (0, 1), (1, 1)])
 TRIANGLE = LatticePolytope([(1, 0), (0, 1), (1, 1)])
@@ -235,10 +235,13 @@ def images_and_weights(draw):
 @example(([(0, 1, 1), (1, 0, 1), (1, 1, 0)], parse_weight("t1^2 - 1/2*t3", 3)))
 @example(([(2, -1)], parse_weight("t1^3 + 1/2", 2)))  # dimension 0
 def test_reciprocity_nodes_match_closed_nodes(case):
-    # half the nodes come from interior walks of w(-x), signed by (-1)^dim
+    # some nodes come from interior walks of w(-x), signed by (-1)^dim; the
+    # library's closed-only route agrees too
     points, w = case
     P = LatticePolytope(points)
-    assert weighted_ehrhart_polynomial(P, w) == closed_node_polynomial(P, w)
+    poly = weighted_ehrhart_polynomial(P, w)
+    assert poly == closed_node_polynomial(P, w)
+    assert w.is_zero or poly == _interpolated(P, w, True) == _interpolated(P, w, False)
 
 
 @st.composite
@@ -319,10 +322,34 @@ def test_checks_do_not_read_the_interior_nodes(monkeypatch):
         weighted_ehrhart_polynomial(P, w)
 
 
+def test_node_order_follows_the_cheaper_walks(monkeypatch):
+    # criterion 3 under t1*...*t7 has 13 nodes. The interiors of 1P..4P are
+    # empty and relint(nP) walks as many blocks as closed (n - 5)P, so after
+    # closed 1P (4 blocks) the interior side leads until its walk yields more
+    # blocks than the closed side's last, and ties go to the interior: closed
+    # 1..4 and interior 1..9, 139 blocks, where closed 1..6 and interior 1..7
+    # took 224. The probes at 0 and 14 follow
+    import ehrwt.weighted as wmod
+
+    walk_sum, calls = wmod._walk_sum, []
+
+    def spy(P, n, strict, terms):
+        calls.append((n, strict))
+        return walk_sum(P, n, strict, terms)
+
+    monkeypatch.setattr(wmod, "_walk_sum", spy)
+    P = LatticePolytope(CRITERION3)
+    weighted_ehrhart_polynomial.cache_clear()
+    weighted_ehrhart_polynomial(P, parse_weight("t1*t2*t3*t4*t5*t6*t7", 7))
+    assert calls == [(1, False), *((n, True) for n in range(1, 8)), (2, False), (8, True),
+                     (3, False), (9, True), (4, False), (0, False), (14, False)]
+
+
 def test_criterion_three_walks_stay_small(monkeypatch):
-    # points walked per polynomial: closed nodes 1..6 (1..3 for the plain
-    # count), interior nodes of 1P..7P (1P..3P) and the two closed probes;
-    # closed walks at every node took 65,892 and 2,640. The cells the walk
+    # points walked per polynomial: closed nodes 1..4 (1 for the plain count),
+    # interior nodes of 1P..9P (1P..5P) and the two closed probes; closed
+    # walks at every node took 65,892 and 2,640, and the halves, closed 1..6
+    # and interior 1..7 (1..3 each), 21,617 and 1,366. The cells the walk
     # core visits from an empty walk store pin its order and Q's reduced
     # coordinates; after the weighted polynomial, the plain count finds its
     # nodes stored and walks only its probe 7P
@@ -358,10 +385,10 @@ def test_criterion_three_walks_stay_small(monkeypatch):
     squares = Graph(7, [(1, 2), (1, 4), (2, 3), (3, 4), (5, 6), (5, 7), (6, 7)])
     P = edge_polytope(squares)
     w = parse_weight("t1*t2*t3*t4*t5*t6*t7", 7)
-    assert measured(weighted_ehrhart_polynomial, P, w) == (21_617, 26_383)
-    assert measured(ehrhart_polynomial, P) == (1_366, 1_980)
+    assert measured(weighted_ehrhart_polynomial, P, w) == (20_784, 25_272)
+    assert measured(ehrhart_polynomial, P) == (1_263, 1_796)
     measured(weighted_ehrhart_polynomial, P, w)
-    assert measured(ehrhart_polynomial, P, warm=True) == (1_366, 1_748)
+    assert measured(ehrhart_polynomial, P, warm=True) == (1_263, 1_748)
 
 
 # ---------------------------------------------------------------- series
