@@ -39,12 +39,12 @@ fiber: its base and y's interval. The cells of the coordinate above the
 slab, or of x, run in one tight loop, the slab kernel on a slab: the rows
 that do not move with the cell cut once per loop, the others per cell
 from their residuals, and the blocks' bases are built at C speed. Sums,
-counts and images are taken per block and no point list is kept: a
-weight's terms with at most two factors moving along y in closed form
-from the fiber's length and its sums of y and y^2; on a slab the count
-and both sums along each axis are taken once per block, and every term
-with at most two factors moving along each axis is a product of two such
-forms; the rest run per column and in C-level loops over ranges.
+counts and images are taken per block and no point list is kept. One
+kernel sums a weight over every block, fiber or slab, from one plan per
+walk: a term with at most two factors moving along each of x and y is a
+product of two closed forms, each from the block's count and sums of t
+and t^2 along its axis; the other terms run column by column through the
+same kernel, and there in C-level loops over ranges.
 Completed walks of up to WALK_STORE_BLOCKS blocks in all are kept, least
 recently used first out, keyed by P's vertices, n, strict and the
 enumeration cap, so a dilation an equal polytope walked before under the
@@ -754,91 +754,84 @@ def _walk(P: LatticePolytope, n: int, strict: bool):
     return _points(*_walk_fibers(P, n, strict))
 
 
-def _fiber_sum(terms, e, fibers):
-    """(sum, fibers): the sum of the terms c * prod(a_i^k), given as (exponents k,
-    int c) pairs, over the points of the fibers (base, 0, 0, low, high) along e,
-    and the number of fibers.
+def _block_sum(terms, col, e, blocks):
+    """(sum, blocks): the sum of the terms c * prod(a_i^k), given as (exponents k,
+    int c) pairs, over the points a = base + x * col + y * e of the blocks
+    (base, xl, xh, yl, yh), and the number of blocks.
 
-    Along a fiber a_i = b_i + x * e_i for low <= x <= high, so a coordinate e
-    leaves alone is read once from the base. A term with at most two factors
-    that move is summed in closed form from the fiber's length, S1 = sum x and
-    S2 = sum x^2 = F(high) - F(low - 1), F(m) = m(m+1)(2m+1)/6 an integer for
-    every integer m; a term with more runs along the ranges.
+    One plan per walk splits each term's factors into the fixed ones, which
+    neither axis moves and which are read once from the base, and those that
+    move along col alone or along e alone. A term with at most two moving
+    factors along each axis sums over a block, fiber or slab, as
+    c * prod(fixed) * X * Y. Along an axis t runs from low to high, and the
+    factors b_i + t * a_i and b_j + t * a_j, padded to two by a factor 1 that no
+    axis moves, give count * b_i * b_j + (b_i * a_j + b_j * a_i) * S1 + a_i * a_j * S2,
+    with S1 = sum t and S2 = sum t^2 = F(high) - F(low - 1), F(m) = m(m+1)(2m+1)/6
+    an integer for every integer m. The other terms sum column by column through
+    this same function with col = 0, where a term with more than two factors
+    along e runs along C-level ranges.
     """
-    const, linear, quadratic, rest = [], [], [], []
-    for x, c in terms:
-        factors = [i for i, k in enumerate(x) for _ in range(k)]
-        fixed, run = [i for i in factors if not e[i]], [i for i in factors if e[i]]
-        if len(run) > 2:
-            rest.append((c, fixed, run))
-        else:
-            (const, linear, quadratic)[len(run)].append((c, fixed, *run, *(e[i] for i in run)))
-    total = seen = 0
-    for base, _, _, low, high in fibers:
-        seen += 1
-        count = high - low + 1
-        s1 = (low + high) * count // 2
-        s2 = (high * (high + 1) * (2 * high + 1) - (low - 1) * low * (2 * low - 1)) // 6
-        for c, fixed in const:
-            total += c * math.prod(map(base.__getitem__, fixed)) * count
-        for c, fixed, i, ei in linear:
-            total += c * math.prod(map(base.__getitem__, fixed)) * (count * base[i] + ei * s1)
-        for c, fixed, i, j, ei, ej in quadratic:
-            bi, bj = base[i], base[j]
-            total += c * math.prod(map(base.__getitem__, fixed)) * (
-                count * bi * bj + (bi * ej + bj * ei) * s1 + ei * ej * s2)
-        for c, fixed, run in rest:
-            total += c * math.prod(map(base.__getitem__, fixed)) * sum(map(math.prod, zip(*[
-                range(base[i] + low * e[i], base[i] + (high + 1) * e[i], e[i]) for i in run])))
-    return total, seen
-
-
-def _walk_sum(P: LatticePolytope, n: int, strict: bool, terms):
-    """(sum, blocks): the sum of the terms, as _fiber_sum takes them, over the
-    points of nP (of its relative interior if strict), and the number of blocks
-    the walk yielded. On a rectangular walk a term whose factors move along col
-    or e alone, at most two each, sums per block as a product of two closed
-    forms from the block's power sums along each axis, its moving factors
-    padded to two by a factor 1 that no axis moves; the other terms sum column
-    by column, planned once per walk."""
-    col, e, blocks = _walk_fibers(P, n, strict)
-    if not any(col):
-        return _fiber_sum(terms, e, blocks)
-    # a padded factor reads the 1 after each base, at index s, which no axis moves
-    one, cx, ex = len(col), (*col, 0), (*e, 0)
-    slab, others, total, seen = [], [], 0, 0
+    # a padded factor reads the 1 after each base, at index s
+    one = len(e)
+    flat, closed, ranged, others = [], [], [], []
     for x, c in terms:
         fixed, xs, ys, both = parts = [], [], [], []
         for i, k in enumerate(x):
-            parts[(col[i] != 0) + 2 * (e[i] != 0)].extend([i] * k)
+            if k:
+                parts[(col[i] != 0) + 2 * (e[i] != 0)].extend([i] * k)
         if both or len(xs) > 2 or len(ys) > 2:
-            others.append((x, c))
-        else:
+            if any(col):
+                others.append((x, c))
+            else:
+                ranged.append((c, fixed + ys))
+        elif xs or ys:
             (i, j), (k, l) = xs + [one] * (2 - len(xs)), ys + [one] * (2 - len(ys))
-            slab.append((c, fixed, i, cx[i], j, cx[j], k, ex[k], l, ex[l]))
+            ai, aj = col[i] if xs else 0, col[j] if xs[1:] else 0
+            ak, al = e[k] if ys else 0, e[l] if ys[1:] else 0
+            closed.append((c, fixed, i, ai, j, aj, ai * aj, k, ak, l, al, ak * al))
+        else:
+            flat.append((c, fixed))
+    total = seen = 0
 
-    def columns():
-        # sums the slab terms as the blocks pass, and hands each block's columns
-        # on to the one _fiber_sum of the other terms
+    def summed():
+        # sums each block as it passes and, if any term goes column by column,
+        # hands the block on to that route
         nonlocal total, seen
         for base, xl, xh, yl, yh in blocks:
             seen += 1
-            b = (*base, 1)
             nx, ny = xh - xl + 1, yh - yl + 1
-            sx, sy = (xl + xh) * nx // 2, (yl + yh) * ny // 2
-            qx = (xh * (xh + 1) * (2 * xh + 1) - (xl - 1) * xl * (2 * xl - 1)) // 6
-            qy = (yh * (yh + 1) * (2 * yh + 1) - (yl - 1) * yl * (2 * yl - 1)) // 6
-            for c, fixed, i, ai, j, aj, k, ak, l, al in slab:
-                bi, bj, bk, bl = b[i], b[j], b[k], b[l]
-                total += c * math.prod(map(b.__getitem__, fixed)) * (
-                    nx * bi * bj + (bi * aj + bj * ai) * sx + ai * aj * qx) * (
-                    ny * bk * bl + (bk * al + bl * ak) * sy + ak * al * qy)
+            for c, fixed in flat:
+                total += c * math.prod(map(base.__getitem__, fixed)) * nx * ny
+            if closed:
+                b = (*base, 1)
+                sx, sy = (xl + xh) * nx // 2, (yl + yh) * ny // 2
+                # X is the count for a term with no factor moving along col, and
+                # one column has S2 = xl^2, so a fiber's X takes next to no work
+                qx = xl * xl if nx == 1 else (
+                    xh * (xh + 1) * (2 * xh + 1) - (xl - 1) * xl * (2 * xl - 1)) // 6
+                qy = (yh * (yh + 1) * (2 * yh + 1) - (yl - 1) * yl * (2 * yl - 1)) // 6
+                for c, fixed, i, ai, j, aj, aij, k, ak, l, al, akl in closed:
+                    bk, bl = b[k], b[l]
+                    total += c * math.prod(map(b.__getitem__, fixed)) * (
+                        nx if i == one else nx * b[i] * b[j] + (b[i] * aj + b[j] * ai) * sx
+                        + aij * qx) * (ny * bk * bl + (bk * al + bl * ak) * sy + akl * qy)
+            for c, factors in ranged:
+                total += c * sum(map(math.prod, _run(
+                    map(base.__getitem__, factors), map(e.__getitem__, factors), yl, yh)))
             if others:
-                for column in _run(base, col, xl, xh):
-                    yield column, 0, 0, yl, yh
+                yield base, xl, xh, yl, yh
 
-    rest = _fiber_sum(others, e, columns())[0]
+    if not others:
+        next(summed(), None)
+        return total, seen
+    rest = _block_sum(others, (0,) * len(col), e, _columns(col, summed()))[0]
     return total + rest, seen
+
+
+def _walk_sum(P: LatticePolytope, n: int, strict: bool, terms):
+    """(sum, blocks): _block_sum of the terms over the blocks of nP (of its
+    relative interior if strict), and the number of blocks the walk yielded."""
+    return _block_sum(terms, *_walk_fibers(P, n, strict))
 
 
 def dimension(P: LatticePolytope) -> int:

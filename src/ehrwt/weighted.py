@@ -19,10 +19,10 @@ rule. The checks read the polynomial at negative integers: the reciprocity
 check interpolates from the closed nodes n = 1..N only; the root-vanishing
 check does so for the plain count, while its weighted count is the
 reciprocity-node polynomial, validated by its closed probes. Each sum is taken
-per block of the walk, a fiber or a rectangular slab of fibers, in integers over
-w's denominator. The walks come through geometry's bounded walk store, so the
-other weights, the plain count and the checks on one polytope read the small
-dilations that an earlier request walked, rather than walking them again.
+by geometry's one block kernel, fibers and rectangular slabs alike, in integers
+over w's denominator. The walks come through geometry's bounded walk store, so
+the other weights, the plain count and the checks on one polytope read the
+small dilations that an earlier request walked, rather than walking them again.
 """
 
 from __future__ import annotations

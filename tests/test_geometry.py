@@ -766,9 +766,10 @@ def images_and_weights(draw):
 @example(([(2, 5), (2, 5)], WeightPoly(2, {(0, 6): Fraction(1, 2), (3, 0): -1})), 0, False)
 @example(([(0, 0), (1, 0), (0, 5), (1, 5)],
           WeightPoly(2, {(1, 6): 3, (2, 0): Fraction(-1, 4)})), 4, False)
-# blocks: two factors along each axis make a product of two closed forms;
-# three along col, or along e, run column by column; t3 moves with both col
-# and e in the sheared square; the prism's one-column slab at x = 1
+# slabs, summed by the one block kernel: two factors along each axis make a
+# product of two closed forms; three along col, or along e, and t3 in the
+# sheared square, which moves with both col and e, go column by column through
+# the same kernel with col = 0; the prism's one-column slab at x = 1
 @example((BOX, WeightPoly(3, {(2, 2, 1): 3, (1, 0, 0): Fraction(-1, 2)})), 2, False)
 @example((BOX, WeightPoly(3, {(3, 1, 0): 1, (0, 3, 1): -2, (0, 0, 0): 5})), 2, True)
 @example((SHEARED_SQUARE, WeightPoly(3, {(0, 0, 2): 1, (1, 1, 0): 2})), 2, False)
@@ -841,11 +842,16 @@ def test_column_by_column_sums_keep_no_column_list():
     (TRIANGLE_IN_PLANE, 2, True, (-1, 1, 0), {(2, 1, 0): -1, (0, 2, 1): 1}, None),
     # a streamed walk: twelve fibers, over a store budget of four
     (RIGHT_TRIANGLE, 2, True, (0, 1), {(2, 1): 1, (0, 2): -2, (1, 0): 1, (0, 0): -1}, 4),
+    # a streamed slab walk: four blocks, over a store budget of two, so one
+    # stream feeds both the slab sums of -2*t1*t2*t3 and 5 and the column route
+    # of t1^3*t2^3, which runs along ranges in each column
+    (BOX, 3, False, (0, 1, 0), {(3, 3, 0): 1, (1, 1, 1): -2, (0, 0, 0): 5}, 2),
 ])
 def test_closed_form_fiber_sums_match_the_box_scan(points, n, strict, e, weight, store,
                                                    monkeypatch):
-    # each fiber sum of moving degree <= 2 is taken from count, S1 and S2; the
-    # box scan sums the weight point by point, independently of the walk
+    # each block sum of moving degree <= 2 along an axis is taken from count, S1
+    # and S2 along it; the box scan sums the weight point by point, independently
+    # of the walk
     if store is not None:
         monkeypatch.setattr(geometry, "WALK_STORE_BLOCKS", store)
     P, w = LatticePolytope(points), WeightPoly(len(points[0]), weight)
