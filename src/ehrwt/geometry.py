@@ -1,24 +1,28 @@
 """Exact polyhedral geometry over the integer lattice.
 
 Polytopes are given by integer vertex lists, and the H-representation
-is recovered without fractions. One fraction-free Gauss-Jordan
-elimination (Bareiss) does all of its linear algebra: the affine hull
-is the integer kernel of the vertex differences' echelon form, an
-affine rank is its pivot count, and the hull equations' pivots fix the
-coordinates left free. The facets come from an incremental double
-description on integer rows in those free coordinates. Its starting
-simplex comes from one elimination of the points' differences from the
-first point with the identity appended: the pivot columns pick the
-simplex's other points, and the appended block holds its facet normals.
-Each point outside the current hull replaces the rows it violates by
-positive combinations with the rows it satisfies strictly, for pairs
-with no third row tight wherever both are (Fukuda and Prodon's
-combinatorial test, valid as the rows are exactly the facets of the hull
-so far). Each row carries the points tight at it as a bitmask, so a new
-row's tight set is its parents' common one plus the new point, and no
-tight set is recomputed. An integer invariant check with the tight sets
-taken afresh from the vertices raises ConsistencyError unless each final
-row is a distinct facet; a missing facet goes unnoticed.
+is recovered without fractions. One fraction-free elimination step
+(Bareiss) does all of its linear algebra, and a row with 0 in the pivot
+column is only rescaled. Run as Gauss-Jordan elimination, it gives the
+affine hull as the integer kernel of the vertex differences' reduced
+echelon form, and the hull equations' pivots fix the coordinates left
+free; an affine rank is the pivot count of a forward elimination, which
+clears only the rows below each pivot. The facets come from an
+incremental double description on integer rows in those free
+coordinates. Its starting simplex comes from one elimination of the
+points' differences from the first point with the identity appended:
+the pivot columns pick the simplex's other points, and the appended
+block holds its facet normals. Each point outside the current hull
+replaces the rows it violates by positive combinations with the rows it
+satisfies strictly, for pairs with no third row tight wherever both are
+(Fukuda and Prodon's combinatorial test, valid as the rows are exactly
+the facets of the hull so far); the simplex's own points satisfy every
+row and are not tried. Each row carries the points tight at it as a
+bitmask, so a new row's tight set is its parents' common one plus the
+new point, and no tight set is recomputed. An integer invariant check,
+one pass over the vertices per row with the tight sets taken afresh
+from them, raises ConsistencyError unless each final row is a distinct
+facet; a missing facet goes unnoticed.
 
 The lattice points of a dilation come from one walk in a lattice basis
 of the affine hull: with v0 a vertex and the columns of B a reduced
@@ -50,9 +54,9 @@ recently used first out, keyed by P's vertices, n, strict and the
 enumeration cap, so a dilation an equal polytope walked before under the
 same cap is not walked again.
 
-Membership reads the same cached rows: with the point's and the
-dilation's denominators cleared once, it is one integer dot product per
-hull equation and facet row.
+Membership reads the same cached rows: an int point at an int dilation is
+taken as it is, any other has its denominators cleared once, and then it is
+one integer dot product per hull equation and facet row.
 """
 
 from __future__ import annotations
@@ -62,7 +66,7 @@ import os
 import threading
 from collections import OrderedDict
 from itertools import chain, islice, repeat
-from operator import mul
+from operator import mul, sub
 from typing import Iterable, Sequence
 
 from .errors import ConsistencyError, EnumerationLimitError
@@ -207,42 +211,51 @@ class Graph:
         return f"Graph({self._n}, {list(self._edges)!r})"
 
 
-def _pivot(mat, r, col, prev):
-    """One fraction-free Gauss-Jordan step on row r and column col; returns the new pivot.
+def _pivot(mat, r, col, prev, forward=False):
+    """One fraction-free step on row r and column col; returns the new pivot.
 
-    Every other row loses its entry in col by (p*a - f*b) // prev, where
-    p is the pivot and prev the one before it (1 at the start). Bareiss's
-    update keeps each entry an integer minor of the input, so each
-    division is exact; row r stays as it is.
+    Every other row (every row below r if forward) loses its entry in col
+    by (p*a - f*b) // prev, where p is the pivot and prev the one before it
+    (1 at the start). Bareiss's update keeps each entry an integer minor of
+    the input, so each division is exact; a row with f = 0 is only rescaled
+    by p*a // prev, and left alone when p == prev; row r stays as it is.
     """
     top = mat[r]
     p = top[col]
-    for i, row in enumerate(mat):
-        if i != r:
-            f = row[col]
-            mat[i] = [(p * a - f * b) // prev for a, b in zip(row, top)]
+    for i in range(r + 1 if forward else 0, len(mat)):
+        row = mat[i]
+        f = row[col]
+        if f:
+            if i != r:
+                mat[i] = [(p * a - f * b) // prev for a, b in zip(row, top)]
+        elif p != prev:
+            mat[i] = [p * a // prev for a in row]
     return p
 
 
-def _echelon(rows):
+def _echelon(rows, forward=False):
     """Fraction-free Gauss-Jordan elimination; returns (nonzero rows, pivot columns).
 
     Every returned row holds the last pivot on its own pivot column and
     0 on the other pivot columns: divided by that pivot, the rows are
-    the reduced row echelon form.
+    the reduced row echelon form. If forward, each step clears only the
+    rows below its pivot: the pivot columns are the same, and the rows an
+    echelon form that is not reduced.
     """
     mat = [list(r) for r in rows]
     pivots = []
     prev = 1
     for col in range(len(mat[0]) if mat else 0):
         r = len(pivots)
-        pivot = next((i for i in range(r, len(mat)) if mat[i][col] != 0), None)
-        if pivot is None:
+        for i in range(r, len(mat)):
+            if mat[i][col]:
+                break
+        else:
             continue
-        mat[r], mat[pivot] = mat[pivot], mat[r]
-        prev = _pivot(mat, r, col, prev)
+        mat[r], mat[i] = mat[i], mat[r]
+        prev = _pivot(mat, r, col, prev, forward)
         pivots.append(col)
-        if len(pivots) == len(mat):
+        if r + 1 == len(mat):
             break
     return mat[: len(pivots)], pivots
 
@@ -284,33 +297,36 @@ def _affine_hull(vertices):
 
 
 def _affine_rank(points) -> int:
-    """Affine dimension of an integer point list; -1 when the list is empty."""
+    """Affine dimension of an integer point list, the pivot count of a forward
+    elimination of its differences; -1 when the list is empty."""
     if not points:
         return -1
     base = points[0]
-    return len(_echelon([[a - b for a, b in zip(p, base)] for p in points[1:]])[1])
+    return len(_echelon([map(sub, p, base) for p in points[1:]], True)[1])
 
 
 def _check_facets(P, rows):
     """Raise ConsistencyError unless each row is a distinct facet of P.
 
-    Every vertex must satisfy every row, the vertices tight at a row
-    must span dim(P) - 1 dimensions, and no normal may occur twice; a
-    facet of P with no row is not detected.
+    One pass over the vertices per row raises on a vertex that breaks it
+    and collects the vertices tight at it, whose affine rank must be
+    dim(P) - 1; no normal may occur twice. The tight sets are taken from
+    the vertices, not from the double description's masks; a facet of P
+    with no row is not detected.
     """
-    normals = set()
+    vertices, rank, normals = P.vertices, P.dim - 1, set()
     for row, rhs in rows:
         tight = []
-        for v in P.vertices:
+        for v in vertices:
             value = sum(map(mul, row, v))
             if value > rhs:
                 raise ConsistencyError(f"facet row {row} <= {rhs} is violated by vertex {v}")
             if value == rhs:
                 tight.append(v)
-        if _affine_rank(tight) != P.dim - 1:
+        if _affine_rank(tight) != rank:
             raise ConsistencyError(
                 f"row {row} <= {rhs} is not a facet: its tight vertices {tight} "
-                f"do not span dimension {P.dim - 1}"
+                f"do not span dimension {rank}"
             )
         if row in normals:
             raise ConsistencyError(f"facet normal {row} occurs in more than one row")
@@ -351,7 +367,8 @@ def _facet_inequalities(P):
     rows = [(*_primitive_ineq(a, sum(map(mul, a, seen[i - 1]))), full ^ (1 << i))
             for i, a in enumerate(normals)]
 
-    for q in points:
+    # every row holds at the points seen, so only the others are tried
+    for q in [q for q in points if q not in seen]:
         slack = [sum(map(mul, a, q)) - b for a, b, _ in rows]
         if max(slack) <= 0:
             continue
@@ -876,18 +893,28 @@ def contains(P: LatticePolytope, point: Sequence, n=1) -> bool:
     With the point written as xs / L, L the lcm of its denominators, and
     n = p / q, the point lies in nP iff q * a.xs == p * L * b on each hull
     equation and q * a.xs <= p * L * b on each facet row, all in integers.
-    The rows are P's cached H-representation, computed on first use, so a
-    P whose double description passes HULL_ROWS raises EnumerationLimitError.
+    An int n and int coordinates are taken as they are, with L = q = 1;
+    any other input, a bool, a float, a str or a Fraction among them, goes
+    through the rational rule and its errors. The rows are P's cached
+    H-representation, computed on first use, so a P whose double
+    description passes HULL_ROWS raises EnumerationLimitError.
     """
-    scale = _exact(n, "dilation factor")
+    scale = n if type(n) is int else _exact(n, "dilation factor")
     if scale <= 0:
         raise ValueError("dilation factor must be positive")
-    xs, den = _cleared(point, "coordinate")
+    xs, den = list(point), 1
+    if any(type(x) is not int for x in xs):
+        xs, den = _cleared(xs, "coordinate")
     _check_length(xs, P.ambient_dim)
     equations, inequalities = P.affine_hull, P.facet_inequalities
     q, rhs = scale.denominator, scale.numerator * den
-    return (all(q * sum(map(mul, a, xs)) == rhs * b for a, b in equations)
-            and all(q * sum(map(mul, a, xs)) <= rhs * b for a, b in inequalities))
+    for a, b in equations:
+        if q * sum(map(mul, a, xs)) != rhs * b:
+            return False
+    for a, b in inequalities:
+        if q * sum(map(mul, a, xs)) > rhs * b:
+            return False
+    return True
 
 
 def edge_polytope(G: Graph) -> LatticePolytope:

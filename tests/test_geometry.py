@@ -35,6 +35,7 @@ from ehrwt import geometry
 from ehrwt.geometry import (
     _affine_rank,
     _check_facets,
+    _echelon,
     _fibers,
     _frame,
     _lattice_coordinates,
@@ -46,6 +47,7 @@ from ehrwt.geometry import (
 )
 
 from oracles import (
+    _rref,
     affine_rank,
     ambient_walk,
     barycentric_member,
@@ -165,11 +167,54 @@ def affine_images(draw):
 
 @settings(max_examples=300)
 @given(affine_images())
+@example([(1, 2), (3, 4), (1, 2)])
+@example([(5, -1, 2)] * 3)
+@example([(7,)])
 def test_affine_hull_and_rank_match_fraction_oracles(points):
     P = LatticePolytope(points)
     assert P.affine_hull == hull_equations(points)
     assert P.dim == affine_rank(points)
     assert _affine_rank(points) == affine_rank(points)
+    assert _affine_rank([]) == -1
+
+
+@st.composite
+def integer_matrices(draw):
+    """1-5 rows of 1-6 integers, most of them small and many 0, some near
+    10^30; some rows repeat or scale another, and a column may be zeroed."""
+    m, n = draw(st.integers(1, 5)), draw(st.integers(1, 6))
+    entry = (st.sampled_from([0, 0, 0, 1, -1, 2, -3])
+             | st.integers(-10**30, 10**30) | st.integers(10**30 - 3, 10**30 + 3))
+    rows = [[draw(entry) for _ in range(n)] for _ in range(m)]
+    for k in draw(st.lists(st.sampled_from([0, 1, -2]), max_size=2)):
+        rows.append([k * a for a in draw(st.sampled_from(rows))])
+    if draw(st.booleans()):
+        j = draw(st.integers(0, n - 1))
+        rows = [row[:j] + [0] + row[j + 1:] for row in rows]
+    return rows
+
+
+@settings(max_examples=400)
+@given(integer_matrices())
+@example([[2, 1, 3], [0, 4, 5], [0, 0, 6]])  # zeros under and over the pivots
+@example([[0, 1], [3, 2]])  # the first pivot lies below the first row: a swap
+@example([[1, 0, 2], [0, 1, 3]])  # p == prev: a row with 0 under the pivot is left alone
+@example([[0, 1, 2], [0, 3, 4], [0, 5, 7]])  # a zero column
+@example([[10**30, 1, 0], [10**30 + 1, 2, 10**30 - 1], [0, 10**30, 3]])
+@example([[1, 2], [2, 4], [0, 0]])
+def test_echelon_matches_the_fraction_rref(rows):
+    # Gauss-Jordan: each row over the last pivot is the reduced row echelon
+    # form; forward: the same pivots, each row zero before its pivot and
+    # nonzero on it, and the same row space
+    expected = _rref(rows)
+    ech, pivots = _echelon(rows)
+    assert pivots == expected[1]
+    last = ech[-1][pivots[-1]] if pivots else 1
+    assert [[Fraction(a, last) for a in row] for row in ech] == expected[0]
+    forward, cols = _echelon(rows, True)
+    assert cols == pivots
+    assert all(row[c] and not any(row[:c]) for row, c in zip(forward, cols))
+    assert _rref(forward) == expected
 
 
 def test_facet_fixtures():
@@ -363,6 +408,13 @@ def test_facet_invariant_check_rejects_bad_rows():
     _check_facets(SEGMENT, list(SEGMENT.facet_inequalities))
     with pytest.raises(ConsistencyError, match="not a facet"):
         _check_facets(SEGMENT, [((1, 1), 2)])
+    # a count alone cannot pass: this row is tight at d = 3 listed points,
+    # but they span only a line
+    P = LatticePolytope([(0, 0, 0), (1, 0, 0), (2, 0, 0), (0, 1, 0), (0, 0, 1)])
+    with pytest.raises(ConsistencyError, match=re.escape(
+            "row (0, -1, -1) <= 0 is not a facet: its tight vertices "
+            "[(0, 0, 0), (1, 0, 0), (2, 0, 0)] do not span dimension 2")):
+        _check_facets(P, [((0, -1, -1), 0)])
 
 
 # ---------------------------------------------------------------- enumeration
@@ -1075,6 +1127,13 @@ def test_contains_fixtures():
 def test_contains_validation():
     with pytest.raises(TypeError):
         contains(SQUARE, (0.5, 0.5))
+    # a bool is an int subclass, and a str iterates; neither takes the int route
+    with pytest.raises(TypeError, match=r"^boolean coordinate True is not allowed$"):
+        contains(SQUARE, (1, True))
+    with pytest.raises(TypeError, match=r"^boolean dilation factor True is not allowed$"):
+        contains(SQUARE, (0, 0), True)
+    with pytest.raises(TypeError, match=r"^str coordinate '1' is not allowed$"):
+        contains(SQUARE, "10")
     with pytest.raises(ValueError):
         contains(SQUARE, (0, 0), n=0)
     with pytest.raises(ValueError):
@@ -1166,6 +1225,31 @@ def test_contains_matches_the_hull_oracle(query):
     assert contains(LatticePolytope(verts), point, n) == expected
     with patch.object(geometry, "_pivot", CheckedPivot()):
         assert barycentric_member(verts, point, n) == expected
+
+
+@st.composite
+def integer_queries(draw):
+    """(vertices, n, point): 1-5 vertices in Z^1..Z^4, some on a plane, an int
+    n in 1..3, and the sum of n vertices, a point of nP, possibly pushed off
+    it by a unit step."""
+    s = draw(st.integers(1, 4))
+    verts = [tuple(draw(st.integers(-3, 3)) for _ in range(s))
+             for _ in range(draw(st.integers(1, 5)))]
+    if s > 1 and draw(st.booleans()):
+        verts = [v[:-1] + (v[0] + v[-2],) for v in verts]
+    n = draw(st.integers(1, 3))
+    point = [sum(col) for col in zip(*[draw(st.sampled_from(verts)) for _ in range(n)])]
+    if draw(st.booleans()):
+        point[draw(st.integers(0, s - 1))] += draw(st.sampled_from([-1, 1]))
+    return verts, n, point
+
+
+@settings(max_examples=300)
+@given(integer_queries())
+def test_contains_int_route_matches_the_rational_route(query):
+    verts, n, point = query
+    P = LatticePolytope(verts)
+    assert contains(P, point, n) == contains(P, tuple(map(Fraction, point)), Fraction(n))
 
 
 def test_contains_agrees_with_enumeration_random():
