@@ -3,11 +3,11 @@
 Polytopes are given by integer vertex lists, and the H-representation
 is recovered without fractions. One fraction-free elimination step
 (Bareiss) does all of its linear algebra, and a row with 0 in the pivot
-column is only rescaled. Run as Gauss-Jordan elimination, it gives the
-affine hull as the integer kernel of the vertex differences' reduced
-echelon form, and the hull equations' pivots fix the coordinates left
-free; an affine rank is the pivot count of a forward elimination, which
-clears only the rows below each pivot. The facets come from an
+column is only rescaled. A forward elimination, which clears only the
+rows below each pivot, gives an affine rank as its pivot count and the
+affine hull as the integer kernel of its echelon form, by back
+substitution; the hull equations' pivots fix the coordinates left free.
+The facets come from an
 incremental double description on integer rows in those free
 coordinates. Its starting simplex comes from one elimination of the
 points' differences from the first point with the identity appended:
@@ -43,16 +43,17 @@ fiber: its base and y's interval. The cells of the coordinate above the
 slab, or of x, run in one tight loop, the slab kernel on a slab: the rows
 that do not move with the cell cut once per loop, the others per cell
 from their residuals, and the blocks' bases are built at C speed. Sums,
-counts and images are taken per block and no point list is kept. One
-kernel sums a weight over every block, fiber or slab, from one plan per
-walk: a term with at most two factors moving along each of x and y is a
-product of two closed forms, each from the block's count and sums of t
-and t^2 along its axis; the other terms run column by column through the
-same kernel, and there in C-level loops over ranges.
-Completed walks of up to WALK_STORE_BLOCKS blocks in all are kept, least
-recently used first out, keyed by P's vertices, n, strict and the
-enumeration cap, so a dilation an equal polytope walked before under the
-same cap is not walked again.
+counts and images are taken per block and no point list is kept; what a
+walk needs beyond n is planned once per polytope, with its frame. One
+kernel sums a weight over every block, fiber or slab, from a plan that
+each side of a polynomial builds once per walk axes: a term with at most
+two factors moving along each of x and y is a product of two closed
+forms, each from the block's count and sums of t and t^2 along its axis;
+the other terms run column by column through the same kernel, and there
+in C-level loops over ranges. Completed walks of up to WALK_STORE_BLOCKS
+blocks in all are kept, least recently used first out, keyed by P's
+vertices, n, strict and the enumeration cap, so a dilation an equal
+polytope walked before under the same cap is not walked again.
 
 Membership reads the same cached rows: an int point at an int dilation is
 taken as it is, any other has its denominators cleared once, and then it is
@@ -65,7 +66,7 @@ import math
 import os
 import threading
 from collections import OrderedDict
-from itertools import chain, islice, repeat
+from itertools import accumulate, chain, islice, repeat
 from operator import mul, sub
 from typing import Iterable, Sequence
 
@@ -273,24 +274,26 @@ def _primitive_ineq(row, rhs):
 
 def _affine_hull(vertices):
     """Primitive integer equations of the affine hull: the integer kernel of
-    the vertex differences' echelon form.
+    the vertex differences' forward echelon form, empty at full rank.
 
-    Each column f that is not a pivot gives one normal, with the last
-    pivot on f and minus row r's entry in column f on row r's pivot; it
-    is made primitive with its first nonzero entry positive.
+    Each column f that is not a pivot gives one normal x, x_f = 1 and 0 on
+    the other such columns, its pivot entries solved row by row from the
+    last, x scaled to stay integral; it is made primitive with its first
+    nonzero entry positive.
     """
     base = vertices[0]
-    rows, pivots = _echelon([[a - b for a, b in zip(v, base)] for v in vertices[1:]])
-    last = rows[0][pivots[0]] if pivots else 1
+    rows, pivots = _echelon([list(map(sub, v, base)) for v in vertices[1:]], True)
     eqs = []
     for f in range(len(base)):
         if f in pivots:
             continue
-        normal = [0] * len(base)
-        normal[f] = last
-        for row, p in zip(rows, pivots):
-            normal[p] = -row[f]
-        a, b = _primitive_ineq(normal, sum(map(mul, normal, base)))
+        x = [int(j == f) for j in range(len(base))]
+        for row, p in zip(reversed(rows), reversed(pivots)):
+            t = sum(map(mul, row, x))
+            g = math.gcd(t, row[p])
+            x = [v * (row[p] // g) for v in x]
+            x[p] = -t // g
+        a, b = _primitive_ineq(x, sum(map(mul, x, base)))
         sign = 1 if next(filter(None, a)) > 0 else -1
         eqs.append((tuple(sign * v for v in a), sign * b))
     return tuple(sorted(eqs))
@@ -345,7 +348,7 @@ def _facet_inequalities(P):
     """
     if P.dim == 0:
         return ()
-    _, pivots = _echelon([a for a, _ in P.affine_hull])
+    _, pivots = _echelon([a for a, _ in P.affine_hull], True)
     free = [j for j in range(P.ambient_dim) if j not in pivots]
     points = list(dict.fromkeys(tuple(v[j] for j in free) for v in P.vertices))
     d = len(free)
@@ -525,13 +528,15 @@ def _lattice_coordinates(P):
 
 
 def _frame(coords):
-    """The walk's data for Q, its coordinates walked in index order, and col.
+    """The walk's data for Q, its coordinates walked in index order, col and plan.
 
     Each row carries, per depth k, the least value coordinates k..d-1 can
     add to it over Q's box, so a prefix whose best completion already
     breaks the row is cut at once. Q is rectangular when no row bounds both
     of its last two coordinates; col is then B's second-to-last column, else 0.
-    """
+    The plan lists the rows (i, r, s, c) that cut, r the rhs less the tail past
+    the depth and s the step along the tight depth, with a slice per depth up to
+    tight and six for the slab kernel: x's rows still, upper and lower, then y's."""
     v0, basis, rows, (lo, hi) = coords
     framed = []
     for c, beta in rows:
@@ -539,13 +544,26 @@ def _frame(coords):
         for k in range(len(c) - 1, -1, -1):
             tail[k] = tail[k + 1] + min(c[k] * lo[k], c[k] * hi[k])
         framed.append((c, beta, tail))
-    rectangular = len(basis) > 1 and not any(c[-1] and c[-2] for c, _ in rows)
-    return v0, basis, framed, lo, hi, basis[-2] if rectangular else (0,) * len(v0)
+    last = len(basis) - 1
+    rectangular = last > 0 and not any(c[-1] and c[-2] for c, _ in rows)
+    # the tight loop runs over the cells of depth tight; at d = 1, and at d = 2
+    # on a slab, tight is -1 and its one cell t = 0 moves nothing
+    tight = last - 1 - rectangular
+    steps = [[c[k] for c, _ in rows] for k in range(last + 1)]
+    bounds = [[(i, beta - tail[k + 1], steps[tight][i], c[k])
+               for i, (c, beta, tail) in enumerate(framed) if c[k]] for k in range(last + 1)]
+    groups = bounds[:tight + 1]
+    for axis in (bounds[last - 1] if rectangular else [], bounds[last]):
+        groups += [[b for b in axis if not b[2]], [b for b in axis if b[2] and b[3] > 0],
+                   [b for b in axis if b[2] and b[3] < 0]]
+    ends = [0, *accumulate(map(len, groups))]
+    plan = list(chain.from_iterable(groups)), list(map(slice, ends, ends[1:])), steps, tight
+    return v0, basis, framed, lo, hi, basis[-2] if rectangular else (0,) * len(v0), plan
 
 
 def _interval(low, high, rows, sums):
-    """low..high cut to the values y with c*y <= rhs - sums[i] for the rows (i, c, rhs)."""
-    for i, c, rhs in rows:
+    """low..high cut to the values y with c*y <= rhs - sums[i] for the rows (i, rhs, s, c)."""
+    for i, rhs, _, c in rows:
         if c > 0:
             bound = (rhs - sums[i]) // c
             if bound < high:
@@ -562,48 +580,25 @@ def _fibers(frame, n, strict, cap):
 
     A block (base, xl, xh, yl, yh) stands for the points n*v0 + B y =
     base + x * col + y * e, xl <= x <= xh and yl <= y <= yh, e B's last
-    column and col the frame's, base a tuple. One depth-first loop keeps one
-    (depth, ambient base, row sums, cursor) entry per open depth, so the
-    stack never outgrows d entries. The cells t of the last depth it opens
-    run in one tight loop, one block per t: if Q is rectangular, t is the
-    coordinate above x and each t one slab, the slab kernel; otherwise t is x
-    and each t one fiber (base at x, 0, 0, yl, yh). A cell is one value a
-    coordinate can take after interval propagation; the generator returns
-    the number of cells it visited and raises EnumerationLimitError once
-    that passes cap, at the count where a walk fiber by fiber would.
+    column and col the frame's, base a tuple; the frame's plan is scaled to
+    nQ. One depth-first loop keeps one (depth, ambient base, row sums,
+    cursor) entry per open depth, so the stack never outgrows d entries.
+    The cells t of the last depth it opens run in one tight loop, one block
+    per t: if Q is rectangular, t is the coordinate above x and each t one
+    slab, the slab kernel; otherwise t is x and each t one fiber (base at
+    x, 0, 0, yl, yh). A cell is one value a coordinate can take after
+    interval propagation; the generator returns the number of cells it
+    visited and raises EnumerationLimitError once that passes cap, at the
+    count where a walk fiber by fiber would.
     """
-    v0, cols, rows, lo, hi, col = frame
+    v0, cols, rows, lo, hi, col, (plan, spans, steps, tight) = frame
     last, rectangular = len(cols) - 1, any(col)
     lo, hi = [n * v for v in lo], [n * v for v in hi]
-    # per depth, the rows that bound it with their rhs less the tail past
-    # it; integer rows make "< rhs" the same as "<= rhs - 1"
-    bounds = [
-        [(i, c[k], n * (beta - tail[k + 1]) - strict)
-         for i, (c, beta, tail) in enumerate(rows) if c[k]]
-        for k in range(last + 1)
-    ]
-    steps = [[c[k] for c, _, _ in rows] for k in range(last + 1)]
-    # the tight loop runs over the cells t of depth tight; at d = 1, and at d = 2
-    # on a slab, tight is -1 and its one cell t = 0 moves nothing. Of x's rows
-    # and y's, those t leaves alone cut once per loop; the others are kept as
-    # (i, rhs, s, c), s the row's step along t, upper, then lower with -rhs and
-    # -s, as -((-rhs + sum + t*s) // c) = ceil((rhs - sum - t*s) / c) for c < 0,
-    # sum the row's value at t = 0
-    tight = last - 1 - rectangular
-    step = steps[tight]
-    cuts = []
-    for axis in (bounds[last - 1] if rectangular else [], bounds[last]):
-        still, up, down = cut = [], [], []
-        for i, c, r in axis:
-            s = step[i]
-            if not s:
-                still.append((i, c, r))
-            elif c > 0:
-                up.append((i, r, s, c))
-            else:
-                down.append((i, -r, -s, c))
-        cuts.append(cut)
-    (xstill, xup, xdown), (ystill, yup, ydown) = cuts
+    # the plan's rows scaled to nQ ("< rhs" is "<= rhs - 1" in integers); of x's
+    # and y's, those the cells t leave alone cut once per loop, the others per t,
+    # a lower one as -((sum + t*s - rhs) // c), sum the row's value at t = 0
+    scaled = [(i, n * r - strict, s, c) for i, r, s, c in plan]
+    *bounds, xstill, xup, xdown, ystill, yup, ydown = map(scaled.__getitem__, spans)
     visited = 0
 
     def over(count):
@@ -632,7 +627,7 @@ def _fibers(frame, n, strict, cap):
                         if bound < xh:
                             xh = bound
                     for i, r, s, c in xdown:
-                        bound = -((r + sums[i] - t * s) // c)
+                        bound = -((sums[i] + t * s - r) // c)
                         if bound > xl:
                             xl = bound
                     if xl > xh:
@@ -646,7 +641,7 @@ def _fibers(frame, n, strict, cap):
                     if bound < yh:
                         yh = bound
                 for i, r, s, c in ydown:
-                    bound = -((r + sums[i] - t * s) // c)
+                    bound = -((sums[i] + t * s - r) // c)
                     if bound > yl:
                         yl = bound
                 width = yh - yl + 1
@@ -771,24 +766,13 @@ def _walk(P: LatticePolytope, n: int, strict: bool):
     return _points(*_walk_fibers(P, n, strict))
 
 
-def _block_sum(terms, col, e, blocks):
-    """(sum, blocks): the sum of the terms c * prod(a_i^k), given as (exponents k,
-    int c) pairs, over the points a = base + x * col + y * e of the blocks
-    (base, xl, xh, yl, yh), and the number of blocks.
-
-    One plan per walk splits each term's factors into the fixed ones, which
-    neither axis moves and which are read once from the base, and those that
-    move along col alone or along e alone. A term with at most two moving
-    factors along each axis sums over a block, fiber or slab, as
-    c * prod(fixed) * X * Y. Along an axis t runs from low to high, and the
-    factors b_i + t * a_i and b_j + t * a_j, padded to two by a factor 1 that no
-    axis moves, give count * b_i * b_j + (b_i * a_j + b_j * a_i) * S1 + a_i * a_j * S2,
-    with S1 = sum t and S2 = sum t^2 = F(high) - F(low - 1), F(m) = m(m+1)(2m+1)/6
-    an integer for every integer m. The other terms sum column by column through
-    this same function with col = 0, where a term with more than two factors
-    along e runs along C-level ranges.
-    """
-    # a padded factor reads the 1 after each base, at index s
+def _sum_plan(terms, col, e):
+    """_block_sum's plan for the terms c * prod(a_i^k), given as (exponents k,
+    int c) pairs, on blocks along col and e: (col, e, flat, closed, ranged, the
+    col = 0 plan of the terms that go column by column, or None). Each term's
+    factors split into fixed ones and those moving along col alone or e alone,
+    as indices into a base, the moving ones padded to two by index s, the 1
+    after it; the others are ranged when col = 0."""
     one = len(e)
     flat, closed, ranged, others = [], [], [], []
     for x, c in terms:
@@ -808,47 +792,69 @@ def _block_sum(terms, col, e, blocks):
             closed.append((c, fixed, i, ai, j, aj, ai * aj, k, ak, l, al, ak * al))
         else:
             flat.append((c, fixed))
-    total = seen = 0
+    return col, e, flat, closed, ranged, _sum_plan(others, (0,) * one, e) if others else None
 
-    def summed():
-        # sums each block as it passes and, if any term goes column by column,
-        # hands the block on to that route
-        nonlocal total, seen
-        for base, xl, xh, yl, yh in blocks:
-            seen += 1
-            nx, ny = xh - xl + 1, yh - yl + 1
-            for c, fixed in flat:
-                total += c * math.prod(map(base.__getitem__, fixed)) * nx * ny
-            if closed:
-                b = (*base, 1)
-                sx, sy = (xl + xh) * nx // 2, (yl + yh) * ny // 2
-                # X is the count for a term with no factor moving along col, and
-                # one column has S2 = xl^2, so a fiber's X takes next to no work
-                qx = xl * xl if nx == 1 else (
-                    xh * (xh + 1) * (2 * xh + 1) - (xl - 1) * xl * (2 * xl - 1)) // 6
-                qy = (yh * (yh + 1) * (2 * yh + 1) - (yl - 1) * yl * (2 * yl - 1)) // 6
-                for c, fixed, i, ai, j, aj, aij, k, ak, l, al, akl in closed:
-                    bk, bl = b[k], b[l]
-                    total += c * math.prod(map(b.__getitem__, fixed)) * (
-                        nx if i == one else nx * b[i] * b[j] + (b[i] * aj + b[j] * ai) * sx
-                        + aij * qx) * (ny * bk * bl + (bk * al + bl * ak) * sy + akl * qy)
-            for c, factors in ranged:
-                total += c * sum(map(math.prod, _run(
-                    map(base.__getitem__, factors), map(e.__getitem__, factors), yl, yh)))
-            if others:
-                yield base, xl, xh, yl, yh
 
-    if not others:
-        next(summed(), None)
-        return total, seen
-    rest = _block_sum(others, (0,) * len(col), e, _columns(col, summed()))[0]
-    return total + rest, seen
+class _SumPlans(dict):
+    """The sum plans of one term list, keyed by (col, e), each built on first use."""
+    __slots__ = ("terms",)
+
+    def __init__(self, terms):
+        self.terms = terms
+
+
+def _block_sum(plan, blocks):
+    """(sum, blocks): the sum of the planned terms over the points a = base +
+    x * col + y * e of the blocks (base, xl, xh, yl, yh), and the number of blocks.
+
+    The plan is _sum_plan's, built once per term list and (col, e). A closed
+    term sums over a block, fiber or slab, as c * prod(fixed) * X * Y. Along an
+    axis t runs from low to high, and the factors b_i + t * a_i and b_j + t * a_j
+    give count * b_i * b_j + (b_i * a_j + b_j * a_i) * S1 + a_i * a_j * S2, with
+    S1 = sum t and S2 = sum t^2 = F(high) - F(low - 1), F(m) = m(m+1)(2m+1)/6 an
+    integer for every integer m. A ranged term runs along C-level ranges, and
+    the terms that go column by column sum each block's columns through this
+    same function under their own plan.
+    """
+    col, e, flat, closed, ranged, columns = plan
+    one, total, seen = len(e), 0, 0
+    for base, xl, xh, yl, yh in blocks:
+        seen += 1
+        nx, ny = xh - xl + 1, yh - yl + 1
+        for c, fixed in flat:
+            total += c * math.prod(map(base.__getitem__, fixed)) * nx * ny
+        if closed:
+            b = (*base, 1)
+            sx, sy = (xl + xh) * nx // 2, (yl + yh) * ny // 2
+            # X is the count for a term with no factor moving along col, and
+            # one column has S2 = xl^2, so a fiber's X takes next to no work
+            qx = xl * xl if nx == 1 else (
+                xh * (xh + 1) * (2 * xh + 1) - (xl - 1) * xl * (2 * xl - 1)) // 6
+            qy = (yh * (yh + 1) * (2 * yh + 1) - (yl - 1) * yl * (2 * yl - 1)) // 6
+            for c, fixed, i, ai, j, aj, aij, k, ak, l, al, akl in closed:
+                bk, bl = b[k], b[l]
+                total += c * math.prod(map(b.__getitem__, fixed)) * (
+                    nx if i == one else nx * b[i] * b[j] + (b[i] * aj + b[j] * ai) * sx
+                    + aij * qx) * (ny * bk * bl + (bk * al + bl * ak) * sy + akl * qy)
+        for c, factors in ranged:
+            total += c * sum(map(math.prod, _run(
+                map(base.__getitem__, factors), map(e.__getitem__, factors), yl, yh)))
+        if columns:
+            total += _block_sum(columns, _columns(col, [(base, xl, xh, yl, yh)]))[0]
+    return total, seen
 
 
 def _walk_sum(P: LatticePolytope, n: int, strict: bool, terms):
     """(sum, blocks): _block_sum of the terms over the blocks of nP (of its
-    relative interior if strict), and the number of blocks the walk yielded."""
-    return _block_sum(terms, *_walk_fibers(P, n, strict))
+    relative interior if strict), and the number of blocks the walk yielded;
+    terms are (exponents, int c) pairs, or _SumPlans to keep their plans."""
+    col, e, blocks = _walk_fibers(P, n, strict)
+    plans = terms if type(terms) is _SumPlans else _SumPlans(terms)
+    plan = plans.get((col, e))
+    if plan is None:  # e = 0 walks one point, 0P or a point P: any plan sums it
+        held = None if any(e) else next(iter(plans.values()), None)
+        plan = plans[col, e] = held or _sum_plan(plans.terms, col, e)
+    return _block_sum(plan, blocks)
 
 
 def dimension(P: LatticePolytope) -> int:

@@ -5,13 +5,15 @@ order, weights are sparse multivariate polynomials keyed by exponent
 vectors; both store integer numerators over one positive denominator in
 lowest terms and compute on them, as do interpolation (Lagrange's form over
 common denominators) and the series transform, with Fractions only where a
-coefficient or a value is passed in or read. Generating functions are kept
-as h(x) / (1 - x)^D with h(1) != 0 (or h = 0). Each input rule of the package is
-one test here: _exact for rationals, _is_int and _check_int for integer arguments,
-_is_int_token for integers in text, _check_length for points. Series come from
-values by one integer difference transform (Stanley, EC I, Cor. 4.3.1): v(n), a
-polynomial of degree <= r from n = m - r on, has the series h/(1-x)^(r+1),
-h_i = sum_{j <= min(i, r+1)} (-1)^j C(r+1, j) v(i-j), i = 0..m.
+coefficient or a value is passed in or read; WeightPoly's operators and the
+weight parser share one algebra on (numerator dict, den) pairs. Generating
+functions are kept as h(x) / (1 - x)^D with h(1) != 0 (or h = 0). Each input
+rule of the package is one test here: _exact for rationals, _is_int and
+_check_int for integer arguments, _is_int_token for integers in text,
+_check_length for points. Series come from values by one integer difference
+transform (Stanley, EC I, Cor. 4.3.1): v(n), a polynomial of degree <= r from
+n = m - r on, has the series h/(1-x)^(r+1), h_i = sum_{j <= min(i, r+1)}
+(-1)^j C(r+1, j) v(i-j), i = 0..m.
 """
 
 from __future__ import annotations
@@ -21,7 +23,7 @@ import re
 from fractions import Fraction
 from itertools import accumulate, zip_longest
 from numbers import Rational
-from operator import add
+from operator import add, mul
 from typing import Iterable, Mapping, Sequence
 
 from .errors import WeightParseError
@@ -82,17 +84,51 @@ def _cleared(values: Iterable[Rational], what: str = "coefficient") -> tuple[lis
     return [x.numerator * (den // x.denominator) for x in xs], den
 
 
-def _power(base, exponent: int, one):
-    """base**exponent by square-and-multiply; no square past the top bit."""
+def _power(base, exponent: int, one, mul=mul):
+    """base**exponent by square-and-multiply under mul; no square past the top bit.
+    With one None, the first factor is not multiplied by it, and 0 gives None."""
     _check_int(exponent, 0, "exponent must be a nonnegative integer")
     result = one
     while exponent:
         if exponent & 1:
-            result = result * base
+            result = base if result is None else mul(result, base)
         exponent >>= 1
         if exponent:
-            base = base * base
+            base = mul(base, base)
     return result
+
+
+def _lowest(num: dict, den: int) -> tuple[dict, int]:
+    """num / den in lowest terms, zero terms dropped."""
+    g = math.gcd(den, *num.values())
+    if g == 1 and all(num.values()):
+        return num, den
+    return {e: c // g for e, c in num.items() if c}, den // g
+
+
+def _added(a: tuple[dict, int], b: tuple[dict, int], sign: int = 1) -> tuple[dict, int]:
+    (x, p), (y, q) = a, b
+    den = math.lcm(p, q)
+    f, g = den // p, sign * den // q
+    out = {e: f * c for e, c in x.items()}
+    for e, c in y.items():
+        out[e] = out.get(e, 0) + g * c
+    return _lowest(out, den)
+
+
+def _multiplied(a: tuple[dict, int], b: tuple[dict, int]) -> tuple[dict, int]:
+    (x, p), (y, q) = a, b
+    out: dict[tuple[int, ...], int] = {}
+    for e1, c1 in x.items():
+        for e2, c2 in y.items():
+            key = tuple(map(add, e1, e2))
+            out[key] = out.get(key, 0) + c1 * c2
+    return _lowest(out, p * q)
+
+
+def _degree(num: dict):
+    """Total degree of a numerator dict; float('-inf') for the zero weight."""
+    return max(map(sum, num), default=float("-inf"))
 
 
 class UniPoly:
@@ -271,9 +307,7 @@ class WeightPoly:
     @property
     def degree(self):
         """Total degree; float('-inf') for the zero weight."""
-        if not self._num:
-            return float("-inf")
-        return max(sum(e) for e in self._num)
+        return _degree(self._num)
 
     @property
     def constant_term(self) -> Fraction:
@@ -330,12 +364,8 @@ class WeightPoly:
     def __add__(self, other):
         if isinstance(other, WeightPoly):
             self._check_same_space(other)
-            den = math.lcm(self._den, other._den)
-            a, b = den // self._den, den // other._den
-            merged = {e: a * c for e, c in self._num.items()}
-            for e, c in other._num.items():
-                merged[e] = merged.get(e, 0) + b * c
-            return WeightPoly._of(self._nvars, merged, den)
+            return WeightPoly._of(
+                self._nvars, *_added((self._num, self._den), (other._num, other._den)))
         if isinstance(other, (int, Fraction)):
             return self + WeightPoly.constant(self._nvars, other)
         return NotImplemented
@@ -350,12 +380,8 @@ class WeightPoly:
     def __mul__(self, other):
         if isinstance(other, WeightPoly):
             self._check_same_space(other)
-            out: dict[tuple[int, ...], int] = {}
-            for e1, c1 in self._num.items():
-                for e2, c2 in other._num.items():
-                    key = tuple(map(add, e1, e2))
-                    out[key] = out.get(key, 0) + c1 * c2
-            return WeightPoly._of(self._nvars, out, self._den * other._den)
+            return WeightPoly._of(
+                self._nvars, *_multiplied((self._num, self._den), (other._num, other._den)))
         if isinstance(other, (int, Fraction)):
             num = {e: c * other.numerator for e, c in self._num.items()}
             return WeightPoly._of(self._nvars, num, self._den * other.denominator)
@@ -550,10 +576,13 @@ def _check_cap(what: str, value, pos: int) -> None:
         raise WeightParseError(f"{what} {value} exceeds the cap {MAX_WEIGHT_EXPONENT}", pos)
 
 
-def _check_bits(pos: int, *powers: tuple[WeightPoly, int]) -> None:
-    # w^k has numerators at most ||numerators||_1^k and denominator den^k, and
-    # the sizes of a product's factors add up the same way
-    size = sum(max(sum(map(abs, w._num.values())), w._den).bit_length() * k for w, k in powers)
+def _bits(a: tuple[dict, int]) -> int:
+    return max(sum(map(abs, a[0].values())), a[1]).bit_length()
+
+
+def _check_bits(pos: int, size: int) -> None:
+    # w^k, w = num / den, has numerators at most ||num||_1^k and denominator
+    # den^k, k * _bits(w) bits, and the sizes of a product's factors add up
     if size > MAX_WEIGHT_EXPONENT**2:
         raise WeightParseError(
             f"coefficient size {size} bits exceeds the cap {MAX_WEIGHT_EXPONENT**2} bits", pos)
@@ -569,7 +598,9 @@ class _WeightParser:
         factor := '-'* atom ('^' uint)?
         atom   := uint ('/' uint)? | 'txx' | '(' expr ')'
 
-    The exponent binds tighter than a prefix sign, so -2^2 is -4.
+    The exponent binds tighter than a prefix sign, so -2^2 is -4. Values are
+    (numerator dict, den) pairs in lowest terms after every operation, as in a
+    WeightPoly, so each cap fires at the same token; parse builds one WeightPoly.
     """
 
     def __init__(self, text: str, nvars: int):
@@ -602,27 +633,27 @@ class _WeightParser:
         kind, text, pos = self._peek()
         if kind != "end":
             raise WeightParseError(f"unexpected trailing input {text!r}", pos)
-        return value
+        return WeightPoly._of(self._nvars, *value)
 
-    def _expr(self) -> WeightPoly:
+    def _expr(self) -> tuple[dict, int]:
         self._accept("+")
         value = self._term()
         while op := self._accept("+-"):
             rhs = self._term()
-            value = value + rhs if op[0] == "+" else value - rhs
+            value = _added(value, rhs, 1 if op[0] == "+" else -1)
         return value
 
-    def _term(self) -> WeightPoly:
+    def _term(self) -> tuple[dict, int]:
         value = self._factor()
         while op := self._accept("*"):
             rhs = self._factor()
             # checked before multiplying, so an over-cap product is never built
-            _check_cap("total degree", value.degree + rhs.degree, op[1])
-            _check_bits(op[1], (value, 1), (rhs, 1))
-            value = value * rhs
+            _check_cap("total degree", _degree(value[0]) + _degree(rhs[0]), op[1])
+            _check_bits(op[1], _bits(value) + _bits(rhs))
+            value = _multiplied(value, rhs)
         return value
 
-    def _factor(self) -> WeightPoly:
+    def _factor(self) -> tuple[dict, int]:
         sign = 1
         while self._accept("-"):
             sign = -sign
@@ -633,12 +664,12 @@ class _WeightParser:
                 raise WeightParseError("exponent must be a nonnegative integer", pos)
             exponent = int(text)
             _check_cap("exponent", exponent, pos)
-            _check_cap("total degree", max(value.degree, 0) * exponent, op[1])
-            _check_bits(op[1], (value, exponent))
-            value = value**exponent
-        return value if sign == 1 else -value
+            _check_cap("total degree", max(_degree(value[0]), 0) * exponent, op[1])
+            _check_bits(op[1], _bits(value) * exponent)
+            value = _power(value, exponent, None, _multiplied) or ({(0,) * self._nvars: 1}, 1)
+        return value if sign == 1 else ({e: -c for e, c in value[0].items()}, value[1])
 
-    def _atom(self) -> WeightPoly:
+    def _atom(self) -> tuple[dict, int]:
         kind, text, pos = self._take()
         if kind == "num":
             numerator = int(text)
@@ -650,7 +681,7 @@ class _WeightParser:
                 den = int(dt)
                 if den == 0:
                     raise WeightParseError("division by zero", dpos)
-            return WeightPoly._of(self._nvars, {(0,) * self._nvars: numerator}, den)
+            return _lowest({(0,) * self._nvars: numerator}, den)
         if kind == "var":
             index = int(text[1:])
             if not 1 <= index <= self._nvars:
@@ -658,7 +689,7 @@ class _WeightParser:
                     f"variable {text} out of range (expected t1..t{self._nvars})", pos
                 )
             exps = (0,) * (index - 1) + (1,) + (0,) * (self._nvars - index)
-            return WeightPoly._of(self._nvars, {exps: 1}, 1)
+            return {exps: 1}, 1
         if kind == "op" and text == "(":
             value = self._expr()
             if not self._accept(")"):

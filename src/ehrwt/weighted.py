@@ -20,9 +20,10 @@ check interpolates from the closed nodes n = 1..N only; the root-vanishing
 check does so for the plain count, while its weighted count is the
 reciprocity-node polynomial, validated by its closed probes. Each sum is taken
 by geometry's one block kernel, fibers and rectangular slabs alike, in integers
-over w's denominator. The walks come through geometry's bounded walk store, so
-the other weights, the plain count and the checks on one polytope read the
-small dilations that an earlier request walked, rather than walking them again.
+over w's denominator, from plans each side of a polynomial makes once. The
+walks come through geometry's bounded walk store, so the other weights, the
+plain count and the checks on one polytope read the small dilations that an
+earlier request walked, rather than walking them again.
 """
 
 from __future__ import annotations
@@ -37,6 +38,7 @@ from .geometry import (
     Graph,
     LatticePolytope,
     _check_space,
+    _SumPlans,
     _require_edge_cover,
     _walk,
     _walk_sum,
@@ -72,8 +74,8 @@ __all__ = [
 ]
 
 
-def _sum(P: LatticePolytope, w: WeightPoly, n: int, strict: bool) -> Fraction:
-    return Fraction(_walk_sum(P, n, strict, w._num.items())[0], w._den)
+def _sum(P: LatticePolytope, w: WeightPoly, n: int, strict: bool, plans=None) -> Fraction:
+    return Fraction(_walk_sum(P, n, strict, w._num.items() if plans is None else plans)[0], w._den)
 
 
 def weighted_sum(P: LatticePolytope, w: WeightPoly, n: int) -> Fraction:
@@ -91,9 +93,10 @@ def _interpolated(P: LatticePolytope, w: WeightPoly, reciprocal: bool) -> UniPol
     interior walks at n = -1, -2, ..., one node at a time: closed n = 1 first,
     then the next node of the side whose last walk yielded fewer blocks, the
     interior side on a tie or before its first walk. Then probed by closed
-    walks. Node sums are interpolated as integers over w's denominator, divided once."""
-    terms = w._num.items()
-    reflected = [(e, (-1) ** (P.dim + sum(e)) * c) for e, c in terms]
+    walks. Node sums are interpolated as integers over w's denominator, divided once.
+    Each side keeps its sum plans, one per walk axes (col, e), for all of its walks."""
+    terms = _SumPlans(w._num.items())
+    reflected = _SumPlans([(e, (-1) ** (P.dim + sum(e)) * c) for e, c in w._num.items()])
     walked, samples = {False: [0, 0], True: [0, 0]}, []  # per side: its last n, blocks
     for _ in range(P.dim + w.degree + 1):
         strict = reciprocal and bool(samples) and walked[True][1] <= walked[False][1]
@@ -103,7 +106,7 @@ def _interpolated(P: LatticePolytope, w: WeightPoly, reciprocal: bool) -> UniPol
         samples.append((-side[0] if strict else side[0], value))
     poly = lagrange_interpolate(samples) * Fraction(1, w._den)
     for probe in (0, P.dim + w.degree + 2):
-        value, enumerated = poly(probe), _sum(P, w, probe, False)
+        value, enumerated = poly(probe), _sum(P, w, probe, False, terms)
         if value != enumerated:
             table = ", ".join(f"({n}, {Fraction(v, w._den)})" for n, v in samples)
             raise ConsistencyError(
@@ -346,7 +349,7 @@ def reciprocity_check(
     _check_int(n_max, 1, "n_max must be a positive integer")
     _check_hypotheses(P, w, "reciprocity_check", spot_check)
     sign = (-1) ** (P.dim + w.degree)
-    poly = _interpolated(P, w, False)
-    entries = (ReciprocityEntry(n, _sum(P, w, n, True), sign * poly(-n))
+    poly, plans = _interpolated(P, w, False), _SumPlans(w._num.items())
+    entries = (ReciprocityEntry(n, _sum(P, w, n, True, plans), sign * poly(-n))
                for n in range(1, n_max + 1))
     return ReciprocityReport(sign, tuple(entries))

@@ -60,7 +60,7 @@ from ehrwt.errors import (
 )
 from ehrwt.geometry import _check_space, _enumeration_cap, _walk
 from ehrwt.hilbert import FIT_MARGIN, _check_input, hilbert_value, image_polytope
-from ehrwt.polynomials import WeightPoly, _check_bits, _check_cap, _series_of_values
+from ehrwt.polynomials import WeightPoly, _bits, _check_bits, _check_cap, _series_of_values
 
 
 def eulerian_row(d):
@@ -586,7 +586,7 @@ def recursive_fibers(frame, n, strict, cap):
     returns the number of cells it visited and raises
     EnumerationLimitError once that passes cap.
     """
-    v0, cols, rows, lo, hi, _ = frame
+    v0, cols, rows, lo, hi, _ = frame[:6]
     last = len(cols) - 1
     lo, hi = [n * v for v in lo], [n * v for v in hi]
     # per depth, the rows that bound it with their rhs less the tail past
@@ -1039,7 +1039,7 @@ class _WeightParser:
             exponent = int(text)
             _check_cap("exponent", exponent, pos)
             _check_cap("total degree", max(value.degree, 0) * exponent, op_pos)
-            _check_bits(op_pos, (value, exponent))
+            _check_bits(op_pos, _bits((value._num, value._den)) * exponent)
             value = value**exponent
         return value if sign == 1 else -value
 

@@ -42,6 +42,7 @@ from ehrwt.geometry import (
     _points,
     _primitive_ineq,
     _reduced_kernel,
+    _SumPlans,
     _walk,
     _walk_sum,
 )
@@ -778,6 +779,37 @@ def test_blocks_match_the_recursive_walk_at_every_cap(points, n, strict, rectang
     _assert_walk_matches_the_recursive_walk(frame, n, strict, lambda count: range(1, count + 1))
 
 
+@pytest.mark.parametrize("points", [
+    CRITERION3, CRITERION3_PERMUTED, BOX, PRISM_OVER_TRIANGLE, RIGHT_TRIANGLE, SEGMENT_NEGATIVE,
+])
+def test_one_frame_walks_every_dilation_alike_every_time(points):
+    # the frame's walk plan serves every dilation, scaled afresh by each walk:
+    # nP, then mP, then nP again yield the same blocks and the same cell count
+    # or cap message each time, closed and strict, under no cap and under one
+    # that raises partway through nP, and mP as from a frame of its own
+    coords = _lattice_coordinates(LatticePolytope(points))
+    frame = _frame(coords)
+
+    def walked(frame, n, strict, cap):
+        blocks, walk = [], _fibers(frame, n, strict, cap)
+        try:
+            while True:
+                blocks.append(next(walk))
+        except StopIteration as done:
+            return blocks, done.value
+        except EnumerationLimitError as exc:
+            return blocks, str(exc)
+
+    for strict in (False, True):
+        cells = walked(frame, 3, strict, math.inf)[1]
+        for cap in (math.inf, max(cells // 2, 1)):
+            first = walked(frame, 3, strict, cap)
+            assert walked(frame, 5, strict, cap) == walked(_frame(coords), 5, strict, cap)
+            assert walked(frame, 3, strict, cap) == first
+            assert isinstance(first[1], str) == (cap < cells), cap
+    assert frame == _frame(coords)
+
+
 def test_walk_memory_does_not_grow_with_a_coordinate_width():
     # a thin parallelogram and a thin trapezoid whose outer coordinate spans
     # over 10^5 values: the walk keeps one lazy cursor per depth and a lazy
@@ -832,6 +864,29 @@ def test_walk_sum_matches_the_pointwise_sum(case, n, strict):
     total, blocks = _walk_sum(P, n, strict, w._num.items())
     assert total == pointwise_sum(P, w, n, strict)
     assert blocks == sum(1 for _ in geometry._walk_fibers(P, n, strict)[2])  # the walk's own count
+
+
+@settings(max_examples=100)
+@given(images_and_weights(), st.integers(1, 3))
+@example(([(4, -1, 2)], WeightPoly(3, {(6, 0, 1): Fraction(-7, 3), (0, 0, 0): 1})), 2)
+@example((BOX, WeightPoly(3, {(3, 1, 0): 1, (0, 3, 1): -2, (0, 0, 0): 5})), 2)
+@example((SHEARED_SQUARE, WeightPoly(3, {(0, 0, 2): 1, (1, 1, 0): 2})), 1)
+@example((PRISM, WeightPoly(3, {(1, 1, 1): 1, (0, 2, 0): Fraction(1, 3)})), 3)
+def test_point_walks_sum_alike_under_shared_plans(case, n):
+    # 0P and a point P walk one point, with col = e = 0; from a term list's
+    # shared plans they take the plan held first, here one of BOX's or of P's
+    # own col and e, under which factors move, and still sum the weight there
+    points, w = case
+    P, terms = LatticePolytope(points), w._num.items()
+    for other in (BOX, points):
+        if len(other[0]) != len(points[0]):
+            continue
+        plans = _SumPlans(terms)
+        _walk_sum(LatticePolytope(other), 1, False, plans)
+        for m, strict in [(0, False)] + ([] if P.dim else [(n, False), (n, True)]):
+            total = _walk_sum(P, m, strict, plans)[0]
+            assert total == pointwise_sum(P, w, m, strict), (other, m, strict)
+        assert len(plans) == 1 + bool(LatticePolytope(other).dim), other
 
 
 @pytest.mark.parametrize("N, points", [

@@ -567,6 +567,48 @@ def test_parse_weight_matches_the_former_parser(text, nvars):
         == _parse_outcome(oracle_parse_weight, text, nvars)
 
 
+@pytest.mark.parametrize("text, nvars, error", [
+    # the exponent and the total degree, in products and in powers
+    ("t1^64", 1, None),
+    ("t1^65", 1, ("exponent 65 exceeds the cap 64", 3)),
+    ("t1^32*t2^32", 2, None),
+    ("t1^32*t2^33", 2, ("total degree 65 exceeds the cap 64", 5)),
+    ("(t1^2*t2^6)^8", 2, None),
+    ("(t1^5*t2^8)^5", 2, ("total degree 65 exceeds the cap 64", 11)),
+    ("(t1 + 1)^64", 1, None),
+    ("(t1^2)^32*t1^0", 1, None),
+    ("(t1^2)^33", 1, ("total degree 66 exceeds the cap 64", 6)),
+    # the coefficient size, 4,096 bits, for powers and for products
+    ("(2^63)^64", 1, None),
+    ("(2^64)^64", 1, ("coefficient size 4160 bits exceeds the cap 4096 bits", 6)),
+    ("(2^63)^64*2^62", 1, None),
+    ("(2^63)^64*2^63", 1, ("coefficient size 4097 bits exceeds the cap 4096 bits", 9)),
+    ("(2^63)^64*(2/4)^63*2^62", 1,
+     ("coefficient size 4097 bits exceeds the cap 4096 bits", 9)),
+    # reducible values: each cap reads them in lowest terms, 2/4 as 1/2 and
+    # 2/4*2^63 as 2^62, so these fit, where unreduced they would not
+    ("(2/4*2^63*t1 + 2/4)^64", 1, None),
+    ("(2/4*2^64*t1 + 2/4)^64", 1, ("coefficient size 4160 bits exceeds the cap 4096 bits", 19)),
+    ("(4/2*2^62*t1 - 2/4)^64", 1, ("coefficient size 4160 bits exceeds the cap 4096 bits", 19)),
+    ("2/4*(2^63)^64*2^63", 1, None),
+    ("(2/4*t1 + 2/4)^64*(2^63)^63", 1, None),
+    # 800 factors: the size of the first product stops it
+    pytest.param("*".join(["(99^64)^9"] * 800), 1,
+                 ("coefficient size 7638 bits exceeds the cap 4096 bits", 9), id="800-factors"),
+])
+def test_parse_weight_caps_at_their_boundaries(text, nvars, error):
+    # each cap fires at the token where the former WeightPoly parser's did, on
+    # the sizes of values kept in lowest terms; what passes equals the former
+    # parser's weight (it has no product size cap, so it is read only there)
+    if error is None:
+        assert parse_weight(text, nvars) == oracle_parse_weight(text, nvars)
+        return
+    message, position = error
+    with pytest.raises(WeightParseError) as info:
+        parse_weight(text, nvars)
+    assert (str(info.value), info.value.position) == (f"{message} (position {position})", position)
+
+
 # ---------------------------------------------------------------- WeightPoly
 
 def test_eval_weight_fixed():
