@@ -7,22 +7,11 @@ column is only rescaled. A forward elimination, which clears only the
 rows below each pivot, gives an affine rank as its pivot count and the
 affine hull as the integer kernel of its echelon form, by back
 substitution; the hull equations' pivots fix the coordinates left free.
-The facets come from an
-incremental double description on integer rows in those free
-coordinates. Its starting simplex comes from one elimination of the
-points' differences from the first point with the identity appended:
-the pivot columns pick the simplex's other points, and the appended
-block holds its facet normals. Each point outside the current hull
-replaces the rows it violates by positive combinations with the rows it
-satisfies strictly, for pairs with no third row tight wherever both are
-(Fukuda and Prodon's combinatorial test, valid as the rows are exactly
-the facets of the hull so far); the simplex's own points satisfy every
-row and are not tried. Each row carries the points tight at it as a
-bitmask, so a new row's tight set is its parents' common one plus the
-new point, and no tight set is recomputed. An integer invariant check,
-one pass over the vertices per row with the tight sets taken afresh
-from them, raises ConsistencyError unless each final row is a distinct
-facet; a missing facet goes unnoticed.
+The facets are _double_description's rows in those free coordinates,
+lifted. An integer invariant check, one pass over the vertices per row
+with the tight sets taken afresh from them, raises ConsistencyError
+unless each final row is a distinct facet; a missing facet goes
+unnoticed.
 
 The lattice points of a dilation come from one walk in a lattice basis
 of the affine hull: with v0 a vertex and the columns of B a reduced
@@ -336,47 +325,48 @@ def _check_facets(P, rows):
         normals.add(row)
 
 
-def _facet_inequalities(P):
-    """Facet rows by double description in the coordinates the hull leaves free.
+def _double_description(points):
+    """Primitive facet rows (a, b, tight) of the hull of distinct integer points
+    spanning R^d, by an incremental double description.
 
-    P projects one-to-one onto the columns that are not pivots of the
-    hull equations' echelon form, and a row that is zero on the pivot
-    columns is the canonical representative of its class modulo those
-    equations. Each row carries its tight set as a bitmask over the
-    points added so far. More than HULL_ROWS rows after a point raise
-    EnumerationLimitError.
+    The starting simplex and its facet normals come from one Gauss-Jordan
+    elimination of [D | I], D the differences from the first point. Each
+    point outside the current hull replaces the rows it violates by positive
+    combinations with the rows it satisfies strictly, for pairs with no third
+    row tight wherever both are (Fukuda and Prodon's combinatorial test, valid
+    as the rows are exactly the facets of the hull so far). A row's tight set
+    is a bitmask, bit i for points[i]: a new row takes its parents' common one
+    plus the new point, so none is recomputed. A point inside the hull when
+    tried gets no bit; a vertex gets the bit of every row tight at it. More
+    than HULL_ROWS rows after a point raise EnumerationLimitError.
     """
-    if P.dim == 0:
-        return ()
-    _, pivots = _echelon([a for a, _ in P.affine_hull], True)
-    free = [j for j in range(P.ambient_dim) if j not in pivots]
-    points = list(dict.fromkeys(tuple(v[j] for j in free) for v in P.vertices))
-    d = len(free)
-
+    d = len(points[0])
     # start from the first point and the p_i whose differences from it are pivot
     # columns of [D | I], D's columns all the differences: the appended block is then
     # the last pivot times D_c^-1, so its row i is normal to the facet opposite p_i
     # and minus the rows' sum to the one opposite base, each signed to have its apex
-    # inside; seen holds the points added so far, apex i at i
+    # inside; apex i is points[apexes[i]], and seen holds the bits of the points added
     base = points[0]
     ech, cols = _echelon([[q[j] - base[j] for q in points[1:]] + [int(i == j) for i in range(d)]
                           for j in range(d)])
     sign = -1 if ech[0][cols[0]] > 0 else 1
     normals = [[sign * c for c in row[-d:]] for row in ech]
     normals.append([-sum(col) for col in zip(*normals)])
-    seen = [points[c + 1] for c in cols] + [base]
-    full = (1 << (d + 1)) - 1
-    # seen[i - 1] is on every facet but the one opposite seen[i]
-    rows = [(*_primitive_ineq(a, sum(map(mul, a, seen[i - 1]))), full ^ (1 << i))
+    apexes = [c + 1 for c in cols] + [0]
+    seen = sum(1 << i for i in apexes)
+    # apex i - 1 is on every facet but the one opposite apex i
+    rows = [(*_primitive_ineq(a, sum(map(mul, a, points[apexes[i - 1]]))), seen ^ (1 << apexes[i]))
             for i, a in enumerate(normals)]
 
-    # every row holds at the points seen, so only the others are tried
-    for q in [q for q in points if q not in seen]:
+    # every row holds at the simplex's points, so only the others are tried
+    for k, q in enumerate(points):
+        if seen >> k & 1:
+            continue
         slack = [sum(map(mul, a, q)) - b for a, b, _ in rows]
         if max(slack) <= 0:
             continue
-        bit = 1 << len(seen)
-        seen.append(q)
+        bit = 1 << k
+        seen |= bit
         masks = [t for _, _, t in rows]
         kept = [(a, b, t | bit if u == 0 else t) for (a, b, t), u in zip(rows, slack) if u <= 0]
         for (a, b, tu), u in zip(rows, slack):
@@ -394,12 +384,27 @@ def _facet_inequalities(P):
         if len(rows) > HULL_ROWS:
             raise EnumerationLimitError(
                 f"facet computation of {len(points)} points in dimension {d} reached "
-                f"{len(rows)} double-description rows after {len(seen)} points, over "
+                f"{len(rows)} double-description rows after {seen.bit_count()} points, over "
                 f"the cap of {HULL_ROWS}"
             )
+    return rows
 
+
+def _facet_inequalities(P):
+    """Facet rows of P: _double_description's rows in the coordinates the hull
+    leaves free, lifted with zeros on the others, sorted and checked.
+
+    P projects one-to-one onto the columns that are not pivots of the hull
+    equations' echelon form, and a row that is zero on those pivot columns is
+    the canonical representative of its class modulo the equations.
+    """
+    if P.dim == 0:
+        return ()
+    _, pivots = _echelon([a for a, _ in P.affine_hull], True)
+    free = [j for j in range(P.ambient_dim) if j not in pivots]
+    points = list(dict.fromkeys(tuple(v[j] for j in free) for v in P.vertices))
     lifted = []
-    for a, b, _ in rows:
+    for a, b, _ in _double_description(points):
         row = [0] * P.ambient_dim
         for j, c in zip(free, a):
             row[j] = c

@@ -423,12 +423,12 @@ def recomputed_incidence_facets(vertices):
     """Facet rows of the hull of an integer point list by a double description
     that recomputes every row's tight set over the points added so far.
 
-    The same insertion order and row cap (geometry.HULL_ROWS, read per call)
-    as the library, which carries the tight sets as bitmasks from row to
-    row instead and takes its starting simplex from one elimination, where
-    this route takes each simplex facet from the hull equation of the
-    opposite face. Free coordinates and the simplex come from the RREF over
-    Fractions; duplicates and tautologies are merged away after each point.
+    The insertion order, the ridge test and the row cap (geometry.HULL_ROWS,
+    read per call) are geometry._double_description's; its tight-set masks
+    and its starting simplex's [D | I] elimination are not: this route takes
+    each simplex facet from the hull equation of the opposite face. Free
+    coordinates and the simplex come from the RREF over Fractions;
+    duplicates and tautologies are merged away after each point.
     """
     eqs = hull_equations(vertices)
     s = len(vertices[0])
