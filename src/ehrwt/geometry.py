@@ -30,9 +30,10 @@ last two coordinates, x and y, is one block, a base and an interval for
 each, when no facet row bounds both; otherwise each x gives one block, a
 fiber: its base and y's interval. The cells of the coordinate above the
 slab, or of x, run in one tight loop, the slab kernel on a slab: the rows
-that do not move with the cell cut once per loop, the others per cell
-from their residuals, and the blocks' bases are built at C speed. Sums,
-counts and images are taken per block and no point list is kept; what a
+that do not move with the cell cut once per loop, the others per cell,
+and the blocks' bases are built at C speed. One rule, _interval, cuts a
+range by its rows at every depth and every cell. Sums, counts and
+images are taken per block and no point list is kept; what a
 walk needs beyond n is planned once per polytope, with its frame. One
 kernel sums a weight over every block, fiber or slab, from a plan that
 each side of a polynomial builds once per walk axes: a term with at most
@@ -541,7 +542,7 @@ def _frame(coords):
     of its last two coordinates; col is then B's second-to-last column, else 0.
     The plan lists the rows (i, r, s, c) that cut, r the rhs less the tail past
     the depth and s the step along the tight depth, with a slice per depth up to
-    tight and six for the slab kernel: x's rows still, upper and lower, then y's."""
+    tight and four for the slab kernel: x's rows still and moving, then y's."""
     v0, basis, rows, (lo, hi) = coords
     framed = []
     for c, beta in rows:
@@ -559,22 +560,22 @@ def _frame(coords):
                for i, (c, beta, tail) in enumerate(framed) if c[k]] for k in range(last + 1)]
     groups = bounds[:tight + 1]
     for axis in (bounds[last - 1] if rectangular else [], bounds[last]):
-        groups += [[b for b in axis if not b[2]], [b for b in axis if b[2] and b[3] > 0],
-                   [b for b in axis if b[2] and b[3] < 0]]
+        groups += [[b for b in axis if not b[2]], [b for b in axis if b[2]]]
     ends = [0, *accumulate(map(len, groups))]
     plan = list(chain.from_iterable(groups)), list(map(slice, ends, ends[1:])), steps, tight
     return v0, basis, framed, lo, hi, basis[-2] if rectangular else (0,) * len(v0), plan
 
 
-def _interval(low, high, rows, sums):
-    """low..high cut to the values y with c*y <= rhs - sums[i] for the rows (i, rhs, s, c)."""
-    for i, rhs, _, c in rows:
+def _interval(low, high, rows, sums, t=0):
+    """low..high cut to the values y with c*y <= rhs - sums[i] - t*s for the rows
+    (i, rhs, s, c), t the cell of the slab kernel's loop, 0 off it."""
+    for i, rhs, s, c in rows:
         if c > 0:
-            bound = (rhs - sums[i]) // c
+            bound = (rhs - sums[i] - t * s) // c
             if bound < high:
                 high = bound
         else:
-            bound = -((rhs - sums[i]) // -c)
+            bound = -((rhs - sums[i] - t * s) // -c)
             if bound > low:
                 low = bound
     return low, high
@@ -600,10 +601,9 @@ def _fibers(frame, n, strict, cap):
     last, rectangular = len(cols) - 1, any(col)
     lo, hi = [n * v for v in lo], [n * v for v in hi]
     # the plan's rows scaled to nQ ("< rhs" is "<= rhs - 1" in integers); of x's
-    # and y's, those the cells t leave alone cut once per loop, the others per t,
-    # a lower one as -((sum + t*s - rhs) // c), sum the row's value at t = 0
+    # and y's, those the cells t leave alone cut once per loop, the others per t
     scaled = [(i, n * r - strict, s, c) for i, r, s, c in plan]
-    *bounds, xstill, xup, xdown, ystill, yup, ydown = map(scaled.__getitem__, spans)
+    *bounds, xstill, xmove, ystill, ymove = map(scaled.__getitem__, spans)
     visited = 0
 
     def over(count):
@@ -626,29 +626,13 @@ def _fibers(frame, n, strict, cap):
             yf, ye = _interval(lo[last], hi[last], ystill, sums)
             for t, block in zip(xs, _run(base, cols[k], xs.start, xs.stop - 1)):
                 if rectangular:
-                    xl, xh = xf, xe
-                    for i, r, s, c in xup:
-                        bound = (r - sums[i] - t * s) // c
-                        if bound < xh:
-                            xh = bound
-                    for i, r, s, c in xdown:
-                        bound = -((sums[i] + t * s - r) // c)
-                        if bound > xl:
-                            xl = bound
+                    xl, xh = _interval(xf, xe, xmove, sums, t)
                     if xl > xh:
                         continue
                     visited += xh - xl + 1
                     if visited > cap:
                         raise over(visited)
-                yl, yh = yf, ye
-                for i, r, s, c in yup:
-                    bound = (r - sums[i] - t * s) // c
-                    if bound < yh:
-                        yh = bound
-                for i, r, s, c in ydown:
-                    bound = -((sums[i] + t * s - r) // c)
-                    if bound > yl:
-                        yl = bound
+                yl, yh = _interval(yf, ye, ymove, sums, t)
                 width = yh - yl + 1
                 if width > 0:
                     if visited + (xh - xl + 1) * width > cap:

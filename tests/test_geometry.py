@@ -38,6 +38,7 @@ from ehrwt.geometry import (
     _echelon,
     _fibers,
     _frame,
+    _interval,
     _lattice_coordinates,
     _points,
     _primitive_ineq,
@@ -805,6 +806,10 @@ def _assert_walk_matches_the_recursive_walk(frame, n, strict, caps):
 CRITERION3_PERMUTED = [tuple(v[j] for j in (0, 1, 3, 2, 5, 6, 4)) for v in CRITERION3]
 # the prism [0,2] x the triangle (0,0), (3,0), (0,2), its interval last in Z^3
 PRISM_OVER_TRIANGLE = [(b, c, a) for a in (0, 2) for b, c in [(0, 0), (3, 0), (0, 2)]]
+# a small_batch tetrahedron whose frame is rectangular with one upper and one
+# lower row moving with the slab kernel's cells on each of x and y; no other
+# rectangular frame here has a lower moving row on x
+TETRAHEDRON = [(0, 1, 2), (0, 2, 0), (0, 2, 2), (2, 1, 0)]
 
 
 @pytest.mark.parametrize("points, n, strict, rectangular", [
@@ -819,6 +824,8 @@ PRISM_OVER_TRIANGLE = [(b, c, a) for a in (0, 2) for b, c in [(0, 0), (3, 0), (0
     (CRITERION3_PERMUTED, 7, True, True),
     (PRISM_OVER_TRIANGLE, 2, False, True),
     (PRISM_OVER_TRIANGLE, 3, True, True),
+    (TETRAHEDRON, 3, False, True),
+    (TETRAHEDRON, 4, True, True),
 ])
 def test_blocks_match_the_recursive_walk_at_every_cap(points, n, strict, rectangular):
     # a rectangular frame yields blocks of several columns, any other one fiber
@@ -838,6 +845,7 @@ def test_blocks_match_the_recursive_walk_at_every_cap(points, n, strict, rectang
 
 @pytest.mark.parametrize("points", [
     CRITERION3, CRITERION3_PERMUTED, BOX, PRISM_OVER_TRIANGLE, RIGHT_TRIANGLE, SEGMENT_NEGATIVE,
+    TETRAHEDRON,
 ])
 def test_one_frame_walks_every_dilation_alike_every_time(points):
     # the frame's walk plan serves every dilation, scaled afresh by each walk:
@@ -865,6 +873,26 @@ def test_one_frame_walks_every_dilation_alike_every_time(points):
             assert walked(frame, 3, strict, cap) == first
             assert isinstance(first[1], str) == (cap < cells), cap
     assert frame == _frame(coords)
+
+
+@given(st.lists(st.tuples(st.integers(0, 3), st.integers(-30, 30), st.integers(-6, 6),
+                         st.integers(-5, 5).filter(bool)), max_size=4),
+       st.lists(st.integers(-30, 30), min_size=4, max_size=4), st.integers(-6, 6),
+       st.integers(-12, 12), st.integers(-1, 12))
+# a lower row's residual 1 - 3 - 4 = -6 over -4 keeps y = 2..5; an upper
+# row's -4 - 0 - 3 = -7 over 3 adds y <= -3, and no y is left
+@example([(2, 1, 4, -4)], [0, 0, 3, 0], 1, -5, 10)
+@example([(0, -4, 3, 3), (2, 1, 4, -4)], [0, 0, 3, 0], 1, -5, 10)
+def test_interval_cuts_to_the_values_every_row_allows(rows, sums, t, low, width):
+    # the one rule of the walk, at every depth (t = 0) and every cell of the
+    # slab kernel: the range it returns holds exactly the y in low..high with
+    # c*y <= rhs - sums[i] - t*s for every row (i, rhs, s, c), and is empty
+    # when no y does
+    high = low + width
+    allowed = [y for y in range(low, high + 1)
+               if all(c * y <= rhs - sums[i] - t * s for i, rhs, s, c in rows)]
+    cut = _interval(low, high, rows, sums, t)
+    assert list(range(cut[0], cut[1] + 1)) == allowed
 
 
 def test_walk_memory_does_not_grow_with_a_coordinate_width():
