@@ -29,19 +29,19 @@ coordinates one by one with exact interval propagation. A slab of the
 last two coordinates, x and y, is one block, a base and an interval for
 each, when no facet row bounds both; otherwise each x gives one block, a
 fiber: its base and y's interval. The cells of the coordinate above the
-slab, or of x, run in one tight loop, the slab kernel on a slab: the rows
-that do not move with the cell cut once per loop, the others per cell,
-and the blocks' bases are built at C speed. One rule, _interval, cuts a
-range by its rows at every depth and every cell. Sums, counts and
-images are taken per block and no point list is kept; what a
-walk needs beyond n is planned once per polytope, with its frame. One
-kernel sums a weight over every block, fiber or slab, from a plan that
-each side of a polynomial builds once per walk axes: a term with at most
+slab, or of x, run in one tight loop, the slab kernel on a slab: each
+cell cuts x's rows and y's, and the blocks' bases are built at C speed.
+One rule, _interval, cuts a range by its rows at every depth and every
+cell. Sums, counts and images are taken per block and no point list is
+kept; what a walk needs beyond n, its rows per depth, is planned once
+per polytope, with its frame. One kernel sums a weight over every
+block, fiber or slab, from a plan that each side of a polynomial
+builds once per walk axes: a term with at most
 two factors moving along each of x and y is a product of two closed
 forms, each from the block's count and sums of t and t^2 along its axis;
 the other terms run column by column through the same kernel, and there
 in C-level loops over ranges. Completed walks of up to WALK_STORE_BLOCKS
-blocks in all are kept, least recently used first out, keyed by P's
+blocks in all are kept, the first stored the first out, keyed by P's
 vertices, n, strict and the enumeration cap, so a dilation an equal
 polytope walked before under the same cap is not walked again.
 
@@ -56,7 +56,7 @@ import math
 import os
 import threading
 from collections import OrderedDict
-from itertools import accumulate, chain, islice, repeat
+from itertools import chain, islice, repeat
 from operator import mul, sub
 from typing import Iterable, Sequence
 
@@ -540,9 +540,8 @@ def _frame(coords):
     add to it over Q's box, so a prefix whose best completion already
     breaks the row is cut at once. Q is rectangular when no row bounds both
     of its last two coordinates; col is then B's second-to-last column, else 0.
-    The plan lists the rows (i, r, s, c) that cut, r the rhs less the tail past
-    the depth and s the step along the tight depth, with a slice per depth up to
-    tight and four for the slab kernel: x's rows still and moving, then y's."""
+    The plan lists, per depth, the rows (i, r, s, c) that cut it, r the rhs less
+    the tail past the depth and s the step along the tight depth."""
     v0, basis, rows, (lo, hi) = coords
     framed = []
     for c, beta in rows:
@@ -558,12 +557,8 @@ def _frame(coords):
     steps = [[c[k] for c, _ in rows] for k in range(last + 1)]
     bounds = [[(i, beta - tail[k + 1], steps[tight][i], c[k])
                for i, (c, beta, tail) in enumerate(framed) if c[k]] for k in range(last + 1)]
-    groups = bounds[:tight + 1]
-    for axis in (bounds[last - 1] if rectangular else [], bounds[last]):
-        groups += [[b for b in axis if not b[2]], [b for b in axis if b[2]]]
-    ends = [0, *accumulate(map(len, groups))]
-    plan = list(chain.from_iterable(groups)), list(map(slice, ends, ends[1:])), steps, tight
-    return v0, basis, framed, lo, hi, basis[-2] if rectangular else (0,) * len(v0), plan
+    col = basis[-2] if rectangular else (0,) * len(v0)
+    return v0, basis, framed, lo, hi, col, (bounds, steps, tight)
 
 
 def _interval(low, high, rows, sums, t=0):
@@ -597,13 +592,11 @@ def _fibers(frame, n, strict, cap):
     visited and raises EnumerationLimitError once that passes cap, at the
     count where a walk fiber by fiber would.
     """
-    v0, cols, rows, lo, hi, col, (plan, spans, steps, tight) = frame
+    v0, cols, rows, lo, hi, col, (plan, steps, tight) = frame
     last, rectangular = len(cols) - 1, any(col)
     lo, hi = [n * v for v in lo], [n * v for v in hi]
-    # the plan's rows scaled to nQ ("< rhs" is "<= rhs - 1" in integers); of x's
-    # and y's, those the cells t leave alone cut once per loop, the others per t
-    scaled = [(i, n * r - strict, s, c) for i, r, s, c in plan]
-    *bounds, xstill, xmove, ystill, ymove = map(scaled.__getitem__, spans)
+    # each depth's rows of the plan scaled to nQ ("< rhs" is "<= rhs - 1" in integers)
+    bounds = [[(i, n * r - strict, s, c) for i, r, s, c in depth] for depth in plan]
     visited = 0
 
     def over(count):
@@ -621,18 +614,15 @@ def _fibers(frame, n, strict, cap):
         if k == tight:  # off a slab x = 0, and it has no cells
             stack.pop()
             xl = xh = 0
-            if rectangular:
-                xf, xe = _interval(lo[last - 1], hi[last - 1], xstill, sums)
-            yf, ye = _interval(lo[last], hi[last], ystill, sums)
             for t, block in zip(xs, _run(base, cols[k], xs.start, xs.stop - 1)):
                 if rectangular:
-                    xl, xh = _interval(xf, xe, xmove, sums, t)
+                    xl, xh = _interval(lo[last - 1], hi[last - 1], bounds[last - 1], sums, t)
                     if xl > xh:
                         continue
                     visited += xh - xl + 1
                     if visited > cap:
                         raise over(visited)
-                yl, yh = _interval(yf, ye, ymove, sums, t)
+                yl, yh = _interval(lo[last], hi[last], bounds[last], sums, t)
                 width = yh - yl + 1
                 if width > 0:
                     if visited + (xh - xl + 1) * width > cap:
@@ -659,22 +649,15 @@ def _fibers(frame, n, strict, cap):
 
 
 class _WalkStore(OrderedDict):
-    """Completed walks, (vertices, n, strict, cap) -> (col, e, blocks), least
-    recently used first; size counts their blocks plus one per entry, so
-    empty walks count too, and stays at most WALK_STORE_BLOCKS. One lock
-    keeps size and the entries in step when threads walk at once.
+    """Completed walks, (vertices, n, strict, cap) -> (col, e, blocks), first
+    in first out: a read leaves the order alone. size counts their blocks
+    plus one per entry, so empty walks count too, and stays at most
+    WALK_STORE_BLOCKS. One lock keeps size and the entries in step when
+    threads store walks at once.
     """
 
     size = 0
     lock = threading.Lock()
-
-    def read(self, key):
-        """The stored walk of key, as most recent, or None."""
-        with self.lock:
-            stored = self.get(key)
-            if stored is not None:
-                self.move_to_end(key)
-            return stored
 
     def keep(self, key, entry):
         with self.lock:
@@ -711,7 +694,7 @@ def _walk_fibers(P: LatticePolytope, n: int, strict: bool):
         return (0,) * P.ambient_dim, (0,) * P.ambient_dim, iter([
             (tuple(n * c for c in P.vertices[0]), 0, 0, 0, 0)])
     key = (P.vertices, n, strict, cap)
-    stored = _walk_store.read(key)
+    stored = _walk_store.get(key)
     if stored is not None:
         return stored[0], stored[1], iter(stored[2])
     if P._frame is None:

@@ -1158,6 +1158,24 @@ def test_walk_store_holds_at_most_its_budget():
     assert retained < 320 * geometry.WALK_STORE_BLOCKS
 
 
+def test_walk_store_drops_the_first_stored_walk_first():
+    # segments 0..255 at n = 1, one block and one entry each, fill the
+    # budget of 512 units; a read of segment 0 leaves the order alone, so
+    # the walk of segment 256 drops segment 0, not segment 1
+    count = geometry.WALK_STORE_BLOCKS // 2
+    segments = [LatticePolytope([(a, 0), (a + 1, 1)]) for a in range(count + 1)]
+    for P in segments:
+        lattice_points(P, 1)
+    geometry._walk_store.clear()
+    for P in segments[:count]:
+        lattice_points(P, 1)
+    assert geometry._walk_store.size == geometry.WALK_STORE_BLOCKS
+    assert lattice_points(segments[0], 1) == [(0, 0), (1, 1)]
+    lattice_points(segments[count], 1)
+    first, second = ((P.vertices, 1, False, geometry._enumeration_cap()) for P in segments[:2])
+    assert first not in geometry._walk_store and second in geometry._walk_store
+
+
 def test_walk_store_keeps_its_count_under_threads():
     # eight threads walk the small dilations of 100 segments, 800 units
     # against the budget of 512, switching every microsecond: every walk
