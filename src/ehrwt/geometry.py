@@ -22,28 +22,31 @@ equations stacked on top, weighted by an N that LLL's bound on the
 reduced lengths (Prop. 1.12) makes larger than any short kernel
 vector, so the first d columns are a reduced kernel basis. A second
 LLL on the coordinate rows of P's vertices, centered, changes the basis
-so that Q is narrow in every coordinate, and Q is walked in index order.
-Q is full-dimensional, so the hull equations never reach the walk. One
-loop walks Q depth first on an explicit stack of lazy cursors, fixing the
-coordinates one by one with exact interval propagation. A slab of the
-last two coordinates, x and y, is one block, a base and an interval for
-each, when no facet row bounds both; otherwise each x gives one block, a
-fiber: its base and y's interval. The cells of the coordinate above the
-slab, or of x, run in one tight loop, the slab kernel on a slab: each
-cell cuts x's rows and y's, and the blocks' bases are built at C speed.
-One rule, _interval, cuts a range by its rows at every depth and every
-cell. Sums, counts and images are taken per block and no point list is
-kept; what a walk needs beyond n, its rows per depth, is planned once
-per polytope, with its frame. One kernel sums a weight over every
-block, fiber or slab, from a plan that each side of a polynomial
-builds once per walk axes: a term with at most
-two factors moving along each of x and y is a product of two closed
-forms, each from the block's count and sums of t and t^2 along its axis;
-the other terms run column by column through the same kernel, and there
-in C-level loops over ranges. Completed walks of up to WALK_STORE_BLOCKS
-blocks in all are kept, the first stored the first out, keyed by P's
-vertices, n, strict and the enumeration cap, so a dilation an equal
-polytope walked before under the same cap is not walked again.
+so that Q is narrow in every coordinate. Q is full-dimensional, so the
+hull equations never reach the walk. The walk's unit is a box: trailing
+axes that no facet row couples, each row nonzero on at most one of them,
+so that every prefix of the other coordinates leaves them one interval
+each. The axes are the last coordinate, the one before it when no row
+bounds both, and whatever candidates e_i and e_i +- e_j of the other
+coordinates miss the rows and indices of the axes taken before them; a
+taken e_i +- e_j replaces e_i, a change of basis of determinant 1. One
+loop walks the other coordinates depth first on an explicit stack of lazy
+cursors, in index order, with exact interval propagation, and runs the
+cells of the last of them in one tight loop that cuts each axis and
+yields one box per cell, its base built at C speed. One rule, _interval,
+cuts a range by its rows at every depth and every cell. Sums, counts and
+images are taken per box and no point list is kept; what a walk needs
+beyond n, its rows per depth, is planned once per polytope, with its
+frame. One kernel sums a weight over every box from a plan that each side
+of a polynomial builds once per axes: a term whose factors each move
+along at most one axis, at most two along each, is a product of closed
+forms, one per axis, each from the box's count and sums of t and t^2
+along it, as a unit cube's sum factors into power sums; the other terms
+run fiber by fiber along the last axis through the same kernel, and
+there in C-level loops over ranges. Completed walks of up to
+WALK_STORE_BLOCKS boxes in all are kept, the first stored the first out,
+keyed by P's vertices, n, strict and the enumeration cap, so a dilation
+an equal polytope walked before under the same cap is not walked again.
 
 Membership reads the same cached rows: an int point at an int dilation is
 taken as it is, any other has its denominators cleared once, and then it is
@@ -56,8 +59,8 @@ import math
 import os
 import threading
 from collections import OrderedDict
-from itertools import chain, islice, repeat
-from operator import mul, sub
+from itertools import chain, combinations, compress, islice, repeat
+from operator import add, mul, sub
 from typing import Iterable, Sequence
 
 from .errors import ConsistencyError, EnumerationLimitError
@@ -82,13 +85,15 @@ DEFAULT_ENUMERATION_CAP = 10**8
 # R^3 reach this cap after 103 points in 0.15 s (CPython 3.11, a shared
 # Xeon server), where the hull workloads peak at 14
 HULL_ROWS = 200
-# most units the walk store holds, a unit being one stored block or one
-# entry's own key, value and links: on 64-bit CPython 3.11 a block of nP in
-# Z^s takes 128 + 8s bytes, plus 28 for each of its s + 4 integers outside
-# -5..256 and under 2^30, and an entry under 320, so the store holds under
-# 180 KiB for s <= 3 and 250 KiB for s = 7; a few hundred units already take
-# most repeats, as one polytope's nodes, probes and checks walk the same
-# small dilations
+# most units the walk store holds, a unit being one stored box or one
+# entry's own key, value and links: on 64-bit CPython 3.11 a box of k axes
+# of nP in Z^s takes 96 + 8s + 16k bytes (sys.getsizeof of its tuple and its
+# base, and its slot in the walk's), plus 28 for each of its s + 2k integers
+# outside -5..256 and under 2^30, and an entry under 320; k <= s, so the
+# store holds at most 210 KiB for s <= 3, and 282 KiB for s = 7 with the
+# three axes of criterion 3's boxes; a few hundred units already take most
+# repeats, as one polytope's nodes, probes and checks walk the same small
+# dilations
 WALK_STORE_BLOCKS = 512
 
 
@@ -101,7 +106,7 @@ class LatticePolytope:
     computed on first use and cached. Hashable on the point list.
     """
 
-    __slots__ = ("_vertices", "_hull", "_facets", "_frame")
+    __slots__ = ("_vertices", "_hull", "_dim", "_facets", "_frame")
 
     def __init__(self, vertices: Iterable[Sequence[int]]):
         rows = [tuple(v) for v in vertices]
@@ -116,7 +121,7 @@ class LatticePolytope:
         if any(len(r) != s for r in rows):
             raise ValueError("all vertices must have the same length")
         self._vertices = tuple(rows)
-        self._hull = None
+        self._hull = self._dim = None
         self._facets = None
         self._frame = None
 
@@ -131,14 +136,18 @@ class LatticePolytope:
     @property
     def affine_hull(self) -> tuple[tuple[tuple[int, ...], int], ...]:
         """Equations a.x = b (integer, primitive) cutting out the hull."""
-        if self._hull is None:
-            self._hull = _affine_hull(self._vertices)
+        if self._hull is None:  # _dim first: a set _hull means a set _dim
+            hull = _affine_hull(self._vertices)
+            self._dim = len(self._vertices[0]) - len(hull)
+            self._hull = hull
         return self._hull
 
     @property
     def dim(self) -> int:
-        """Affine dimension of the hull."""
-        return self.ambient_dim - len(self.affine_hull)
+        """Affine dimension of the hull, set with the hull."""
+        if self._dim is None:
+            self.affine_hull
+        return self._dim
 
     @property
     def facet_inequalities(self) -> tuple[tuple[tuple[int, ...], int], ...]:
@@ -515,7 +524,7 @@ def _lattice_coordinates(P):
     takes y to R y and B to B R^-1, so Q is narrow in each coordinate;
     uncentered rows would leave the parallelogram (0,0), (1,0), (N,N),
     (N+1,N) a coordinate 1.5N wide, not N. Returns (v0, B's columns, Q's
-    facet rows (a.B, b - a.v0), Q's box as (lo, hi)).
+    facet rows (a.B, b - a.v0), Q's coordinate rows: y_i over P's vertices).
     """
     s, v0, d, m = P.ambient_dim, P.vertices[0], P.dim, len(P.vertices)
     cols, inv = _reduced_kernel([a for a, _ in P.affine_hull], s)
@@ -530,40 +539,72 @@ def _lattice_coordinates(P):
     ys = [[(c - row[0]) // m for c in row] for row in centered]
     rows = [(tuple(sum(map(mul, a, col)) for col in basis), b - sum(map(mul, a, v0)))
             for a, b in P.facet_inequalities]
-    return v0, basis, rows, (list(map(min, ys)), list(map(max, ys)))
+    return v0, basis, rows, ys
 
 
 def _frame(coords):
-    """The walk's data for Q, its coordinates walked in index order, col and plan.
+    """The walk's data for Q: v0, B's columns, rows, box, the box's axes and plan.
 
-    Each row carries, per depth k, the least value coordinates k..d-1 can
-    add to it over Q's box, so a prefix whose best completion already
-    breaks the row is cut at once. Q is rectangular when no row bounds both
-    of its last two coordinates; col is then B's second-to-last column, else 0.
-    The plan lists, per depth, the rows (i, r, s, c) that cut it, r the rhs less
-    the tail past the depth and s the step along the tight depth."""
-    v0, basis, rows, (lo, hi) = coords
+    The box's axes are coordinates that no facet row couples, each row
+    nonzero on at most one of them, so every prefix of the others leaves
+    them a box, one interval per axis. They are the last coordinate, the
+    one before it when no row bounds both, and then each candidate e_i or
+    e_i +- e_j of the other coordinates whose support, the rows nonzero
+    along it, and indices miss every axis taken so far, scanned by support
+    size and then index order. A taken e_i +- e_j replaces e_i, a change of
+    basis of determinant 1: B_i becomes B_i +- B_j, each row's c_i becomes
+    c_i +- c_j and y_j becomes y_j -+ y_i. The other coordinates are walked
+    in index order, then the axes, in index order; Q's box is the vertices'
+    in that basis. Each row carries, per depth k, the least value
+    coordinates k..d-1 can add to it over Q's box, so a prefix whose best
+    completion already breaks the row is cut at once. The plan lists, per
+    depth, the rows (i, r, s, c) that cut it, r the rhs less the tail past
+    the depth and s the step along the tight depth, the last above the box."""
+    v0, basis, rows, ys = coords
+    d, bits = len(basis), [1 << r for r in range(len(rows))]
+    basis, ys, cols = list(basis), list(ys), list(zip(*(c for c, _ in rows)))
+    support = [sum(compress(bits, col)) for col in cols]
+    box, used = [d - 1], support[-1]
+    if d > 1 and not support[-2] & used:
+        box.append(d - 2)
+        used |= support[-2]
+    if d > 2:  # below, no candidate is left whose support misses the last coordinate's
+        free = [i for i in range(d) if i not in box]
+        candidates = [(support[i], i, i, 0) for i in free] + [
+            (sum(compress(bits, map(op, cols[i], cols[j]))), i, j, sign)
+            for i, j in combinations(free, 2) for sign, op in ((1, add), (-1, sub))]
+        taken = set(box)
+        for mask, i, j, sign in sorted(candidates, key=lambda c: (c[0].bit_count(), c[1], c[2])):
+            if mask & used or i in taken or j in taken:
+                continue
+            box.append(i)
+            taken.update((i, j))
+            used |= mask
+            if sign:
+                basis[i] = tuple(a + sign * b for a, b in zip(basis[i], basis[j]))
+                cols[i] = tuple(a + sign * b for a, b in zip(cols[i], cols[j]))
+                ys[j] = [b - sign * a for a, b in zip(ys[i], ys[j])]
+    order = [i for i in range(d) if i not in box] + sorted(box)
+    basis = [basis[i] for i in order]
+    lo, hi = [min(ys[i]) for i in order], [max(ys[i]) for i in order]
     framed = []
-    for c, beta in rows:
-        tail = [0] * (len(c) + 1)
-        for k in range(len(c) - 1, -1, -1):
+    for c, (_, beta) in zip(zip(*[cols[i] for i in order]), rows):
+        tail = [0] * (d + 1)
+        for k in range(d - 1, -1, -1):
             tail[k] = tail[k + 1] + min(c[k] * lo[k], c[k] * hi[k])
         framed.append((c, beta, tail))
-    last = len(basis) - 1
-    rectangular = last > 0 and not any(c[-1] and c[-2] for c, _ in rows)
-    # the tight loop runs over the cells of depth tight; at d = 1, and at d = 2
-    # on a slab, tight is -1 and its one cell t = 0 moves nothing
-    tight = last - 1 - rectangular
-    steps = [[c[k] for c, _ in rows] for k in range(last + 1)]
+    # the tight loop runs over the cells of depth tight; when the box holds
+    # every coordinate, tight is -1 and its one cell t = 0 moves nothing
+    tight = d - 1 - len(box)
+    steps = [[c[k] for c, _, _ in framed] for k in range(d)]
     bounds = [[(i, beta - tail[k + 1], steps[tight][i], c[k])
-               for i, (c, beta, tail) in enumerate(framed) if c[k]] for k in range(last + 1)]
-    col = basis[-2] if rectangular else (0,) * len(v0)
-    return v0, basis, framed, lo, hi, col, (bounds, steps, tight)
+               for i, (c, beta, tail) in enumerate(framed) if c[k]] for k in range(d)]
+    return v0, basis, framed, lo, hi, tuple(basis[tight + 1:]), (bounds, steps, tight)
 
 
 def _interval(low, high, rows, sums, t=0):
     """low..high cut to the values y with c*y <= rhs - sums[i] - t*s for the rows
-    (i, rhs, s, c), t the cell of the slab kernel's loop, 0 off it."""
+    (i, rhs, s, c), t the cell of the tight loop, 0 off it."""
     for i, rhs, s, c in rows:
         if c > 0:
             bound = (rhs - sums[i] - t * s) // c
@@ -576,27 +617,43 @@ def _interval(low, high, rows, sums, t=0):
     return low, high
 
 
-def _fibers(frame, n, strict, cap):
-    """Stream the lattice points of nQ (of its interior if strict) as blocks.
+def _passed(visited, widths, cap):
+    """The count at which a walk depth by depth first passes cap in a box of
+    these widths, visited cells before it, where the box's cells pass cap.
+    An axis opens once per value of the axes above it, so each of its
+    values holds the same count of cells below it."""
+    for a, width in enumerate(widths):
+        visited += width
+        if visited > cap:
+            break
+        inner = 0
+        for w in reversed(widths[a + 1:]):
+            inner = w * (1 + inner)
+        visited += (cap - visited) // inner * inner
+    return visited
 
-    A block (base, xl, xh, yl, yh) stands for the points n*v0 + B y =
-    base + x * col + y * e, xl <= x <= xh and yl <= y <= yh, e B's last
-    column and col the frame's, base a tuple; the frame's plan is scaled to
-    nQ. One depth-first loop keeps one (depth, ambient base, row sums,
-    cursor) entry per open depth, so the stack never outgrows d entries.
-    The cells t of the last depth it opens run in one tight loop, one block
-    per t: if Q is rectangular, t is the coordinate above x and each t one
-    slab, the slab kernel; otherwise t is x and each t one fiber (base at
-    x, 0, 0, yl, yh). A cell is one value a coordinate can take after
-    interval propagation; the generator returns the number of cells it
-    visited and raises EnumerationLimitError once that passes cap, at the
-    count where a walk fiber by fiber would.
+
+def _fibers(frame, n, strict, cap):
+    """Stream the lattice points of nQ (of its interior if strict) as boxes.
+
+    A box (base, l_1, h_1, ..., l_k, h_k) stands for the points n*v0 + B y =
+    base + t_1 * A_1 + ... + t_k * A_k, l_a <= t_a <= h_a, A_1..A_k the
+    frame's axes, B's last k columns, and base a tuple; the frame's plan is
+    scaled to nQ. One depth-first loop keeps one (depth, ambient base, row
+    sums, cursor) entry per open depth, so the stack never outgrows d
+    entries. The cells t of the last depth above the box run in one tight
+    loop, each t one box, its axes cut by _interval in turn. A cell is one
+    value a coordinate can take after interval propagation, and a box holds
+    as many as the walk depth by depth opens in it, w_1 + w_1 w_2 + ... for
+    its widths w_a; the generator returns the number of cells it visited
+    and raises EnumerationLimitError once that passes cap, at the count
+    where the walk depth by depth would.
     """
-    v0, cols, rows, lo, hi, col, (plan, steps, tight) = frame
-    last, rectangular = len(cols) - 1, any(col)
+    v0, cols, rows, lo, hi, axes, (plan, steps, tight) = frame
     lo, hi = [n * v for v in lo], [n * v for v in hi]
     # each depth's rows of the plan scaled to nQ ("< rhs" is "<= rhs - 1" in integers)
     bounds = [[(i, n * r - strict, s, c) for i, r, s, c in depth] for depth in plan]
+    box = list(zip(lo[tight + 1:], hi[tight + 1:], bounds[tight + 1:]))
     visited = 0
 
     def over(count):
@@ -611,24 +668,35 @@ def _fibers(frame, n, strict, cap):
     stack = [(-1, [n * v for v in v0], [0] * len(rows), range(1) if tight < 0 else iter((0,)))]
     while stack:
         k, base, sums, xs = stack[-1]
-        if k == tight:  # off a slab x = 0, and it has no cells
+        if k == tight:
             stack.pop()
-            xl = xh = 0
-            for t, block in zip(xs, _run(base, cols[k], xs.start, xs.stop - 1)):
-                if rectangular:
-                    xl, xh = _interval(lo[last - 1], hi[last - 1], bounds[last - 1], sums, t)
-                    if xl > xh:
-                        continue
-                    visited += xh - xl + 1
-                    if visited > cap:
-                        raise over(visited)
-                yl, yh = _interval(lo[last], hi[last], bounds[last], sums, t)
-                width = yh - yl + 1
-                if width > 0:
-                    if visited + (xh - xl + 1) * width > cap:
-                        raise over(visited + ((cap - visited) // width + 1) * width)
-                    visited += (xh - xl + 1) * width
-                    yield block, xl, xh, yl, yh
+            ts = zip(xs, _run(base, cols[k], xs.start, xs.stop - 1))
+            if len(box) == 1:  # a box of one axis is a fiber, cut and counted at once
+                (low, high, cut), = box
+                for t, block in ts:
+                    yl, yh = _interval(low, high, cut, sums, t)
+                    if yl <= yh:
+                        visited += yh - yl + 1
+                        if visited > cap:
+                            raise over(visited)
+                        yield block, yl, yh
+                continue
+            for t, block in ts:
+                block, cells, size = [block], 0, 1
+                for low, high, cut in box:
+                    low, high = _interval(low, high, cut, sums, t)
+                    if low > high:
+                        size = 0
+                        break
+                    size *= high - low + 1
+                    cells += size
+                    block += low, high
+                if visited + cells > cap and cells:  # a cap below 0 passes no empty box
+                    widths = [h - l + 1 for l, h in zip(block[1::2], block[2::2])]
+                    raise over(_passed(visited, widths, cap))
+                visited += cells
+                if size:
+                    yield tuple(block)
             continue
         x = next(xs, None)
         if x is None:
@@ -649,9 +717,9 @@ def _fibers(frame, n, strict, cap):
 
 
 class _WalkStore(OrderedDict):
-    """Completed walks, (vertices, n, strict, cap) -> (col, e, blocks), first
-    in first out: a read leaves the order alone. size counts their blocks
-    plus one per entry, so empty walks count too, and stays at most
+    """Completed walks, (vertices, n, strict, cap) -> (axes, boxes), first in
+    first out: a read leaves the order alone. size counts their boxes plus
+    one per entry, so empty walks count too, and stays at most
     WALK_STORE_BLOCKS. One lock keeps size and the entries in step when
     threads store walks at once.
     """
@@ -662,11 +730,11 @@ class _WalkStore(OrderedDict):
     def keep(self, key, entry):
         with self.lock:
             if key in self:
-                self.size -= len(self.pop(key)[2]) + 1
+                self.size -= len(self.pop(key)[1]) + 1
             self[key] = entry
-            self.size += len(entry[2]) + 1
+            self.size += len(entry[1]) + 1
             while self.size > WALK_STORE_BLOCKS:
-                self.size -= len(self.popitem(last=False)[1][2]) + 1
+                self.size -= len(self.popitem(last=False)[1][1]) + 1
 
     def clear(self):
         with self.lock:
@@ -678,33 +746,32 @@ _walk_store = _WalkStore()
 
 
 def _walk_fibers(P: LatticePolytope, n: int, strict: bool):
-    """(col, e, blocks) of nP (of its relative interior if strict) as _fibers
+    """(axes, boxes) of nP (of its relative interior if strict) as _fibers
     yields them, in the order of Q's walk; the cap counts the cells visited in Q.
 
     A dilation that P, or an equal polytope, walked to the end before under
     the same cap comes from the walk store; under another cap it is walked
     again, so a lowered cap raises as on a first walk. Otherwise the walk's
-    first WALK_STORE_BLOCKS blocks are taken at once: a walk that ends short
+    first WALK_STORE_BLOCKS boxes are taken at once: a walk that ends short
     of them is stored, one that raises stores nothing, and one that reaches
     them streams the rest and is not stored.
     """
     cap = None if n == 0 and not strict else _enumeration_cap()  # read per call
     if cap is None or P.dim == 0:
-        # 0P is the origin, answered without facets or the cap; a point is one block
-        return (0,) * P.ambient_dim, (0,) * P.ambient_dim, iter([
-            (tuple(n * c for c in P.vertices[0]), 0, 0, 0, 0)])
+        # 0P is the origin, answered without facets or the cap; a point is a box of no axes
+        return (), iter([(tuple(n * c for c in P.vertices[0]),)])
     key = (P.vertices, n, strict, cap)
     stored = _walk_store.get(key)
     if stored is not None:
-        return stored[0], stored[1], iter(stored[2])
+        return stored[0], iter(stored[1])
     if P._frame is None:
         P._frame = _frame(_lattice_coordinates(P))
-    col, e, blocks = P._frame[5], P._frame[1][-1], _fibers(P._frame, n, strict, cap)
+    axes, blocks = P._frame[5], _fibers(P._frame, n, strict, cap)
     head = tuple(islice(blocks, WALK_STORE_BLOCKS))
     if len(head) == WALK_STORE_BLOCKS:  # the budget is reached: stream the rest
-        return col, e, chain(head, blocks)
-    _walk_store.keep(key, (col, e, head))
-    return col, e, iter(head)
+        return axes, chain(head, blocks)
+    _walk_store.keep(key, (axes, head))
+    return axes, iter(head)
 
 
 def _run(base, step, low, high):
@@ -713,24 +780,56 @@ def _run(base, step, low, high):
                  for b, a in zip(base, step)])
 
 
-def _columns(col, blocks):
-    """The fibers (base + x * col, 0, 0, yl, yh), xl <= x <= xh, of the blocks."""
-    return ((column, 0, 0, yl, yh)
-            for base, xl, xh, yl, yh in blocks for column in _run(base, col, xl, xh))
+def _plane(base, col, e, xl, xh, yl, yh):
+    """The points base + x * col + y * e, xl <= x <= xh outer and yl <= y <= yh
+    inner, in one zip: each coordinate's values come at C speed, from one value
+    or one range repeated, or one range's values each repeated, or a range per
+    x. An image's col and e may both be 0, so every coordinate counts its values."""
+    nx, ny, values = xh - xl + 1, yh - yl + 1, []
+    for b, a, c in zip(base, col, e):
+        if not c:
+            values.append(chain.from_iterable(map(
+                repeat, range(b + xl * a, b + (xh + 1) * a, a), repeat(ny))) if a
+                else repeat(b, nx * ny))
+        elif not a:
+            values.append(chain.from_iterable(repeat(range(b + yl * c, b + (yh + 1) * c, c), nx)))
+        else:
+            starts = range(b + xl * a + yl * c, b + (xh + 1) * a + yl * c, a)
+            values.append(chain.from_iterable(map(
+                range, starts, map(add, starts, repeat(ny * c)), repeat(c))))
+    return zip(*values)
 
 
-def _points(col, e, blocks):
-    """The points base + x * col + y * e of the blocks (base, xl, xh, yl, yh), x outer."""
-    blocks = _columns(col, blocks) if any(col) else blocks
-    return chain.from_iterable(_run(base, e, yl, yh) for base, _, _, yl, yh in blocks)
+def _spread(axes, block):
+    """The points block[0] + t_1 * axes[0] + ..., block[2a-1] <= t_a <= block[2a],
+    k >= 1 axes, the first axis outermost: the bases of the planes of the last
+    two axes come from _run along one axis after the other, each built once at
+    C speed, and each plane from _plane."""
+    k = len(axes)
+    if k == 1:
+        return _run(block[0], axes[0], block[1], block[2])
+    bases = (block[0],)
+    for a, axis in enumerate(axes[:-2]):
+        bases = chain.from_iterable(map(
+            _run, bases, repeat(axis), repeat(block[2 * a + 1]), repeat(block[2 * a + 2])))
+    return chain.from_iterable(map(_plane, bases, repeat(axes[-2]), repeat(axes[-1]),
+                                   *map(repeat, block[2 * k - 3:2 * k + 1])))
+
+
+def _points(axes, blocks):
+    """The points of the boxes (base, l_1, h_1, ..., l_k, h_k) along the axes, box
+    by box, each box's first axis outermost."""
+    if not axes:  # one point, 0P or a point P
+        return (block[0] for block in blocks)
+    return chain.from_iterable(map(_spread, repeat(axes), blocks))
 
 
 def _walk_images(P: LatticePolytope, n: int, image) -> int:
     """The number of distinct values of the linear map image over nP's lattice points."""
-    col, e, blocks = _walk_fibers(P, n, False)
-    # image is linear, so a block's images step along image(col) and image(e)
-    return len(set(_points(image(col), image(e), (
-        (image(b), xl, xh, yl, yh) for b, xl, xh, yl, yh in blocks))))
+    axes, blocks = _walk_fibers(P, n, False)
+    # image is linear, so a box's images step along its axes' images
+    return len(set(_points(tuple(map(image, axes)), (
+        (image(block[0]), *block[1:]) for block in blocks))))
 
 
 def _walk(P: LatticePolytope, n: int, strict: bool):
@@ -738,37 +837,42 @@ def _walk(P: LatticePolytope, n: int, strict: bool):
     return _points(*_walk_fibers(P, n, strict))
 
 
-def _sum_plan(terms, col, e):
+def _sum_plan(terms, axes):
     """_block_sum's plan for the terms c * prod(a_i^k), given as (exponents k,
-    int c) pairs, on blocks along col and e: (col, e, flat, closed, ranged, the
-    col = 0 plan of the terms that go column by column, or None). Each term's
-    factors split into fixed ones and those moving along col alone or e alone,
-    as indices into a base, the moving ones padded to two by index s, the 1
-    after it; the others are ranged when col = 0."""
-    one = len(e)
-    flat, closed, ranged, others = [], [], [], []
+    int c) pairs, on boxes along axes: (axes, flat, closed, ranged, the plan
+    along the last axis alone for the terms that go fiber by fiber, or None).
+    A factor a_i is fixed, or moves along the axes with a nonzero entry i. A
+    term with no moving factor is flat. One whose factors each move along at
+    most one axis, at most two along each, is closed: one (i, a_i, j, a_j,
+    a_i * a_j) per axis, i and j its factors there as indices into a base,
+    padded to two by index s, the 1 after it. The others are ranged on one
+    axis and go fiber by fiber on several."""
+    one, flat, closed, ranged, others = len(axes[0]), [], [], [], []
     for x, c in terms:
-        fixed, xs, ys, both = parts = [], [], [], []
+        fixed, moving, crossed = [], [[] for _ in axes], False
         for i, k in enumerate(x):
             if k:
-                parts[(col[i] != 0) + 2 * (e[i] != 0)].extend([i] * k)
-        if both or len(xs) > 2 or len(ys) > 2:
-            if any(col):
+                along = [m for axis, m in zip(axes, moving) if axis[i]]
+                crossed |= len(along) > 1
+                (along[0] if along else fixed).extend([i] * k)
+        if crossed or any(len(m) > 2 for m in moving):
+            if len(axes) > 1:
                 others.append((x, c))
             else:
-                ranged.append((c, fixed + ys))
-        elif xs or ys:
-            (i, j), (k, l) = xs + [one] * (2 - len(xs)), ys + [one] * (2 - len(ys))
-            ai, aj = col[i] if xs else 0, col[j] if xs[1:] else 0
-            ak, al = e[k] if ys else 0, e[l] if ys[1:] else 0
-            closed.append((c, fixed, i, ai, j, aj, ai * aj, k, ak, l, al, ak * al))
+                ranged.append((c, fixed + moving[0]))
+        elif any(moving):
+            factors = []
+            for axis, m in zip(axes, moving):
+                (i, j), padded = (m + [one, one])[:2], (*axis, 0)
+                factors.append((i, padded[i], j, padded[j], padded[i] * padded[j]))
+            closed.append((c, fixed, factors))
         else:
             flat.append((c, fixed))
-    return col, e, flat, closed, ranged, _sum_plan(others, (0,) * one, e) if others else None
+    return axes, flat, closed, ranged, _sum_plan(others, axes[-1:]) if others else None
 
 
 class _SumPlans(dict):
-    """The sum plans of one term list, keyed by (col, e), each built on first use."""
+    """The sum plans of one term list, keyed by axes, each built on first use."""
     __slots__ = ("terms",)
 
     def __init__(self, terms):
@@ -776,56 +880,76 @@ class _SumPlans(dict):
 
 
 def _block_sum(plan, blocks):
-    """(sum, blocks): the sum of the planned terms over the points a = base +
-    x * col + y * e of the blocks (base, xl, xh, yl, yh), and the number of blocks.
+    """(sum, boxes): the sum of the planned terms over the points a = base +
+    t_1 * A_1 + ... + t_k * A_k of the boxes (base, l_1, h_1, ..., l_k, h_k),
+    and the number of boxes.
 
-    The plan is _sum_plan's, built once per term list and (col, e). A closed
-    term sums over a block, fiber or slab, as c * prod(fixed) * X * Y. Along an
-    axis t runs from low to high, and the factors b_i + t * a_i and b_j + t * a_j
-    give count * b_i * b_j + (b_i * a_j + b_j * a_i) * S1 + a_i * a_j * S2, with
-    S1 = sum t and S2 = sum t^2 = F(high) - F(low - 1), F(m) = m(m+1)(2m+1)/6 an
-    integer for every integer m. A ranged term runs along C-level ranges, and
-    the terms that go column by column sum each block's columns through this
-    same function under their own plan.
+    The plan is _sum_plan's, built once per term list and axes. A closed
+    term sums over a box as c * prod(fixed) times one closed form per axis:
+    along it t runs from l to h, and the factors b_i + t * a_i and b_j + t *
+    a_j give count * b_i * b_j + (b_i * a_j + b_j * a_i) * S1 + a_i * a_j *
+    S2, with S1 = sum t and S2 = sum t^2 = F(h) - F(l - 1), F(m) =
+    m(m+1)(2m+1)/6 an integer for every integer m; an axis with no moving
+    factor gives its count. A ranged term runs along C-level ranges, and the
+    terms that go fiber by fiber sum each box's fibers along its last axis
+    through this same function under their own plan.
     """
-    col, e, flat, closed, ranged, columns = plan
-    one, total, seen = len(e), 0, 0
-    for base, xl, xh, yl, yh in blocks:
+    axes, flat, closed, ranged, fibers = plan
+    total = seen = 0
+    if len(axes) == 1:  # fibers (base, low, high): the one axis's closed forms inline
+        e, = axes
+        for base, low, high in blocks:
+            seen += 1
+            m = high - low + 1
+            for c, fixed in flat:
+                total += c * math.prod(map(base.__getitem__, fixed)) * m
+            if closed:
+                b, s1 = (*base, 1), (low + high) * m // 2
+                s2 = (high * (high + 1) * (2 * high + 1) - (low - 1) * low * (2 * low - 1)) // 6
+                for c, fixed, ((i, ai, j, aj, aij),) in closed:
+                    bi, bj = b[i], b[j]
+                    total += c * math.prod(map(b.__getitem__, fixed)) * (
+                        m * bi * bj + (bi * aj + bj * ai) * s1 + aij * s2)
+            for c, factors in ranged:
+                total += c * sum(map(math.prod, _run(
+                    map(base.__getitem__, factors), map(e.__getitem__, factors), low, high)))
+        return total, seen
+    for block in blocks:
         seen += 1
-        nx, ny = xh - xl + 1, yh - yl + 1
+        base, count, sums = block[0], 1, []
+        for low, high in zip(block[1::2], block[2::2]):
+            m = high - low + 1
+            count *= m
+            sums.append((m, (low + high) * m // 2, (
+                high * (high + 1) * (2 * high + 1) - (low - 1) * low * (2 * low - 1)) // 6))
         for c, fixed in flat:
-            total += c * math.prod(map(base.__getitem__, fixed)) * nx * ny
+            total += c * math.prod(map(base.__getitem__, fixed)) * count
         if closed:
             b = (*base, 1)
-            sx, sy = (xl + xh) * nx // 2, (yl + yh) * ny // 2
-            # X is the count for a term with no factor moving along col, and
-            # one column has S2 = xl^2, so a fiber's X takes next to no work
-            qx = xl * xl if nx == 1 else (
-                xh * (xh + 1) * (2 * xh + 1) - (xl - 1) * xl * (2 * xl - 1)) // 6
-            qy = (yh * (yh + 1) * (2 * yh + 1) - (yl - 1) * yl * (2 * yl - 1)) // 6
-            for c, fixed, i, ai, j, aj, aij, k, ak, l, al, akl in closed:
-                bk, bl = b[k], b[l]
-                total += c * math.prod(map(b.__getitem__, fixed)) * (
-                    nx if i == one else nx * b[i] * b[j] + (b[i] * aj + b[j] * ai) * sx
-                    + aij * qx) * (ny * bk * bl + (bk * al + bl * ak) * sy + akl * qy)
-        for c, factors in ranged:
-            total += c * sum(map(math.prod, _run(
-                map(base.__getitem__, factors), map(e.__getitem__, factors), yl, yh)))
-        if columns:
-            total += _block_sum(columns, _columns(col, [(base, xl, xh, yl, yh)]))[0]
+            for c, fixed, factors in closed:
+                c *= math.prod(map(b.__getitem__, fixed))
+                for (i, ai, j, aj, aij), (m, s1, s2) in zip(factors, sums):
+                    bi, bj = b[i], b[j]
+                    c *= m * bi * bj + (bi * aj + bj * ai) * s1 + aij * s2
+                total += c
+        if fibers:
+            total += _block_sum(fibers, zip(
+                _spread(axes[:-1], block), repeat(block[-2]), repeat(block[-1])))[0]
     return total, seen
 
 
 def _walk_sum(P: LatticePolytope, n: int, strict: bool, terms):
-    """(sum, blocks): _block_sum of the terms over the blocks of nP (of its
-    relative interior if strict), and the number of blocks the walk yielded;
+    """(sum, boxes): _block_sum of the terms over the boxes of nP (of its
+    relative interior if strict), and the number of boxes the walk yielded;
     terms are (exponents, int c) pairs, or _SumPlans to keep their plans."""
-    col, e, blocks = _walk_fibers(P, n, strict)
+    axes, blocks = _walk_fibers(P, n, strict)
     plans = terms if type(terms) is _SumPlans else _SumPlans(terms)
-    plan = plans.get((col, e))
-    if plan is None:  # e = 0 walks one point, 0P or a point P: any plan sums it
-        held = None if any(e) else next(iter(plans.values()), None)
-        plan = plans[col, e] = held or _sum_plan(plans.terms, col, e)
+    if not axes:  # one point, 0P or a point P, summed term by term
+        point = next(blocks)[0]
+        return sum(c * math.prod(map(pow, point, x)) for x, c in plans.terms), 1
+    plan = plans.get(axes)
+    if plan is None:
+        plan = plans[axes] = _sum_plan(plans.terms, axes)
     return _block_sum(plan, blocks)
 
 

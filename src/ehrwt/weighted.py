@@ -9,7 +9,7 @@ interpolated exactly at N = dim+deg+1 nodes, built in _interpolated alone:
 closed walks of nP at n = 1, 2, ..., and at n = -1, -2, ... the reciprocity
 value (-1)^dim * sum of w(-x) over relint(|n|P) (Stanley, Adv. Math. 14,
 1974; Beck-Robins, ch. 4). Closed n = 1 is walked first; each next node comes
-from the side, closed or interior, whose last walk yielded fewer blocks, the
+from the side, closed or interior, whose last walk yielded fewer boxes, the
 interior on a tie, so the nodes follow the cheaper walks: the interiors of
 small dilations are small or empty. Closed walks at the reserved points n = 0
 and n = dim+deg+2 validate it, so a silent enumeration or degree-bound failure
@@ -19,7 +19,7 @@ rule. The checks read the polynomial at negative integers: the reciprocity
 check interpolates from the closed nodes n = 1..N only; the root-vanishing
 check does so for the plain count, while its weighted count is the
 reciprocity-node polynomial, validated by its closed probes. Each sum is taken
-by geometry's one block kernel, fibers and rectangular slabs alike, in integers
+by geometry's one box kernel, boxes of any number of axes alike, in integers
 over w's denominator, from plans each side of a polynomial makes once. The
 walks come through geometry's bounded walk store, so the other weights, the
 plain count and the checks on one polytope read the small dilations that an
@@ -91,13 +91,13 @@ def _interpolated(P: LatticePolytope, w: WeightPoly, reciprocal: bool) -> UniPol
     """The counting polynomial of a nonzero w through N = dim+deg+1 nodes: closed
     walks at n = 1..N, or if reciprocal closed walks at n = 1, 2, ... and
     interior walks at n = -1, -2, ..., one node at a time: closed n = 1 first,
-    then the next node of the side whose last walk yielded fewer blocks, the
+    then the next node of the side whose last walk yielded fewer boxes, the
     interior side on a tie or before its first walk. Then probed by closed
     walks. Node sums are interpolated as integers over w's denominator, divided once.
-    Each side keeps its sum plans, one per walk axes (col, e), for all of its walks."""
+    Each side keeps its sum plans, one per walk's box axes, for all of its walks."""
     terms = _SumPlans(w._num.items())
     reflected = _SumPlans([(e, (-1) ** (P.dim + sum(e)) * c) for e, c in w._num.items()])
-    walked, samples = {False: [0, 0], True: [0, 0]}, []  # per side: its last n, blocks
+    walked, samples = {False: [0, 0], True: [0, 0]}, []  # per side: its last n, boxes
     for _ in range(P.dim + w.degree + 1):
         strict = reciprocal and bool(samples) and walked[True][1] <= walked[False][1]
         side = walked[strict]

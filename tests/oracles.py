@@ -28,9 +28,9 @@ Lagrange's form in integers. Counting
 polynomials come from closed walks at every node, where the library
 takes half of its nodes from interior walks by reciprocity. Fibers of a
 walk frame come from a recursive descent of nested generators, where the
-library runs one loop on an explicit stack and yields a rectangular slab of
-fibers as one block. Weighted sums of a walk evaluate the weight at each
-point, where the library sums per fiber or per block. The
+library runs one loop on an explicit stack and yields the fibers of its
+uncoupled trailing axes as one box. Weighted sums of a walk evaluate the
+weight at each point, where the library sums per box. The
 lattice basis of a hull comes from Euclid's column steps alone, and its
 reduction is checked by Gram-Schmidt over Fractions, where the library
 takes a reduced basis from one integral LLL on weighted columns. Hilbert
@@ -579,12 +579,13 @@ def ambient_walk(P, n, strict):
 def recursive_fibers(frame, n, strict, cap):
     """Stream the lattice points of nQ (of its interior if strict) as fibers.
 
-    A fiber (base, low, high) stands for the ambient points n*v0 + B y
-    whose y differ only in the innermost coordinate: base + x * e for
-    low <= x <= high, with e = B's last column. A cell is one value a
-    coordinate can take after interval propagation; the generator
-    returns the number of cells it visited and raises
-    EnumerationLimitError once that passes cap.
+    The frame's coordinates, box axes included, are walked one depth at a
+    time, each value of a coordinate opening the next. A fiber (base, low,
+    high) stands for the ambient points n*v0 + B y whose y differ only in
+    the innermost coordinate: base + x * e for low <= x <= high, with e =
+    B's last column. A cell is one value a coordinate can take after
+    interval propagation; the generator returns the number of cells it
+    visited and raises EnumerationLimitError once that passes cap.
     """
     v0, cols, rows, lo, hi, _ = frame[:6]
     last = len(cols) - 1
@@ -657,7 +658,7 @@ def euclid_coordinates(P):
     the last d columns of a unimodular U with A U = [H | 0], found by
     Euclid's column operations (Cohen, A Course in Computational
     Algebraic Number Theory, Sec. 2.4). Returns (v0, the columns of B,
-    Q's facet rows (a.B, b - a.v0), Q's box as (lo, hi)).
+    Q's facet rows (a.B, b - a.v0), Q's coordinate rows: y_i over P's vertices).
     """
     s, v0 = P.ambient_dim, P.vertices[0]
     eqs = [a for a, _ in P.affine_hull]
@@ -680,16 +681,16 @@ def euclid_coordinates(P):
          b - sum(c * o for c, o in zip(a, v0)))
         for a, b in P.facet_inequalities
     ]
-    return v0, basis, rows, ([min(y) for y in zip(*ys)], [max(y) for y in zip(*ys)])
+    return v0, basis, rows, [list(y) for y in zip(*ys)]
 
 
 def permuted_coordinates(coords, order):
-    """Q's coordinates (v0, B, rows, box) with y_order[0], y_order[1], ...
-    taken as the first, second, ...: a walk of these in index order walks
-    the given ones in that order."""
-    v0, basis, rows, (lo, hi) = coords
+    """Q's coordinates (v0, B, rows, coordinate rows) with y_order[0],
+    y_order[1], ... taken as the first, second, ...: a walk of these in index
+    order walks the given ones in that order."""
+    v0, basis, rows, ys = coords
     return (v0, [basis[j] for j in order], [([c[j] for j in order], b) for c, b in rows],
-            ([lo[j] for j in order], [hi[j] for j in order]))
+            [ys[j] for j in order])
 
 
 def term_product(left, right):

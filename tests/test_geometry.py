@@ -103,11 +103,11 @@ THIN_SIMPLEX = ((-5, 0, -11, 3), (-2, -6, -8, -1), (3, -2, 6, -5), (4, -9, -1, -
 SEGMENT_NEGATIVE = [(-7, 5), (4, -6)]
 TRIANGLE_IN_PLANE = [(-3, 2, 1), (2, -3, 1), (-1, -1, 4)]
 RIGHT_TRIANGLE = [(-4, -2), (3, -2), (3, 5)]
-# rectangular frames: no facet row bounds both of the last two coordinates,
-# so a walk yields one block per slab. The box [0,2]x[0,3]x[0,1] walks
-# along col = (1, 0, 0) and e = (0, 1, 0); the sheared square's col and e
-# share their third coordinate; the prism over a triangle has a slab of
-# one column at x = 1 in 1P
+# rectangular frames: no facet row bounds two of their box's axes, so a
+# walk yields boxes of several axes. The box [0,2]x[0,3]x[0,1] is one box of
+# three axes, (0, 0, 1), (1, 0, 0) and e = (0, 1, 0); the sheared square's two
+# axes share their third coordinate; the prism over a triangle has a box of
+# one value on its first axis in 1P
 BOX = [(0, 0, 0), (2, 0, 0), (0, 3, 0), (2, 3, 0), (0, 0, 1), (2, 0, 1), (0, 3, 1), (2, 3, 1)]
 SHEARED_SQUARE = [(0, 0, 0), (1, 0, 1), (0, 1, 1), (1, 1, 2)]
 PRISM = [(0, 0, 0), (1, 0, 0), (1, 1, 0), (0, 0, 1), (1, 0, 1), (1, 1, 1)]
@@ -635,23 +635,15 @@ def test_a_facet_row_the_double_description_drops_is_caught(monkeypatch):
             facets(LatticePolytope(points))
 
 
-def _axes(frame):
-    """(col, e): the frame's block column and its last basis column."""
-    return frame[5], frame[1][-1]
-
-
 def _outcome(walk, frame, n, strict, cap):
     """The points a walk yields, in order, and its cell count or cap message;
-    the oracle's fibers (base, low, high) are read as blocks (base, 0, 0, low, high)."""
+    the oracle's fibers (base, low, high) are read as boxes along B's last column."""
     points = []
     walker = walk(frame, n, strict, cap)
+    axes = frame[1][-1:] if walk is recursive_fibers else frame[5]
     try:
         while True:
-            item = next(walker)
-            if len(item) == 3:  # an oracle fiber
-                base, low, high = item
-                item = base, 0, 0, low, high
-            points += _points(*_axes(frame), [item])
+            points += _points(axes, [next(walker)])
     except StopIteration as done:
         return points, done.value
     except EnumerationLimitError as exc:
@@ -709,19 +701,19 @@ def test_one_lll_gives_a_reduced_basis_of_the_hull_lattice(points):
     P = LatticePolytope(points)
     if P.dim == 0:
         return
-    v0, basis, rows, (lo, hi) = _lattice_coordinates(P)
+    v0, basis, rows, coordinates = _lattice_coordinates(P)
     kernel = _reduced_kernel([a for a, _ in P.affine_hull], P.ambient_dim)[0][:P.dim]
     assert len(basis) == P.dim and lll_reduced(kernel)
     for col in basis:
         assert all(sum(c * x for c, x in zip(a, col)) == 0 for a, _ in P.affine_hull)
-    # every vertex is v0 + B y for an integer y in Q, and Q's box is their hull's
+    # every vertex is v0 + B y for an integer y in Q, and Q's coordinate rows are theirs
     ys = []
     for v in P.vertices:
         y = lattice_coefficients(basis, [x - o for x, o in zip(v, v0)])
         assert y is not None and all(c.denominator == 1 for c in y)
         assert all(sum(c * e for c, e in zip(a, y)) <= b for a, b in rows)
         ys.append(y)
-    assert (lo, hi) == ([min(y) for y in zip(*ys)], [max(y) for y in zip(*ys)])
+    assert coordinates == [list(y) for y in zip(*ys)]
     # Q's coordinates are reduced by their widths: their rows over the
     # vertices, centered, are an LLL-reduced basis
     m = len(ys)
@@ -763,7 +755,7 @@ def test_every_column_order_walks_the_same_points(points):
         for order in permutations(range(P.dim)):
             frame = _frame(permuted_coordinates(coords, order))
             blocks = _fibers(frame, n, strict, math.inf)
-            assert sorted(_points(*_axes(frame), blocks)) == expected, order
+            assert sorted(_points(frame[5], blocks)) == expected, order
 
 
 @settings(max_examples=100)
@@ -800,15 +792,15 @@ def _assert_walk_matches_the_recursive_walk(frame, n, strict, caps):
         assert message == oracle and points == expected[:len(points)], cap
 
 
-# a permutation of criterion 3 whose rows read (-2, -2, -2, 0, 2) and
-# (-2, -2, -2, 2, 0) in Q: x's and y's rows that move with the slab kernel's
-# cells carry 2, and their step along the cells is -2
+# a permutation of criterion 3 whose rows read (-2, -2, 0, 0, 2) and
+# (-2, -2, 0, 2, 0) in its frame: the rows of the last two box axes that move
+# with the tight loop's cells carry 2, and their step along the cells is -2
 CRITERION3_PERMUTED = [tuple(v[j] for j in (0, 1, 3, 2, 5, 6, 4)) for v in CRITERION3]
 # the prism [0,2] x the triangle (0,0), (3,0), (0,2), its interval last in Z^3
 PRISM_OVER_TRIANGLE = [(b, c, a) for a in (0, 2) for b, c in [(0, 0), (3, 0), (0, 2)]]
 # a small_batch tetrahedron whose frame is rectangular with one upper and one
-# lower row moving with the slab kernel's cells on each of x and y; no other
-# rectangular frame here has a lower moving row on x
+# lower row moving with the tight loop's cells on each of its two box axes; no
+# other rectangular frame here has a lower moving row on the first axis
 TETRAHEDRON = [(0, 1, 2), (0, 2, 0), (0, 2, 2), (2, 1, 0)]
 
 
@@ -828,17 +820,22 @@ TETRAHEDRON = [(0, 1, 2), (0, 2, 0), (0, 2, 2), (2, 1, 0)]
     (TETRAHEDRON, 4, True, True),
 ])
 def test_blocks_match_the_recursive_walk_at_every_cap(points, n, strict, rectangular):
-    # a rectangular frame yields blocks of several columns, any other one fiber
-    # per block. Each rectangular frame here has d >= 3, and a range of the
-    # slab kernel's cells, the values of the third-to-last coordinate, holds
-    # more than one value, so two blocks in a row are one step of that
+    # a rectangular frame yields boxes of several axes, some with several
+    # values on an axis above the last, any other one fiber per box. Each
+    # rectangular frame here has d >= 3. Where the box's axes are all of Q's
+    # coordinates, as in the cubes, nQ is one box; otherwise a range of the
+    # tight loop's cells, the values of the coordinate above the box, holds
+    # more than one value, so two boxes in a row are one step of that
     # coordinate's column apart. Every cap from 1 up to the cell count is compared
     frame = _frame(_lattice_coordinates(LatticePolytope(points)))
     blocks = list(_fibers(frame, n, strict, math.inf))
-    assert any(xl < xh for _, xl, xh, _, _ in blocks) == rectangular
-    assert rectangular or all(xl == xh == 0 for _, xl, xh, _, _ in blocks)
-    if rectangular:
-        above = frame[1][-3]
+    assert (len(frame[5]) > 1) == rectangular
+    assert any(low < high for b in blocks for low, high in zip(b[1:-2:2], b[2:-2:2])) \
+        == rectangular
+    if len(frame[5]) == len(frame[1]):
+        assert len(blocks) == 1
+    elif rectangular:
+        above = frame[1][-1 - len(frame[5])]
         assert any(tuple(map(sub, b[0], a[0])) == above for a, b in zip(blocks, blocks[1:]))
     _assert_walk_matches_the_recursive_walk(frame, n, strict, lambda count: range(1, count + 1))
 
@@ -875,6 +872,119 @@ def test_one_frame_walks_every_dilation_alike_every_time(points):
     assert frame == _frame(coords)
 
 
+# the Birkhoff polytope B_3: the six 3x3 permutation matrices, dim 4 in Z^9
+BIRKHOFF3 = [tuple(int(p[i] == j) for i in range(3) for j in range(3))
+             for p in permutations(range(3))]
+CUBE = list(product((0, 1), repeat=3))
+
+
+def _today_axes(coords):
+    """The box axes a frame of these coordinates takes before its candidate
+    scan, as columns of B: the last, and the one before it when no row
+    bounds both."""
+    basis, rows = coords[1], coords[2]
+    return basis[-1:] if len(basis) == 1 or any(c[-1] and c[-2] for c, _ in rows) else basis[-2:]
+
+
+def _assert_box_walk_matches_the_oracles(points, w, n, strict, scan=128):
+    """nP's boxes expand to the box scan's points (to the ambient walk's where
+    the scan box passes scan cells), and their sum of w to the pointwise sum
+    over those points and to the sum of w over the oracle's points."""
+    P = LatticePolytope(points)
+    walked = sorted(_walk(P, n, strict))
+    box = math.prod(n * (max(col) - min(col)) + 1 for col in zip(*points))
+    expected = box_points(points, n, interior=strict) if box <= scan else sorted(
+        ambient_walk(P, n, strict))
+    assert walked == expected
+    total = _walk_sum(P, n, strict, w._num.items())[0]
+    assert total == pointwise_sum(P, w, n, strict)
+    assert Fraction(total, w._den) == sum(map(w.eval, expected))
+
+
+@st.composite
+def boxes_and_weights(draw):
+    """A full-dimensional set, a small image or a permuted criterion 3, with a
+    weight of up to four terms whose exponents reach 3 on any coordinate, so
+    a term has up to three factors along an axis and may move along several."""
+    points = draw(full_dimensional_sets() | small_affine_images() | permuted_criterion3)
+    s = len(points[0])
+    coefficient = st.fractions(min_value=-5, max_value=5, max_denominator=6).filter(bool)
+    terms = st.dictionaries(st.tuples(*[st.integers(0, 3)] * s), coefficient, min_size=1,
+                            max_size=4)
+    return points, WeightPoly(s, draw(terms))
+
+
+@settings(max_examples=100, deadline=None)
+@given(boxes_and_weights(), st.integers(0, 3), st.booleans())
+@example((CUBE, WeightPoly(3, {(2, 2, 2): 1, (3, 0, 1): -2, (0, 0, 0): 3})), 3, False)
+@example((CUBE, WeightPoly(3, {(2, 2, 2): 1, (3, 0, 1): -2, (0, 0, 0): 3})), 3, True)
+@example((PRISM_OVER_TRIANGLE, WeightPoly(3, {(1, 2, 3): 1, (0, 1, 1): 4})), 2, False)
+@example((PRISM_OVER_TRIANGLE, WeightPoly(3, {(1, 2, 3): 1, (0, 1, 1): 4})), 3, True)
+def test_box_walks_match_the_box_scan_and_the_pointwise_sum(case, n, strict):
+    # boxes of every axis count, closed and strict, summed in closed form
+    # where each axis carries at most two factors and no factor moves along
+    # two axes, and fiber by fiber along the last axis otherwise
+    points, w = case
+    _assert_box_walk_matches_the_oracles(points, w, max(n, strict), strict)
+
+
+@pytest.mark.parametrize("points, axes", [
+    (CUBE, 3), (PRISM_OVER_TRIANGLE, 2), (CRITERION3, 3), (BIRKHOFF3, 1),
+])
+def test_fixed_frames_walk_boxes_of_their_axes(points, axes):
+    # the unit cube is one box of three axes; the prism over a triangle boxes
+    # its interval with a triangle coordinate; criterion 3 gains a third axis,
+    # e0 - e1 of its reduced basis, past the two of its last coordinates; and
+    # B_3's rows couple every pair, so it walks fibers. Each is box scanned
+    # where its scan box holds at most 1,024 cells, B_3 at n = 1 (2^9 cells)
+    # and criterion 3 at n = 1, and checked against the ambient walk
+    P = LatticePolytope(points)
+    frame = _frame(_lattice_coordinates(P))
+    assert len(frame[5]) == axes
+    s = len(points[0])
+    w = WeightPoly(s, {tuple(int(i < 3) for i in range(s)): 1, (2,) + (0,) * (s - 1): -3,
+                       (0,) * s: Fraction(1, 2)})
+    for n, strict in ((1, False), (2, False), (3, True)):
+        _assert_box_walk_matches_the_oracles(points, w, n, strict, scan=1024)
+        total = _walk_sum(P, n, strict, w._num.items())[0]
+        assert Fraction(total, w._den) == sum(map(w.eval, ambient_walk(P, n, strict)))
+
+
+@settings(max_examples=150)
+@given(small_affine_images() | full_dimensional_sets() | permuted_criterion3)
+@example(CRITERION3)
+@example(CUBE)
+@example(BIRKHOFF3)
+@example(PRISM_OVER_TRIANGLE)
+@example(TETRAHEDRON)
+def test_frame_changes_basis_unimodularly_and_boxes_uncoupled_axes(points):
+    # the frame's basis is B M for an integer M of determinant +-1, read off
+    # _echelon's last pivot; Q's rows are c M and Q's box the vertices' in the
+    # new basis; no row is nonzero on two box axes; and the axes the frame
+    # took before its scan, the last coordinate and the one before it when no
+    # row bounds both, are among the box's
+    P = LatticePolytope(points)
+    if P.dim == 0:
+        return
+    coords = _lattice_coordinates(P)
+    v0, basis, rows, _ = coords
+    _, cols, framed, lo, hi, axes, _ = _frame(coords)
+    d = len(basis)
+    M = [lattice_coefficients(basis, col) for col in cols]  # column j of M is M[j]
+    assert all(x.denominator == 1 for col in M for x in col)
+    M = [[int(M[j][i]) for j in range(d)] for i in range(d)]
+    echelon, pivots = _echelon(M)
+    assert len(pivots) == d and abs(echelon[-1][pivots[-1]]) == 1
+    assert [(tuple(sum(map(mul, c, col)) for col in zip(*M)), b) for c, b in rows] \
+        == [(c, b) for c, b, _ in framed]
+    ys = [lattice_coefficients(cols, [x - o for x, o in zip(v, v0)]) for v in P.vertices]
+    assert (lo, hi) == ([min(y) for y in zip(*ys)], [max(y) for y in zip(*ys)])
+    k = len(axes)
+    assert axes == tuple(cols[d - k:])
+    assert all(sum(1 for x in c[d - k:] if x) <= 1 for c, _, _ in framed)
+    assert set(_today_axes(coords)) <= set(axes)
+
+
 @given(st.lists(st.tuples(st.integers(0, 3), st.integers(-30, 30), st.integers(-6, 6),
                          st.integers(-5, 5).filter(bool)), max_size=4),
        st.lists(st.integers(-30, 30), min_size=4, max_size=4), st.integers(-6, 6),
@@ -885,7 +995,7 @@ def test_one_frame_walks_every_dilation_alike_every_time(points):
 @example([(0, -4, 3, 3), (2, 1, 4, -4)], [0, 0, 3, 0], 1, -5, 10)
 def test_interval_cuts_to_the_values_every_row_allows(rows, sums, t, low, width):
     # the one rule of the walk, at every depth (t = 0) and every cell of the
-    # slab kernel: the range it returns holds exactly the y in low..high with
+    # tight loop: the range it returns holds exactly the y in low..high with
     # c*y <= rhs - sums[i] - t*s for every row (i, rhs, s, c), and is empty
     # when no y does
     high = low + width
@@ -909,7 +1019,7 @@ def test_walk_memory_does_not_grow_with_a_coordinate_width():
         tracemalloc.start()
         try:
             walk = _fibers(frame, 1, False, 10**8)
-            points = sum(1 for _ in _points(*_axes(frame), islice(walk, 1000)))
+            points = sum(1 for _ in _points(frame[5], islice(walk, 1000)))
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -935,10 +1045,10 @@ def images_and_weights(draw):
 @example(([(2, 5), (2, 5)], WeightPoly(2, {(0, 6): Fraction(1, 2), (3, 0): -1})), 0, False)
 @example(([(0, 0), (1, 0), (0, 5), (1, 5)],
           WeightPoly(2, {(1, 6): 3, (2, 0): Fraction(-1, 4)})), 4, False)
-# slabs, summed by the one block kernel: two factors along each axis make a
-# product of two closed forms; three along col, or along e, and t3 in the
-# sheared square, which moves with both col and e, go column by column through
-# the same kernel with col = 0; the prism's one-column slab at x = 1
+# boxes, summed by the one box kernel: at most two factors along each axis
+# make a product of closed forms; three along an axis, and t3 in the sheared
+# square, which moves along both of its axes, go fiber by fiber along the last
+# axis through the same kernel; the prism's box of one value on its first axis
 @example((BOX, WeightPoly(3, {(2, 2, 1): 3, (1, 0, 0): Fraction(-1, 2)})), 2, False)
 @example((BOX, WeightPoly(3, {(3, 1, 0): 1, (0, 3, 1): -2, (0, 0, 0): 5})), 2, True)
 @example((SHEARED_SQUARE, WeightPoly(3, {(0, 0, 2): 1, (1, 1, 0): 2})), 2, False)
@@ -948,7 +1058,7 @@ def test_walk_sum_matches_the_pointwise_sum(case, n, strict):
     P = LatticePolytope(points)
     total, blocks = _walk_sum(P, n, strict, w._num.items())
     assert total == pointwise_sum(P, w, n, strict)
-    assert blocks == sum(1 for _ in geometry._walk_fibers(P, n, strict)[2])  # the walk's own count
+    assert blocks == sum(1 for _ in geometry._walk_fibers(P, n, strict)[1])  # the walk's own count
 
 
 @settings(max_examples=100)
@@ -958,9 +1068,9 @@ def test_walk_sum_matches_the_pointwise_sum(case, n, strict):
 @example((SHEARED_SQUARE, WeightPoly(3, {(0, 0, 2): 1, (1, 1, 0): 2})), 1)
 @example((PRISM, WeightPoly(3, {(1, 1, 1): 1, (0, 2, 0): Fraction(1, 3)})), 3)
 def test_point_walks_sum_alike_under_shared_plans(case, n):
-    # 0P and a point P walk one point, with col = e = 0; from a term list's
-    # shared plans they take the plan held first, here one of BOX's or of P's
-    # own col and e, under which factors move, and still sum the weight there
+    # 0P and a point P walk one point, a box of no axes, summed term by term:
+    # next to a term list's shared plans, here one of BOX's or of P's own axes,
+    # under which factors move, they still sum the weight and add no plan
     points, w = case
     P, terms = LatticePolytope(points), w._num.items()
     for other in (BOX, points):
@@ -971,14 +1081,14 @@ def test_point_walks_sum_alike_under_shared_plans(case, n):
         for m, strict in [(0, False)] + ([] if P.dim else [(n, False), (n, True)]):
             total = _walk_sum(P, m, strict, plans)[0]
             assert total == pointwise_sum(P, w, m, strict), (other, m, strict)
-        assert len(plans) == 1 + bool(LatticePolytope(other).dim), other
+        assert len(plans) == bool(LatticePolytope(other).dim), other
 
 
 @pytest.mark.parametrize("N, points", [
     # the parallelogram of the memory test, narrower, a rectangle in Q: one
-    # block of two columns of 10^4 + 1 points each
+    # box of two values on one axis and 10^4 + 1 on the other
     (10**4, [(0, 0), (1, 0), (10**4, 10**4), (10**4 + 1, 10**4)]),
-    # a rectangle: one block of two columns of 10^5 + 1 points each
+    # a rectangle: one box of two values on one axis and 10^5 + 1 on the other
     (10**5, [(0, 0), (1, 0), (0, 10**5), (1, 10**5)]),
 ])
 def test_walk_sum_memory_does_not_grow_with_a_fiber_or_a_width(N, points):
@@ -1003,13 +1113,13 @@ def test_walk_sum_memory_does_not_grow_with_a_fiber_or_a_width(N, points):
 
 
 def test_column_by_column_sums_keep_no_column_list():
-    # the square [0, N]^2 is one block of N + 1 columns along col = (1, 0);
-    # t1^3 has three factors moving along col, so it runs column by column,
-    # and the columns are made one at a time
+    # the square [0, N]^2 is one box along (1, 0) and (0, 1); t1^3 has three
+    # factors moving along the first axis, so it runs fiber by fiber along the
+    # last, and the fibers are made one at a time
     N = 5000
     P, terms = LatticePolytope([(0, 0), (N, 0), (0, N), (N, N)]), [((3, 0), 1), ((0, 1), 1)]
-    col, _, blocks = geometry._walk_fibers(P, 1, False)
-    assert col == (1, 0) and [block[1:3] for block in blocks] == [(0, N)]
+    axes, blocks = geometry._walk_fibers(P, 1, False)
+    assert axes[0] == (1, 0) and [block[1:3] for block in blocks] == [(0, N)]
     geometry._walk_store.clear()
     tracemalloc.start()
     try:
@@ -1034,10 +1144,10 @@ def test_column_by_column_sums_keep_no_column_list():
     (TRIANGLE_IN_PLANE, 2, True, (-1, 1, 0), {(2, 1, 0): -1, (0, 2, 1): 1}, None),
     # a streamed walk: twelve fibers, over a store budget of four
     (RIGHT_TRIANGLE, 2, True, (0, 1), {(2, 1): 1, (0, 2): -2, (1, 0): 1, (0, 0): -1}, 4),
-    # a streamed slab walk: four blocks, over a store budget of two, so one
-    # stream feeds both the slab sums of -2*t1*t2*t3 and 5 and the column route
-    # of t1^3*t2^3, which runs along ranges in each column
-    (BOX, 3, False, (0, 1, 0), {(3, 3, 0): 1, (1, 1, 1): -2, (0, 0, 0): 5}, 2),
+    # a streamed box walk: seven boxes of two axes, over a store budget of two,
+    # so one stream feeds both the box sums of -2*t1*t2*t3 and 5 and the fiber
+    # route of t1^3*t2^3, whose three factors t1 move along e and run along ranges
+    (PRISM_OVER_TRIANGLE, 3, False, (1, 0, 0), {(3, 3, 0): 1, (1, 1, 1): -2, (0, 0, 0): 5}, 2),
 ])
 def test_closed_form_fiber_sums_match_the_box_scan(points, n, strict, e, weight, store,
                                                    monkeypatch):
@@ -1047,8 +1157,8 @@ def test_closed_form_fiber_sums_match_the_box_scan(points, n, strict, e, weight,
     if store is not None:
         monkeypatch.setattr(geometry, "WALK_STORE_BLOCKS", store)
     P, w = LatticePolytope(points), WeightPoly(len(points[0]), weight)
-    _, walked, blocks = geometry._walk_fibers(P, n, strict)
-    assert walked == e and (store is None or len(list(blocks)) > store)
+    axes, blocks = geometry._walk_fibers(P, n, strict)
+    assert axes[-1] == e and (store is None or len(list(blocks)) > store)
     geometry._walk_store.clear()
     total = _walk_sum(P, n, strict, w._num.items())[0]
     assert ((P.vertices, n, strict, geometry._enumeration_cap()) in geometry._walk_store) \
@@ -1089,7 +1199,7 @@ def test_stored_walks_equal_fresh_ones(case, n, strict):
 
 
 def test_stored_walk_keeps_the_cap(monkeypatch):
-    # 3P of criterion 3 visits 146 cells in 20 blocks. Stored under the
+    # 3P of criterion 3 visits 146 cells in 10 boxes. Stored under the
     # default cap, it is stored again under a cap of 146, which it meets,
     # and walked again under a lower one, raising as a first walk does; a
     # walk that raised stores nothing, nor does one past the budget, read
@@ -1097,13 +1207,13 @@ def test_stored_walk_keeps_the_cap(monkeypatch):
     P = LatticePolytope(CRITERION3)
     key = (P.vertices, 3, False, geometry._enumeration_cap())
     points = lattice_points(P, 3)
-    col, e, blocks = geometry._walk_store[key]
+    axes, blocks = geometry._walk_store[key]
     walked, cells = _outcome(_fibers, P._frame, 3, False, math.inf)
-    assert (len(blocks), cells) == (20, 146)
-    assert walked == list(_points(col, e, blocks))
+    assert (len(blocks), cells) == (10, 146)
+    assert walked == list(_points(axes, blocks))
     monkeypatch.setenv("EHRWT_MAX_POINTS", "146")
     assert lattice_points(LatticePolytope(CRITERION3), 3) == points
-    assert geometry._walk_store[key[:3] + (146,)] == (col, e, blocks)
+    assert geometry._walk_store[key[:3] + (146,)] == (axes, blocks)
     monkeypatch.setenv("EHRWT_MAX_POINTS", "60")
     with pytest.raises(EnumerationLimitError) as warm:
         lattice_points(LatticePolytope(CRITERION3), 3)
@@ -1115,10 +1225,10 @@ def test_stored_walk_keeps_the_cap(monkeypatch):
     assert key[:3] + (60,) not in geometry._walk_store
     monkeypatch.delenv("EHRWT_MAX_POINTS")
     wide = LatticePolytope([(0, 0), (600, 0), (0, 600)])
-    blocks = geometry._walk_fibers(wide, 1, False)[2]
+    blocks = geometry._walk_fibers(wide, 1, False)[1]
     next(blocks)
     del blocks
-    assert sum(1 for _ in geometry._walk_fibers(wide, 1, False)[2]) == 601
+    assert sum(1 for _ in geometry._walk_fibers(wide, 1, False)[1]) == 601
     assert not geometry._walk_store
 
 
@@ -1126,13 +1236,13 @@ def test_stored_walk_keeps_the_cap(monkeypatch):
     (CRITERION3, 0, False),  # 0P: the origin, one block
     ([(2, -1, 5)], 3, False),  # a point: one block
     ([(2, -1, 5)], 2, True),
-    (CRITERION3, 3, False),  # stored: 20 blocks
+    (CRITERION3, 3, False),  # stored: 10 boxes
     ([(0, 0), (600, 0), (0, 600)], 1, False),  # streamed: 601 fibers
 ])
 def test_every_fiber_base_is_a_tuple(points, n, strict):
     # on a first walk and on a second, read from the store where it was kept
     for _ in range(2):
-        blocks = list(geometry._walk_fibers(LatticePolytope(points), n, strict)[2])
+        blocks = list(geometry._walk_fibers(LatticePolytope(points), n, strict)[1])
         assert blocks and all(type(base) is tuple for base, *_ in blocks)
 
 

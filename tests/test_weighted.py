@@ -300,12 +300,12 @@ def test_checks_do_not_read_the_interior_nodes(monkeypatch):
 
     def lossy(P, n, strict):
         calls.append((n, strict))
-        col, e, blocks = walk_fibers(P, n, strict)
+        axes, blocks = walk_fibers(P, n, strict)
         if strict:
-            # the first block loses its first row of points
-            base, xl, xh, yl, yh = next(blocks)
-            blocks = chain([(base, xl, xh, yl + 1, yh)], blocks)
-        return col, e, blocks
+            # the first box loses its first value along its last axis
+            *block, low, high = next(blocks)
+            blocks = chain([(*block, low + 1, high)], blocks)
+        return axes, blocks
 
     P = LatticePolytope([(0, 0), (3, 0), (0, 3)])
     w = parse_weight("t1 + t2", 2)
@@ -324,11 +324,11 @@ def test_checks_do_not_read_the_interior_nodes(monkeypatch):
 
 def test_node_order_follows_the_cheaper_walks(monkeypatch):
     # criterion 3 under t1*...*t7 has 13 nodes. The interiors of 1P..4P are
-    # empty and relint(nP) walks as many blocks as closed (n - 5)P, so after
-    # closed 1P (4 blocks) the interior side leads until its walk yields more
-    # blocks than the closed side's last, and ties go to the interior: closed
-    # 1..4 and interior 1..9, 139 blocks, where closed 1..6 and interior 1..7
-    # took 224. The probes at 0 and 14 follow
+    # empty and relint(nP) walks as many boxes as closed (n - 5)P, so after
+    # closed 1P (3 boxes) the interior side leads until its walk yields more
+    # boxes than the closed side's last, and ties go to the interior: closed
+    # 1..4 and interior 1..9, 69 boxes, where closed 1..6 and interior 1..7
+    # took 93. The probes at 0 and 14 follow
     import ehrwt.weighted as wmod
 
     walk_sum, calls = wmod._walk_sum, []
@@ -360,10 +360,10 @@ def test_criterion_three_walks_stay_small(monkeypatch):
 
     def counted(P, n, strict):
         nonlocal walked
-        col, e, each = walk_fibers(P, n, strict)
+        axes, each = walk_fibers(P, n, strict)
         each = list(each)
-        walked += sum(1 for _ in geometry._points(col, e, each))
-        return col, e, iter(each)
+        walked += sum(1 for _ in geometry._points(axes, each))
+        return axes, iter(each)
 
     def counted_fibers(*args):
         nonlocal cells
