@@ -647,7 +647,8 @@ def _fibers(frame, n, strict, cap):
     as many as the walk depth by depth opens in it, w_1 + w_1 w_2 + ... for
     its widths w_a; the generator returns the number of cells it visited
     and raises EnumerationLimitError once that passes cap, at the count
-    where the walk depth by depth would.
+    where the walk depth by depth would. The count depends on the frame,
+    its basis and its box axes, not on nQ alone.
     """
     v0, cols, rows, lo, hi, axes, (plan, steps, tight) = frame
     lo, hi = [n * v for v in lo], [n * v for v in hi]
@@ -670,18 +671,7 @@ def _fibers(frame, n, strict, cap):
         k, base, sums, xs = stack[-1]
         if k == tight:
             stack.pop()
-            ts = zip(xs, _run(base, cols[k], xs.start, xs.stop - 1))
-            if len(box) == 1:  # a box of one axis is a fiber, cut and counted at once
-                (low, high, cut), = box
-                for t, block in ts:
-                    yl, yh = _interval(low, high, cut, sums, t)
-                    if yl <= yh:
-                        visited += yh - yl + 1
-                        if visited > cap:
-                            raise over(visited)
-                        yield block, yl, yh
-                continue
-            for t, block in ts:
+            for t, block in zip(xs, _run(base, cols[k], xs.start, xs.stop - 1)):
                 block, cells, size = [block], 0, 1
                 for low, high, cut in box:
                     low, high = _interval(low, high, cut, sums, t)
@@ -780,47 +770,20 @@ def _run(base, step, low, high):
                  for b, a in zip(base, step)])
 
 
-def _plane(base, col, e, xl, xh, yl, yh):
-    """The points base + x * col + y * e, xl <= x <= xh outer and yl <= y <= yh
-    inner, in one zip: each coordinate's values come at C speed, from one value
-    or one range repeated, or one range's values each repeated, or a range per
-    x. An image's col and e may both be 0, so every coordinate counts its values."""
-    nx, ny, values = xh - xl + 1, yh - yl + 1, []
-    for b, a, c in zip(base, col, e):
-        if not c:
-            values.append(chain.from_iterable(map(
-                repeat, range(b + xl * a, b + (xh + 1) * a, a), repeat(ny))) if a
-                else repeat(b, nx * ny))
-        elif not a:
-            values.append(chain.from_iterable(repeat(range(b + yl * c, b + (yh + 1) * c, c), nx)))
-        else:
-            starts = range(b + xl * a + yl * c, b + (xh + 1) * a + yl * c, a)
-            values.append(chain.from_iterable(map(
-                range, starts, map(add, starts, repeat(ny * c)), repeat(c))))
-    return zip(*values)
-
-
 def _spread(axes, block):
     """The points block[0] + t_1 * axes[0] + ..., block[2a-1] <= t_a <= block[2a],
-    k >= 1 axes, the first axis outermost: the bases of the planes of the last
-    two axes come from _run along one axis after the other, each built once at
-    C speed, and each plane from _plane."""
-    k = len(axes)
-    if k == 1:
-        return _run(block[0], axes[0], block[1], block[2])
-    bases = (block[0],)
-    for a, axis in enumerate(axes[:-2]):
-        bases = chain.from_iterable(map(
-            _run, bases, repeat(axis), repeat(block[2 * a + 1]), repeat(block[2 * a + 2])))
-    return chain.from_iterable(map(_plane, bases, repeat(axes[-2]), repeat(axes[-1]),
-                                   *map(repeat, block[2 * k - 3:2 * k + 1])))
+    the first axis outermost: the bases along each axis come from _run along
+    it, one axis after the other, so each is built once at C speed."""
+    points = (block[0],)
+    for a, axis in enumerate(axes):
+        points = chain.from_iterable(map(
+            _run, points, repeat(axis), repeat(block[2 * a + 1]), repeat(block[2 * a + 2])))
+    return points
 
 
 def _points(axes, blocks):
     """The points of the boxes (base, l_1, h_1, ..., l_k, h_k) along the axes, box
-    by box, each box's first axis outermost."""
-    if not axes:  # one point, 0P or a point P
-        return (block[0] for block in blocks)
+    by box, each box's first axis outermost; a box of no axes is its base."""
     return chain.from_iterable(map(_spread, repeat(axes), blocks))
 
 
@@ -896,7 +859,9 @@ def _block_sum(plan, blocks):
     """
     axes, flat, closed, ranged, fibers = plan
     total = seen = 0
-    if len(axes) == 1:  # fibers (base, low, high): the one axis's closed forms inline
+    # fibers (base, low, high), most blocks of small walks: the one axis's
+    # closed forms inline, without the box loop's per-axis lists
+    if len(axes) == 1:
         e, = axes
         for base, low, high in blocks:
             seen += 1
